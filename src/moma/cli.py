@@ -29,7 +29,7 @@ from .model import InfeasibleError, ModelError, SolverError, validate_model
 from .modelio import (ParsedQuery, _strategy_doc, dumps, parse_model,
                       parse_query, plot_csv, query_echo, result_document)
 from .pareto import (AchievabilityQuery, ParetoQuery, QuantitativeQuery,
-                     answer_query)
+                     answer_query, problem_statistics)
 from .weighted import normalize_query, optimize_weighted, prepare_weighted, validate_assumptions
 
 
@@ -163,14 +163,7 @@ def cmd_single(args) -> int:
         values.append(ent)
     doc = {"format": "moma-result", "version": 1, "kind": "single",
            "query": echo, "values": values,
-           "statistics": {
-               "states": p.model.n_states,
-               "markovian_states": len(p.model.markovian_states()),
-               "choices": p.model.n_choices,
-               "zero_ecs": len(prep.zero_ecs),
-               "zero_ec_states": sum(len(c.states()) for c in prep.zero_ecs),
-               "iterations": p.dimension,
-           }}
+           "statistics": problem_statistics(p, prep, p.dimension)}
     dt = time.monotonic() - t0
     if args.timings:
         doc["timings"] = {"wall_s": dt}

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .model import (MarkovAutomaton, ModelError, RewardAssignment)
+from .model import (MarkovAutomaton, ModelError, RewardAssignment, flat, reach,
+                    reward_edges, strong_components)
 
 
 @dataclass(frozen=True)
@@ -29,99 +27,40 @@ class EndComponent:
     def actions_at(self, s: int) -> list[int]:
         return sorted(a for (u, a) in self.pairs if u == s)
 
-    def __contains__(self, item) -> bool:
-        if isinstance(item, tuple):
-            return item in self.pairs
-        return item in self.markovian_states
-
 
 def mec_decomposition(m: MarkovAutomaton,
-                      state_ok: Callable[[int], bool] | None = None,
-                      pair_ok: Callable[[int, int], bool] | None = None) -> list[EndComponent]:
-    """Maximal end components, optionally restricted to allowed states/pairs.
+                      choice_ok: np.ndarray | None = None) -> list[EndComponent]:
+    """Maximal end components, optionally restricted to allowed choices.
 
-    Iteratively refines strongly connected components, dropping choices whose
-    support leaves their component and states left without choices, until a
-    fixed point.  `state_ok` filters Markovian states, `pair_ok` filters
-    (probabilistic state, action) pairs; both default to allowing everything.
+    `choice_ok` is a boolean mask over the flat choices of m (see
+    `model.Flat`); it defaults to allowing every choice.  Iteratively
+    refines strongly connected components of the graph of alive choices,
+    dropping choices whose support leaves their component, until a fixed
+    point.  A state whose choices all died has no outgoing edge, so edges
+    into it cross a component border as well.
     """
+    fl = flat(m)
     n = m.n_states
-    # flatten choices once
-    ptr = [0]
-    for s in range(n):
-        ptr.append(ptr[-1] + len(m.choices[s]))
-    nc = ptr[n]
-    choice_state = np.empty(nc, dtype=np.int64)
-    rows = []
-    cols = []
-    for s in range(n):
-        for a, dist in enumerate(m.choices[s]):
-            c = ptr[s] + a
-            choice_state[c] = s
-            for t, _ in dist:
-                rows.append(c)
-                cols.append(t)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-
-    choice_alive = np.ones(nc, dtype=bool)
-    for s in range(n):
-        if m.is_markovian(s):
-            if state_ok is not None and not state_ok(s):
-                choice_alive[ptr[s]] = False
-        else:
-            for a in range(len(m.choices[s])):
-                if pair_ok is not None and not pair_ok(s, a):
-                    choice_alive[ptr[s] + a] = False
-    state_alive = np.zeros(n, dtype=bool)
-    for s in range(n):
-        state_alive[s] = choice_alive[ptr[s]:ptr[s + 1]].any()
-
+    alive = np.ones(len(fl.choice_state), dtype=bool) if choice_ok is None \
+        else np.array(choice_ok, dtype=bool)
     while True:
-        # drop choices that can leave the alive state set
-        edge_alive = choice_alive[rows]
-        bad = edge_alive & ~state_alive[cols]
-        if bad.any():
-            choice_alive[np.unique(rows[bad])] = False
-        new_state_alive = np.zeros(n, dtype=bool)
-        for s in range(n):
-            new_state_alive[s] = choice_alive[ptr[s]:ptr[s + 1]].any()
-        if not new_state_alive.any():
-            return []
-        edge_alive = choice_alive[rows] & new_state_alive[cols]
-        g = coo_matrix(
-            (np.ones(int(edge_alive.sum()), dtype=np.int8),
-             (choice_state[rows[edge_alive]], cols[edge_alive])),
-            shape=(n, n))
-        _, labels = connected_components(g, directed=True, connection="strong")
-        # kill choices whose support crosses component borders
-        cross = choice_alive[rows] & (labels[choice_state[rows]] != labels[cols])
-        changed = False
-        if cross.any():
-            choice_alive[np.unique(rows[cross])] = False
-            changed = True
-        if (new_state_alive != state_alive).any():
-            changed = True
-        state_alive = new_state_alive
-        for s in range(n):
-            alive = choice_alive[ptr[s]:ptr[s + 1]].any()
-            if state_alive[s] and not alive:
-                state_alive[s] = False
-                changed = True
-        if not changed:
+        live = alive[fl.edge_choice]
+        labels = strong_components(n, fl.edge_src[live], fl.succ[live])
+        cross = live & (labels[fl.edge_src] != labels[fl.succ])
+        if not cross.any():
             break
+        alive[fl.edge_choice[cross]] = False
 
     groups: dict[int, tuple[set[int], set[tuple[int, int]]]] = {}
-    for s in range(n):
-        if not state_alive[s]:
-            continue
-        ms, pairs = groups.setdefault(int(labels[s]), (set(), set()))
-        if m.is_markovian(s):
+    choices = np.flatnonzero(alive)
+    states = fl.choice_state[choices]
+    for s, a, lab, mk in zip(states.tolist(), (choices - fl.ptr[states]).tolist(),
+                             labels[states].tolist(), fl.markovian[states].tolist()):
+        ms, pairs = groups.setdefault(lab, (set(), set()))
+        if mk:
             ms.add(s)
         else:
-            for a in range(len(m.choices[s])):
-                if choice_alive[ptr[s] + a]:
-                    pairs.add((s, a))
+            pairs.add((s, a))
     comps = [EndComponent(frozenset(ms), frozenset(pairs)) for ms, pairs in groups.values()]
     comps.sort(key=lambda c: min(c.states()))
     return comps
@@ -136,24 +75,14 @@ def zero_mecs(m: MarkovAutomaton, totals: Sequence[RewardAssignment]) -> list[En
     """
     if not totals:
         return mec_decomposition(m)
-    bad_states: set[int] = set()
-    bad_pairs: set[tuple[int, int]] = set()
+    fl = flat(m)
+    ok = np.ones(len(fl.choice_state), dtype=bool)
     for r in totals:
-        for s, v in r.state_rewards.items():
-            if v != 0.0 and m.is_markovian(s):
-                bad_states.add(s)
-        for (s, a, t), v in r.transition_rewards.items():
-            if v == 0.0:
-                continue
-            if m.transition_prob(s, a, t) == 0.0:
-                continue
-            if m.is_markovian(s):
-                bad_states.add(s)
-            else:
-                bad_pairs.add((s, a))
-    return mec_decomposition(m,
-                             state_ok=lambda s: s not in bad_states,
-                             pair_ok=lambda s, a: (s, a) not in bad_pairs)
+        s = np.array([s for s, v in r.state_rewards.items() if v != 0.0], dtype=np.int64)
+        ok[fl.ptr[s[fl.markovian[s]]]] = False
+        e, _ = reward_edges(m, r)
+        ok[fl.edge_choice[e]] = False
+    return mec_decomposition(m, choice_ok=ok)
 
 
 def exits(m: MarkovAutomaton, c: EndComponent) -> list[tuple[int, int]]:
@@ -232,6 +161,13 @@ class QuotientModel:
     state.  `action_decoding` maps (collapsed state, action index) to
     ('exit', s, a) or ('bottom',); `origin_of` maps every non-collapsed state
     back to the base model; `state_map` sends base states to quotient states.
+
+    The lift arrays describe how the redirected choices merge the edges of
+    `base`: `lift_edges` lists the base edges behind every redirected
+    quotient choice (quotient choice order, then distribution order),
+    `lift_group` the merged quotient edge each of them feeds, numbered in
+    order of first appearance, `lift_keys` the (state, action, successor)
+    of each merged edge and `lift_mass` its probability.
     """
 
     model: MarkovAutomaton
@@ -242,6 +178,11 @@ class QuotientModel:
     origin_of: dict[int, int]
     state_map: list[int]
     with_bottom: bool
+    base: MarkovAutomaton
+    lift_edges: np.ndarray
+    lift_group: np.ndarray
+    lift_keys: np.ndarray
+    lift_mass: np.ndarray
 
     def lift_reward(self, r: RewardAssignment, name: str,
                     bottom_values: Sequence[float] | None = None) -> RewardAssignment:
@@ -251,33 +192,23 @@ class QuotientModel:
         per-transition expected rewards intact.  `bottom_values[i]` becomes
         the reward of component i's bottom transition.
         """
-        base = _base_of(self)
+        bfl = flat(self.base)
+        kept = len(self.origin_of)  # states below this one are not collapsed
         state_r = {}
-        for qs, s in self.origin_of.items():
-            v = r.state_reward(s)
-            if v != 0.0 and base.is_markovian(s):
-                state_r[qs] = v
-        trans_r = {}
-        for qs in range(self.model.n_states):
-            if qs == self.bottom_state:
-                continue
-            for a in range(len(self.model.choices[qs])):
-                decoded = self.action_decoding.get((qs, a))
-                if decoded == ("bottom",):
-                    continue
-                if decoded is None:
-                    s, sa = self.origin_of[qs], a
-                else:
-                    s, sa = decoded[1], decoded[2]
-                acc: dict[int, list[float]] = {}
-                for t, p in base.choices[s][0 if base.is_markovian(s) else sa]:
-                    qt = self.state_map[t]
-                    pr = acc.setdefault(qt, [0.0, 0.0])
-                    pr[0] += p
-                    pr[1] += p * r.transition_reward(s, 0 if base.is_markovian(s) else sa, t)
-                for qt, (p, pv) in acc.items():
-                    if pv != 0.0:
-                        trans_r[(qs, a, qt)] = pv / p
+        for s in sorted(r.state_rewards):
+            v = r.state_rewards[s]
+            if v != 0.0 and self.base.is_markovian(s) and self.state_map[s] < kept:
+                state_r[self.state_map[s]] = v
+
+        # sums over each merged edge run in distribution order
+        e, vals = reward_edges(self.base, r)
+        edge_r = np.zeros(len(bfl.succ))
+        edge_r[e] = vals
+        pv = np.bincount(self.lift_group, minlength=len(self.lift_mass),
+                         weights=bfl.prob[self.lift_edges] * edge_r[self.lift_edges])
+        g = np.flatnonzero(pv)
+        trans_r = dict(zip(map(tuple, self.lift_keys[g].tolist()),
+                           (pv[g] / self.lift_mass[g]).tolist()))
         if bottom_values is not None:
             for i, qs in enumerate(self.ec_states):
                 v = bottom_values[i]
@@ -286,10 +217,6 @@ class QuotientModel:
                     assert self.action_decoding[(qs, a)] == ("bottom",)
                     trans_r[(qs, a, self.bottom_state)] = v
         return RewardAssignment(name, state_r, trans_r)
-
-
-def _base_of(q: QuotientModel) -> MarkovAutomaton:
-    return q._base  # set by quotient()
 
 
 def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
@@ -351,13 +278,16 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
             acc[qt] = acc.get(qt, 0.0) + p
         return sorted(acc.items())
 
+    ptr = flat(m).ptr.tolist()
     choices: list[list[list[tuple[int, float]]]] = []
     action_names: list[tuple[str, ...]] = []
+    base_choice: list[int] = []  # per quotient choice; -1 for bottom actions
     for s in range(n):
         if s in collapsed:
             continue
         choices.append([redirect(d) for d in m.choices[s]])
         action_names.append(m.action_names[s])
+        base_choice.extend(range(ptr[s], ptr[s + 1]))
     action_decoding: dict[tuple[int, int], tuple] = {}
     for i, c in enumerate(ecs):
         qs = ec_states[i]
@@ -368,59 +298,61 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
             action_decoding[(qs, j)] = ("exit", s, a)
             dists.append(redirect(m.choices[s][a]))
             anames.append(f"{m.state_names[s]}.{m.action_names[s][a]}")
+            base_choice.append(ptr[s] + a)
         if with_bottom:
             action_decoding[(qs, len(outs))] = ("bottom",)
             dists.append([(bottom, 1.0)])
             anames.append("bot")
+            base_choice.append(-1)
         choices.append(dists)
         action_names.append(tuple(anames))
     choices.append([[(bottom, 1.0)]])
     action_names.append(("",))
-
+    base_choice.append(-1)
     qm = MarkovAutomaton(rates, choices, state_map[m.initial], names, action_names)
-    q = QuotientModel(qm, list(ecs), bottom, ec_states, action_decoding,
-                      origin_of, state_map, with_bottom)
-    q._base = m
-    return q
+
+    # group the base edges behind every redirected choice by merged quotient
+    # edge, numbering the groups in order of first appearance
+    bfl, qfl = flat(m), flat(qm)
+    base_choice = np.asarray(base_choice, dtype=np.int64)
+    qc = np.flatnonzero(base_choice >= 0)
+    pos, e = bfl.edges(base_choice[qc])
+    nq = qm.n_states
+    keys, first, group = np.unique(qc[pos] * nq + np.asarray(state_map)[bfl.succ[e]],
+                                   return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)  # inverse permutation
+    c, qt = np.divmod(keys[order], nq)
+    qs = qfl.choice_state[c]
+    return QuotientModel(qm, list(ecs), bottom, ec_states, action_decoding,
+                         origin_of, state_map, with_bottom, m, e, rank[group],
+                         np.stack([qs, c - qfl.ptr[qs], qt], axis=1),
+                         np.bincount(rank[group], weights=bfl.prob[e], minlength=len(order)))
 
 
 def almost_sure_reach(m: MarkovAutomaton, targets: Iterable[int]
-                      ) -> tuple[frozenset[int], dict[int, tuple[int, ...]]]:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """States from which some strategy reaches the target set with probability 1,
     together with the choices such strategies may use (support stays inside).
 
-    Standard fixed point: restrict to choices whose support stays in the
-    candidate set, keep states that can still reach the target, repeat.
+    Returns a boolean mask over states (the region) and one over the flat
+    choices of m (the allowed choices, all at region states).  Standard
+    fixed point: restrict to choices whose support stays in the candidate
+    set, keep states that can still reach the target, repeat.
     """
-    target_set = set(targets)
-    region = set(range(m.n_states))
+    fl = flat(m)
+    target = np.zeros(m.n_states, dtype=bool)
+    target[list(targets)] = True
+    region = np.ones(m.n_states, dtype=bool)
     while True:
-        allowed: dict[int, tuple[int, ...]] = {}
-        for s in sorted(region):
-            acts = tuple(a for a, dist in enumerate(m.choices[s])
-                         if all(t in region for t, _ in dist))
-            if acts:
-                allowed[s] = acts
+        allowed = region[fl.choice_state]
+        allowed[fl.edge_choice[~region[fl.succ]]] = False
         # backward closure toward targets inside the region
-        pred: dict[int, set[int]] = {s: set() for s in region}
-        for s, acts in allowed.items():
-            for a in acts:
-                for t, _ in m.choices[s][a]:
-                    if t in region:
-                        pred.setdefault(t, set()).add(s)
-        reached = set(t for t in target_set if t in region)
-        queue = deque(sorted(reached))
-        while queue:
-            t = queue.popleft()
-            for s in pred.get(t, ()):
-                if s not in reached and s in allowed:
-                    reached.add(s)
-                    queue.append(s)
-        if reached == region:
-            return frozenset(region), allowed
+        e = allowed[fl.edge_choice]
+        reached = reach(fl.succ[e], fl.edge_src[e], target & region)
+        if (reached == region).all():
+            return region, allowed
         region = reached
-        if not region:
-            return frozenset(), {}
 
 
 def reach_witness_strategy(m: MarkovAutomaton, c: EndComponent, target: int) -> dict[int, int]:
@@ -465,7 +397,7 @@ def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
     steers toward s from everywhere else inside; one that picks bottom follows
     its stay strategy (`stay[i]`, required in that case) forever.
     """
-    base = _base_of(q)
+    base = q.base
     ec_state_set = set(q.ec_states)
     sigma: dict[int, int] = {}
     for qs, a in sigma_q.items():

@@ -8,14 +8,24 @@ special case without Markovian states and are analyzed through `embed_mdp`.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 PROB_TOL = 1e-12
 
 NEG_INF = float("-inf")
+
+# sizes up to which a loop in Python beats numpy's and scipy's fixed cost
+# per call: states plus edges searched by `reach` and `strong_components`,
+# reward entries looked up by `reward_edges`
+_SMALL_GRAPH = 512
+_SMALL_REWARD = 64
 
 
 class ModelError(Exception):
@@ -182,12 +192,6 @@ class MarkovAutomaton:
     def probabilistic_states(self) -> list[int]:
         return [s for s in range(self.n_states) if self.rates[s] is None]
 
-    def n_actions(self, s: int) -> int:
-        return len(self.choices[s])
-
-    def dist(self, s: int, a: int) -> Dist:
-        return self.choices[s][a]
-
     def transition_prob(self, s: int, a: int, t: int) -> float:
         return sum(p for u, p in self.choices[s][a] if u == t)
 
@@ -195,25 +199,12 @@ class MarkovAutomaton:
         out = {t for dist in self.choices[s] for t, _ in dist}
         return sorted(out)
 
-    def all_choices(self) -> Iterator[tuple[int, int, Dist]]:
-        for s in range(self.n_states):
-            for a, dist in enumerate(self.choices[s]):
-                yield s, a, dist
-
     def reachable(self, start: int | None = None) -> list[int]:
         """States reachable from start (default: initial) under any strategy."""
-        if start is None:
-            start = self.initial
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            s = queue.popleft()
-            for dist in self.choices[s]:
-                for t, _ in dist:
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-        return sorted(seen)
+        fl = flat(self)
+        sources = np.zeros(self.n_states, dtype=bool)
+        sources[self.initial if start is None else start] = True
+        return np.flatnonzero(reach(fl.edge_src, fl.succ, sources)).tolist()
 
     def with_rewards(self, rewards: Mapping[str, RewardAssignment]) -> "MarkovAutomaton":
         m = MarkovAutomaton.__new__(MarkovAutomaton)
@@ -231,6 +222,175 @@ class MarkovAutomaton:
         nm = len(self.markovian_states())
         return (f"MarkovAutomaton({self.n_states} states, {nm} Markovian, "
                 f"{self.n_choices} choices)")
+
+
+@dataclass
+class Flat:
+    """Whole-array view of a model, built once per model by `flat`.
+
+    Choices are numbered state by state in action order: state s owns
+    choices ptr[s] .. ptr[s+1]-1.  Edges are numbered choice by choice in
+    distribution order: choice c owns edges edge_ptr[c] .. edge_ptr[c+1]-1,
+    edge e leads from state edge_src[e] to succ[e] with probability prob[e].
+    `rates` is 0 on probabilistic states.  `kernel`, the choice-by-state
+    probability matrix, and `edge_index` are built on first use.
+    """
+
+    ptr: np.ndarray
+    choice_state: np.ndarray
+    edge_ptr: np.ndarray
+    edge_choice: np.ndarray
+    edge_src: np.ndarray
+    succ: np.ndarray
+    prob: np.ndarray
+    markovian: np.ndarray
+    rates: np.ndarray
+
+    @cached_property
+    def kernel(self) -> csr_matrix:
+        """Choice-by-state probability matrix in canonical CSR form."""
+        k = csr_matrix((self.prob.copy(), self.succ, self.edge_ptr),
+                       shape=(len(self.choice_state), len(self.markovian)))
+        k.sum_duplicates()  # rows sorted by successor, as when built from coordinates
+        return k
+
+    def edges(self, choices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of the given choices, in order: for each edge, the
+        position of its choice in `choices` and its edge index."""
+        lo = self.edge_ptr[choices]
+        lens = self.edge_ptr[choices + 1] - lo
+        pos = np.repeat(np.arange(len(choices)), lens)
+        return pos, lo[pos] + np.arange(len(pos)) - (np.cumsum(lens) - lens)[pos]
+
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys edge_choice * n_states + succ in ascending order, and
+        the edge behind each key."""
+        keys = self.edge_choice * len(self.markovian) + self.succ
+        rank = np.argsort(keys, kind="stable")
+        return keys[rank], rank
+
+    def edge_of(self, choices: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Index of the edge from each choice to its successor t, or -1."""
+        keys, rank = self.edge_index
+        if not len(keys):
+            return np.full(len(choices), -1, dtype=np.int64)
+        want = choices * len(self.markovian) + t
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[pos] == want, rank[pos], -1)
+
+
+def flat(m: MarkovAutomaton) -> Flat:
+    """The model's whole-array view, built on first use and kept on m."""
+    if m._flat is not None:
+        return m._flat
+    n = m.n_states
+    n_choices = np.fromiter(map(len, m.choices), np.int64, n)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_choices, out=ptr[1:])
+    nc = int(ptr[n])
+    dists = [d for cs in m.choices for d in cs]
+    n_edges = np.fromiter(map(len, dists), np.int64, nc)
+    edge_ptr = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(n_edges, out=edge_ptr[1:])
+    ne = int(edge_ptr[nc])
+    choice_state = np.repeat(np.arange(n), n_choices)
+    edge_choice = np.repeat(np.arange(nc), n_edges)
+    succ = np.fromiter((t for d in dists for t, _ in d), np.int64, ne)
+    prob = np.fromiter((p for d in dists for _, p in d), np.float64, ne)
+    markov = np.fromiter((r is not None for r in m.rates), bool, n)
+    rates = np.fromiter((0.0 if r is None else r for r in m.rates), np.float64, n)
+    m._flat = Flat(ptr, choice_state, edge_ptr, edge_choice, choice_state[edge_choice],
+                   succ, prob, markov, rates)
+    return m._flat
+
+
+def reach(src: np.ndarray, dst: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Mask of the states reachable from the `sources` mask along the edges
+    src[i] -> dst[i]."""
+    n = len(sources)
+    if n + len(src) <= _SMALL_GRAPH:
+        out = sources.tolist()
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for s, t in zip(src.tolist(), dst.tolist()):
+            succ[s].append(t)
+        stack = [s for s in range(n) if out[s]]
+        while stack:
+            for t in succ[stack.pop()]:
+                if not out[t]:
+                    out[t] = True
+                    stack.append(t)
+        return np.array(out, dtype=bool)
+    # breadth-first search from an extra root node n with an edge to every source
+    roots = np.flatnonzero(sources)
+    rows = np.concatenate([src, np.full(len(roots), n)])
+    cols = np.concatenate([dst, roots])
+    g = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n + 1, n + 1))
+    out = np.zeros(n + 1, dtype=bool)
+    out[breadth_first_order(g, n, directed=True, return_predecessors=False)] = True
+    return out[:n]
+
+
+def strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Strongly connected component label of each of the n states, for the
+    graph of the edges src[i] -> dst[i]."""
+    if n + len(src) > _SMALL_GRAPH:
+        g = csr_matrix((np.ones(len(src), dtype=bool), (src, dst)), shape=(n, n))
+        return connected_components(g, directed=True, connection="strong")[1]
+    # Tarjan's algorithm; recursion depth stays below _SMALL_GRAPH
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for s, t in zip(src.tolist(), dst.tolist()):
+        succ[s].append(t)
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    open_states: list[int] = []
+    count = [0, 0]  # states visited, components closed
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = count[0]
+        count[0] += 1
+        open_states.append(v)
+        for w in succ[v]:
+            if index[w] < 0:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif label[w] < 0:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            while True:
+                w = open_states.pop()
+                label[w] = count[1]
+                if w == v:
+                    break
+            count[1] += 1
+
+    for v in range(n):
+        if index[v] < 0:
+            visit(v)
+    return np.array(label, dtype=np.int64)
+
+
+def reward_edges(m: MarkovAutomaton, r: RewardAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of m carrying a nonzero transition reward of r, with the
+    values, in r's entry order; entries on no edge of m are dropped."""
+    fl = flat(m)
+    tr = r.transition_rewards
+    k = len(tr)
+    if k <= _SMALL_REWARD:
+        # numpy's fixed cost per call exceeds a search in Python here
+        edges, vals = [], []
+        for (s, a, t), v in tr.items():
+            if v != 0.0 and 0 <= a < len(m.choices[s]):
+                for e, (u, _) in enumerate(m.choices[s][a], int(fl.edge_ptr[fl.ptr[s] + a])):
+                    if u == t:
+                        edges.append(e)
+                        vals.append(v)
+                        break
+        return np.array(edges, dtype=np.int64), np.array(vals, dtype=np.float64)
+    s, a, t = np.fromiter((x for sat in tr for x in sat), np.int64, 3 * k).reshape(k, 3).T
+    vals = np.fromiter(tr.values(), np.float64, k)
+    e = fl.edge_of(fl.ptr[s] + a, t)
+    keep = (vals != 0.0) & (e >= 0) & (a >= 0) & (a < fl.ptr[s + 1] - fl.ptr[s])
+    return e[keep], vals[keep]
 
 
 @dataclass(frozen=True)

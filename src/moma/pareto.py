@@ -351,7 +351,7 @@ def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query,
     result.warnings = list(state.warnings)
     result.halfspaces = [{"normal": _flip_vec(np.asarray(h.normal), p.flips),
                           "offset": h.offset} for h in state.halfspaces]
-    result.statistics = _statistics(p, prep, state)
+    result.statistics = problem_statistics(p, prep, len(state.history))
     result.state = state
     result.problem = p
     return result
@@ -361,15 +361,15 @@ def _flip_vec(v: np.ndarray, flips: np.ndarray) -> list[float]:
     return [float(x) for x in v * flips]
 
 
-def _statistics(p: NormalizedProblem, prep: WeightedPrep,
-                state: ApproximationState) -> dict:
+def problem_statistics(p: NormalizedProblem, prep: WeightedPrep, iterations: int) -> dict:
+    """Deterministic size counters of a solved query for its result file."""
     return {
         "states": p.model.n_states,
         "markovian_states": len(p.model.markovian_states()),
         "choices": p.model.n_choices,
         "zero_ecs": len(prep.zero_ecs),
         "zero_ec_states": sum(len(c.states()) for c in prep.zero_ecs),
-        "iterations": len(state.history),
+        "iterations": iterations,
     }
 
 

@@ -13,7 +13,6 @@ and lets a verified inductive vector (T U <= U) certify the upper bound.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -24,9 +23,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .model import (NEG_INF, InfeasibleError, MarkovAutomaton, MDStrategy,
-                    ModelError, Objective, RewardAssignment, SolverError,
-                    induced_chain)
-from .components import (EndComponent, _stay_inside, almost_sure_reach,
+                    ModelError, Objective, RewardAssignment, SolverError, flat,
+                    induced_chain, reach, reward_edges, strong_components)
+from .components import (_stay_inside, almost_sure_reach,
                          decode_quotient_strategy, exits, quotient, zero_mecs)
 
 _DENSE_LIMIT = 512
@@ -61,54 +60,13 @@ class ChainEvaluation:
     stationary: list[dict[int, float]]
 
 
-@dataclass
-class _Flat:
-    ptr: np.ndarray
-    choice_state: np.ndarray
-    kernel: csr_matrix
-    markovian: np.ndarray
-    rates: np.ndarray
-
-
-def _flat(m: MarkovAutomaton) -> _Flat:
-    if m._flat is not None:
-        return m._flat
-    n = m.n_states
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    for s in range(n):
-        ptr[s + 1] = ptr[s] + len(m.choices[s])
-    nc = int(ptr[n])
-    choice_state = np.zeros(nc, dtype=np.int64)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for s in range(n):
-        for a, dist in enumerate(m.choices[s]):
-            c = int(ptr[s]) + a
-            choice_state[c] = s
-            for t, p in dist:
-                rows.append(c)
-                cols.append(t)
-                vals.append(p)
-    kernel = csr_matrix((vals, (rows, cols)), shape=(nc, n))
-    markov = np.array([m.is_markovian(s) for s in range(n)], dtype=bool)
-    rates = np.array([m.rates[s] if m.rates[s] is not None else 0.0 for s in range(n)])
-    fl = _Flat(ptr, choice_state, kernel, markov, rates)
-    m._flat = fl
-    return fl
-
-
 def _jump_rewards(m: MarkovAutomaton, r: RewardAssignment) -> np.ndarray:
-    """Expected transition reward per choice: sum_t P(s,a,t) * r(s,a,t)."""
-    fl = _flat(m)
-    out = np.zeros(int(fl.ptr[-1]))
-    for (s, a, t), v in r.transition_rewards.items():
-        if v == 0.0:
-            continue
-        p = m.transition_prob(s, a, t)
-        if p > 0.0:
-            out[int(fl.ptr[s]) + a] += p * v
-    return out
+    """Expected transition reward per choice: sum_t P(s,a,t) * r(s,a,t),
+    summed in r's entry order."""
+    fl = flat(m)
+    e, v = reward_edges(m, r)
+    return np.bincount(fl.edge_choice[e], weights=fl.prob[e] * v,
+                       minlength=len(fl.choice_state))
 
 
 def _state_reward_vec(m: MarkovAutomaton, r: RewardAssignment) -> np.ndarray:
@@ -132,12 +90,6 @@ def resolve_reward(m: MarkovAutomaton, objective: Objective) -> RewardAssignment
 # exact chain analysis
 
 
-def _solve_dense_or_sparse(A, b):
-    if A.shape[0] <= _DENSE_LIMIT:
-        return np.linalg.solve(A.toarray() if hasattr(A, "toarray") else A, b)
-    return splu(A.tocsc()).solve(b)
-
-
 def bscc_gain(chain: MarkovAutomaton, r: RewardAssignment) -> float:
     """Long-run average reward of a strongly connected, nondeterminism-free
     Markov automaton: stationary expected reward per expected time unit of
@@ -146,7 +98,7 @@ def bscc_gain(chain: MarkovAutomaton, r: RewardAssignment) -> float:
     for s in range(n):
         if len(chain.choices[s]) != 1:
             raise ModelError("bscc_gain expects a chain: one choice per state")
-    fl = _flat(chain)
+    fl = flat(chain)
     ncomp, _ = connected_components(fl.kernel[fl.ptr[:-1]], directed=True, connection="strong")
     if ncomp != 1:
         raise ModelError("bscc_gain expects a strongly connected chain")
@@ -173,7 +125,7 @@ def _stationary(P) -> np.ndarray:
         b[-1] = 1.0
         pi = np.linalg.solve(A, b)
     else:
-        from scipy.sparse import eye as speye, lil_matrix
+        from scipy.sparse import eye as speye
         A = (P.T - speye(n)).tolil()
         A[-1, :] = 1.0
         b = np.zeros(n)
@@ -195,25 +147,20 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
     # resolve on the chain: its transition reward keys were remapped to choice 0
     rewards = [resolve_reward(chain, o) for o in objectives]
     n = chain.n_states
-    fl = _flat(chain)
+    fl = flat(chain)
     P = fl.kernel[fl.ptr[:-1]]  # n x n, one row per state
 
-    reach = chain.reachable()
+    live = chain.reachable()
     reach_mask = np.zeros(n, dtype=bool)
-    reach_mask[reach] = True
-    sub = P[reach, :][:, reach]
-    _, sub_labels = connected_components(sub, directed=True, connection="strong")
-    labels = -np.ones(n, dtype=np.int64)
-    labels[reach] = sub_labels
+    reach_mask[live] = True
+    # components of reachable states contain only reachable states
+    labels = strong_components(n, fl.edge_src, fl.succ)
 
     # bottom SCCs: no edge out of the component
-    coo = P.tocoo()
-    has_exit: set[int] = set()
-    for s, t, p in zip(coo.row, coo.col, coo.data):
-        if reach_mask[s] and labels[s] != labels[t]:
-            has_exit.add(int(labels[s]))
+    leaves = reach_mask[fl.edge_src] & (labels[fl.edge_src] != labels[fl.succ])
+    has_exit = set(np.unique(labels[fl.edge_src[leaves]]).tolist())
     groups: dict[int, list[int]] = {}
-    for s in reach:
+    for s in live:
         groups.setdefault(int(labels[s]), []).append(s)
     bsccs = [frozenset(states) for lab, states in sorted(groups.items(), key=lambda kv: min(kv[1]))
              if lab not in has_exit]
@@ -221,7 +168,7 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
     for b in bsccs:
         for s in b:
             in_bscc[s] = True
-    transient = [s for s in reach if not in_bscc[s]]
+    transient = [s for s in live if not in_bscc[s]]
 
     # absorption probabilities from the initial state
     if in_bscc[chain.initial]:
@@ -324,7 +271,7 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6,
     bracket is relatively tight.
     """
     n = sub.n_states
-    fl = _flat(sub)
+    fl = flat(sub)
     if not fl.markovian.any():
         raise ModelError("component has no Markovian state (Zeno): no time passes")
     lam_max = float(fl.rates.max())
@@ -420,21 +367,20 @@ def max_total_reward(m: MarkovAutomaton, r: RewardAssignment,
 
     region, allowed = almost_sure_reach(q.model, [target])
     init_q = q.state_map[m.initial]
-    default_sigma = {s: 0 for s in range(m.n_states) if not m.is_markovian(s)}
-    if init_q not in region:
+    default_sigma = dict.fromkeys(np.flatnonzero(~flat(m).markovian).tolist(), 0)
+    if not region[init_q]:
         if require_reach_bottom:
             raise InfeasibleError("no strategy reaches the bottom state almost surely")
         return ScalarSolution(NEG_INF, default_sigma, 0.0, NEG_INF, NEG_INF)
-    reachable = set(q.model.reachable(init_q))
-    region = frozenset(region & reachable)
-    allowed = {s: a for s, a in allowed.items() if s in region}
+    qfl = flat(q.model)
+    start = np.zeros(q.model.n_states, dtype=bool)
+    start[init_q] = True
+    region &= reach(qfl.edge_src, qfl.succ, start)
+    allowed &= region[qfl.choice_state]
 
-    upper, lower, sigma_active = _solve_total_region(q.model, rq, region, allowed, target, eps)
-    sigma_q: dict[int, int] = {}
-    for s in range(q.model.n_states):
-        if q.model.is_markovian(s):
-            continue
-        sigma_q[s] = sigma_active.get(s, 0)
+    upper, lower, actions = _solve_total_region(q.model, rq, region, allowed, target, eps)
+    ps = np.flatnonzero(~qfl.markovian)
+    sigma_q = dict(zip(ps.tolist(), actions[ps].tolist()))
     # bottom choices decode to staying inside the component (unconstrained mode)
     stays = {i: _stay_inside(c) for i, c in enumerate(z)} if not require_reach_bottom else {}
     sigma = decode_quotient_strategy(q, sigma_q, stays)
@@ -445,51 +391,46 @@ def max_total_reward(m: MarkovAutomaton, r: RewardAssignment,
 
 
 def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
-                        region: frozenset[int], allowed: Mapping[int, tuple[int, ...]],
+                        region: np.ndarray, allowed: np.ndarray,
                         target: int, eps: float
-                        ) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified [L, U] value vectors (full length, 0 at target and outside
-    the region) plus the greedy strategy on the region.
+    the region) plus the greedy action of every region state (0 elsewhere).
+    `region` masks states and `allowed` flat choices of model; every allowed
+    choice of a region state must keep its support in the region.
 
     Plain iteration gives a candidate; the extracted strategy is evaluated
     exactly (lower certificate); the upper certificate is a Bellman-inductive
     vector found from the candidate plus slack (see module docstring).
     """
-    fl = _flat(model)
+    fl = flat(model)
     n = model.n_states
-    active = sorted(s for s in region if s != target)
+    is_active = region.copy()
+    is_active[target] = False
+    active = np.flatnonzero(is_active)
     U_full = np.zeros(n)
     L_full = np.zeros(n)
-    if not active:
-        return U_full, L_full, {}
-    index = {s: i for i, s in enumerate(active)}
+    actions = np.zeros(n, dtype=np.int64)
+    if not len(active):
+        return U_full, L_full, actions
     na = len(active)
+    index = np.full(n, -1, dtype=np.int64)
+    index[active] = np.arange(na)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    crew: list[float] = []
-    meta: list[tuple[int, int]] = []
+    # one kernel row per allowed choice of an active state, state by state
+    rows = np.flatnonzero(allowed & is_active[fl.choice_state])
+    counts = np.bincount(index[fl.choice_state[rows]], minlength=na)
+    assert counts.all(), "active state without allowed choice"
     seg = np.zeros(na + 1, dtype=np.int64)
+    np.cumsum(counts, out=seg[1:])
     jump = _jump_rewards(model, r)
     srew = _state_reward_vec(model, r)
-    for i, s in enumerate(active):
-        acts = allowed[s]
-        assert acts, "active state without allowed choice"
-        for a in acts:
-            c = len(meta)
-            meta.append((s, a))
-            base = srew[s] / fl.rates[s] if fl.markovian[s] else 0.0
-            crew.append(base + jump[int(fl.ptr[s]) + a])
-            for t, p in model.choices[s][a]:
-                if t == target:
-                    continue
-                rows.append(c)
-                cols.append(index[t])
-                vals.append(p)
-        seg[i + 1] = len(meta)
-    K = csr_matrix((vals, (rows, cols)), shape=(len(meta), na))
-    crew_v = np.asarray(crew)
+    per_state = np.where(fl.markovian, srew / np.where(fl.markovian, fl.rates, 1.0), 0.0)
+    crew_v = per_state[fl.choice_state[rows]] + jump[rows]
+    pos, e = fl.edges(rows)
+    keep = fl.succ[e] != target
+    K = csr_matrix((fl.prob[e[keep]], (pos[keep], index[fl.succ[e[keep]]])),
+                   shape=(len(rows), na))
     segs = seg[:-1]
 
     def bellman(h: np.ndarray) -> np.ndarray:
@@ -497,6 +438,7 @@ def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
 
     eps_vi = max(eps / 64.0, 1e-14)
     h = np.zeros(na)
+    i0 = index[model.initial]
     for round_ in range(6):
         # candidate via plain iteration
         cap = 500_000
@@ -508,64 +450,54 @@ def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
                 break
         else:
             raise SolverError("total-reward iteration does not settle")
-        sigma, proper, L = _extract_and_evaluate(model, crew_v, K, seg, meta, active,
-                                                 index, target, h)
-        if not proper:
+        pick, L = _extract_and_evaluate(model, crew_v, K, seg, rows, target, h)
+        if L is None:
             eps_vi *= 0.01
             continue
         U = _inductive_upper(bellman, h, L, eps)
         if U is None:
             eps_vi *= 0.1
             continue
-        gap_ok = float(U[index[model.initial]] - L[index[model.initial]]) <= \
-            eps * max(1.0, abs(float(U[index[model.initial]]))) if model.initial in index else True
+        gap_ok = float(U[i0] - L[i0]) <= eps * max(1.0, abs(float(U[i0]))) if i0 >= 0 else True
         worst = float(np.max(U - L))
         if worst <= eps * max(1.0, float(np.max(np.abs(U)))) or gap_ok:
             U_full[active] = U
             L_full[active] = L
-            return U_full, L_full, dict(sigma)
+            actions[active] = rows[pick] - fl.ptr[active]
+            return U_full, L_full, actions
         eps_vi *= 0.1
     raise SolverError("could not certify total-reward bounds to the requested precision")
 
 
-def _extract_and_evaluate(model, crew_v, K, seg, meta, active, index, target, h):
-    """Greedy strategy from h (first maximizer, so lowest action id), its
-    properness (reaches target almost surely), and its exact value vector."""
+def _extract_and_evaluate(model, crew_v, K, seg, rows, target, h):
+    """Greedy choice per active state from h (first maximizer, so lowest
+    action id), as positions into `rows`, and the exact value vector of that
+    strategy; None instead of the values when the strategy is improper (does
+    not reach the target almost surely)."""
+    fl = flat(model)
     q = crew_v + K @ h
-    sigma: dict[int, int] = {}
-    pick: list[int] = []
-    for i, s in enumerate(active):
-        lo, hi = int(seg[i]), int(seg[i + 1])
-        k = lo + int(np.argmax(q[lo:hi]))
-        pick.append(k)
-        sigma[s] = meta[k][1]
+    segs = seg[:-1]
+    best = np.repeat(np.maximum.reduceat(q, segs), np.diff(seg))
+    positions = np.arange(len(q))
+    pick = np.minimum.reduceat(np.where(q == best, positions, len(q)), segs)
     # properness: every active state can reach the target through picked
     # choices (backward reachability; a closed set avoiding the target would
     # be unreachable from it)
-    preds: dict[int, list[int]] = {}
-    for i, s in enumerate(active):
-        for t, _ in model.choices[meta[pick[i]][0]][meta[pick[i]][1]]:
-            preds.setdefault(t, []).append(s)
-    reached = {target}
-    stack = [target]
-    while stack:
-        u = stack.pop()
-        for s in preds.get(u, ()):
-            if s not in reached:
-                reached.add(s)
-                stack.append(s)
-    proper = all(s in reached for s in active)
-    if not proper:
-        return sigma, False, None
+    _, e = fl.edges(rows[pick])
+    is_target = np.zeros(model.n_states, dtype=bool)
+    is_target[target] = True
+    reached = reach(fl.succ[e], fl.edge_src[e], is_target)
+    if not reached[fl.choice_state[rows[pick]]].all():
+        return pick, None
     Qs = K[pick]
     cs = crew_v[pick]
-    na = len(active)
+    na = len(pick)
     if na <= _DENSE_LIMIT:
         L = np.linalg.solve(np.eye(na) - Qs.toarray(), cs)
     else:
         from scipy.sparse import eye as speye
         L = splu((speye(na) - Qs).tocsc()).solve(cs)
-    return sigma, True, L
+    return pick, L
 
 
 def _inductive_upper(bellman, h, L, eps):
@@ -607,14 +539,11 @@ def _inductive_upper(bellman, h, L, eps):
 # reachability as total reward
 
 
-def reach_to_total(m: MarkovAutomaton, goal,
-                   goal_bounded_base: RewardAssignment | None = None
-                   ) -> tuple[MarkovAutomaton, RewardAssignment]:
-    """Product with a visited bit turning reachability (or goal-bounded
-    accumulation of `goal_bounded_base`) into a total-reward objective.
+def reach_to_total(m: MarkovAutomaton, goal) -> tuple[MarkovAutomaton, RewardAssignment]:
+    """Product with a visited bit turning reachability into a total-reward
+    objective.
 
-    The fresh assignment pays 1 exactly when the bit flips; goal-bounded mode
-    instead pays the base rewards only while the bit is unset.  When the
+    The fresh assignment pays 1 exactly when the bit flips.  When the
     initial state is already a goal state, a fresh rate-1 initial state is
     prepended so the flip transition exists; long-run values are unaffected
     by the finite prefix.
@@ -694,38 +623,20 @@ def reach_to_total(m: MarkovAutomaton, goal,
 
     rewards = {rname: lift(r, rname) for rname, r in m.rewards.items()}
 
-    if goal_bounded_base is None:
-        fresh_name = _fresh_name(m.rewards, "reach(" + ",".join(
-            m.state_names[s] for s in sorted(goal)) + ")")
-        trans_r = {}
-        for i, (s, bit) in enumerate(order):
-            if bit == 1:
-                continue
-            for a, dist in enumerate(m.choices[s]):
-                for t, _ in dist:
-                    if t in goal:
-                        j = offset + index[(t, 1)]
-                        trans_r[(offset + i, a, j)] = 1.0
-        if prepend:
-            trans_r[(0, 0, offset + index[(m.initial, 1)])] = 1.0
-        fresh = RewardAssignment(fresh_name, {}, trans_r)
-    else:
-        fresh_name = _fresh_name(m.rewards, f"bounded({goal_bounded_base.name})")
-        state_r = {}
-        trans_r = {}
-        for i, (s, bit) in enumerate(order):
-            if bit == 1:
-                continue
-            v = goal_bounded_base.state_reward(s)
-            if v != 0.0:
-                state_r[offset + i] = v
-            for a, dist in enumerate(m.choices[s]):
-                for t, _ in dist:
-                    v = goal_bounded_base.transition_reward(s, a, t)
-                    if v != 0.0:
-                        j = offset + index[(t, 1 if (bit or t in goal) else 0)]
-                        trans_r[(offset + i, a, j)] = v
-        fresh = RewardAssignment(fresh_name, state_r, trans_r)
+    fresh_name = _fresh_name(m.rewards, "reach(" + ",".join(
+        m.state_names[s] for s in sorted(goal)) + ")")
+    trans_r = {}
+    for i, (s, bit) in enumerate(order):
+        if bit == 1:
+            continue
+        for a, dist in enumerate(m.choices[s]):
+            for t, _ in dist:
+                if t in goal:
+                    j = offset + index[(t, 1)]
+                    trans_r[(offset + i, a, j)] = 1.0
+    if prepend:
+        trans_r[(0, 0, offset + index[(m.initial, 1)])] = 1.0
+    fresh = RewardAssignment(fresh_name, {}, trans_r)
     rewards[fresh_name] = fresh
 
     initial2 = 0 if prepend else offset + index[start]

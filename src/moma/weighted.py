@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import (MarkovAutomaton, MDStrategy, ModelError, Objective,
                     RewardAssignment, ValidationReport, check_finiteness,
-                    check_non_zeno, check_sign_consistency, embed_mdp,
+                    check_non_zeno, check_sign_consistency, embed_mdp, flat,
                     validate_model, weighted_reward_sum)
 from .components import (EndComponent, QuotientModel, _stay_inside,
                          almost_sure_reach, decode_quotient_strategy,
@@ -126,8 +126,9 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
     if not rep.ok:
         return rep
     mecs = mec_decomposition(p.model)
+    fl = flat(p.model)
     rep.extend(check_non_zeno(
-        p.model, mec_decomposition(p.model, state_ok=lambda s: False)))
+        p.model, mec_decomposition(p.model, choice_ok=~fl.markovian[fl.choice_state])))
     totals = _total_assignments(p)
     sc, signs = check_sign_consistency(p.model, totals, mecs)
     rep.extend(sc)
@@ -136,7 +137,7 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
         z = zero_mecs(p.model, totals)
         zstates = sorted(set().union(*[c.states() for c in z])) if z else []
         region, _ = almost_sure_reach(p.model, zstates)
-        if p.model.initial not in region:
+        if not region[p.model.initial]:
             rep.add("Finiteness", p.model.state_names[p.model.initial],
                     "no strategy keeps every total reward finite (the initial state "
                     "cannot almost surely reach a reward-free end component)")

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from moma import (MarkovAutomaton, Objective, RewardAssignment,
                   evaluate_strategy, normalize_query, validate_assumptions)
 from moma.components import mec_decomposition
-from moma.model import NEG_INF
+from moma.model import NEG_INF, flat
 
 # ---------------------------------------------------------------------------
 # generators
@@ -115,7 +115,8 @@ def random_valid_instance(rng, n_lra=1, n_total=1, max_states=8, max_actions=2,
     """(model, objectives) passing every assumption check."""
     while True:
         m = random_ma(rng, max_states, max_actions)
-        if mec_decomposition(m, state_ok=lambda s: False):
+        fl = flat(m)
+        if mec_decomposition(m, choice_ok=~fl.markovian[fl.choice_state]):
             continue  # a probabilistic-only end component is Zeno
         mecs = mec_decomposition(m)
         rewards = {}

@@ -4,6 +4,8 @@ import pytest
 from moma import (MarkovAutomaton, ModelError, RewardAssignment,
                   almost_sure_reach, decode_quotient_strategy,
                   mec_decomposition, quotient, sub_ma, zero_mecs)
+from moma import components
+from moma.model import flat, reach
 
 from gen import (brute_as_reach, brute_mecs, chain_reach_sure, random_ma,
                  random_total_reward)
@@ -11,6 +13,17 @@ from gen import (brute_as_reach, brute_mecs, chain_reach_sure, random_ma,
 
 def as_pairs(comps):
     return {(c.markovian_states, c.pairs) for c in comps}
+
+
+def reach_sets(m, targets):
+    """almost_sure_reach's masks as (region, {state: allowed actions})."""
+    region, allowed = almost_sure_reach(m, targets)
+    fl = flat(m)
+    acts: dict[int, tuple[int, ...]] = {}
+    for c in np.flatnonzero(allowed).tolist():
+        s = int(fl.choice_state[c])
+        acts[s] = acts.get(s, ()) + (c - int(fl.ptr[s]),)
+    return frozenset(np.flatnonzero(region).tolist()), acts
 
 
 class TestMecDecomposition:
@@ -40,6 +53,75 @@ class TestMecDecomposition:
                 seen |= c.states()
                 starts.append(min(c.states()))
             assert starts == sorted(starts)
+
+
+def banning_reward(m, choice_ok):
+    """A reward that is nonzero exactly on the choices choice_ok bans, so
+    brute_mecs(m, [r]) is the oracle for mec_decomposition(m, choice_ok)."""
+    fl = flat(m)
+    state_r, trans_r = {}, {}
+    for c in np.flatnonzero(~choice_ok).tolist():
+        s = int(fl.choice_state[c])
+        if m.is_markovian(s):
+            state_r[s] = 1.0
+        else:
+            a = c - int(fl.ptr[s])
+            trans_r[(s, a, m.choices[s][a][0][0])] = -1.0
+    return RewardAssignment("ban", state_r, trans_r)
+
+
+class TestMecDecompositionMask:
+    def test_random_masks_match_brute_force(self):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            m = random_ma(rng, max_states=6)
+            ok = rng.random(flat(m).choice_state.shape) < 0.7
+            got = as_pairs(mec_decomposition(m, choice_ok=ok))
+            assert got == brute_mecs(m, [banning_reward(m, ok)])
+
+    def test_zeno_mask_keeps_probabilistic_cycles_only(self):
+        # the mask validate_assumptions uses to find Zeno end components
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            m = random_ma(rng, max_states=6, p_markov=0.4)
+            fl = flat(m)
+            ok = ~fl.markovian[fl.choice_state]
+            got = mec_decomposition(m, choice_ok=ok)
+            assert as_pairs(got) == brute_mecs(m, [banning_reward(m, ok)])
+            assert all(not c.markovian_states for c in got)
+
+    def test_mask_is_not_modified(self):
+        m = MarkovAutomaton([None, 1.0], [[((1, 1.0),), ((0, 1.0),)], [((0, 1.0),)]],
+                            initial=0)
+        ok = np.array([True, True, False])
+        got = as_pairs(mec_decomposition(m, choice_ok=ok))
+        assert got == {(frozenset(), frozenset({(0, 1)}))}
+        assert ok.tolist() == [True, True, False]
+
+    def test_probabilistic_state_without_choices(self):
+        # state 0 enables nothing: an empty choice segment, between states
+        # that do form end components
+        m = MarkovAutomaton(
+            [None, 1.0, None, 2.0],
+            [[], [((1, 0.5), (0, 0.5))], [((2, 1.0),), ((3, 1.0),)], [((2, 1.0),)]],
+            initial=1)
+        assert as_pairs(mec_decomposition(m)) == brute_mecs(m) == {
+            (frozenset({3}), frozenset({(2, 0), (2, 1)}))}
+        ok = np.array([True, True, False, True])
+        assert as_pairs(mec_decomposition(m, choice_ok=ok)) == \
+            brute_mecs(m, [banning_reward(m, ok)]) == {(frozenset(), frozenset({(2, 0)}))}
+        r = RewardAssignment("r", {}, {(2, 0, 2): -1.0})
+        assert as_pairs(zero_mecs(m, [r])) == brute_mecs(m, [r])
+
+    def test_choice_free_states_everywhere(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            base = random_ma(rng, max_states=6)
+            dead = rng.random(base.n_states) < 0.3
+            choices = [[] if dead[s] and not base.is_markovian(s) else base.choices[s]
+                       for s in range(base.n_states)]
+            m = MarkovAutomaton(base.rates, choices, initial=0)
+            assert as_pairs(mec_decomposition(m)) == brute_mecs(m)
 
 
 class TestZeroMecs:
@@ -143,7 +225,7 @@ class TestAlmostSureReach:
     def test_fig1(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
         targets = sorted(set().union(*[c.states() for c in z]))
-        region, allowed = almost_sure_reach(fig1, targets)
+        region, allowed = reach_sets(fig1, targets)
         assert region == frozenset(range(6))
         assert allowed[2] == (0, 1)
 
@@ -153,19 +235,42 @@ class TestAlmostSureReach:
             m = random_ma(rng, max_states=6)
             k = int(rng.integers(1, 3))
             targets = set(int(t) for t in rng.choice(m.n_states, size=k, replace=False))
-            region, allowed = almost_sure_reach(m, targets)
+            region, allowed = reach_sets(m, targets)
             assert region == frozenset(brute_as_reach(m, targets))
             # allowed choices never leave the region
             for s, acts in allowed.items():
                 for a in acts:
                     assert all(t in region for t, _ in m.choices[s][a])
 
+    def test_region_shrinking_over_rounds(self, monkeypatch):
+        # x_k -> {x_(k-1), T}, x_1 -> {d, T}: every round of the fixed point
+        # drops one more state, from the dead end d up the chain; p keeps
+        # its direct action to T
+        k = 4
+        T, d, p = 0, 1, k + 2
+        rates = [1.0, 1.0] + [1.0] * k + [None]
+        choices = [[((T, 1.0),)], [((d, 1.0),)], [((d, 0.5), (T, 0.5))]]
+        choices += [[((i, 0.5), (T, 0.5))] for i in range(2, k + 1)]
+        choices.append([((k + 1, 1.0),), ((T, 1.0),)])
+        m = MarkovAutomaton(rates, choices, initial=p)
+        rounds = []
+
+        def counted(*args):
+            rounds.append(1)
+            return reach(*args)
+
+        monkeypatch.setattr(components, "reach", counted)
+        region, allowed = reach_sets(m, [T])
+        assert len(rounds) == k + 2
+        assert region == frozenset(brute_as_reach(m, [T])) == frozenset({T, p})
+        assert allowed == {T: (0,), p: (1,)}
+
     def test_allowed_supports_a_witness(self):
         rng = np.random.default_rng(22)
         for _ in range(40):
             m = random_ma(rng, max_states=6)
             targets = {int(rng.integers(0, m.n_states))}
-            region, allowed = almost_sure_reach(m, targets)
+            region, allowed = reach_sets(m, targets)
             if m.initial not in region:
                 continue
             # steer along decreasing distance-to-target in the allowed graph

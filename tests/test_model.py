@@ -4,6 +4,8 @@ import pytest
 from moma import (MarkovAutomaton, ModelError, Objective, RewardAssignment,
                   embed_mdp, induced_chain, validate_model, weighted_reward_sum)
 
+from moma import model
+
 from gen import random_mdp
 
 
@@ -63,6 +65,66 @@ class TestConstruction:
                             initial=0)
         assert m.reachable() == [0]
         assert m.reachable(2) == [0, 2]
+
+
+class TestGraphSearch:
+    def closure(self, n, src, dst, sources):
+        adj = np.eye(n, dtype=bool)
+        adj[src, dst] = True
+        for k in range(n):
+            adj |= adj[:, [k]] & adj[[k], :]
+        return adj[sources].any(axis=0)
+
+    @pytest.mark.parametrize("small_graph", [-1, 10 ** 9])
+    def test_python_and_scipy_searches_match_closure(self, monkeypatch, small_graph):
+        # -1 sends every graph to scipy, 10**9 every graph to Python
+        monkeypatch.setattr(model, "_SMALL_GRAPH", small_graph)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            e = int(rng.integers(0, 2 * n))
+            src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
+            sources = rng.random(n) < 0.2
+            got = model.reach(src, dst, sources)
+            assert got.tolist() == self.closure(n, src, dst, sources).tolist()
+
+    @pytest.mark.parametrize("small_graph", [-1, 10 ** 9])
+    def test_strong_components_match_mutual_reachability(self, monkeypatch, small_graph):
+        monkeypatch.setattr(model, "_SMALL_GRAPH", small_graph)
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            e = int(rng.integers(0, 3 * n))
+            src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
+            labels = model.strong_components(n, src, dst)
+            reach = np.array([self.closure(n, src, dst, np.arange(n) == s) for s in range(n)])
+            same = labels[:, None] == labels[None, :]
+            assert same.tolist() == (reach & reach.T).tolist()
+
+
+class TestRewardEdges:
+    @pytest.mark.parametrize("small_reward", [-1, 10 ** 9])
+    def test_python_and_numpy_lookups_match_scan(self, monkeypatch, small_reward):
+        # -1 sends every assignment to numpy, 10**9 every one to Python
+        monkeypatch.setattr(model, "_SMALL_REWARD", small_reward)
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            m = random_mdp(rng, max_states=6, max_actions=3)
+            trans = {}
+            for _ in range(int(rng.integers(0, 12))):
+                s = int(rng.integers(0, m.n_states))
+                # actions and successors may miss the model on purpose
+                a = int(rng.integers(0, 4))
+                t = int(rng.integers(0, m.n_states))
+                trans[(s, a, t)] = float(rng.integers(-1, 2))
+            r = RewardAssignment("r", {}, trans)
+            fl = model.flat(m)
+            want = [(int(fl.edge_ptr[fl.ptr[s] + a]) + [u for u, _ in m.choices[s][a]].index(t), v)
+                    for (s, a, t), v in trans.items()
+                    if v != 0.0 and a < len(m.choices[s])
+                    and t in [u for u, _ in m.choices[s][a]]]
+            e, v = model.reward_edges(m, r)
+            assert list(zip(e.tolist(), v.tolist())) == want
 
 
 class TestValidateModel:
