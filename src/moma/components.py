@@ -43,6 +43,9 @@ def mec_decomposition(m: MarkovAutomaton,
     n = m.n_states
     alive = np.ones(len(fl.choice_state), dtype=bool) if choice_ok is None \
         else np.array(choice_ok, dtype=bool)
+    if alive.shape != fl.choice_state.shape:
+        raise ModelError(f"choice_ok has shape {alive.shape}, "
+                         f"not one entry per choice ({len(fl.choice_state)},)")
     while True:
         live = alive[fl.edge_choice]
         labels = strong_components(n, fl.edge_src[live], fl.succ[live])

@@ -21,13 +21,6 @@ PROB_TOL = 1e-12
 
 NEG_INF = float("-inf")
 
-# sizes up to which a loop in Python beats numpy's and scipy's fixed cost
-# per call: states plus edges searched by `reach` and `strong_components`,
-# reward entries looked up by `reward_edges`
-_SMALL_GRAPH = 512
-_SMALL_REWARD = 64
-
-
 class ModelError(Exception):
     """Malformed model or misused model operation."""
 
@@ -305,27 +298,31 @@ def flat(m: MarkovAutomaton) -> Flat:
     return m._flat
 
 
+def _graph(n: int, src: np.ndarray, dst: np.ndarray) -> csr_matrix:
+    """Adjacency matrix of the edges src[i] -> dst[i] over n states.
+
+    Built straight in canonical CSR form (duplicate edges merged: scipy's
+    search for strong components does not end on a row that lists a column
+    twice) with float data and 32-bit indices, the form the csgraph routines
+    work on, so they convert nothing; on small models that conversion would
+    cost more than the search itself.
+    """
+    keys = np.sort(np.asarray(src, dtype=np.int64) * n + dst)
+    # np.sort plus a mask: np.unique takes several times as long here
+    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return csr_matrix((np.ones(len(cols)), cols.astype(np.int32), indptr), shape=(n, n))
+
+
 def reach(src: np.ndarray, dst: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Mask of the states reachable from the `sources` mask along the edges
     src[i] -> dst[i]."""
-    n = len(sources)
-    if n + len(src) <= _SMALL_GRAPH:
-        out = sources.tolist()
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for s, t in zip(src.tolist(), dst.tolist()):
-            succ[s].append(t)
-        stack = [s for s in range(n) if out[s]]
-        while stack:
-            for t in succ[stack.pop()]:
-                if not out[t]:
-                    out[t] = True
-                    stack.append(t)
-        return np.array(out, dtype=bool)
     # breadth-first search from an extra root node n with an edge to every source
+    n = len(sources)
     roots = np.flatnonzero(sources)
-    rows = np.concatenate([src, np.full(len(roots), n)])
-    cols = np.concatenate([dst, roots])
-    g = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n + 1, n + 1))
+    g = _graph(n + 1, np.concatenate([src, np.full(len(roots), n)]),
+               np.concatenate([dst, roots]))
     out = np.zeros(n + 1, dtype=bool)
     out[breadth_first_order(g, n, directed=True, return_predecessors=False)] = True
     return out[:n]
@@ -334,39 +331,7 @@ def reach(src: np.ndarray, dst: np.ndarray, sources: np.ndarray) -> np.ndarray:
 def strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Strongly connected component label of each of the n states, for the
     graph of the edges src[i] -> dst[i]."""
-    if n + len(src) > _SMALL_GRAPH:
-        g = csr_matrix((np.ones(len(src), dtype=bool), (src, dst)), shape=(n, n))
-        return connected_components(g, directed=True, connection="strong")[1]
-    # Tarjan's algorithm; recursion depth stays below _SMALL_GRAPH
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for s, t in zip(src.tolist(), dst.tolist()):
-        succ[s].append(t)
-    index, low, label = [-1] * n, [0] * n, [-1] * n
-    open_states: list[int] = []
-    count = [0, 0]  # states visited, components closed
-
-    def visit(v: int) -> None:
-        index[v] = low[v] = count[0]
-        count[0] += 1
-        open_states.append(v)
-        for w in succ[v]:
-            if index[w] < 0:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif label[w] < 0:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            while True:
-                w = open_states.pop()
-                label[w] = count[1]
-                if w == v:
-                    break
-            count[1] += 1
-
-    for v in range(n):
-        if index[v] < 0:
-            visit(v)
-    return np.array(label, dtype=np.int64)
+    return connected_components(_graph(n, src, dst), directed=True, connection="strong")[1]
 
 
 def reward_edges(m: MarkovAutomaton, r: RewardAssignment) -> tuple[np.ndarray, np.ndarray]:
@@ -375,17 +340,6 @@ def reward_edges(m: MarkovAutomaton, r: RewardAssignment) -> tuple[np.ndarray, n
     fl = flat(m)
     tr = r.transition_rewards
     k = len(tr)
-    if k <= _SMALL_REWARD:
-        # numpy's fixed cost per call exceeds a search in Python here
-        edges, vals = [], []
-        for (s, a, t), v in tr.items():
-            if v != 0.0 and 0 <= a < len(m.choices[s]):
-                for e, (u, _) in enumerate(m.choices[s][a], int(fl.edge_ptr[fl.ptr[s] + a])):
-                    if u == t:
-                        edges.append(e)
-                        vals.append(v)
-                        break
-        return np.array(edges, dtype=np.int64), np.array(vals, dtype=np.float64)
     s, a, t = np.fromiter((x for sat in tr for x in sat), np.int64, 3 * k).reshape(k, 3).T
     vals = np.fromiter(tr.values(), np.float64, k)
     e = fl.edge_of(fl.ptr[s] + a, t)

@@ -98,6 +98,14 @@ class TestMecDecompositionMask:
         assert got == {(frozenset(), frozenset({(0, 1)}))}
         assert ok.tolist() == [True, True, False]
 
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_mask_of_wrong_shape_rejected(self, shape):
+        # 3 choices over 2 states: a mask over states must not pass
+        m = MarkovAutomaton([None, 1.0], [[((1, 1.0),), ((0, 1.0),)], [((0, 1.0),)]],
+                            initial=0)
+        with pytest.raises(ModelError, match="choice_ok"):
+            mec_decomposition(m, choice_ok=np.ones(shape, dtype=bool))
+
     def test_probabilistic_state_without_choices(self):
         # state 0 enables nothing: an empty choice segment, between states
         # that do form end components
