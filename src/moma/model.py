@@ -8,7 +8,6 @@ special case without Markovian states and are analyzed through `embed_mdp`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -181,12 +180,6 @@ class MarkovAutomaton:
 
     def markovian_states(self) -> list[int]:
         return [s for s in range(self.n_states) if self.rates[s] is not None]
-
-    def probabilistic_states(self) -> list[int]:
-        return [s for s in range(self.n_states) if self.rates[s] is None]
-
-    def transition_prob(self, s: int, a: int, t: int) -> float:
-        return sum(p for u, p in self.choices[s][a] if u == t)
 
     def successors(self, s: int) -> list[int]:
         out = {t for dist in self.choices[s] for t, _ in dist}
@@ -580,57 +573,54 @@ def embed_mdp(m: MarkovAutomaton, flatten_single_action: bool = True) -> MarkovA
                            action_names, rewards, origin)
 
 
+def _chosen(m: MarkovAutomaton, sigma: MDStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """The flat choice sigma takes at every state (the only one at a
+    Markovian state, action 0 at a probabilistic state sigma omits), and the
+    mask of the states reachable under sigma.
+
+    Errors if sigma picks an action a state does not have, or misses a
+    reachable probabilistic state; entries for other states are ignored.
+    """
+    fl = flat(m)
+    n = m.n_states
+    s = np.fromiter(sigma.keys(), np.int64, len(sigma))
+    a = np.fromiter(sigma.values(), np.int64, len(sigma))
+    inside = (s >= 0) & (s < n)
+    act = np.zeros(n, dtype=np.int64)
+    act[s[inside]] = a[inside]
+    given = fl.markovian.copy()
+    given[s[inside]] = True
+    act[fl.markovian] = 0
+    bad = np.flatnonzero((act < 0) | (act >= np.diff(fl.ptr)))
+    if len(bad):
+        raise ModelError(f"strategy picks unavailable action {act[bad[0]]} "
+                         f"at {m.state_names[bad[0]]}")
+    chosen = fl.ptr[:-1] + act
+    _, e = fl.edges(chosen)
+    start = np.zeros(n, dtype=bool)
+    start[m.initial] = True
+    live = reach(fl.edge_src[e], fl.succ[e], start)
+    missing = np.flatnonzero(live & ~given)
+    if len(missing):
+        raise ModelError(f"strategy misses reachable probabilistic state "
+                         f"{m.state_names[missing[0]]}")
+    return chosen, live
+
+
 def induced_chain(m: MarkovAutomaton, sigma: MDStrategy) -> MarkovAutomaton:
     """Restrict every probabilistic state to the action chosen by sigma.
 
-    Errors if sigma misses a reachable probabilistic state; unreachable ones
-    silently fall back to action 0.  Transition reward keys are remapped to
-    choice index 0.
+    Errors as `_chosen`; unreachable states sigma omits fall back to action
+    0.  Transition reward keys are remapped to choice index 0.
     """
-    reachable = _reachable_under(m, sigma)
-    rates = list(m.rates)
-    choices = []
-    chosen: list[int] = []
-    for s in range(m.n_states):
-        if m.is_markovian(s):
-            chosen.append(0)
-            choices.append([m.choices[s][0]])
-            continue
-        a = sigma.get(s)
-        if a is None:
-            if s in reachable:
-                raise ModelError(f"strategy misses reachable probabilistic state {m.state_names[s]}")
-            a = 0
-        if not 0 <= a < len(m.choices[s]):
-            raise ModelError(f"strategy picks unavailable action {a} at {m.state_names[s]}")
-        chosen.append(a)
-        choices.append([m.choices[s][a]])
-    action_names = tuple((m.action_names[s][chosen[s]],) if not m.is_markovian(s) else ("",)
-                         for s in range(m.n_states))
-    rewards: dict[str, RewardAssignment] = {}
-    for rname, r in m.rewards.items():
-        trans = {}
-        for (s, a, t), v in r.transition_rewards.items():
-            if a == chosen[s]:
-                trans[(s, 0, t)] = v
-        rewards[rname] = RewardAssignment(rname, dict(r.state_rewards), trans)
-    return MarkovAutomaton(rates, choices, m.initial, m.state_names, action_names,
+    chosen, _ = _chosen(m, sigma)
+    act = (chosen - flat(m).ptr[:-1]).tolist()
+    choices = [[m.choices[s][a]] for s, a in enumerate(act)]
+    action_names = [("",) if m.rates[s] is not None else (m.action_names[s][a],)
+                    for s, a in enumerate(act)]
+    rewards = {rname: RewardAssignment(
+        rname, dict(r.state_rewards),
+        {(s, 0, t): v for (s, a, t), v in r.transition_rewards.items() if a == act[s]})
+        for rname, r in m.rewards.items()}
+    return MarkovAutomaton(m.rates, choices, m.initial, m.state_names, action_names,
                            rewards, origin=range(m.n_states))
-
-
-def _reachable_under(m: MarkovAutomaton, sigma: MDStrategy) -> set[int]:
-    seen = {m.initial}
-    queue = deque([m.initial])
-    while queue:
-        s = queue.popleft()
-        if m.is_markovian(s):
-            dists = [m.choices[s][0]]
-        else:
-            a = sigma.get(s)
-            dists = [m.choices[s][a]] if a is not None and 0 <= a < len(m.choices[s]) else []
-        for dist in dists:
-            for t, _ in dist:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return seen

@@ -19,12 +19,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import eye as speye
 from scipy.sparse.linalg import splu
 
 from .model import (NEG_INF, InfeasibleError, MarkovAutomaton, MDStrategy,
-                    ModelError, Objective, RewardAssignment, SolverError, flat,
-                    induced_chain, reach, reward_edges, strong_components)
+                    ModelError, Objective, RewardAssignment, SolverError, _chosen,
+                    flat, reach, reward_edges, strong_components)
 from .components import (_stay_inside, almost_sure_reach,
                          decode_quotient_strategy, exits, quotient, zero_mecs)
 
@@ -50,14 +50,12 @@ class ScalarSolution:
 class ChainEvaluation:
     """Exact per-objective values of a strategy, with the chain analysis that
     produced them: bottom SCCs, their reach probabilities from the initial
-    state, per-BSCC gains per objective (zero for totals), and per-BSCC
-    stationary distributions of the embedded jump chain."""
+    state, and per-BSCC gains per objective (zero for totals)."""
 
     values: list[float]
     bsccs: list[frozenset[int]]
     reach_probs: list[float]
     gains: list[list[float]]
-    stationary: list[dict[int, float]]
 
 
 def _jump_rewards(m: MarkovAutomaton, r: RewardAssignment) -> np.ndarray:
@@ -86,127 +84,114 @@ def resolve_reward(m: MarkovAutomaton, objective: Objective) -> RewardAssignment
     return r
 
 
+def _solver(Q, normalized: bool = False):
+    """b -> x with (I - Q) x = b for a square sparse matrix Q; `normalized`
+    replaces the last equation by sum(x) = b[-1].  LAPACK on the dense
+    matrix up to _DENSE_LIMIT unknowns, one sparse LU factorization above."""
+    n = Q.shape[0]
+    if n <= _DENSE_LIMIT:
+        A = np.eye(n) - Q.toarray()
+        if normalized:
+            A[-1, :] = 1.0
+        return lambda b: np.linalg.solve(A, b)
+    A = speye(n) - Q
+    if normalized:
+        A = A.tolil()
+        A[-1, :] = 1.0
+    return splu(A.tocsc()).solve
+
+
 # ---------------------------------------------------------------------------
 # exact chain analysis
+
+
+def _sojourn(fl) -> np.ndarray:
+    """Expected sojourn time per state: 1/rate when Markovian, else 0."""
+    return np.where(fl.markovian, np.divide(1.0, fl.rates, out=np.zeros(len(fl.rates)),
+                                            where=fl.rates > 0), 0.0)
+
+
+def _stationary(P) -> np.ndarray:
+    """Stationary distribution of an irreducible stochastic sparse matrix."""
+    n = P.shape[0]
+    if n == 1:
+        return np.ones(1)
+    # (I - P^T) pi = 0 with its last equation replaced by sum(pi) = 1
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = _solver(P.T, normalized=True)(b)
+    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+
+
+def _gain(pi: np.ndarray, tau: np.ndarray, srew: np.ndarray, jump: np.ndarray) -> float:
+    """Long-run average reward of an irreducible chain with stationary jump
+    distribution pi: expected reward per expected time unit."""
+    return float(pi @ (srew * tau + jump)) / float(pi @ tau)
 
 
 def bscc_gain(chain: MarkovAutomaton, r: RewardAssignment) -> float:
     """Long-run average reward of a strongly connected, nondeterminism-free
     Markov automaton: stationary expected reward per expected time unit of
     the embedded jump chain."""
-    n = chain.n_states
-    for s in range(n):
-        if len(chain.choices[s]) != 1:
-            raise ModelError("bscc_gain expects a chain: one choice per state")
     fl = flat(chain)
-    ncomp, _ = connected_components(fl.kernel[fl.ptr[:-1]], directed=True, connection="strong")
-    if ncomp != 1:
+    if (np.diff(fl.ptr) != 1).any():
+        raise ModelError("bscc_gain expects a chain: one choice per state")
+    if strong_components(chain.n_states, fl.edge_src, fl.succ).any():
         raise ModelError("bscc_gain expects a strongly connected chain")
-    pi = _stationary(fl.kernel[fl.ptr[:-1]].toarray() if n <= _DENSE_LIMIT else fl.kernel[fl.ptr[:-1]])
-    tau = np.where(fl.markovian, np.divide(1.0, fl.rates, out=np.zeros(n), where=fl.rates > 0), 0.0)
-    rho = _state_reward_vec(chain, r) * tau + _jump_rewards(chain, r)
-    denom = float(pi @ tau)
-    if denom <= 0.0:
+    pi = _stationary(fl.kernel)
+    tau = _sojourn(fl)
+    if float(pi @ tau) <= 0.0:
         raise ModelError("chain spends no time: no Markovian state (Zeno)")
-    return float(pi @ rho) / denom
-
-
-def _stationary(P) -> np.ndarray:
-    """Stationary distribution of an irreducible stochastic matrix."""
-    n = P.shape[0]
-    if n == 1:
-        return np.ones(1)
-    if hasattr(P, "toarray") and n <= _DENSE_LIMIT:
-        P = P.toarray()
-    if isinstance(P, np.ndarray):
-        A = P.T - np.eye(n)
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-    else:
-        from scipy.sparse import eye as speye
-        A = (P.T - speye(n)).tolil()
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = splu(A.tocsc()).solve(b)
-    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+    return _gain(pi, tau, _state_reward_vec(chain, r), _jump_rewards(chain, r))
 
 
 def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
                       objectives: Sequence[Objective]) -> ChainEvaluation:
     """Exact value of sigma for every objective via linear systems on the
-    induced chain: BSCC decomposition, absorption probabilities, stationary
-    gains for long-run averages, transient accumulation for totals.
+    chain sigma induces: BSCC decomposition, absorption probabilities,
+    stationary gains for long-run averages, transient accumulation for totals.
 
     A reachable BSCC carrying a negative reward makes the total -inf (marker);
     a positive one raises, since finiteness checking must have excluded it.
     """
-    chain = induced_chain(m, sigma)
-    # resolve on the chain: its transition reward keys were remapped to choice 0
-    rewards = [resolve_reward(chain, o) for o in objectives]
-    n = chain.n_states
-    fl = flat(chain)
-    P = fl.kernel[fl.ptr[:-1]]  # n x n, one row per state
-
-    live = chain.reachable()
-    reach_mask = np.zeros(n, dtype=bool)
-    reach_mask[live] = True
+    chosen, live = _chosen(m, sigma)
+    rewards = [resolve_reward(m, o) for o in objectives]
+    n = m.n_states
+    fl = flat(m)
+    P = fl.kernel[chosen]  # n x n, the row of each state's chosen choice
+    _, e = fl.edges(chosen)
+    src, dst = fl.edge_src[e], fl.succ[e]
     # components of reachable states contain only reachable states
-    labels = strong_components(n, fl.edge_src, fl.succ)
+    labels = strong_components(n, src, dst)
 
-    # bottom SCCs: no edge out of the component
-    leaves = reach_mask[fl.edge_src] & (labels[fl.edge_src] != labels[fl.succ])
-    has_exit = set(np.unique(labels[fl.edge_src[leaves]]).tolist())
-    groups: dict[int, list[int]] = {}
-    for s in live:
-        groups.setdefault(int(labels[s]), []).append(s)
-    bsccs = [frozenset(states) for lab, states in sorted(groups.items(), key=lambda kv: min(kv[1]))
-             if lab not in has_exit]
+    # bottom SCCs: no edge out of the component; listed by least state
+    leaving = np.unique(labels[src[live[src] & (labels[src] != labels[dst])]])
+    bottom = np.flatnonzero(live & ~np.isin(labels, leaving))
+    _, first, counts = np.unique(labels[bottom], return_index=True, return_counts=True)
+    by_label = np.split(bottom[np.argsort(labels[bottom], kind="stable")], np.cumsum(counts)[:-1])
+    members = [by_label[i] for i in np.argsort(first)]
     in_bscc = np.zeros(n, dtype=bool)
-    for b in bsccs:
-        for s in b:
-            in_bscc[s] = True
-    transient = [s for s in live if not in_bscc[s]]
+    in_bscc[bottom] = True
+    transient = np.flatnonzero(live & ~in_bscc)
 
     # absorption probabilities from the initial state
-    if in_bscc[chain.initial]:
-        reach_probs = [1.0 if chain.initial in b else 0.0 for b in bsccs]
-        x_solver = None
+    if in_bscc[m.initial]:
+        reach_probs = [1.0 if m.initial in b else 0.0 for b in members]
     else:
-        t_index = {s: i for i, s in enumerate(transient)}
-        Q = P[transient, :][:, transient]
-        nt = len(transient)
-        if nt <= _DENSE_LIMIT:
-            IQ = np.eye(nt) - Q.toarray()
-            lu = None
-        else:
-            from scipy.sparse import eye as speye
-            lu = splu((speye(nt) - Q).tocsc())
-            IQ = None
-
-        def solve_transient(rhs: np.ndarray) -> np.ndarray:
-            return np.linalg.solve(IQ, rhs) if lu is None else lu.solve(rhs)
-
-        reach_probs = []
-        for b in bsccs:
-            cols = sorted(b)
-            rhs = np.asarray(P[transient, :][:, cols].sum(axis=1)).ravel()
-            reach_probs.append(float(solve_transient(rhs)[t_index[chain.initial]]))
-        x_solver = solve_transient
+        i0 = int(np.searchsorted(transient, m.initial))
+        P_t = P[transient, :]
+        solve = _solver(P_t[:, transient])
+        reach_probs = [float(solve(np.asarray(P_t[:, b].sum(axis=1)).ravel())[i0])
+                       for b in members]
 
     # per-BSCC stationary distributions and gains
-    tau = np.where(fl.markovian, np.divide(1.0, fl.rates, out=np.zeros(n), where=fl.rates > 0), 0.0)
-    jump = [_jump_rewards(chain, r) for r in rewards]
-    srew = [_state_reward_vec(chain, r) for r in rewards]
-    stationary: list[dict[int, float]] = []
+    tau = _sojourn(fl)
+    jump = [_jump_rewards(m, r)[chosen] for r in rewards]
+    srew = [_state_reward_vec(m, r) for r in rewards]
     gains: list[list[float]] = []
-    for b in bsccs:
-        states = sorted(b)
-        pi = _stationary(P[states, :][:, states])
-        stationary.append({s: float(pi[i]) for i, s in enumerate(states)})
-        time = float(pi @ tau[states])
+    for b in members:
+        pi = _stationary(P[b, :][:, b])
+        time = float(pi @ tau[b])
         row = []
         for j, o in enumerate(objectives):
             if o.kind != "lra":
@@ -214,45 +199,39 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
                 continue
             if time <= 0.0:
                 raise SolverError("BSCC without Markovian state: long-run average undefined")
-            rho = srew[j][states] * tau[states] + jump[j][states]
-            row.append(float(pi @ rho) / time)
+            row.append(_gain(pi, tau[b], srew[j][b], jump[j][b]))
         gains.append(row)
 
+    recurrent = np.zeros(n, dtype=bool)
+    for b, p in zip(members, reach_probs):
+        recurrent[b] = p > 0.0
     values: list[float] = []
     for j, o in enumerate(objectives):
         if o.kind == "lra":
             v = 0.0
-            for i, b in enumerate(bsccs):
-                if reach_probs[i] > 0.0:
-                    v += reach_probs[i] * gains[i][j]
+            for i, p in enumerate(reach_probs):
+                if p > 0.0:
+                    v += p * gains[i][j]
             values.append(v)
             continue
-        # total reward
-        diverges = False
-        for i, b in enumerate(bsccs):
-            if reach_probs[i] <= 0.0:
-                continue
-            for s in b:
-                entries = [srew[j][s]] if fl.markovian[s] else []
-                entries += [rewards[j].transition_reward(s, 0, t)
-                            for t, _ in chain.choices[s][0]]
-                for v in entries:
-                    if v > 0.0:
-                        raise SolverError(
-                            f"positive reward {rewards[j].name!r} recurs in a reachable BSCC; "
-                            "the total diverges (finiteness violated)")
-                    if v < 0.0:
-                        diverges = True
-        if diverges:
+        # total reward: its entries on reachable BSCCs decide finiteness
+        edge_rew = np.zeros(len(fl.succ))
+        re, rv = reward_edges(m, rewards[j])
+        edge_rew[re] = rv
+        entries = np.concatenate([srew[j][recurrent], edge_rew[e[recurrent[src]]]])
+        if (entries > 0.0).any():
+            raise SolverError(
+                f"positive reward {rewards[j].name!r} recurs in a reachable BSCC; "
+                "the total diverges (finiteness violated)")
+        if (entries < 0.0).any():
             values.append(NEG_INF)
-            continue
-        if in_bscc[chain.initial]:
+        elif in_bscc[m.initial]:
             values.append(0.0)
-            continue
-        crew = srew[j][transient] * tau[transient] + jump[j][transient]
-        x = x_solver(crew)
-        values.append(float(x[t_index[chain.initial]]))
-    return ChainEvaluation(values, bsccs, reach_probs, gains, stationary)
+        else:
+            crew = srew[j][transient] * tau[transient] + jump[j][transient]
+            values.append(float(solve(crew)[i0]))
+    bsccs = [frozenset(b.tolist()) for b in members]
+    return ChainEvaluation(values, bsccs, reach_probs, gains)
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +468,7 @@ def _extract_and_evaluate(model, crew_v, K, seg, rows, target, h):
     reached = reach(fl.succ[e], fl.edge_src[e], is_target)
     if not reached[fl.choice_state[rows[pick]]].all():
         return pick, None
-    Qs = K[pick]
-    cs = crew_v[pick]
-    na = len(pick)
-    if na <= _DENSE_LIMIT:
-        L = np.linalg.solve(np.eye(na) - Qs.toarray(), cs)
-    else:
-        from scipy.sparse import eye as speye
-        L = splu((speye(na) - Qs).tocsc()).solve(cs)
-    return pick, L
+    return pick, _solver(K[pick])(crew_v[pick])
 
 
 def _inductive_upper(bellman, h, L, eps):

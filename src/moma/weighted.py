@@ -191,18 +191,18 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
         raise ModelError("weight vector dimension does not match the objectives")
     if (w < 0).any():
         raise ModelError("weights must be nonnegative")
-    lra_parts = [(float(w[j]), p.model.rewards[o.reward])
+    lra_parts = [(float(w[j]), o.reward)
                  for j, o in enumerate(p.objectives) if o.kind == "lra" and w[j] != 0.0]
     tot_parts = [(float(w[j]), p.model.rewards[o.reward])
                  for j, o in enumerate(p.objectives) if o.kind == "total" and w[j] != 0.0]
-    r_lra = weighted_reward_sum("w.lra", lra_parts)
     r_tot = weighted_reward_sum("w.tot", tot_parts)
 
     gains: list[float] = []
     stays: dict[int, dict[int, int]] = {}
     for i, c in enumerate(prep.zero_ecs):
         sub = prep.subs[i]
-        rr = _restrict_to_component(r_lra, c, sub)
+        # sub_ma already restricted every named reward to the component
+        rr = weighted_reward_sum("w.lra", [(wj, sub.rewards[name]) for wj, name in lra_parts])
         if rr.is_zero:
             gains.append(0.0)
             stays[i] = _stay_inside(c)
@@ -220,34 +220,6 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
     achieved = _dot(w, point)
     return WeightedSolution(w, total.value, point, sigma,
                             max(0.0, total.value - achieved), gains)
-
-
-def _restrict_to_component(r: RewardAssignment, c: EndComponent,
-                           sub: MarkovAutomaton) -> RewardAssignment:
-    """Reward entries of the base model mapped into component coordinates;
-    entries on states or pairs outside the component are dropped."""
-    index = {s: i for i, s in enumerate(sub.origin)}
-    acts = {s: c.actions_at(s) for s, _ in c.pairs}
-    state_r: dict[int, float] = {}
-    for s, v in r.state_rewards.items():
-        i = index.get(s)
-        if i is not None and v != 0.0 and sub.is_markovian(i):
-            state_r[i] = v
-    trans_r: dict[tuple[int, int, int], float] = {}
-    for (s, a, t), v in r.transition_rewards.items():
-        if v == 0.0:
-            continue
-        i = index.get(s)
-        jt = index.get(t)
-        if i is None or jt is None:
-            continue
-        if sub.is_markovian(i):
-            trans_r[(i, 0, jt)] = v
-        else:
-            kept = acts.get(s, [])
-            if a in kept:
-                trans_r[(i, kept.index(a), jt)] = v
-    return RewardAssignment(r.name + "|c", state_r, trans_r)
 
 
 def _decode_sub_strategy(sub: MarkovAutomaton, c: EndComponent,

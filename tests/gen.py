@@ -195,6 +195,47 @@ def layered_ma(rng, n=10_000):
     return m, objectives
 
 
+def cycle_with_tail(n_tail=600, n_cycle=600):
+    """A transient tail of n_tail states feeding one recurrent cycle of
+    n_cycle Markovian states, with a fixed strategy; at the default sizes
+    both parts exceed the solvers' dense limit.
+
+    The tail walks state by state; every tenth tail state is probabilistic
+    with two actions to the same successor that pay different rewards, and
+    the last one spreads over the first ten cycle states with probability
+    0.1 each.  "L" pays state rewards on the cycle only, "T" transition
+    rewards on the tail only.  Closed forms under the returned strategy: the
+    long-run average is sum(rho/lam) / sum(1/lam) over the cycle, the total
+    is the sum of the rewards on the tail edges taken.
+    """
+    rates: list[float | None] = []
+    choices = []
+    trans: dict[tuple[int, int, int], float] = {}
+    sigma: dict[int, int] = {}
+    for s in range(n_tail - 1):
+        if s % 10 == 5:
+            rates.append(None)
+            choices.append([((s + 1, 1.0),), ((s + 1, 1.0),)])
+            trans[(s, 0, s + 1)] = 0.3 + 0.1 * (s % 7)
+            trans[(s, 1, s + 1)] = -0.7 + 0.1 * (s % 3)
+            sigma[s] = (s // 10) % 2
+        else:
+            rates.append(1.0 + (s % 7) / 3.0)
+            choices.append([((s + 1, 1.0),)])
+            trans[(s, 0, s + 1)] = 0.1 * (s % 9) - 0.35
+    rates.append(1.5)
+    choices.append([tuple((n_tail + k, 0.1) for k in range(10))])
+    lra: dict[int, float] = {}
+    for k in range(n_cycle):
+        s = n_tail + k
+        rates.append(0.5 + (k % 5) / 3.0)
+        choices.append([((n_tail + (k + 1) % n_cycle, 1.0),)])
+        lra[s] = (k % 11) / 3.0
+    rewards = {"L": RewardAssignment("L", lra, {}), "T": RewardAssignment("T", {}, trans)}
+    m = MarkovAutomaton(rates, choices, initial=0, rewards=rewards)
+    return m, [Objective("lra", "max", reward="L"), Objective("total", "max", reward="T")], sigma
+
+
 # ---------------------------------------------------------------------------
 # strategy enumeration oracles
 

@@ -8,16 +8,17 @@ here.  Regenerate the files only for a change that is meant to alter results:
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_golden()"
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moma import dumps, serialize_model
+from moma import dumps, evaluate_strategy, serialize_model
 from moma.cli import main
 
 from conftest import corpus_path
-from gen import layered_ma
+from gen import cycle_with_tail, layered_ma
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 LAYERED_QUERY = {"format": "moma-query", "version": 1, "kind": "pareto",
@@ -33,6 +34,9 @@ CASES = {
     "fig1-quant.json": ["check", "@fig1", "--query", "@fig1-quant.json"],
     "fig1-single.json": ["single", "@fig1", "--query", "@fig1-pareto.json"],
 }
+# exact evaluation of a chain whose recurrent and transient parts both exceed
+# the dense limit, so the sparse linear solves are pinned as well
+CHAIN_EVAL = "cycle-with-tail-eval.json"
 
 
 def _argv(case: str, work: Path) -> list[str]:
@@ -53,14 +57,28 @@ def _result(case: str, work: Path) -> bytes:
     return out.read_bytes()
 
 
+def _chain_eval() -> str:
+    m, objectives, sigma = cycle_with_tail()
+    ev = evaluate_strategy(m, sigma, objectives)
+    doc = {"values": [repr(v) for v in ev.values],
+           "reach_probs": [repr(p) for p in ev.reach_probs],
+           "gains": [[repr(g) for g in row] for row in ev.gains]}
+    return json.dumps(doc, indent=1) + "\n"
+
+
 def write_golden() -> None:
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         with tempfile.TemporaryDirectory() as d:
             (GOLDEN / case).write_bytes(_result(case, Path(d)))
+    (GOLDEN / CHAIN_EVAL).write_text(_chain_eval(), encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_result_file_is_byte_identical(case, tmp_path):
     assert _result(case, tmp_path) == (GOLDEN / case).read_bytes()
+
+
+def test_sparse_chain_evaluation_is_bit_identical():
+    assert _chain_eval() == (GOLDEN / CHAIN_EVAL).read_text(encoding="utf-8")

@@ -22,9 +22,8 @@ class TestConstruction:
         assert m.n_choices == 3
         assert m.is_markovian(0) and not m.is_markovian(1)
         assert m.markovian_states() == [0]
-        assert m.probabilistic_states() == [1]
-        assert m.transition_prob(1, 0, 0) == 0.5
-        assert m.transition_prob(1, 0, 2) == 0.0
+        assert [s for s in range(m.n_states) if m.rates[s] is None] == [1]
+        assert m.choices[1][0] == ((0, 0.5), (1, 0.5))
         assert m.successors(1) == [0, 1]
         assert m.reachable() == [0, 1]
         assert m.state_names == ("s0", "s1")

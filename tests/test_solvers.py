@@ -8,7 +8,7 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   max_total_reward, mec_lra, normalize_query, optimize_weighted,
                   prepare_weighted, reach_to_total, sub_ma, zero_mecs)
 
-from gen import all_strategies, chain_eval, random_valid_instance
+from gen import all_strategies, chain_eval, cycle_with_tail, random_valid_instance
 
 
 def lra_obj(name="R1"):
@@ -82,6 +82,37 @@ class TestEvaluateStrategy:
             rewards={"r": RewardAssignment("r", {0: 1.0}, {})})
         with pytest.raises(SolverError):
             evaluate_strategy(m, {}, [total_obj("r")])
+
+    def test_missing_reachable_state_errors(self, fig1, fig1_objectives):
+        with pytest.raises(ModelError, match="misses reachable"):
+            evaluate_strategy(fig1, {2: 1}, fig1_objectives)
+
+    @pytest.mark.parametrize("action", [5, -1])
+    def test_unavailable_action_errors(self, fig1, fig1_objectives, action):
+        with pytest.raises(ModelError, match="unavailable action"):
+            evaluate_strategy(fig1, {2: action, 3: 0}, fig1_objectives)
+
+    def test_unreachable_state_may_be_missing(self):
+        m = MarkovAutomaton([1.0, None], [[((0, 1.0),)], [((0, 1.0),)]], initial=0,
+                            rewards={"r": RewardAssignment("r", {0: 2.0}, {})})
+        ev = evaluate_strategy(m, {}, [lra_obj("r")])
+        assert ev.values == [2.0]
+        assert ev.bsccs == [frozenset({0})]
+
+    def test_sparse_routes_match_closed_forms(self):
+        # both the cycle and the tail exceed the dense limit
+        m, objectives, sigma = cycle_with_tail()
+        ev = evaluate_strategy(m, sigma, objectives)
+        cycle = range(600, 1200)
+        lam = np.array([m.rates[s] for s in cycle])
+        rho = np.array([m.rewards["L"].state_reward(s) for s in cycle])
+        gain = float((rho / lam).sum() / (1.0 / lam).sum())
+        total = sum(v for (s, a, _), v in m.rewards["T"].transition_rewards.items()
+                    if sigma.get(s, 0) == a)
+        assert ev.bsccs == [frozenset(cycle)]
+        assert ev.reach_probs == pytest.approx([1.0], abs=1e-12)
+        assert ev.gains == [[pytest.approx(gain, rel=1e-12), 0.0]]
+        assert ev.values == pytest.approx([gain, total], rel=1e-12)
 
     def test_matches_independent_evaluation(self):
         rng = np.random.default_rng(31)
