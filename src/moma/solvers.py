@@ -1,10 +1,12 @@
 """Single-objective solvers: exact chain evaluation, per-component long-run
 averages, and certified maximal expected total rewards.
 
-Value iterations work on a flattened choice representation (one sparse kernel
-row per choice).  Long-run average iteration advances uniformized time ticks
-at Markovian states and closes the instantaneous probabilistic layer inside
-each tick, so the classical span bounds on the gain apply at every tick.
+Solvers work on the flat choice view of a model (one sparse kernel row per
+choice).  Long-run averages inside an end component come from gain/bias
+strategy iteration with exact linear evaluation, certified by one uniformized
+time tick from the final bias: Markovian states advance one damped tick, the
+instantaneous probabilistic layer is closed to a fixed point, and the
+classical span bounds on the gain then hold for any starting vector.
 Total-reward maximization collapses zero-reward end components first; every
 remaining non-target end component then drains strictly negative reward,
 which makes the Bellman fixed point unique on the almost-sure reach region
@@ -20,11 +22,12 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import eye as speye
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
 from .model import (NEG_INF, InfeasibleError, MarkovAutomaton, MDStrategy,
                     ModelError, Objective, RewardAssignment, SolverError, _chosen,
-                    flat, reach, reward_edges, strong_components)
+                    _graph, flat, reach, reward_edges, strong_components)
 from .components import (_stay_inside, almost_sure_reach,
                          decode_quotient_strategy, exits, quotient, zero_mecs)
 
@@ -145,6 +148,20 @@ def bscc_gain(chain: MarkovAutomaton, r: RewardAssignment) -> float:
     return _gain(pi, tau, _state_reward_vec(chain, r), _jump_rewards(chain, r))
 
 
+def _bottom_sccs(n: int, src: np.ndarray, dst: np.ndarray,
+                 live: np.ndarray) -> list[np.ndarray]:
+    """Bottom SCCs of the edges src[i] -> dst[i] among the `live` states (a
+    mask closed under the edges), each in ascending order, listed by least
+    state."""
+    # components of live states contain only live states
+    labels = strong_components(n, src, dst)
+    leaving = np.unique(labels[src[live[src] & (labels[src] != labels[dst])]])
+    bottom = np.flatnonzero(live & ~np.isin(labels, leaving))
+    _, first, counts = np.unique(labels[bottom], return_index=True, return_counts=True)
+    by_label = np.split(bottom[np.argsort(labels[bottom], kind="stable")], np.cumsum(counts)[:-1])
+    return [by_label[i] for i in np.argsort(first)]
+
+
 def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
                       objectives: Sequence[Objective]) -> ChainEvaluation:
     """Exact value of sigma for every objective via linear systems on the
@@ -161,17 +178,9 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
     P = fl.kernel[chosen]  # n x n, the row of each state's chosen choice
     _, e = fl.edges(chosen)
     src, dst = fl.edge_src[e], fl.succ[e]
-    # components of reachable states contain only reachable states
-    labels = strong_components(n, src, dst)
-
-    # bottom SCCs: no edge out of the component; listed by least state
-    leaving = np.unique(labels[src[live[src] & (labels[src] != labels[dst])]])
-    bottom = np.flatnonzero(live & ~np.isin(labels, leaving))
-    _, first, counts = np.unique(labels[bottom], return_index=True, return_counts=True)
-    by_label = np.split(bottom[np.argsort(labels[bottom], kind="stable")], np.cumsum(counts)[:-1])
-    members = [by_label[i] for i in np.argsort(first)]
+    members = _bottom_sccs(n, src, dst, live)
     in_bscc = np.zeros(n, dtype=bool)
-    in_bscc[bottom] = True
+    in_bscc[np.concatenate(members)] = True
     transient = np.flatnonzero(live & ~in_bscc)
 
     # absorption probabilities from the initial state
@@ -238,79 +247,97 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
 # long-run average inside one end component
 
 
-def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6,
-            max_ticks: int = 2_000_000) -> ScalarSolution:
+def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> ScalarSolution:
     """Maximal long-run average reward of a standalone end component.
 
-    Uniformized value iteration: Markovian states advance one damped time
-    tick (self-retention at least 0.05 keeps the folded chain aperiodic),
-    probabilistic states are closed to a fixed point inside each tick since
-    they take no time.  The gain is bracketed every tick by the scaled
-    extremes of the Markovian value differences; iteration stops when the
-    bracket is relatively tight.
+    Gain/bias strategy iteration from the first choice of every probabilistic
+    state: keep the strategy's best bottom SCC (ties to the least state),
+    route every probabilistic state outside it towards it, solve the bias
+    equations h = c - g tau + P h (h = 0 at that SCC's least state) exactly,
+    and switch a probabilistic state only where a choice improves jump + K h
+    by more than rounding.  One uniformized tick from the final h certifies
+    the gain (see the module docstring); the strategy is the first maximizer
+    of the closure after that tick.
     """
     n = sub.n_states
     fl = flat(sub)
     if not fl.markovian.any():
         raise ModelError("component has no Markovian state (Zeno): no time passes")
-    lam_max = float(fl.rates.max())
-    unif = lam_max / 0.95
+    unif = float(fl.rates.max()) / 0.95
     jump = _jump_rewards(sub, r)
     srew = _state_reward_vec(sub, r)
-
-    ms = np.where(fl.markovian)[0]
-    ms_choice = fl.ptr[ms]
-    K_m = fl.kernel[ms_choice]
+    tau = _sojourn(fl)
+    ms, ps = np.flatnonzero(fl.markovian), np.flatnonzero(~fl.markovian)
+    K_m = fl.kernel[fl.ptr[ms]]
     coef = fl.rates[ms] / unif
-    tick_rew = srew[ms] / unif + coef * jump[ms_choice]
-
-    ps = np.where(~fl.markovian)[0]
-    if len(ps):
-        ps_choices = np.concatenate([np.arange(fl.ptr[s], fl.ptr[s + 1]) for s in ps])
-        K_p = fl.kernel[ps_choices]
-        jump_p = jump[ps_choices]
-        counts = (fl.ptr[ps + 1] - fl.ptr[ps]).astype(np.int64)
-        seg = np.zeros(len(ps), dtype=np.int64)
-        np.cumsum(counts[:-1], out=seg[1:])
+    tick_rew = srew[ms] / unif + coef * jump[fl.ptr[ms]]
+    pc = np.flatnonzero(~fl.markovian[fl.choice_state])  # the choices of ps, state by state
+    K_p, jump_p = fl.kernel[pc], jump[pc]
+    seg = np.searchsorted(pc, fl.ptr[ps])
+    act = np.zeros(n, dtype=np.int64)
+    for it in range(1, 1001):
+        chosen = fl.ptr[:-1] + act
+        _, e = fl.edges(chosen)
+        members = _bottom_sccs(n, fl.edge_src[e], fl.succ[e], np.ones(n, dtype=bool))
+        gains = []
+        for b in members:
+            pi = _stationary(fl.kernel[chosen[b]][:, b])
+            if float(pi @ tau[b]) <= 0.0:
+                raise SolverError(f"bottom SCC without Markovian state (Zeno) in strategy "
+                                  f"iteration {it}: its long-run average is undefined")
+            gains.append(_gain(pi, tau[b], srew[b], jump[chosen[b]]))
+        k = int(np.argmax(gains))
+        g, best_b = gains[k], members[k]
+        if len(members) > 1:
+            # each state outside best_b takes an edge one step closer to it in a
+            # backward breadth-first search (edges reversed, root n -> best_b);
+            # an end component reaches every state, so one BSCC is left
+            rev = _graph(n + 1, np.concatenate([fl.succ, np.full(len(best_b), n)]),
+                         np.concatenate([fl.edge_src, best_b]))
+            pred = breadth_first_order(rev, n, return_predecessors=True)[1]
+            out = np.ones(n, dtype=bool)
+            out[best_b] = False
+            step = np.flatnonzero(out[fl.edge_src] & (fl.succ == pred[fl.edge_src]))
+            s, first = np.unique(fl.edge_src[step], return_index=True)
+            act[s] = fl.edge_choice[step[first]] - fl.ptr[s]
+            chosen = fl.ptr[:-1] + act
+        P = fl.kernel[chosen]
+        P.data[P.indptr[best_b[0]]:P.indptr[best_b[0] + 1]] = 0.0
+        c = srew * tau + jump[chosen] - g * tau
+        c[best_b[0]] = 0.0
+        h = _solver(P)(c)
+        q = jump_p + K_p @ h
+        best, pick = _first_max(q, seg)
+        # a margin above rounding keeps tied choices from swapping forever
+        switch = best > q[seg + act[ps]] + 1e-12 * max(1.0, float(np.max(np.abs(h))))
+        if not switch.any():
+            break
+        act[ps[switch]] = (pick - seg)[switch]
+    else:
+        raise SolverError(f"strategy iteration did not settle in {it} rounds (gain {g})")
 
     def close_instant(h: np.ndarray) -> np.ndarray:
-        if not len(ps):
-            return None
         for _ in range(100_000):
             q = jump_p + K_p @ h
             new = np.maximum.reduceat(q, seg)
-            delta = float(np.max(np.abs(new - h[ps]))) if len(ps) else 0.0
+            delta = float(np.max(np.abs(new - h[ps]), initial=0.0))
             h[ps] = new
             if delta <= 1e-13 * max(1.0, float(np.max(np.abs(h)))):
                 return q
-        raise SolverError("instantaneous layer does not converge (near-Zeno structure)")
+        raise SolverError(f"instantaneous layer does not converge (near-Zeno structure; "
+                          f"gain {g} after {it} strategy iterations)")
 
-    h = np.zeros(n)
-    q_final = close_instant(h)
-    lb = ub = 0.0
-    for tick in range(max_ticks):
-        hm_new = tick_rew + coef * (K_m @ h) + (1.0 - coef) * h[ms]
-        diffs = hm_new - h[ms]
-        lb = unif * float(diffs.min())
-        ub = unif * float(diffs.max())
-        h[ms] = hm_new
-        q_final = close_instant(h)
-        if ub - lb <= eps * max(1.0, abs(lb)):
-            break
-        h -= h[ms[0]]
-    else:
-        raise SolverError(f"long-run average iteration exceeded {max_ticks} ticks "
-                          f"(bracket [{lb}, {ub}])")
-
-    sigma: MDStrategy = {}
-    if len(ps):
-        for i, s in enumerate(ps):
-            lo = int(seg[i])
-            sigma[int(s)] = int(np.argmax(q_final[lo:lo + int(counts[i])]))
+    close_instant(h)
+    hm_new = tick_rew + coef * (K_m @ h) + (1.0 - coef) * h[ms]
+    diffs = hm_new - h[ms]
+    lb, ub = unif * float(diffs.min()), unif * float(diffs.max())
+    if ub - lb > eps * max(1.0, abs(lb)):
+        raise SolverError(f"long-run average bracket [{lb}, {ub}] wider than {eps} "
+                          f"after {it} strategy iterations")
+    h[ms] = hm_new
+    sigma = dict(zip(ps.tolist(), (_first_max(close_instant(h), seg)[1] - seg).tolist()))
     value = 0.5 * (lb + ub)
-    return ScalarSolution(value=value, strategy=sigma,
-                          error_bound=0.5 * (ub - lb) / max(1.0, abs(value)),
-                          lower=lb, upper=ub)
+    return ScalarSolution(value, sigma, 0.5 * (ub - lb) / max(1.0, abs(value)), lb, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +475,21 @@ def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
     raise SolverError("could not certify total-reward bounds to the requested precision")
 
 
+def _first_max(q: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment of q (segment i starts at seg[i]): the largest entry and
+    the position of its first occurrence."""
+    best = np.maximum.reduceat(q, seg)
+    hit = np.where(q == np.repeat(best, np.diff(seg, append=len(q))), np.arange(len(q)), len(q))
+    return best, np.minimum.reduceat(hit, seg)
+
+
 def _extract_and_evaluate(model, crew_v, K, seg, rows, target, h):
     """Greedy choice per active state from h (first maximizer, so lowest
     action id), as positions into `rows`, and the exact value vector of that
     strategy; None instead of the values when the strategy is improper (does
     not reach the target almost surely)."""
     fl = flat(model)
-    q = crew_v + K @ h
-    segs = seg[:-1]
-    best = np.repeat(np.maximum.reduceat(q, segs), np.diff(seg))
-    positions = np.arange(len(q))
-    pick = np.minimum.reduceat(np.where(q == best, positions, len(q)), segs)
+    _, pick = _first_max(crew_v + K @ h, seg[:-1])
     # properness: every active state can reach the target through picked
     # choices (backward reachability; a closed set avoiding the target would
     # be unreachable from it)

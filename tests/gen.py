@@ -12,6 +12,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from moma import (MarkovAutomaton, Objective, RewardAssignment,
@@ -234,6 +236,40 @@ def cycle_with_tail(n_tail=600, n_cycle=600):
     rewards = {"L": RewardAssignment("L", lra, {}), "T": RewardAssignment("T", {}, trans)}
     m = MarkovAutomaton(rates, choices, initial=0, rewards=rewards)
     return m, [Objective("lra", "max", reward="L"), Objective("total", "max", reward="T")], sigma
+
+
+def ring_ma(rng, n):
+    """One large, nearly periodic end component: n states on a cycle.
+
+    A Markovian state s (rate 1 to 4) steps to s+1 with probability 7/8 and
+    back to s-1 with probability 1/8; every fifth state is probabilistic and
+    chooses between "step" to s+1 and "skip" forward by 2 to 5.  The one
+    assignment "gain" pays per time unit on Markovian states and a lump sum
+    (possibly negative) on each skip.
+    """
+    rates: list[float | None] = []
+    choices = []
+    action_names = []
+    srew: dict[int, float] = {}
+    trew: dict[tuple[int, int, int], float] = {}
+    for s in range(n):
+        if s % 5 == 4:
+            skip = (s + int(rng.integers(2, 6))) % n
+            rates.append(None)
+            choices.append([(((s + 1) % n, 1.0),), ((skip, 1.0),)])
+            action_names.append(("step", "skip"))
+            v = float(rng.integers(-2, 3)) / 2.0
+            if v != 0.0:
+                trew[(s, 1, skip)] = v
+        else:
+            rates.append(float(rng.integers(1, 5)))
+            choices.append([(((s + 1) % n, 0.875), ((s - 1) % n, 0.125))])
+            action_names.append(("",))
+            v = float(rng.integers(0, 7)) / 2.0
+            if v != 0.0:
+                srew[s] = v
+    return MarkovAutomaton(rates, choices, initial=0, action_names=action_names,
+                           rewards={"gain": RewardAssignment("gain", srew, trew)})
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +506,40 @@ def chain_eval(m: MarkovAutomaton, sigma, objectives):
                 x = xn
             values.append(float(x[m.initial]))
     return values
+
+
+def ec_lra_lp(m: MarkovAutomaton, r: RewardAssignment) -> float:
+    """Optimal long-run average reward of a model that is one end component,
+    as a linear program over state-action frequencies x: maximize sum x * rho
+    subject to flow balance and sum x * tau = 1, where tau is the mean sojourn
+    time (1/rate on Markovian states, 0 on probabilistic ones) and rho the
+    expected reward of one visit."""
+    rows, cols, vals = [], [], []
+    rho = []
+    for s in range(m.n_states):
+        for a, dist in enumerate(m.choices[s]):
+            c = len(rho)
+            rho.append(0.0)
+            rows.append(s)
+            cols.append(c)
+            vals.append(1.0)
+            for t, p in dist:
+                rows.append(t)
+                cols.append(c)
+                vals.append(-p)
+                rho[c] += p * r.transition_reward(s, a, t)
+            if m.is_markovian(s):
+                rows.append(m.n_states)
+                cols.append(c)
+                vals.append(1.0 / m.rates[s])
+                rho[c] += r.state_reward(s) / m.rates[s]
+    A_eq = coo_matrix((vals, (rows, cols)), shape=(m.n_states + 1, len(rho))).tocsr()
+    b_eq = np.zeros(m.n_states + 1)
+    b_eq[-1] = 1.0
+    res = linprog(-np.asarray(rho), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   max_total_reward, mec_lra, normalize_query, optimize_weighted,
                   prepare_weighted, reach_to_total, sub_ma, zero_mecs)
 
-from gen import all_strategies, chain_eval, cycle_with_tail, random_valid_instance
+from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp,
+                 random_valid_instance, ring_ma)
 
 
 def lra_obj(name="R1"):
@@ -200,6 +202,72 @@ class TestMecLra:
             tol = 2 * eps * max(1.0, c * max(1.0, abs(v1.value)))
             assert abs(v2.value - c * v1.value) <= tol
             checked += 1
+
+
+class TestMecLraRing:
+    """The ring family: one large, nearly periodic end component."""
+
+    def test_small_ring_matches_enumeration(self):
+        m = ring_ma(np.random.default_rng(40), 40)
+        eps = 1e-8
+        sol = mec_lra(m, m.rewards["gain"], eps=eps)
+        best = max(evaluate_strategy(m, sigma, [lra_obj("gain")]).values[0]
+                   for sigma in all_strategies(m))
+        assert sol.lower - 1e-12 <= best <= sol.upper + 1e-12
+        assert sol.upper - sol.lower <= eps * max(1.0, abs(best))
+        assert evaluate_strategy(m, sol.strategy, [lra_obj("gain")]).values[0] \
+            == pytest.approx(best, abs=1e-9)
+
+    def test_unreachable_precision_names_the_bracket(self):
+        m = ring_ma(np.random.default_rng(40), 40)
+        with pytest.raises(SolverError, match=r"bracket \[.+, .+\] wider than 1e-30 "
+                                              r"after \d+ strategy iterations"):
+            mec_lra(m, m.rewards["gain"], eps=1e-30)
+
+    def test_ring_4000_brackets_lp_optimum_in_seconds(self):
+        # uniformized value iteration gave up here after 2M ticks (389 s)
+        m = ring_ma(np.random.default_rng(4000), 4000)
+        start = time.perf_counter()
+        sol = mec_lra(m, m.rewards["gain"], eps=1e-6)
+        elapsed = time.perf_counter() - start
+        best = ec_lra_lp(m, m.rewards["gain"])
+        tol = 1e-7 * max(1.0, abs(best))  # the LP solver's accuracy
+        assert sol.lower - tol <= best <= sol.upper + tol
+        assert sol.upper - sol.lower <= 1e-6 * max(1.0, abs(best))
+        assert elapsed < 60.0
+
+
+class TestMecLraMultichain:
+    """The first-choice strategy has two bottom SCCs, {0, 1} with gain 1 and
+    {2, 3} with gain 5; the better one is reached only through state 1,
+    whose first choice leads back to 0."""
+
+    @staticmethod
+    def component(initial=0):
+        r = RewardAssignment("r", {0: 1.0, 2: 5.0}, {})
+        return MarkovAutomaton(
+            [1.0, None, 1.0, None],
+            [[((1, 1.0),)], [((0, 1.0),), ((2, 1.0),)],
+             [((3, 1.0),)], [((2, 1.0),), ((0, 1.0),)]],
+            initial=initial, rewards={"r": r})
+
+    def test_matches_enumeration_and_is_deterministic(self):
+        first_choices = {1: 0, 3: 0}
+        for initial, gain in ((0, 1.0), (2, 5.0)):
+            ev = evaluate_strategy(self.component(initial), first_choices, [lra_obj("r")])
+            assert ev.values == [gain] and len(ev.bsccs) == 1
+        m = self.component()
+        eps = 1e-9
+        sol = mec_lra(m, m.rewards["r"], eps=eps)
+        best = max(evaluate_strategy(m, sigma, [lra_obj("r")]).values[0]
+                   for sigma in all_strategies(m))
+        assert best == 5.0
+        assert sol.lower - 1e-12 <= best <= sol.upper + 1e-12
+        assert sol.upper - sol.lower <= eps * best
+        assert sol.strategy == {1: 1, 3: 0}
+        again = mec_lra(self.component(), m.rewards["r"], eps=eps)
+        assert again.strategy == sol.strategy
+        assert (again.lower, again.upper) == (sol.lower, sol.upper)
 
 
 class TestMaxTotalReward:
