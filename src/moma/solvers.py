@@ -2,15 +2,18 @@
 averages, and certified maximal expected total rewards.
 
 Solvers work on the flat choice view of a model (one sparse kernel row per
-choice).  Long-run averages inside an end component come from gain/bias
-strategy iteration with exact linear evaluation, certified by one uniformized
-time tick from the final bias: Markovian states advance one damped tick, the
-instantaneous probabilistic layer is closed to a fixed point, and the
-classical span bounds on the gain then hold for any starting vector.
-Total-reward maximization collapses zero-reward end components first; every
-remaining non-target end component then drains strictly negative reward,
-which makes the Bellman fixed point unique on the almost-sure reach region
-and lets a verified inductive vector (T U <= U) certify the upper bound.
+choice), and both scalar solvers are strategy iterations with exact linear
+evaluation.  Long-run averages inside an end component come from gain/bias
+strategy iteration, certified by one uniformized time tick from the final
+bias: Markovian states advance one damped tick, the instantaneous
+probabilistic layer is closed to a fixed point, and the classical span bounds
+on the gain then hold for any starting vector.  Total rewards come from
+stochastic-shortest-path strategy iteration started from a proper strategy
+(one that reaches the target almost surely).  Zero-reward end components are
+collapsed first; every remaining non-target end component then drains
+strictly negative reward, which makes the Bellman fixed point unique on the
+almost-sure reach region and lets a verified inductive vector (T U <= U)
+certify the upper bound.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from scipy.sparse.linalg import splu
 from .model import (NEG_INF, InfeasibleError, MarkovAutomaton, MDStrategy,
                     ModelError, Objective, RewardAssignment, SolverError, _chosen,
                     _graph, flat, reach, reward_edges, strong_components)
-from .components import (_stay_inside, almost_sure_reach,
-                         decode_quotient_strategy, exits, quotient, zero_mecs)
+from .components import (almost_sure_reach, decode_quotient_strategy, exits,
+                         quotient, zero_mecs)
 
 _DENSE_LIMIT = 512
 
@@ -87,21 +90,15 @@ def resolve_reward(m: MarkovAutomaton, objective: Objective) -> RewardAssignment
     return r
 
 
-def _solver(Q, normalized: bool = False):
-    """b -> x with (I - Q) x = b for a square sparse matrix Q; `normalized`
-    replaces the last equation by sum(x) = b[-1].  LAPACK on the dense
-    matrix up to _DENSE_LIMIT unknowns, one sparse LU factorization above."""
+def _solver(Q):
+    """b -> x with (I - Q) x = b for a square sparse matrix Q.  LAPACK on
+    the dense matrix up to _DENSE_LIMIT unknowns, one sparse LU
+    factorization above."""
     n = Q.shape[0]
     if n <= _DENSE_LIMIT:
         A = np.eye(n) - Q.toarray()
-        if normalized:
-            A[-1, :] = 1.0
         return lambda b: np.linalg.solve(A, b)
-    A = speye(n) - Q
-    if normalized:
-        A = A.tolil()
-        A[-1, :] = 1.0
-    return splu(A.tocsc()).solve
+    return splu((speye(n) - Q).tocsc()).solve
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +116,8 @@ def _stationary(P) -> np.ndarray:
     n = P.shape[0]
     if n == 1:
         return np.ones(1)
-    # (I - P^T) pi = 0 with its last equation replaced by sum(pi) = 1
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = _solver(P.T, normalized=True)(b)
+    # (I - P^T) pi = 0 with pi[-1] = 1 fixed, then normalized
+    pi = np.append(_solver(P[:-1, :-1].T)(P[-1, :-1].toarray().ravel()), 1.0)
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
@@ -160,6 +155,24 @@ def _bottom_sccs(n: int, src: np.ndarray, dst: np.ndarray,
     _, first, counts = np.unique(labels[bottom], return_index=True, return_counts=True)
     by_label = np.split(bottom[np.argsort(labels[bottom], kind="stable")], np.cumsum(counts)[:-1])
     return [by_label[i] for i in np.argsort(first)]
+
+
+def _toward(fl, e: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """Per state, the flat choice of the first of the edges e (ascending edge
+    indices of fl) that leads one step closer to the `goal` states in a
+    backward breadth-first search over e; -1 at goal states and at states
+    that cannot reach them."""
+    n = len(fl.markovian)
+    src, dst = fl.edge_src[e], fl.succ[e]
+    # edges reversed, plus an extra root n with an edge to every goal state
+    rev = _graph(n + 1, np.concatenate([dst, np.full(len(goal), n)]),
+                 np.concatenate([src, goal]))
+    pred = breadth_first_order(rev, n, return_predecessors=True)[1]
+    step = np.flatnonzero(dst == pred[src])
+    s, first = np.unique(src[step], return_index=True)
+    out = np.full(n, -1, dtype=np.int64)
+    out[s] = fl.edge_choice[e[step[first]]]
+    return out
 
 
 def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
@@ -289,17 +302,11 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
         k = int(np.argmax(gains))
         g, best_b = gains[k], members[k]
         if len(members) > 1:
-            # each state outside best_b takes an edge one step closer to it in a
-            # backward breadth-first search (edges reversed, root n -> best_b);
-            # an end component reaches every state, so one BSCC is left
-            rev = _graph(n + 1, np.concatenate([fl.succ, np.full(len(best_b), n)]),
-                         np.concatenate([fl.edge_src, best_b]))
-            pred = breadth_first_order(rev, n, return_predecessors=True)[1]
-            out = np.ones(n, dtype=bool)
-            out[best_b] = False
-            step = np.flatnonzero(out[fl.edge_src] & (fl.succ == pred[fl.edge_src]))
-            s, first = np.unique(fl.edge_src[step], return_index=True)
-            act[s] = fl.edge_choice[step[first]] - fl.ptr[s]
+            # every state outside best_b steps toward it; an end component
+            # reaches every state, so one BSCC is left
+            to = _toward(fl, np.arange(len(fl.succ)), best_b)
+            s = np.flatnonzero(to >= 0)
+            act[s] = to[s] - fl.ptr[s]
             chosen = fl.ptr[:-1] + act
         P = fl.kernel[chosen]
         P.data[P.indptr[best_b[0]]:P.indptr[best_b[0] + 1]] = 0.0
@@ -344,40 +351,30 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
 # maximal expected total reward
 
 
-def max_total_reward(m: MarkovAutomaton, r: RewardAssignment,
-                     require_reach_bottom: bool = False, eps: float = 1e-6,
-                     bottom_state: int | None = None) -> ScalarSolution:
-    """Maximal expected total reward, optionally over strategies that reach
-    the designated absorbing bottom state almost surely.
+def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
+                     eps: float = 1e-6) -> ScalarSolution:
+    """Maximal expected total reward over the strategies that reach the
+    absorbing `bottom_state` almost surely.
 
-    Zero-reward end components are collapsed first: with the constraint the
-    collapse omits bottom actions, so every strategy of the transformed model
-    eventually leaves reward-free components; without it a bottom action
-    (worth 0, matching staying forever) is added.  States that cannot reach
-    the target almost surely have value -inf unconstrained and make the
-    constrained problem infeasible when they include the initial state.
+    Zero-reward end components are collapsed first, without bottom actions,
+    so every strategy of the transformed model eventually leaves reward-free
+    components.  Raises InfeasibleError when no strategy reaches the bottom
+    state almost surely from the initial state, and SolverError when positive
+    reward recurs (finiteness violated) or the bracket [lower, upper] cannot
+    be certified to eps.
     """
-    if require_reach_bottom and bottom_state is None:
-        raise ModelError("require_reach_bottom needs a designated bottom state")
-    z = zero_mecs(m, [r])
-    if bottom_state is not None:
-        z = [c for c in z if bottom_state not in c.states()]
-    if require_reach_bottom:
-        # without bottom actions an exit-less component would leave its
-        # quotient state with no choices; such states cannot reach the
-        # target anyway, so leaving them uncollapsed changes no value
-        z = [c for c in z if exits(m, c)]
-    q = quotient(m, z, with_bottom=not require_reach_bottom)
+    # without bottom actions an exit-less component would leave its quotient
+    # state with no choices; such states cannot reach the target anyway, so
+    # leaving them uncollapsed changes no value
+    z = [c for c in zero_mecs(m, [r]) if bottom_state not in c.states() and exits(m, c)]
+    q = quotient(m, z, with_bottom=False)
     rq = q.lift_reward(r, r.name + "@q")
-    target = q.bottom_state if bottom_state is None else q.state_map[bottom_state]
+    target = q.state_map[bottom_state]
 
     region, allowed = almost_sure_reach(q.model, [target])
     init_q = q.state_map[m.initial]
-    default_sigma = dict.fromkeys(np.flatnonzero(~flat(m).markovian).tolist(), 0)
     if not region[init_q]:
-        if require_reach_bottom:
-            raise InfeasibleError("no strategy reaches the bottom state almost surely")
-        return ScalarSolution(NEG_INF, default_sigma, 0.0, NEG_INF, NEG_INF)
+        raise InfeasibleError("no strategy reaches the bottom state almost surely")
     qfl = flat(q.model)
     start = np.zeros(q.model.n_states, dtype=bool)
     start[init_q] = True
@@ -386,10 +383,7 @@ def max_total_reward(m: MarkovAutomaton, r: RewardAssignment,
 
     upper, lower, actions = _solve_total_region(q.model, rq, region, allowed, target, eps)
     ps = np.flatnonzero(~qfl.markovian)
-    sigma_q = dict(zip(ps.tolist(), actions[ps].tolist()))
-    # bottom choices decode to staying inside the component (unconstrained mode)
-    stays = {i: _stay_inside(c) for i, c in enumerate(z)} if not require_reach_bottom else {}
-    sigma = decode_quotient_strategy(q, sigma_q, stays)
+    sigma = decode_quotient_strategy(q, dict(zip(ps.tolist(), actions[ps].tolist())), {})
     u0, l0 = float(upper[init_q]), float(lower[init_q])
     return ScalarSolution(value=u0, strategy=sigma,
                           error_bound=(u0 - l0) / max(1.0, abs(u0)) + 1e-12,
@@ -401,13 +395,17 @@ def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
                         target: int, eps: float
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified [L, U] value vectors (full length, 0 at target and outside
-    the region) plus the greedy action of every region state (0 elsewhere).
+    the region) plus the action of every region state (0 elsewhere).
     `region` masks states and `allowed` flat choices of model; every allowed
-    choice of a region state must keep its support in the region.
+    choice of a region state must keep its support in the region, and every
+    region state must reach the target through allowed choices.
 
-    Plain iteration gives a candidate; the extracted strategy is evaluated
-    exactly (lower certificate); the upper certificate is a Bellman-inductive
-    vector found from the candidate plus slack (see module docstring).
+    Strategy iteration from a proper strategy (every state steps toward the
+    target): evaluate the strategy exactly (L) and switch a state only where
+    a choice improves crew + K L by more than rounding.  An improved strategy
+    that no longer reaches the target means positive reward recurs.  The
+    upper certificate is a Bellman-inductive vector found from the final L
+    (see module docstring).
     """
     fl = flat(model)
     n = model.n_states
@@ -427,8 +425,7 @@ def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
     rows = np.flatnonzero(allowed & is_active[fl.choice_state])
     counts = np.bincount(index[fl.choice_state[rows]], minlength=na)
     assert counts.all(), "active state without allowed choice"
-    seg = np.zeros(na + 1, dtype=np.int64)
-    np.cumsum(counts, out=seg[1:])
+    segs = np.concatenate([[0], np.cumsum(counts)[:-1]])
     jump = _jump_rewards(model, r)
     srew = _state_reward_vec(model, r)
     per_state = np.where(fl.markovian, srew / np.where(fl.markovian, fl.rates, 1.0), 0.0)
@@ -437,42 +434,41 @@ def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
     keep = fl.succ[e] != target
     K = csr_matrix((fl.prob[e[keep]], (pos[keep], index[fl.succ[e[keep]]])),
                    shape=(len(rows), na))
-    segs = seg[:-1]
 
-    def bellman(h: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(crew_v + K @ h, segs)
+    pick = np.searchsorted(rows, _toward(fl, e, np.array([target]))[active])
+    for it in range(1, 1001):
+        L = _solver(K[pick])(crew_v[pick])
+        L_full[active] = L
+        q = crew_v + K @ L
+        best, better = _first_max(q, segs)
+        # a margin above rounding keeps tied choices from swapping forever
+        switch = best > q[pick] + 1e-12 * max(1.0, float(np.max(np.abs(L))))
+        if not switch.any():
+            break
+        pick = np.where(switch, better, pick)
+        _, pe = fl.edges(rows[pick])
+        if not reach(fl.succ[pe], fl.edge_src[pe], np.arange(n) == target)[active].all():
+            raise SolverError(
+                f"positive reward {r.name!r} recurs: the strategy improved in round {it} "
+                f"no longer reaches the target (finiteness violated); total reward at "
+                f"least {L_full[model.initial]} at the initial state")
+    else:
+        raise SolverError(f"total-reward strategy iteration did not settle in {it} rounds "
+                          f"(lower bound {L_full[model.initial]} at the initial state)")
+    actions[active] = rows[pick] - fl.ptr[active]
 
-    eps_vi = max(eps / 64.0, 1e-14)
-    h = np.zeros(na)
-    i0 = index[model.initial]
-    for round_ in range(6):
-        # candidate via plain iteration
-        cap = 500_000
-        for _ in range(cap):
-            hn = bellman(h)
-            d = float(np.max(np.abs(hn - h)))
-            h = hn
-            if d <= eps_vi * max(1.0, float(np.max(np.abs(h)))):
-                break
-        else:
-            raise SolverError("total-reward iteration does not settle")
-        pick, L = _extract_and_evaluate(model, crew_v, K, seg, rows, target, h)
-        if L is None:
-            eps_vi *= 0.01
-            continue
-        U = _inductive_upper(bellman, h, L, eps)
-        if U is None:
-            eps_vi *= 0.1
-            continue
-        gap_ok = float(U[i0] - L[i0]) <= eps * max(1.0, abs(float(U[i0]))) if i0 >= 0 else True
-        worst = float(np.max(U - L))
-        if worst <= eps * max(1.0, float(np.max(np.abs(U)))) or gap_ok:
-            U_full[active] = U
-            L_full[active] = L
-            actions[active] = rows[pick] - fl.ptr[active]
-            return U_full, L_full, actions
-        eps_vi *= 0.1
-    raise SolverError("could not certify total-reward bounds to the requested precision")
+    U = _inductive_upper(lambda h: np.maximum.reduceat(crew_v + K @ h, segs), L, eps)
+    l0 = float(L_full[model.initial])
+    if U is None:
+        raise SolverError(f"no Bellman-inductive upper bound found: total-reward bracket "
+                          f"[{l0}, inf] at the initial state after {it} strategy iterations")
+    U_full[active] = U
+    u0 = float(U_full[model.initial])
+    if u0 - l0 > eps * max(1.0, abs(u0)) and \
+            float(np.max(U - L)) > eps * max(1.0, float(np.max(np.abs(U)))):
+        raise SolverError(f"total-reward bracket [{l0}, {u0}] at the initial state wider "
+                          f"than {eps} after {it} strategy iterations")
+    return U_full, L_full, actions
 
 
 def _first_max(q: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,38 +479,18 @@ def _first_max(q: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, np.minimum.reduceat(hit, seg)
 
 
-def _extract_and_evaluate(model, crew_v, K, seg, rows, target, h):
-    """Greedy choice per active state from h (first maximizer, so lowest
-    action id), as positions into `rows`, and the exact value vector of that
-    strategy; None instead of the values when the strategy is improper (does
-    not reach the target almost surely)."""
-    fl = flat(model)
-    _, pick = _first_max(crew_v + K @ h, seg[:-1])
-    # properness: every active state can reach the target through picked
-    # choices (backward reachability; a closed set avoiding the target would
-    # be unreachable from it)
-    _, e = fl.edges(rows[pick])
-    is_target = np.zeros(model.n_states, dtype=bool)
-    is_target[target] = True
-    reached = reach(fl.succ[e], fl.edge_src[e], is_target)
-    if not reached[fl.choice_state[rows[pick]]].all():
-        return pick, None
-    return pick, _solver(K[pick])(crew_v[pick])
-
-
-def _inductive_upper(bellman, h, L, eps):
+def _inductive_upper(bellman, L, eps):
     """Find U with bellman(U) <= U pointwise (exact float comparison),
-    starting from the candidate plus slack.  Such U upper-bounds the optimum:
+    starting from the values L plus slack.  Such U upper-bounds the optimum:
     iterating bellman from any vector converges to the unique fixed point,
     and from an inductive U the iterates only descend.  The search caps U by
     bellman(U) each step, which preserves being an upper bound and decreases
     monotonically; a stagnant vector (bellman(U) >= U with strict excess
     somewhere, usually rounding jitter) gets one upward nudge before the slack
     is escalated.  Returns None on failure."""
-    scale = max(1.0, float(np.max(np.abs(h))), float(np.max(np.abs(L))))
-    delta = max(eps, 1e-9) * scale * 0.5
+    delta = max(eps, 1e-9) * max(1.0, float(np.max(np.abs(L)))) * 0.5
     for _ in range(7):
-        U = np.maximum(h, L) + delta
+        U = L + delta
         stagnant = 0
         nudged = False
         for _ in range(30_000):

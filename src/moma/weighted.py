@@ -212,8 +212,7 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
         stays[i] = _decode_sub_strategy(sub, c, sol.strategy)
 
     r_star = prep.quot.lift_reward(r_tot, "w.star", bottom_values=gains)
-    total = max_total_reward(prep.quot.model, r_star, require_reach_bottom=True,
-                             eps=eps / 2.0, bottom_state=prep.quot.bottom_state)
+    total = max_total_reward(prep.quot.model, r_star, prep.quot.bottom_state, eps=eps / 2.0)
     sigma = decode_quotient_strategy(prep.quot, total.strategy, stays)
     ev = evaluate_strategy(p.model, sigma, p.objectives)
     point = np.asarray(ev.values)

@@ -112,6 +112,23 @@ def random_total_reward(rng, m, mecs, name):
     return RewardAssignment(name, srew, trew)
 
 
+def random_ssp(rng, max_states=6, max_actions=3):
+    """(model, bottom): a random MA plus an absorbing Markovian bottom state
+    (the last one), which about half of the choices may lead to, and one
+    total reward "r" drawn as in random_total_reward, so nonpositive inside
+    end components and zero at the bottom.  The initial state need not reach
+    the bottom almost surely."""
+    m = random_ma(rng, max_states, max_actions)
+    n = m.n_states
+    choices = [[dyadic_dist(rng, _pick_succs(rng, n + 1)) if rng.random() < 0.5 else d
+                for d in ds] for ds in m.choices] + [[((n, 1.0),)]]
+    m = MarkovAutomaton(list(m.rates) + [1.0], choices, initial=0)
+    r = random_total_reward(rng, m, mec_decomposition(m), "r")
+    r = RewardAssignment("r", {s: v for s, v in r.state_rewards.items() if s != n},
+                         {k: v for k, v in r.transition_rewards.items() if k[0] != n})
+    return m.with_rewards({"r": r}), n
+
+
 def random_valid_instance(rng, n_lra=1, n_total=1, max_states=8, max_actions=2,
                           directions=False):
     """(model, objectives) passing every assumption check."""

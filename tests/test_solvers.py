@@ -4,13 +4,14 @@ import time
 import numpy as np
 import pytest
 
+import moma.solvers
 from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   RewardAssignment, SolverError, bscc_gain, evaluate_strategy,
                   max_total_reward, mec_lra, normalize_query, optimize_weighted,
-                  prepare_weighted, reach_to_total, sub_ma, zero_mecs)
+                  prepare_weighted, quotient, reach_to_total, sub_ma, zero_mecs)
 
 from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp,
-                 random_valid_instance, ring_ma)
+                 random_ssp, random_valid_instance, ring_ma)
 
 
 def lra_obj(name="R1"):
@@ -275,27 +276,28 @@ class TestMaxTotalReward:
         m = MarkovAutomaton(
             [1.0, 1.0], [[((1, 1.0),)], [((1, 1.0),)]], initial=0,
             rewards={"r": RewardAssignment("r", {}, {(0, 0, 1): 3.0})})
-        sol = max_total_reward(m, m.rewards["r"], eps=1e-6)
+        sol = max_total_reward(m, m.rewards["r"], bottom_state=1, eps=1e-6)
         assert sol.value == pytest.approx(3.0, abs=3e-6)
         assert sol.lower <= 3.0 <= sol.value
         assert sol.lower <= sol.value <= sol.upper + 1e-12
 
     def test_fig1_r2(self, fig1):
-        sol = max_total_reward(fig1, fig1.rewards["R2"], eps=1e-6)
+        # staying in a reward-free component is the bottom action of the
+        # quotient that collapses it
+        q = quotient(fig1, zero_mecs(fig1, [fig1.rewards["R2"]]), with_bottom=True)
+        sol = max_total_reward(q.model, q.lift_reward(fig1.rewards["R2"], "R2@q"),
+                               bottom_state=q.bottom_state, eps=1e-6)
         assert sol.value == pytest.approx(0.0, abs=1e-6)
         assert sol.value >= 0.0
-        assert sol.strategy[2] == 1
+        assert sol.strategy[q.state_map[2]] == 1
 
-    def test_unconstrained_vs_constrained(self):
+    def test_constrained_pays_to_leave(self):
         m = MarkovAutomaton(
             [1.0, None, 1.0],
             [[((1, 1.0),)], [((0, 1.0),), ((2, 1.0),)], [((2, 1.0),)]],
             initial=0,
             rewards={"r": RewardAssignment("r", {}, {(1, 1, 2): -5.0})})
-        free = max_total_reward(m, m.rewards["r"])
-        assert free.value == pytest.approx(0.0, abs=1e-6)
-        forced = max_total_reward(m, m.rewards["r"],
-                                  require_reach_bottom=True, bottom_state=2)
+        forced = max_total_reward(m, m.rewards["r"], bottom_state=2)
         assert forced.value == pytest.approx(-5.0, abs=1e-5)
         assert forced.strategy[1] == 1
 
@@ -306,14 +308,7 @@ class TestMaxTotalReward:
             initial=0,
             rewards={"r": RewardAssignment("r")})
         with pytest.raises(InfeasibleError):
-            max_total_reward(m, m.rewards["r"],
-                             require_reach_bottom=True, bottom_state=2)
-
-    def test_trapped_negative_is_minus_inf(self):
-        m = MarkovAutomaton([1.0], [[((0, 1.0),)]], initial=0,
-                            rewards={"r": RewardAssignment("r", {0: -1.0}, {})})
-        sol = max_total_reward(m, m.rewards["r"])
-        assert sol.value == float("-inf")
+            max_total_reward(m, m.rewards["r"], bottom_state=2)
 
     def test_nonnegative_acyclic_is_bellman_fixpoint(self):
         rng = np.random.default_rng(34)
@@ -338,7 +333,7 @@ class TestMaxTotalReward:
             choices.append([((n - 1, 1.0),)])
             m = MarkovAutomaton(rates, choices, initial=0,
                                 rewards={"r": RewardAssignment("r", {}, trew)})
-            sol = max_total_reward(m, m.rewards["r"], eps=1e-9)
+            sol = max_total_reward(m, m.rewards["r"], bottom_state=n - 1, eps=1e-9)
             # hand-rolled Bellman fixpoint, exact on a DAG after n sweeps
             v = np.zeros(n)
             for _ in range(n):
@@ -359,11 +354,93 @@ class TestMaxTotalReward:
             rewards={"r": RewardAssignment("r", {}, {(1, 1, 2): -5.0, (0, 0, 1): 2.0,
                                                      (1, 0, 2): -1.0})})
         eps = 1e-8
-        base = max_total_reward(m, m.rewards["r"], eps=eps)
-        scaled = max_total_reward(m, m.rewards["r"].scaled(4.0, "s"), eps=eps)
+        base = max_total_reward(m, m.rewards["r"], bottom_state=2, eps=eps)
+        scaled = max_total_reward(m, m.rewards["r"].scaled(4.0, "s"), bottom_state=2, eps=eps)
         # certified brackets must agree: 4 * [l, u] and [l', u'] overlap
         assert max(4.0 * base.lower, scaled.lower) <= \
             min(4.0 * base.upper, scaled.upper) + 1e-12
+
+    @staticmethod
+    def best_proper(m, bottom):
+        """Largest total over the MD strategies that reach `bottom` almost
+        surely (None when there is none), by enumeration."""
+        best = None
+        for sigma in all_strategies(m):
+            ev = evaluate_strategy(m, sigma, [total_obj("r")])
+            if all(b == {bottom} for b, p in zip(ev.bsccs, ev.reach_probs) if p > 0.0):
+                best = ev.values[0] if best is None else max(best, ev.values[0])
+        return best
+
+    def test_several_improvement_rounds(self, monkeypatch):
+        # the start strategy goes straight to the bottom state 3 from 0 and
+        # 1; the first evaluation shows state 1's detour through 2 (worth 9),
+        # state 0's detour through 1 pays only after 1 has switched
+        m = MarkovAutomaton(
+            [None, None, 1.0, 1.0],
+            [[((3, 1.0),), ((1, 1.0),)], [((3, 1.0),), ((2, 1.0),)],
+             [((3, 1.0),)], [((3, 1.0),)]],
+            initial=0,
+            rewards={"r": RewardAssignment("r", {}, {(0, 1, 1): -1.0, (1, 1, 2): -1.0,
+                                                     (2, 0, 3): 10.0})})
+        evaluations = []
+        solver = moma.solvers._solver
+
+        def counted(Q):
+            evaluations.append(Q.shape[0])
+            return solver(Q)
+
+        monkeypatch.setattr(moma.solvers, "_solver", counted)
+        sol = max_total_reward(m, m.rewards["r"], bottom_state=3, eps=1e-9)
+        assert len(evaluations) == 3  # two rounds switch, the third settles
+        best = self.best_proper(m, 3)
+        assert best == 8.0
+        assert sol.lower - 1e-12 <= best <= sol.upper + 1e-12
+        assert sol.strategy == {0: 1, 1: 1}
+
+    def test_random_instances_match_enumeration(self):
+        rng = np.random.default_rng(35)
+        eps = 1e-8
+        feasible = 0
+        for _ in range(60):
+            m, bottom = random_ssp(rng)
+            best = self.best_proper(m, bottom)
+            if best is None:
+                with pytest.raises(InfeasibleError):
+                    max_total_reward(m, m.rewards["r"], bottom_state=bottom, eps=eps)
+                continue
+            sol = max_total_reward(m, m.rewards["r"], bottom_state=bottom, eps=eps)
+            tol = 1e-9 * max(1.0, abs(best))
+            assert sol.lower - tol <= best <= sol.upper + tol
+            # the certificate's slack is eps relative to the largest value of
+            # the region, which here is at most a few times the initial one
+            assert sol.upper - sol.lower <= 10 * eps * max(1.0, abs(best))
+            ev = evaluate_strategy(m, sol.strategy, [total_obj("r")])
+            assert ev.values[0] == pytest.approx(sol.lower, abs=tol)
+            feasible += 1
+        assert feasible >= 30
+
+    def test_improper_improvement_raises(self):
+        # state 0's +1 self-loop beats its exit to the bottom state 1: positive
+        # reward recurs, so no strategy reaching 1 is optimal
+        m = MarkovAutomaton(
+            [None, 1.0], [[((1, 1.0),), ((0, 1.0),)], [((1, 1.0),)]], initial=0,
+            rewards={"r": RewardAssignment("r", {}, {(0, 1, 0): 1.0})})
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="positive reward 'r@q' recurs.*"
+                                              "finiteness violated"):
+            max_total_reward(m, m.rewards["r"], bottom_state=1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_unreachable_precision_names_the_bracket(self):
+        m = MarkovAutomaton(
+            [1.0, None, 1.0],
+            [[((1, 0.5), (2, 0.5))], [((0, 1.0),), ((2, 1.0),)], [((2, 1.0),)]],
+            initial=0,
+            rewards={"r": RewardAssignment("r", {0: -1.0}, {(1, 1, 2): -3.0})})
+        with pytest.raises(SolverError, match=r"bracket \[.+, .+\] at the initial state "
+                                              r"wider than 1e-30 after \d+ strategy "
+                                              r"iterations"):
+            max_total_reward(m, m.rewards["r"], bottom_state=2, eps=1e-30)
 
 
 class TestReachToTotal:
