@@ -7,8 +7,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import (MarkovAutomaton, ModelError, RewardAssignment, flat, reach,
-                    reward_edges, strong_components)
+from .model import (Flat, MarkovAutomaton, ModelError, RewardAssignment, _ptr,
+                    carry_rewards, copy_choices, edge_keys, flat, reach, reward_edges,
+                    strong_components)
 
 
 @dataclass(frozen=True)
@@ -90,25 +91,9 @@ def zero_mecs(m: MarkovAutomaton, totals: Sequence[RewardAssignment]) -> list[En
 
 def exits(m: MarkovAutomaton, c: EndComponent) -> list[tuple[int, int]]:
     """State-action pairs leaving c: enabled at a state of c but not in c."""
-    out = []
-    for s in c.sorted_states():
-        if m.is_markovian(s):
-            continue
-        for a in range(len(m.choices[s])):
-            if (s, a) not in c.pairs:
-                out.append((s, a))
-    return out
-
-
-def is_closed(m: MarkovAutomaton, c: EndComponent) -> bool:
-    states = c.states()
-    for s in c.markovian_states:
-        if any(t not in states for t, _ in m.choices[s][0]):
-            return False
-    for s, a in c.pairs:
-        if any(t not in states for t, _ in m.choices[s][a]):
-            return False
-    return True
+    fl = flat(m)
+    return [(s, a) for s in c.sorted_states() if not fl.markovian[s]
+            for a in range(fl.ptr[s + 1] - fl.ptr[s]) if (s, a) not in c.pairs]
 
 
 def sub_ma(m: MarkovAutomaton, c: EndComponent) -> MarkovAutomaton:
@@ -118,41 +103,25 @@ def sub_ma(m: MarkovAutomaton, c: EndComponent) -> MarkovAutomaton:
     probabilistic state preserve ascending original order, so action j
     corresponds to c.actions_at(s)[j].  Rewards are restricted pointwise.
     """
-    if not is_closed(m, c):
+    fl = flat(m)
+    states = np.array(c.sorted_states(), dtype=np.int64)
+    index = np.full(m.n_states, -1, dtype=np.int64)
+    index[states] = np.arange(len(states))
+    pairs = np.array(list(c.pairs), dtype=np.int64).reshape(-1, 2)
+    kept = np.sort(np.concatenate([fl.ptr[np.fromiter(c.markovian_states, np.int64)],
+                                   fl.ptr[pairs[:, 0]] + pairs[:, 1]]))
+    edge_ptr, succ, prob, edge_from = copy_choices(fl, kept)
+    if (index[succ] < 0).any():
         raise ModelError("component is not closed; cannot form a sub-model")
-    states = c.sorted_states()
-    index = {s: i for i, s in enumerate(states)}
-    rates: list[float | None] = []
-    choices = []
-    action_names = []
-    kept_actions: dict[int, list[int]] = {}
-    for s in states:
-        if m.is_markovian(s):
-            rates.append(m.rates[s])
-            choices.append([[(index[t], p) for t, p in m.choices[s][0]]])
-            action_names.append(("",))
-        else:
-            acts = c.actions_at(s)
-            if not acts:
-                raise ModelError(f"state {m.state_names[s]} has no action inside the component")
-            kept_actions[s] = acts
-            rates.append(None)
-            choices.append([[(index[t], p) for t, p in m.choices[s][a]] for a in acts])
-            action_names.append(tuple(m.action_names[s][a] for a in acts))
-    rewards = {}
-    for rname, r in m.rewards.items():
-        state_r = {index[s]: v for s, v in r.state_rewards.items() if s in index and m.is_markovian(s)}
-        trans_r = {}
-        for (s, a, t), v in r.transition_rewards.items():
-            if s not in index or t not in index:
-                continue
-            if m.is_markovian(s):
-                trans_r[(index[s], 0, index[t])] = v
-            elif s in kept_actions and a in kept_actions[s]:
-                trans_r[(index[s], kept_actions[s].index(a), index[t])] = v
-        rewards[rname] = RewardAssignment(rname, state_r, trans_r)
-    return MarkovAutomaton(rates, choices, 0, [m.state_names[s] for s in states],
-                           action_names, rewards, origin=states)
+    ptr = _ptr(np.bincount(index[fl.choice_state[kept]], minlength=len(states)))
+    acts, p = (kept - fl.ptr[fl.choice_state[kept]]).tolist(), ptr.tolist()
+    action_names = [tuple(m.action_names[s][a] for a in acts[lo:hi])
+                    for s, lo, hi in zip(states.tolist(), p, p[1:])]
+    sub = MarkovAutomaton.from_flat(
+        Flat(ptr, edge_ptr, index[succ], prob, fl.markovian[states], fl.rates[states]),
+        0, [m.state_names[s] for s in states.tolist()], action_names, origin=states)
+    sub.rewards = carry_rewards(m, sub, np.where(fl.markovian[states], states, -1), edge_from)
+    return sub
 
 
 @dataclass
@@ -168,9 +137,8 @@ class QuotientModel:
     The lift arrays describe how the redirected choices merge the edges of
     `base`: `lift_edges` lists the base edges behind every redirected
     quotient choice (quotient choice order, then distribution order),
-    `lift_group` the merged quotient edge each of them feeds, numbered in
-    order of first appearance, `lift_keys` the (state, action, successor)
-    of each merged edge and `lift_mass` its probability.
+    `lift_group` the quotient edge each of them feeds, and `lift_order` the
+    quotient edges fed by base edges in order of first appearance there.
     """
 
     model: MarkovAutomaton
@@ -184,8 +152,7 @@ class QuotientModel:
     base: MarkovAutomaton
     lift_edges: np.ndarray
     lift_group: np.ndarray
-    lift_keys: np.ndarray
-    lift_mass: np.ndarray
+    lift_order: np.ndarray
 
     def lift_reward(self, r: RewardAssignment, name: str,
                     bottom_values: Sequence[float] | None = None) -> RewardAssignment:
@@ -195,7 +162,7 @@ class QuotientModel:
         per-transition expected rewards intact.  `bottom_values[i]` becomes
         the reward of component i's bottom transition.
         """
-        bfl = flat(self.base)
+        bfl, qfl = flat(self.base), flat(self.model)
         kept = len(self.origin_of)  # states below this one are not collapsed
         state_r = {}
         for s in sorted(r.state_rewards):
@@ -207,16 +174,15 @@ class QuotientModel:
         e, vals = reward_edges(self.base, r)
         edge_r = np.zeros(len(bfl.succ))
         edge_r[e] = vals
-        pv = np.bincount(self.lift_group, minlength=len(self.lift_mass),
+        pv = np.bincount(self.lift_group, minlength=len(qfl.succ),
                          weights=bfl.prob[self.lift_edges] * edge_r[self.lift_edges])
-        g = np.flatnonzero(pv)
-        trans_r = dict(zip(map(tuple, self.lift_keys[g].tolist()),
-                           (pv[g] / self.lift_mass[g]).tolist()))
+        g = self.lift_order[pv[self.lift_order] != 0.0]
+        trans_r = dict(zip(edge_keys(qfl, g), (pv[g] / qfl.prob[g]).tolist()))
         if bottom_values is not None:
             for i, qs in enumerate(self.ec_states):
                 v = bottom_values[i]
                 if v != 0.0:
-                    a = len(self.model.choices[qs]) - 1
+                    a = int(qfl.ptr[qs + 1] - qfl.ptr[qs]) - 1
                     assert self.action_decoding[(qs, a)] == ("bottom",)
                     trans_r[(qs, a, self.bottom_state)] = v
         return RewardAssignment(name, state_r, trans_r)
@@ -229,108 +195,72 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
     Collapsed states enable the component's exits (sorted) plus a bottom
     action when `with_bottom` is set; bottom leads to a fresh absorbing
     Markovian state of rate 1.  Successor distributions are redirected and
-    merged.  The bottom state exists even with no components.
+    merged: a choice's probabilities into one quotient state add up in
+    distribution order, and its edges are sorted by successor.  The bottom
+    state exists even with no components.
     """
-    seen: set[int] = set()
-    for c in ecs:
-        overlap = seen & c.states()
-        if overlap:
-            raise ModelError(f"end components overlap on states {sorted(overlap)}")
-        seen |= c.states()
-    collapsed: dict[int, int] = {}
-    for i, c in enumerate(ecs):
-        for s in c.states():
-            collapsed[s] = i
-
+    fl = flat(m)
     n = m.n_states
-    state_map = [-1] * n
-    rates: list[float | None] = []
-    names: list[str] = []
-    taken = set(m.state_names)
-    origin_of: dict[int, int] = {}
-    for s in range(n):
-        if s in collapsed:
-            continue
-        state_map[s] = len(rates)
-        origin_of[len(rates)] = s
-        rates.append(m.rates[s])
-        names.append(m.state_names[s])
-    ec_states = []
+    label = np.full(n, -1, dtype=np.int64)
     for i, c in enumerate(ecs):
-        qs = len(rates)
-        ec_states.append(qs)
-        for s in c.states():
-            state_map[s] = qs
-        rates.append(None)
-        nm = f"C{i}"
+        s = np.fromiter(c.states(), np.int64)
+        if (label[s] >= 0).any():
+            raise ModelError(f"end components overlap on states "
+                             f"{sorted(s[label[s] >= 0].tolist())}")
+        label[s] = i
+    kept = np.flatnonzero(label < 0)
+    k = len(kept)
+    state_map = np.where(label < 0, 0, k + label)
+    state_map[kept] = np.arange(k)
+    bottom = k + len(ecs)
+    nq = bottom + 1
+    ec_states = list(range(k, bottom))
+
+    taken = set(m.state_names)
+    names = [m.state_names[s] for s in kept.tolist()]
+    for nm in [f"C{i}" for i in range(len(ecs))] + ["bot"]:
         while nm in taken:
             nm += "'"
         taken.add(nm)
         names.append(nm)
-    bottom = len(rates)
-    rates.append(1.0)
-    nm = "bot"
-    while nm in taken:
-        nm += "'"
-    names.append(nm)
-
-    def redirect(dist):
-        acc: dict[int, float] = {}
-        for t, p in dist:
-            qt = state_map[t]
-            acc[qt] = acc.get(qt, 0.0) + p
-        return sorted(acc.items())
-
-    ptr = flat(m).ptr.tolist()
-    choices: list[list[list[tuple[int, float]]]] = []
-    action_names: list[tuple[str, ...]] = []
-    base_choice: list[int] = []  # per quotient choice; -1 for bottom actions
-    for s in range(n):
-        if s in collapsed:
-            continue
-        choices.append([redirect(d) for d in m.choices[s]])
-        action_names.append(m.action_names[s])
-        base_choice.extend(range(ptr[s], ptr[s + 1]))
+    action_names = [m.action_names[s] for s in kept.tolist()]
     action_decoding: dict[tuple[int, int], tuple] = {}
-    for i, c in enumerate(ecs):
-        qs = ec_states[i]
+    base_choice = [np.flatnonzero(label[fl.choice_state] < 0)]  # -1 for bottom actions
+    for qs, c in zip(ec_states, ecs):
         outs = exits(m, c)
-        dists = []
-        anames = []
         for j, (s, a) in enumerate(outs):
             action_decoding[(qs, j)] = ("exit", s, a)
-            dists.append(redirect(m.choices[s][a]))
-            anames.append(f"{m.state_names[s]}.{m.action_names[s][a]}")
-            base_choice.append(ptr[s] + a)
         if with_bottom:
             action_decoding[(qs, len(outs))] = ("bottom",)
-            dists.append([(bottom, 1.0)])
-            anames.append("bot")
-            base_choice.append(-1)
-        choices.append(dists)
-        action_names.append(tuple(anames))
-    choices.append([[(bottom, 1.0)]])
+        action_names.append(tuple(f"{m.state_names[s]}.{m.action_names[s][a]}"
+                                  for s, a in outs) + ("bot",) * with_bottom)
+        base_choice.append(np.array([fl.ptr[s] + a for s, a in outs] + [-1] * with_bottom,
+                                    dtype=np.int64))
     action_names.append(("",))
-    base_choice.append(-1)
-    qm = MarkovAutomaton(rates, choices, state_map[m.initial], names, action_names)
+    base_choice = np.concatenate(base_choice + [[-1]])
+    counts = np.concatenate([np.diff(fl.ptr)[kept], list(map(len, action_names[k:]))])
 
-    # group the base edges behind every redirected choice by merged quotient
-    # edge, numbering the groups in order of first appearance
-    bfl, qfl = flat(m), flat(qm)
-    base_choice = np.asarray(base_choice, dtype=np.int64)
+    # merged edges: one per (quotient choice, quotient successor), their
+    # probabilities summed in distribution order
     qc = np.flatnonzero(base_choice >= 0)
-    pos, e = bfl.edges(base_choice[qc])
-    nq = qm.n_states
-    keys, first, group = np.unique(qc[pos] * nq + np.asarray(state_map)[bfl.succ[e]],
+    pos, e = fl.edges(base_choice[qc])
+    keys, first, group = np.unique(qc[pos] * nq + state_map[fl.succ[e]],
                                    return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.argsort(order)  # inverse permutation
-    c, qt = np.divmod(keys[order], nq)
-    qs = qfl.choice_state[c]
+    bot = np.flatnonzero(base_choice < 0)
+    all_keys = np.concatenate([keys, bot * nq + bottom])
+    order = np.argsort(all_keys)
+    choice, succ = np.divmod(all_keys[order], nq)
+    prob = np.concatenate([np.bincount(group, weights=fl.prob[e], minlength=len(keys)),
+                           np.ones(len(bot))])[order]
+    qedge = np.argsort(order)  # the quotient edge of each entry of all_keys
+    markov = np.concatenate([fl.markovian[kept], np.zeros(len(ecs), dtype=bool), [True]])
+    qm = MarkovAutomaton.from_flat(
+        Flat(_ptr(counts), _ptr(np.bincount(choice, minlength=len(base_choice))), succ, prob,
+             markov, np.concatenate([fl.rates[kept], np.zeros(len(ecs)), [1.0]])),
+        int(state_map[m.initial]), names, action_names)
     return QuotientModel(qm, list(ecs), bottom, ec_states, action_decoding,
-                         origin_of, state_map, with_bottom, m, e, rank[group],
-                         np.stack([qs, c - qfl.ptr[qs], qt], axis=1),
-                         np.bincount(rank[group], weights=bfl.prob[e], minlength=len(order)))
+                         dict(enumerate(kept.tolist())), state_map.tolist(), with_bottom,
+                         m, e, qedge[group], qedge[np.argsort(first)])
 
 
 def almost_sure_reach(m: MarkovAutomaton, targets: Iterable[int]
@@ -366,27 +296,30 @@ def reach_witness_strategy(m: MarkovAutomaton, c: EndComponent, target: int) -> 
     already-reached layer.  Staying inside c and always having a positive-
     probability path to the target makes the target almost surely reached.
     """
-    states = c.states()
+    fl = flat(m)
+    acts: dict[int, list[int]] = {s: [0] for s in c.markovian_states}
+    for s, a in sorted(c.pairs):
+        acts.setdefault(s, []).append(a)
+    # per state of c in order, its choices inside c with their successors
+    options = [(s, [(a, set(fl.succ[fl.edge_ptr[fl.ptr[s] + a]:
+                                    fl.edge_ptr[fl.ptr[s] + a + 1]].tolist())) for a in acts[s]])
+               for s in sorted(acts)]
     reached = {target}
     sigma: dict[int, int] = {}
     frontier = True
     while frontier:
         frontier = False
-        for s in c.sorted_states():
+        for s, choices in options:
             if s in reached:
                 continue
-            if m.is_markovian(s):
-                if any(t in reached for t, _ in m.choices[s][0]):
+            for a, succ in choices:
+                if not succ.isdisjoint(reached):
+                    if s not in c.markovian_states:
+                        sigma[s] = a
                     reached.add(s)
                     frontier = True
-            else:
-                for a in c.actions_at(s):
-                    if any(t in reached for t, _ in m.choices[s][a]):
-                        sigma[s] = a
-                        reached.add(s)
-                        frontier = True
-                        break
-    if reached != states:
+                    break
+    if reached != c.states():
         raise ModelError("component is not connected to the requested target")
     return sigma
 
@@ -430,9 +363,8 @@ def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
             sigma.update(reach_witness_strategy(base, c, s_exit))
             sigma[s_exit] = a_exit
     # total on all probabilistic states for determinism
-    for s in range(base.n_states):
-        if not base.is_markovian(s):
-            sigma.setdefault(s, 0)
+    for s in np.flatnonzero(~flat(base).markovian).tolist():
+        sigma.setdefault(s, 0)
     return sigma
 
 

@@ -8,6 +8,7 @@ special case without Markovian states and are analyzed through `embed_mdp`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -120,70 +121,93 @@ Dist = tuple[tuple[int, float], ...]
 class MarkovAutomaton:
     """A Markov automaton over dense integer state ids.
 
-    `rates[s]` is the exit rate of a Markovian state and None for a
-    probabilistic state.  `choices[s]` lists the successor distributions of s:
-    exactly one for a Markovian state, one per enabled action otherwise.  Each
-    distribution is a tuple of (successor, probability) pairs.
+    The structure is the whole-array view `flat(m)`, built and checked once
+    at construction.  `rates[s]` is the exit rate of a Markovian state and
+    None for a probabilistic state.  `choices[s]` lists the successor
+    distributions of s: exactly one for a Markovian state, one per enabled
+    action otherwise.  Each distribution is a tuple of (successor,
+    probability) pairs.  Both tuples are read-only views of the arrays,
+    derived on first read.
 
     Models are treated as immutable after construction.  `origin`, when set,
     maps each state of a derived model (embedding, product, restriction) back
     to a state of the model it was derived from.
     """
 
-    __slots__ = ("rates", "choices", "initial", "state_names", "action_names",
-                 "rewards", "origin", "_flat")
+    __slots__ = ("initial", "state_names", "action_names", "rewards", "origin", "_flat")
 
     def __init__(self, rates, choices, initial, state_names=None,
                  action_names=None, rewards=None, origin=None):
-        self.rates: tuple[float | None, ...] = tuple(
-            None if r is None else float(r) for r in rates)
-        self.choices: tuple[tuple[Dist, ...], ...] = tuple(
-            tuple(tuple((int(t), float(p)) for t, p in dist) for dist in state_choices)
-            for state_choices in choices)
-        n = len(self.rates)
-        if len(self.choices) != n:
+        rates, choices = list(rates), list(choices)
+        if len(choices) != len(rates):
             raise ModelError("rates and choices disagree on the number of states")
+        dists = [d for cs in choices for d in cs]
+        fl = Flat(_ptr(list(map(len, choices))), _ptr(list(map(len, dists))),
+                  np.fromiter((t for d in dists for t, _ in d), np.int64),
+                  np.fromiter((p for d in dists for _, p in d), np.float64),
+                  np.array([r is not None for r in rates], dtype=bool),
+                  np.array([0.0 if r is None else float(r) for r in rates]))
+        self._set(fl, initial, state_names, action_names, rewards, origin)
+
+    @classmethod
+    def from_flat(cls, fl: "Flat", initial, state_names=None, action_names=None,
+                  rewards=None, origin=None) -> "MarkovAutomaton":
+        """The model whose structure is the arrays of fl."""
+        m = cls.__new__(cls)
+        m._set(fl, initial, state_names, action_names, rewards, origin)
+        return m
+
+    def _set(self, fl, initial, state_names, action_names, rewards, origin):
+        n = len(fl.markovian)
         if not 0 <= initial < n:
             raise ModelError(f"initial state {initial} out of range")
-        self.initial = int(initial)
-        for s in range(n):
-            if self.rates[s] is not None and len(self.choices[s]) != 1:
-                raise ModelError(f"Markovian state {s} must have exactly one distribution")
-            for dist in self.choices[s]:
-                for t, _ in dist:
-                    if not 0 <= t < n:
-                        raise ModelError(f"successor {t} of state {s} out of range")
-        if state_names is None:
-            state_names = tuple(f"s{i}" for i in range(n))
-        self.state_names: tuple[str, ...] = tuple(state_names)
-        if len(self.state_names) != n:
-            raise ModelError("state_names length mismatch")
+        n_choices = np.diff(fl.ptr)
+        bad = np.flatnonzero(fl.markovian & (n_choices != 1))
+        if len(bad):
+            raise ModelError(f"Markovian state {bad[0]} must have exactly one distribution")
+        bad = np.flatnonzero((fl.succ < 0) | (fl.succ >= n))
+        if len(bad):
+            raise ModelError(f"successor {fl.succ[bad[0]]} of state "
+                             f"{fl.edge_src[bad[0]]} out of range")
+        self.state_names: tuple[str, ...] = tuple(
+            f"s{i}" for i in range(n)) if state_names is None else tuple(state_names)
         if action_names is None:
-            action_names = tuple(
-                tuple(f"a{j}" for j in range(len(self.choices[s]))) if self.rates[s] is None else ("",)
-                for s in range(n))
+            action_names = (("",) if mk else tuple(f"a{j}" for j in range(k))
+                            for mk, k in zip(fl.markovian.tolist(), n_choices.tolist()))
         self.action_names: tuple[tuple[str, ...], ...] = tuple(tuple(a) for a in action_names)
+        if len(self.state_names) != n or len(self.action_names) != n:
+            raise ModelError("state_names or action_names length mismatch")
+        self._flat = fl
+        self.initial = int(initial)
         self.rewards: dict[str, RewardAssignment] = dict(rewards or {})
-        self.origin: tuple[int, ...] | None = None if origin is None else tuple(origin)
-        self._flat = None
+        self.origin: tuple[int, ...] | None = None if origin is None else tuple(
+            np.asarray(origin, dtype=np.int64).tolist())
+
+    @property
+    def rates(self) -> tuple[float | None, ...]:
+        return self._flat.rate_tuple
+
+    @property
+    def choices(self) -> tuple[tuple[Dist, ...], ...]:
+        return self._flat.choice_tuples
 
     @property
     def n_states(self) -> int:
-        return len(self.rates)
+        return len(self._flat.markovian)
 
     @property
     def n_choices(self) -> int:
-        return sum(len(c) for c in self.choices)
+        return int(self._flat.ptr[-1])
 
     def is_markovian(self, s: int) -> bool:
-        return self.rates[s] is not None
+        return bool(self._flat.markovian[s])
 
     def markovian_states(self) -> list[int]:
-        return [s for s in range(self.n_states) if self.rates[s] is not None]
+        return np.flatnonzero(self._flat.markovian).tolist()
 
     def successors(self, s: int) -> list[int]:
-        out = {t for dist in self.choices[s] for t, _ in dist}
-        return sorted(out)
+        fl = self._flat
+        return np.unique(fl.succ[fl.edge_ptr[fl.ptr[s]]:fl.edge_ptr[fl.ptr[s + 1]]]).tolist()
 
     def reachable(self, start: int | None = None) -> list[int]:
         """States reachable from start (default: initial) under any strategy."""
@@ -193,15 +217,8 @@ class MarkovAutomaton:
         return np.flatnonzero(reach(fl.edge_src, fl.succ, sources)).tolist()
 
     def with_rewards(self, rewards: Mapping[str, RewardAssignment]) -> "MarkovAutomaton":
-        m = MarkovAutomaton.__new__(MarkovAutomaton)
-        m.rates = self.rates
-        m.choices = self.choices
-        m.initial = self.initial
-        m.state_names = self.state_names
-        m.action_names = self.action_names
+        m = copy.copy(self)
         m.rewards = dict(rewards)
-        m.origin = self.origin
-        m._flat = self._flat
         return m
 
     def __repr__(self):
@@ -210,27 +227,45 @@ class MarkovAutomaton:
                 f"{self.n_choices} choices)")
 
 
-@dataclass
+def _ptr(counts) -> np.ndarray:
+    """Pointer array of consecutive segments of the given lengths."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices lo[i] .. hi[i]-1 of every range i in turn, each with its i."""
+    lens = hi - lo
+    pos = np.repeat(np.arange(len(lo)), lens)
+    return pos, lo[pos] + np.arange(len(pos)) - (np.cumsum(lens) - lens)[pos]
+
+
+@dataclass(eq=False)
 class Flat:
-    """Whole-array view of a model, built once per model by `flat`.
+    """The structure of a model as whole arrays (see `MarkovAutomaton`).
 
     Choices are numbered state by state in action order: state s owns
     choices ptr[s] .. ptr[s+1]-1.  Edges are numbered choice by choice in
     distribution order: choice c owns edges edge_ptr[c] .. edge_ptr[c+1]-1,
-    edge e leads from state edge_src[e] to succ[e] with probability prob[e].
-    `rates` is 0 on probabilistic states.  `kernel`, the choice-by-state
-    probability matrix, and `edge_index` are built on first use.
+    edge e leads to succ[e] with probability prob[e].  `rates` is 0 on
+    probabilistic states.  `choice_state`, `edge_choice` and `edge_src` are
+    derived at construction; `kernel` (the choice-by-state probability
+    matrix), `edge_index` and the tuple views on first use.
     """
 
     ptr: np.ndarray
-    choice_state: np.ndarray
     edge_ptr: np.ndarray
-    edge_choice: np.ndarray
-    edge_src: np.ndarray
     succ: np.ndarray
     prob: np.ndarray
     markovian: np.ndarray
     rates: np.ndarray
+
+    def __post_init__(self):
+        # the state of every choice, the choice and the state of every edge
+        self.choice_state = np.repeat(np.arange(len(self.markovian)), np.diff(self.ptr))
+        self.edge_choice = np.repeat(np.arange(len(self.edge_ptr) - 1), np.diff(self.edge_ptr))
+        self.edge_src = self.choice_state[self.edge_choice]
 
     @cached_property
     def kernel(self) -> csr_matrix:
@@ -240,13 +275,22 @@ class Flat:
         k.sum_duplicates()  # rows sorted by successor, as when built from coordinates
         return k
 
+    @cached_property
+    def rate_tuple(self) -> tuple[float | None, ...]:
+        return tuple(r if mk else None
+                     for r, mk in zip(self.rates.tolist(), self.markovian.tolist()))
+
+    @cached_property
+    def choice_tuples(self) -> tuple[tuple[Dist, ...], ...]:
+        pairs = list(zip(self.succ.tolist(), self.prob.tolist()))
+        ep, p = self.edge_ptr.tolist(), self.ptr.tolist()
+        dists = [tuple(pairs[lo:hi]) for lo, hi in zip(ep, ep[1:])]
+        return tuple(tuple(dists[lo:hi]) for lo, hi in zip(p, p[1:]))
+
     def edges(self, choices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edges of the given choices, in order: for each edge, the
         position of its choice in `choices` and its edge index."""
-        lo = self.edge_ptr[choices]
-        lens = self.edge_ptr[choices + 1] - lo
-        pos = np.repeat(np.arange(len(choices)), lens)
-        return pos, lo[pos] + np.arange(len(pos)) - (np.cumsum(lens) - lens)[pos]
+        return _spans(self.edge_ptr[choices], self.edge_ptr[choices + 1])
 
     @cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -267,28 +311,61 @@ class Flat:
 
 
 def flat(m: MarkovAutomaton) -> Flat:
-    """The model's whole-array view, built on first use and kept on m."""
-    if m._flat is not None:
-        return m._flat
-    n = m.n_states
-    n_choices = np.fromiter(map(len, m.choices), np.int64, n)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_choices, out=ptr[1:])
-    nc = int(ptr[n])
-    dists = [d for cs in m.choices for d in cs]
-    n_edges = np.fromiter(map(len, dists), np.int64, nc)
-    edge_ptr = np.zeros(nc + 1, dtype=np.int64)
-    np.cumsum(n_edges, out=edge_ptr[1:])
-    ne = int(edge_ptr[nc])
-    choice_state = np.repeat(np.arange(n), n_choices)
-    edge_choice = np.repeat(np.arange(nc), n_edges)
-    succ = np.fromiter((t for d in dists for t, _ in d), np.int64, ne)
-    prob = np.fromiter((p for d in dists for _, p in d), np.float64, ne)
-    markov = np.fromiter((r is not None for r in m.rates), bool, n)
-    rates = np.fromiter((0.0 if r is None else r for r in m.rates), np.float64, n)
-    m._flat = Flat(ptr, choice_state, edge_ptr, edge_choice, choice_state[edge_choice],
-                   succ, prob, markov, rates)
+    """The model's whole-array structure."""
     return m._flat
+
+
+def copy_choices(fl: Flat, base_choice: np.ndarray, targets=()
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge arrays of derived choices: choice i copies the edges of the
+    choice base_choice[i] of fl or, where that is -1, has one edge of
+    probability 1 to the next of `targets`.  Returns the edge pointer, the
+    successors (base successors on copied edges), the probabilities and
+    the base edge behind every edge (-1 on the single edges)."""
+    copied = base_choice >= 0
+    _, e = fl.edges(base_choice[copied])
+    lens = np.ones(len(base_choice), dtype=np.int64)
+    lens[copied] = np.diff(fl.edge_ptr)[base_choice[copied]]
+    copied_edge = np.repeat(copied, lens)
+    edge_from = np.full(len(copied_edge), -1, dtype=np.int64)
+    edge_from[copied_edge] = e
+    succ = np.empty(len(copied_edge), dtype=np.int64)
+    succ[copied_edge] = fl.succ[e]
+    succ[~copied_edge] = targets
+    prob = np.ones(len(copied_edge))
+    prob[copied_edge] = fl.prob[e]
+    return _ptr(lens), succ, prob, edge_from
+
+
+def edge_keys(fl: Flat, f: np.ndarray):
+    """The (state, action, successor) reward key of each edge f, in turn."""
+    src = fl.edge_src[f]
+    return zip(src.tolist(), (fl.edge_choice[f] - fl.ptr[src]).tolist(), fl.succ[f].tolist())
+
+
+def carry_rewards(base: MarkovAutomaton, d: MarkovAutomaton, state_from: np.ndarray,
+                  edge_from: np.ndarray) -> dict[str, RewardAssignment]:
+    """The rewards of base carried onto the model d derived from it: state i
+    of d earns the state reward of base state state_from[i], edge f of d the
+    transition reward of base edge edge_from[f] (nothing where -1).  Zero
+    entries and entries on no edge are dropped; transition rewards keep the
+    order of their base entries."""
+    n, ne = base.n_states, len(flat(base).succ)
+    out = {}
+    for name, r in base.rewards.items():
+        srew = np.zeros(n + 1)  # the extra last entry serves state_from -1
+        for s, v in r.state_rewards.items():
+            if 0 <= s < n:
+                srew[s] = v
+        i = np.flatnonzero(srew[state_from])
+        e, v = reward_edges(base, r)
+        entry = np.full(ne + 1, len(e))  # position in r's entries, len(e) for none
+        entry[e] = np.arange(len(e))
+        at = entry[edge_from]
+        f = np.argsort(at, kind="stable")[:np.count_nonzero(at < len(e))]
+        out[name] = RewardAssignment(name, dict(zip(i.tolist(), srew[state_from[i]].tolist())),
+                                     dict(zip(edge_keys(flat(d), f), v[at[f]].tolist())))
+    return out
 
 
 def _graph(n: int, src: np.ndarray, dst: np.ndarray) -> csr_matrix:
@@ -497,80 +574,38 @@ def check_finiteness(m: MarkovAutomaton, objectives: Sequence[Objective],
     return rep
 
 
-def embed_mdp(m: MarkovAutomaton, flatten_single_action: bool = True) -> MarkovAutomaton:
+def embed_mdp(m: MarkovAutomaton) -> MarkovAutomaton:
     """Turn an MDP (all states probabilistic) into a Markov automaton whose
     time-based values coincide with the MDP's step-based values.
 
     Every action gets a rate-1 Markovian hop carrying its distribution, its
     transition rewards, and the state reward of its source, so one step costs
-    one expected time unit.  States with a single action are flattened into
-    the Markovian hop directly when `flatten_single_action` is set.
+    one expected time unit.  States with a single action are that hop
+    themselves: they become rate-1 Markovian states in place.  Base states
+    keep their ids; hops follow them in base choice order.
     """
-    if any(m.rates[s] is not None for s in range(m.n_states)):
+    fl = flat(m)
+    if fl.markovian.any():
         raise ModelError("embed_mdp expects an MDP: no Markovian states")
-    rates: list[float | None] = []
-    choices: list[list[list[tuple[int, float]]]] = []
-    names: list[str] = []
-    action_names: list[tuple[str, ...]] = []
-    origin: list[int] = []
-    base_index: list[int] = []
-    for s in range(m.n_states):
-        base_index.append(len(rates))
-        if flatten_single_action and len(m.choices[s]) == 1:
-            rates.append(1.0)
-            choices.append([[]])
-            names.append(m.state_names[s])
-            action_names.append(("",))
-            origin.append(s)
-        else:
-            rates.append(None)
-            choices.append([[] for _ in m.choices[s]])
-            names.append(m.state_names[s])
-            action_names.append(m.action_names[s])
-            origin.append(s)
-    hop_index: dict[tuple[int, int], int] = {}
-    for s in range(m.n_states):
-        if not (flatten_single_action and len(m.choices[s]) == 1):
-            for a in range(len(m.choices[s])):
-                hop_index[(s, a)] = len(rates)
-                rates.append(1.0)
-                choices.append([[]])
-                names.append(f"{m.state_names[s]}.{m.action_names[s][a]}")
-                action_names.append(("",))
-                origin.append(s)
-    for s in range(m.n_states):
-        if flatten_single_action and len(m.choices[s]) == 1:
-            choices[base_index[s]][0] = [(base_index[t], p) for t, p in m.choices[s][0]]
-        else:
-            for a in range(len(m.choices[s])):
-                h = hop_index[(s, a)]
-                choices[base_index[s]][a] = [(h, 1.0)]
-                choices[h][0] = [(base_index[t], p) for t, p in m.choices[s][a]]
-    rewards: dict[str, RewardAssignment] = {}
-    for rname, r in m.rewards.items():
-        state_r: dict[int, float] = {}
-        trans_r: dict[tuple[int, int, int], float] = {}
-        for s in range(m.n_states):
-            rho = r.state_reward(s)
-            if flatten_single_action and len(m.choices[s]) == 1:
-                if rho != 0.0:
-                    state_r[base_index[s]] = rho
-                for t, _ in m.choices[s][0]:
-                    v = r.transition_reward(s, 0, t)
-                    if v != 0.0:
-                        trans_r[(base_index[s], 0, base_index[t])] = v
-            else:
-                for a in range(len(m.choices[s])):
-                    h = hop_index[(s, a)]
-                    if rho != 0.0:
-                        state_r[h] = rho
-                    for t, _ in m.choices[s][a]:
-                        v = r.transition_reward(s, a, t)
-                        if v != 0.0:
-                            trans_r[(h, 0, base_index[t])] = v
-        rewards[rname] = RewardAssignment(rname, state_r, trans_r)
-    return MarkovAutomaton(rates, choices, base_index[m.initial], names,
-                           action_names, rewards, origin)
+    n, nc = m.n_states, m.n_choices
+    single = np.diff(fl.ptr) == 1
+    hop = np.flatnonzero(~single[fl.choice_state])  # the base choice of each hop
+    hops = n + np.arange(len(hop))
+    edge_ptr, succ, prob, edge_from = copy_choices(
+        fl, np.concatenate([np.where(single[fl.choice_state], np.arange(nc), -1), hop]), hops)
+    markov = np.concatenate([single, np.ones(len(hop), dtype=bool)])
+    hs = fl.choice_state[hop]
+    names = list(m.state_names) + [f"{m.state_names[s]}.{m.action_names[s][a]}"
+                                   for s, a in zip(hs.tolist(), (hop - fl.ptr[hs]).tolist())]
+    action_names = [("",) if one else an for one, an in zip(single.tolist(), m.action_names)]
+    e = MarkovAutomaton.from_flat(
+        Flat(np.concatenate([fl.ptr, nc + 1 + np.arange(len(hop))]), edge_ptr, succ, prob,
+             markov, markov.astype(np.float64)),
+        m.initial, names, action_names + [("",)] * len(hop),
+        origin=np.concatenate([np.arange(n), hs]))
+    e.rewards = carry_rewards(m, e, np.concatenate([np.where(single, np.arange(n), -1), hs]),
+                              edge_from)
+    return e
 
 
 def _chosen(m: MarkovAutomaton, sigma: MDStrategy) -> tuple[np.ndarray, np.ndarray]:
@@ -614,13 +649,14 @@ def induced_chain(m: MarkovAutomaton, sigma: MDStrategy) -> MarkovAutomaton:
     0.  Transition reward keys are remapped to choice index 0.
     """
     chosen, _ = _chosen(m, sigma)
-    act = (chosen - flat(m).ptr[:-1]).tolist()
-    choices = [[m.choices[s][a]] for s, a in enumerate(act)]
-    action_names = [("",) if m.rates[s] is not None else (m.action_names[s][a],)
-                    for s, a in enumerate(act)]
-    rewards = {rname: RewardAssignment(
-        rname, dict(r.state_rewards),
-        {(s, 0, t): v for (s, a, t), v in r.transition_rewards.items() if a == act[s]})
-        for rname, r in m.rewards.items()}
-    return MarkovAutomaton(m.rates, choices, m.initial, m.state_names, action_names,
-                           rewards, origin=range(m.n_states))
+    fl = flat(m)
+    edge_ptr, succ, prob, edge_from = copy_choices(fl, chosen)
+    act = (chosen - fl.ptr[:-1]).tolist()
+    action_names = [("",) if mk else (m.action_names[s][a],)
+                    for s, (mk, a) in enumerate(zip(fl.markovian.tolist(), act))]
+    n = m.n_states
+    chain = MarkovAutomaton.from_flat(
+        Flat(np.arange(n + 1), edge_ptr, succ, prob, fl.markovian, fl.rates),
+        m.initial, m.state_names, action_names, origin=np.arange(n))
+    chain.rewards = carry_rewards(m, chain, np.arange(n), edge_from)
+    return chain

@@ -18,7 +18,6 @@ certify the upper bound.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,9 +27,10 @@ from scipy.sparse import eye as speye
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
-from .model import (NEG_INF, InfeasibleError, MarkovAutomaton, MDStrategy,
+from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
                     ModelError, Objective, RewardAssignment, SolverError, _chosen,
-                    _graph, flat, reach, reward_edges, strong_components)
+                    _graph, _ptr, _spans, carry_rewards, copy_choices, edge_keys, flat,
+                    reach, reward_edges, strong_components)
 from .components import (almost_sure_reach, decode_quotient_strategy, exits,
                          quotient, zero_mecs)
 
@@ -524,7 +524,8 @@ def reach_to_total(m: MarkovAutomaton, goal) -> tuple[MarkovAutomaton, RewardAss
     The fresh assignment pays 1 exactly when the bit flips.  When the
     initial state is already a goal state, a fresh rate-1 initial state is
     prepended so the flip transition exists; long-run values are unaffected
-    by the finite prefix.
+    by the finite prefix.  Product states are numbered in breadth-first
+    order from the initial one, successors in edge order.
     """
     goal = frozenset(int(s) for s in goal)
     for s in goal:
@@ -532,93 +533,53 @@ def reach_to_total(m: MarkovAutomaton, goal) -> tuple[MarkovAutomaton, RewardAss
             raise ModelError(f"goal state {s} out of range")
     if not goal:
         raise ModelError("goal set is empty")
+    fl = flat(m)
+    in_goal = np.zeros(m.n_states, dtype=bool)
+    in_goal[list(goal)] = True
+    prepend = int(m.initial in goal)
 
-    prepend = m.initial in goal
-    start = (m.initial, 0) if prepend else (m.initial, 1 if m.initial in goal else 0)
-    order: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
+    # product state (s, bit) has key 2 s + bit; breadth-first level by
+    # level, each level listing its new keys in order of first discovery
+    index = np.full(2 * m.n_states, -1, dtype=np.int64)
+    level = np.array([2 * m.initial + prepend])
+    levels, count = [], prepend
+    state_edges = fl.edge_ptr[fl.ptr]
+    while len(level):
+        index[level] = count + np.arange(len(level))
+        count += len(level)
+        levels.append(level)
+        pos, e = _spans(state_edges[level // 2], state_edges[level // 2 + 1])
+        keys = 2 * fl.succ[e] + ((level[pos] % 2 == 1) | in_goal[fl.succ[e]])
+        keys = keys[index[keys] < 0]
+        _, first = np.unique(keys, return_index=True)
+        level = keys[np.sort(first)]
+    ps, bit = np.divmod(np.concatenate(levels), 2)
 
-    def visit(ps: tuple[int, int]) -> int:
-        if ps not in index:
-            index[ps] = len(order)
-            order.append(ps)
-        return index[ps]
-
-    queue = deque()
-    if prepend:
-        # fresh initial hops into (initial, 1); explore from there
-        first = (m.initial, 1)
-        visit(first)
-        queue.append(first)
-    else:
-        visit(start)
-        queue.append(start)
-    while queue:
-        s, bit = queue.popleft()
-        for dist in m.choices[s]:
-            for t, _ in dist:
-                tb = (t, 1 if (bit or t in goal) else 0)
-                if tb not in index:
-                    visit(tb)
-                    queue.append(tb)
-
-    offset = 1 if prepend else 0
-    n2 = len(order) + offset
-    rates: list[float | None] = []
-    choices: list[list[list[tuple[int, float]]]] = []
-    names: list[str] = []
-    action_names: list[tuple[str, ...]] = []
-    origin: list[int] = []
-    if prepend:
-        rates.append(1.0)
-        choices.append([[(offset + index[(m.initial, 1)], 1.0)]])
-        names.append("pre-init")
-        action_names.append(("",))
-        origin.append(m.initial)
-    for s, bit in order:
-        rates.append(m.rates[s])
-        choices.append([
-            [(offset + index[(t, 1 if (bit or t in goal) else 0)], p) for t, p in dist]
-            for dist in m.choices[s]])
-        names.append(m.state_names[s] if bit == 0 else m.state_names[s] + "@g")
-        action_names.append(m.action_names[s])
-        origin.append(s)
-
-    def lift(r: RewardAssignment, name: str) -> RewardAssignment:
-        state_r = {}
-        trans_r = {}
-        for i, (s, bit) in enumerate(order):
-            v = r.state_reward(s)
-            if v != 0.0:
-                state_r[offset + i] = v
-            for a, dist in enumerate(m.choices[s]):
-                for t, _ in dist:
-                    v = r.transition_reward(s, a, t)
-                    if v != 0.0:
-                        j = offset + index[(t, 1 if (bit or t in goal) else 0)]
-                        trans_r[(offset + i, a, j)] = v
-        return RewardAssignment(name, state_r, trans_r)
-
-    rewards = {rname: lift(r, rname) for rname, r in m.rewards.items()}
-
+    edge_ptr, succ, prob, edge_from = copy_choices(
+        fl, np.concatenate([np.full(prepend, -1), _spans(fl.ptr[ps], fl.ptr[ps + 1])[1]]),
+        np.ones(prepend, dtype=np.int64))  # the prepended state hops to (initial, 1)
+    fl2 = Flat(_ptr(np.concatenate([np.ones(prepend, dtype=np.int64), np.diff(fl.ptr)[ps]])),
+               edge_ptr, succ, prob, np.concatenate([np.ones(prepend, dtype=bool), fl.markovian[ps]]),
+               np.concatenate([np.ones(prepend), fl.rates[ps]]))
+    # copied edges move to the successor's copy with the updated bit; the
+    # bit flips on the prepended hop and where a copy enters the goal
+    copied = edge_from >= 0
+    src_bit = np.concatenate([np.ones(prepend, dtype=np.int64), bit])[fl2.edge_src[copied]] == 1
+    t = succ[copied]
+    succ[copied] = index[2 * t + (src_bit | in_goal[t])]
+    flips = ~copied
+    flips[copied] = ~src_bit & in_goal[t]
+    names = ["pre-init"] * prepend + [m.state_names[s] + ("@g" if b else "")
+                                      for s, b in zip(ps.tolist(), bit.tolist())]
+    m2 = MarkovAutomaton.from_flat(
+        fl2, 0, names, [("",)] * prepend + [m.action_names[s] for s in ps.tolist()],
+        origin=np.concatenate([np.full(prepend, m.initial), ps]))
+    rewards = carry_rewards(m, m2, np.concatenate([np.full(prepend, -1), ps]), edge_from)
     fresh_name = _fresh_name(m.rewards, "reach(" + ",".join(
         m.state_names[s] for s in sorted(goal)) + ")")
-    trans_r = {}
-    for i, (s, bit) in enumerate(order):
-        if bit == 1:
-            continue
-        for a, dist in enumerate(m.choices[s]):
-            for t, _ in dist:
-                if t in goal:
-                    j = offset + index[(t, 1)]
-                    trans_r[(offset + i, a, j)] = 1.0
-    if prepend:
-        trans_r[(0, 0, offset + index[(m.initial, 1)])] = 1.0
-    fresh = RewardAssignment(fresh_name, {}, trans_r)
+    fresh = RewardAssignment(fresh_name, {}, dict.fromkeys(edge_keys(fl2, np.flatnonzero(flips)), 1.0))
     rewards[fresh_name] = fresh
-
-    initial2 = 0 if prepend else offset + index[start]
-    m2 = MarkovAutomaton(rates, choices, initial2, names, action_names, rewards, origin)
+    m2.rewards = rewards
     return m2, fresh
 
 

@@ -328,6 +328,71 @@ def weighted_oracle(points, w) -> float:
 
 
 # ---------------------------------------------------------------------------
+# reference quotient
+
+
+def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
+    """Dict-based reference for `components.quotient`.
+
+    Kept states in order, then one state per component, then bottom.  A
+    component's actions are its exits in (state, action) order, then bottom.
+    Every distribution is redirected onto quotient states: probabilities
+    into one quotient state add up in distribution order, successors are
+    sorted.  Returns (choices, action_decoding, state_map, ec_states,
+    bottom_state, lift) where lift(r, bottom_values) gives the lifted
+    (state rewards, transition rewards) with transition entries in quotient
+    choice order, then order of first appearance.
+    """
+    collapsed = {s: i for i, c in enumerate(ecs) for s in c.states()}
+    kept = [s for s in range(m.n_states) if s not in collapsed]
+    k = len(kept)
+    state_map = [k + collapsed[s] if s in collapsed else kept.index(s) for s in range(m.n_states)]
+    bottom = k + len(ecs)
+
+    def redirect(dist):
+        acc: dict[int, float] = {}
+        for t, p in dist:
+            acc[state_map[t]] = acc.get(state_map[t], 0.0) + p
+        return tuple(sorted(acc.items()))
+
+    choices = [tuple(redirect(d) for d in m.choices[s]) for s in kept]
+    behind = [[(s, a) for a in range(len(m.choices[s]))] for s in kept]  # None: bottom
+    decoding = {}
+    for i, c in enumerate(ecs):
+        outs = [(s, a) for s in sorted(c.states()) if not m.is_markovian(s)
+                for a in range(len(m.choices[s])) if (s, a) not in c.pairs]
+        decoding.update({(k + i, j): ("exit", s, a) for j, (s, a) in enumerate(outs)})
+        dists = [redirect(m.choices[s][a]) for s, a in outs]
+        if with_bottom:
+            decoding[(k + i, len(outs))] = ("bottom",)
+            dists.append(((bottom, 1.0),))
+        choices.append(tuple(dists))
+        behind.append(outs)
+    choices.append((((bottom, 1.0),),))
+    behind.append([])
+
+    def lift(r: RewardAssignment, bottom_values=None):
+        state_r = {state_map[s]: v for s, v in r.state_rewards.items()
+                   if v != 0.0 and m.is_markovian(s) and s not in collapsed}
+        trans_r = {}
+        for qs, pairs in enumerate(behind):
+            for qa, (s, a) in enumerate(pairs):
+                num: dict[int, float] = {}
+                mass: dict[int, float] = {}
+                for t, p in m.choices[s][a]:
+                    qt = state_map[t]
+                    num[qt] = num.get(qt, 0.0) + p * r.transition_reward(s, a, t)
+                    mass[qt] = mass.get(qt, 0.0) + p
+                trans_r.update({(qs, qa, qt): v / mass[qt] for qt, v in num.items() if v != 0.0})
+        for i, v in enumerate(bottom_values or []):
+            if v != 0.0:
+                trans_r[(k + i, len(choices[k + i]) - 1, bottom)] = v
+        return state_r, trans_r
+
+    return tuple(choices), decoding, state_map, list(range(k, bottom)), bottom, lift
+
+
+# ---------------------------------------------------------------------------
 # brute-force end components
 
 

@@ -7,8 +7,8 @@ from moma import (MarkovAutomaton, ModelError, RewardAssignment,
 from moma import components
 from moma.model import flat, reach
 
-from gen import (brute_as_reach, brute_mecs, chain_reach_sure, random_ma,
-                 random_total_reward)
+from gen import (brute_as_reach, brute_mecs, chain_reach_sure, random_lra_reward,
+                 random_ma, random_total_reward, ref_quotient)
 
 
 def as_pairs(comps):
@@ -227,6 +227,29 @@ class TestQuotient:
         lifted = q.lift_reward(r, "lift")
         qs = q.state_map[1]
         assert lifted.transition_reward(0, 0, qs) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("with_bottom", [True, False])
+    def test_matches_dict_reference(self, with_bottom):
+        rng = np.random.default_rng(23 + with_bottom)
+        for _ in range(150):
+            m = random_ma(rng, max_states=9, max_actions=3)
+            mecs = mec_decomposition(m)
+            r = random_total_reward(rng, m, mecs, "T")
+            lra = random_lra_reward(rng, m, "L")
+            ecs = [c for c in mecs if rng.random() < 0.6]
+            q = quotient(m, ecs, with_bottom=with_bottom)
+            choices, decoding, state_map, ec_states, bottom, lift = ref_quotient(m, ecs, with_bottom)
+            assert q.model.choices == choices
+            assert q.action_decoding == decoding
+            assert q.state_map == state_map
+            assert q.ec_states == ec_states
+            assert q.bottom_state == bottom
+            values = [float(rng.integers(-3, 4)) for _ in ecs] if with_bottom else None
+            for x in (r, lra):
+                state_r, trans_r = lift(x, values)
+                lifted = q.lift_reward(x, "lift", bottom_values=values)
+                assert lifted.state_rewards == state_r
+                assert list(lifted.transition_rewards.items()) == list(trans_r.items())
 
 
 class TestAlmostSureReach:

@@ -5,8 +5,10 @@ from moma import (MarkovAutomaton, ModelError, Objective, RewardAssignment,
                   embed_mdp, induced_chain, validate_model, weighted_reward_sum)
 
 from moma import model
+from moma.components import mec_decomposition, quotient, sub_ma
+from moma.solvers import reach_to_total
 
-from gen import random_mdp
+from gen import random_lra_reward, random_ma, random_mdp, random_total_reward
 
 
 def two_state(rates=(1.0, 2.0)):
@@ -250,12 +252,6 @@ class TestEmbedMdp:
         (hop,) = [t for t, _ in e.choices[1][1]]
         assert r.transition_reward(hop, 0, 0) == 2.0
 
-    def test_no_flattening_keeps_all_hops(self):
-        mdp = MarkovAutomaton([None], [[((0, 1.0),)]], initial=0)
-        e = embed_mdp(mdp, flatten_single_action=False)
-        assert e.n_states == 2
-        assert not e.is_markovian(0) and e.is_markovian(1)
-
     def test_uniformly_one_per_step(self):
         rng = np.random.default_rng(3)
         mdp = random_mdp(rng, max_states=6)
@@ -291,3 +287,37 @@ class TestInducedChain:
     def test_unavailable_action_errors(self, fig1):
         with pytest.raises(ModelError):
             induced_chain(fig1, {2: 5, 3: 0})
+
+
+class TestArrayModel:
+    """Derived models are built straight as arrays; rebuilding one through
+    the public constructor from its tuple views gives the same arrays."""
+
+    def derived(self, rng):
+        m = random_ma(rng, max_states=9, max_actions=3)
+        mecs = mec_decomposition(m)
+        m = m.with_rewards({"L": random_lra_reward(rng, m, "L"),
+                            "T": random_total_reward(rng, m, mecs, "T")})
+        ecs = [c for c in mecs if rng.random() < 0.6]
+        yield quotient(m, ecs, with_bottom=bool(rng.random() < 0.5)).model
+        yield from (sub_ma(m, c) for c in mecs)
+        sigma = {s: int(rng.integers(len(m.choices[s])))
+                 for s in range(m.n_states) if not m.is_markovian(s)}
+        yield induced_chain(m, sigma)
+        goal = rng.choice(m.n_states, size=int(rng.integers(1, 3)), replace=False)
+        yield reach_to_total(m, goal.tolist())[0]
+        mdp = random_mdp(rng, max_states=7, max_actions=3)
+        yield embed_mdp(mdp.with_rewards({"L": random_lra_reward(rng, mdp, "L")}))
+
+    def test_constructor_round_trip(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            for d in self.derived(rng):
+                again = MarkovAutomaton(d.rates, d.choices, d.initial, d.state_names,
+                                        d.action_names, d.rewards, d.origin)
+                for name in ("ptr", "edge_ptr", "succ", "prob", "markovian", "rates"):
+                    a, b = getattr(model.flat(again), name), getattr(model.flat(d), name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert again.rewards == d.rewards
+                assert (again.initial, again.state_names, again.action_names, again.origin) \
+                    == (d.initial, d.state_names, d.action_names, d.origin)
