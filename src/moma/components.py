@@ -8,8 +8,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import (Flat, MarkovAutomaton, ModelError, RewardAssignment, _ptr,
-                    carry_rewards, copy_choices, edge_keys, flat, reach, reward_edges,
-                    strong_components)
+                    carry_rewards, copy_choices, flat, reach, strong_components)
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,9 @@ def zero_mecs(m: MarkovAutomaton, totals: Sequence[RewardAssignment]) -> list[En
     fl = flat(m)
     ok = np.ones(len(fl.choice_state), dtype=bool)
     for r in totals:
-        s = np.array([s for s, v in r.state_rewards.items() if v != 0.0], dtype=np.int64)
-        ok[fl.ptr[s[fl.markovian[s]]]] = False
-        e, _ = reward_edges(m, r)
-        ok[fl.edge_choice[e]] = False
+        state, edge = r.vectors(m)
+        ok[fl.ptr[:-1][fl.markovian & (state != 0.0)]] = False
+        ok[fl.edge_choice[edge != 0.0]] = False
     return mec_decomposition(m, choice_ok=ok)
 
 
@@ -131,14 +129,14 @@ class QuotientModel:
     Collapsed states enable the decoded exits of their component plus, when
     built with `with_bottom`, a bottom action leading to the absorbing bottom
     state.  `action_decoding` maps (collapsed state, action index) to
-    ('exit', s, a) or ('bottom',); `origin_of` maps every non-collapsed state
-    back to the base model; `state_map` sends base states to quotient states.
+    ('exit', s, a) or ('bottom',); `kept[i]` is the base state behind the
+    non-collapsed quotient state i (these come first); `state_map` sends
+    base states to quotient states.
 
     The lift arrays describe how the redirected choices merge the edges of
     `base`: `lift_edges` lists the base edges behind every redirected
-    quotient choice (quotient choice order, then distribution order),
-    `lift_group` the quotient edge each of them feeds, and `lift_order` the
-    quotient edges fed by base edges in order of first appearance there.
+    quotient choice (quotient choice order, then distribution order), and
+    `lift_group` the quotient edge each of them feeds.
     """
 
     model: MarkovAutomaton
@@ -146,13 +144,12 @@ class QuotientModel:
     bottom_state: int
     ec_states: list[int]
     action_decoding: dict[tuple[int, int], tuple]
-    origin_of: dict[int, int]
     state_map: list[int]
     with_bottom: bool
     base: MarkovAutomaton
+    kept: np.ndarray
     lift_edges: np.ndarray
     lift_group: np.ndarray
-    lift_order: np.ndarray
 
     def lift_reward(self, r: RewardAssignment, name: str,
                     bottom_values: Sequence[float] | None = None) -> RewardAssignment:
@@ -163,29 +160,19 @@ class QuotientModel:
         the reward of component i's bottom transition.
         """
         bfl, qfl = flat(self.base), flat(self.model)
-        kept = len(self.origin_of)  # states below this one are not collapsed
-        state_r = {}
-        for s in sorted(r.state_rewards):
-            v = r.state_rewards[s]
-            if v != 0.0 and self.base.is_markovian(s) and self.state_map[s] < kept:
-                state_r[self.state_map[s]] = v
-
+        state, edge = r.vectors(self.base)
+        qstate = np.zeros(self.model.n_states)
+        qstate[:len(self.kept)] = np.where(bfl.markovian[self.kept], state[self.kept], 0.0)
         # sums over each merged edge run in distribution order
-        e, vals = reward_edges(self.base, r)
-        edge_r = np.zeros(len(bfl.succ))
-        edge_r[e] = vals
         pv = np.bincount(self.lift_group, minlength=len(qfl.succ),
-                         weights=bfl.prob[self.lift_edges] * edge_r[self.lift_edges])
-        g = self.lift_order[pv[self.lift_order] != 0.0]
-        trans_r = dict(zip(edge_keys(qfl, g), (pv[g] / qfl.prob[g]).tolist()))
+                         weights=bfl.prob[self.lift_edges] * edge[self.lift_edges])
+        qedge = pv / qfl.prob
         if bottom_values is not None:
-            for i, qs in enumerate(self.ec_states):
-                v = bottom_values[i]
-                if v != 0.0:
-                    a = int(qfl.ptr[qs + 1] - qfl.ptr[qs]) - 1
-                    assert self.action_decoding[(qs, a)] == ("bottom",)
-                    trans_r[(qs, a, self.bottom_state)] = v
-        return RewardAssignment(name, state_r, trans_r)
+            assert self.with_bottom, "bottom values need bottom actions"
+            # the bottom action is the last choice of each collapsed state
+            qedge[qfl.edge_ptr[qfl.ptr[np.array(self.ec_states, dtype=np.int64) + 1] - 1]] = \
+                bottom_values
+        return RewardAssignment.from_vectors(qfl, name, qstate, qedge)
 
 
 def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
@@ -244,8 +231,7 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
     # probabilities summed in distribution order
     qc = np.flatnonzero(base_choice >= 0)
     pos, e = fl.edges(base_choice[qc])
-    keys, first, group = np.unique(qc[pos] * nq + state_map[fl.succ[e]],
-                                   return_index=True, return_inverse=True)
+    keys, group = np.unique(qc[pos] * nq + state_map[fl.succ[e]], return_inverse=True)
     bot = np.flatnonzero(base_choice < 0)
     all_keys = np.concatenate([keys, bot * nq + bottom])
     order = np.argsort(all_keys)
@@ -258,9 +244,8 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
         Flat(_ptr(counts), _ptr(np.bincount(choice, minlength=len(base_choice))), succ, prob,
              markov, np.concatenate([fl.rates[kept], np.zeros(len(ecs)), [1.0]])),
         int(state_map[m.initial]), names, action_names)
-    return QuotientModel(qm, list(ecs), bottom, ec_states, action_decoding,
-                         dict(enumerate(kept.tolist())), state_map.tolist(), with_bottom,
-                         m, e, qedge[group], qedge[np.argsort(first)])
+    return QuotientModel(qm, list(ecs), bottom, ec_states, action_decoding, state_map.tolist(),
+                         with_bottom, m, kept, e, qedge[group])
 
 
 def almost_sure_reach(m: MarkovAutomaton, targets: Iterable[int]
@@ -334,14 +319,11 @@ def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
     its stay strategy (`stay[i]`, required in that case) forever.
     """
     base = q.base
-    ec_state_set = set(q.ec_states)
+    kept = q.kept.tolist()
     sigma: dict[int, int] = {}
     for qs, a in sigma_q.items():
-        if qs == q.bottom_state or qs in ec_state_set:
-            continue
-        s = q.origin_of.get(qs)
-        if s is not None and not base.is_markovian(s):
-            sigma[s] = a
+        if qs < len(kept) and not base.is_markovian(kept[qs]):
+            sigma[kept[qs]] = a
     for i, c in enumerate(q.components):
         qs = q.ec_states[i]
         a = sigma_q.get(qs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -33,19 +34,45 @@ class InfeasibleError(Exception):
     """A constrained optimization admits no strategy."""
 
 
-@dataclass(frozen=True)
 class RewardAssignment:
     """Named state and transition rewards.
 
-    State rewards are rates per time unit and are only meaningful on Markovian
-    states.  Transition rewards are keyed by (state, choice, successor) where
-    the choice index is 0 for a Markovian state and the action index for a
-    probabilistic state.  Missing entries are zero.
+    On a model a reward is one float vector over its states (rates per time
+    unit, only meaningful on Markovian states) and one over its edges,
+    numbered as in `flat(m)`.  The constructor takes the input form: state
+    rewards keyed by state, transition rewards keyed by (state, choice,
+    successor) with choice 0 at a Markovian state; missing entries are zero.
+    `vectors(m)` places these entries on a model once.  Rewards the library
+    derives are born as vectors (`from_vectors`); their dicts are read-only
+    views of the nonzero entries, derived on first read.
     """
 
-    name: str
-    state_rewards: Mapping[int, float] = field(default_factory=dict)
-    transition_rewards: Mapping[tuple[int, int, int], float] = field(default_factory=dict)
+    def __init__(self, name: str, state_rewards: Mapping[int, float] | None = None,
+                 transition_rewards: Mapping[tuple[int, int, int], float] | None = None):
+        self.name = name
+        self.state_rewards = state_rewards or {}
+        self.transition_rewards = transition_rewards or {}
+        self._fl = self.state = self.edge = self.off = None
+
+    @classmethod
+    def from_vectors(cls, fl: "Flat", name: str, state: np.ndarray,
+                     edge: np.ndarray) -> "RewardAssignment":
+        """The reward with the given vectors over the states and edges of fl."""
+        r = cls.__new__(cls)
+        r.name, r._fl, r.state, r.edge, r.off = name, fl, state, edge, None
+        return r
+
+    @cached_property
+    def state_rewards(self) -> Mapping[int, float]:
+        s = np.flatnonzero(self.state)
+        return MappingProxyType(dict(zip(s.tolist(), self.state[s].tolist())))
+
+    @cached_property
+    def transition_rewards(self) -> Mapping[tuple[int, int, int], float]:
+        fl, e = self._fl, np.flatnonzero(self.edge)
+        src = fl.edge_src[e]
+        keys = zip(src.tolist(), (fl.edge_choice[e] - fl.ptr[src]).tolist(), fl.succ[e].tolist())
+        return MappingProxyType(dict(zip(keys, self.edge[e].tolist())))
 
     def state_reward(self, s: int) -> float:
         return self.state_rewards.get(s, 0.0)
@@ -53,37 +80,65 @@ class RewardAssignment:
     def transition_reward(self, s: int, a: int, t: int) -> float:
         return self.transition_rewards.get((s, a, t), 0.0)
 
+    def vectors(self, m: "MarkovAutomaton") -> tuple[np.ndarray, np.ndarray]:
+        """The state and edge vectors of this reward on m, placing its
+        entries on m when they are not yet there.  Entries off m are dropped
+        and recorded in `off` for validate_model: the state keys, in entry
+        order, that are no Markovian state (out of range or probabilistic),
+        and (state, choice, successor, choice exists) for every transition
+        entry on no edge."""
+        fl = flat(m)
+        if self._fl is fl:
+            return self.state, self.edge
+        st, tr = self.state_rewards, self.transition_rewards
+        n = len(fl.markovian)
+        s = np.fromiter(st, np.int64, len(st))
+        at = np.where((s >= 0) & (s < n), s, n)  # n: no state
+        state = np.zeros(n + 1)
+        state[at] = np.fromiter(st.values(), np.float64, len(st))
+        k = len(tr)
+        s_t, a, t = np.fromiter((x for sat in tr for x in sat), np.int64, 3 * k).reshape(k, 3).T
+        src = np.where((s_t >= 0) & (s_t < n), s_t, n)
+        known = (a >= 0) & (a < np.append(np.diff(fl.ptr), 0)[src])
+        e = np.full(k, -1)
+        on = known & (t >= 0) & (t < n)
+        e[on] = fl.edge_of(fl.ptr[src[on]] + a[on], t[on])
+        edge = np.zeros(len(fl.succ) + 1)  # the last entry takes the entries on no edge
+        edge[e] = np.fromiter(tr.values(), np.float64, k)
+        miss = np.flatnonzero(e < 0)
+        self._fl, self.state, self.edge = fl, state[:n], edge[:-1]
+        self.off = (s[~np.append(fl.markovian, False)[at]],
+                    list(zip(s_t[miss].tolist(), a[miss].tolist(), t[miss].tolist(),
+                             known[miss].tolist())))
+        return self.state, self.edge
+
+    def _placed(self) -> "Flat":
+        if self._fl is None:
+            raise ModelError(f"reward {self.name!r} is on no model yet (see vectors)")
+        return self._fl
+
     @property
     def is_zero(self) -> bool:
-        return not any(self.state_rewards.values()) and not any(self.transition_rewards.values())
+        self._placed()
+        return not self.state.any() and not self.edge.any()
 
     def negated(self, name: str) -> "RewardAssignment":
-        return RewardAssignment(
-            name,
-            {s: -v for s, v in self.state_rewards.items()},
-            {k: -v for k, v in self.transition_rewards.items()},
-        )
-
-    def scaled(self, factor: float, name: str) -> "RewardAssignment":
-        return RewardAssignment(
-            name,
-            {s: factor * v for s, v in self.state_rewards.items()},
-            {k: factor * v for k, v in self.transition_rewards.items()},
-        )
+        return RewardAssignment.from_vectors(self._placed(), name, -self.state, -self.edge)
 
 
 def weighted_reward_sum(name: str, parts: Sequence[tuple[float, RewardAssignment]]) -> RewardAssignment:
-    """Linear combination sum_i w_i * r_i as a fresh assignment."""
-    state: dict[int, float] = {}
-    trans: dict[tuple[int, int, int], float] = {}
-    for w, r in parts:
-        if w == 0.0:
-            continue
-        for s, v in r.state_rewards.items():
-            state[s] = state.get(s, 0.0) + w * v
-        for k, v in r.transition_rewards.items():
-            trans[k] = trans.get(k, 0.0) + w * v
-    return RewardAssignment(name, state, trans)
+    """Linear combination sum_i w_i * r_i of rewards placed on one model (at
+    least one part).  Parts of weight 0 contribute nothing, even where r_i
+    is NaN or infinite."""
+    if not parts:
+        raise ModelError("a weighted sum needs at least one part")
+    fl = parts[0][1]._placed()
+    if any(r._placed() is not fl for _, r in parts):
+        raise ModelError("weighted sum of rewards placed on different models")
+    live = [(w, r) for w, r in parts if w != 0.0]
+    return RewardAssignment.from_vectors(
+        fl, name, sum((w * r.state for w, r in live), np.zeros(len(fl.markovian))),
+        sum((w * r.edge for w, r in live), np.zeros(len(fl.succ))))
 
 
 @dataclass(frozen=True)
@@ -337,34 +392,16 @@ def copy_choices(fl: Flat, base_choice: np.ndarray, targets=()
     return _ptr(lens), succ, prob, edge_from
 
 
-def edge_keys(fl: Flat, f: np.ndarray):
-    """The (state, action, successor) reward key of each edge f, in turn."""
-    src = fl.edge_src[f]
-    return zip(src.tolist(), (fl.edge_choice[f] - fl.ptr[src]).tolist(), fl.succ[f].tolist())
-
-
 def carry_rewards(base: MarkovAutomaton, d: MarkovAutomaton, state_from: np.ndarray,
                   edge_from: np.ndarray) -> dict[str, RewardAssignment]:
     """The rewards of base carried onto the model d derived from it: state i
     of d earns the state reward of base state state_from[i], edge f of d the
-    transition reward of base edge edge_from[f] (nothing where -1).  Zero
-    entries and entries on no edge are dropped; transition rewards keep the
-    order of their base entries."""
-    n, ne = base.n_states, len(flat(base).succ)
+    transition reward of base edge edge_from[f] (nothing where -1)."""
     out = {}
     for name, r in base.rewards.items():
-        srew = np.zeros(n + 1)  # the extra last entry serves state_from -1
-        for s, v in r.state_rewards.items():
-            if 0 <= s < n:
-                srew[s] = v
-        i = np.flatnonzero(srew[state_from])
-        e, v = reward_edges(base, r)
-        entry = np.full(ne + 1, len(e))  # position in r's entries, len(e) for none
-        entry[e] = np.arange(len(e))
-        at = entry[edge_from]
-        f = np.argsort(at, kind="stable")[:np.count_nonzero(at < len(e))]
-        out[name] = RewardAssignment(name, dict(zip(i.tolist(), srew[state_from[i]].tolist())),
-                                     dict(zip(edge_keys(flat(d), f), v[at[f]].tolist())))
+        state, edge = r.vectors(base)
+        out[name] = RewardAssignment.from_vectors(
+            flat(d), name, np.append(state, 0.0)[state_from], np.append(edge, 0.0)[edge_from])
     return out
 
 
@@ -404,19 +441,6 @@ def strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return connected_components(_graph(n, src, dst), directed=True, connection="strong")[1]
 
 
-def reward_edges(m: MarkovAutomaton, r: RewardAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """Edges of m carrying a nonzero transition reward of r, with the
-    values, in r's entry order; entries on no edge of m are dropped."""
-    fl = flat(m)
-    tr = r.transition_rewards
-    k = len(tr)
-    s, a, t = np.fromiter((x for sat in tr for x in sat), np.int64, 3 * k).reshape(k, 3).T
-    vals = np.fromiter(tr.values(), np.float64, k)
-    e = fl.edge_of(fl.ptr[s] + a, t)
-    keep = (vals != 0.0) & (e >= 0) & (a >= 0) & (a < fl.ptr[s + 1] - fl.ptr[s])
-    return e[keep], vals[keep]
-
-
 @dataclass(frozen=True)
 class Violation:
     assumption: str  # WellFormed | NonZeno | SignConsistency | Finiteness
@@ -451,45 +475,48 @@ class ValidationReport:
 def validate_model(m: MarkovAutomaton) -> ValidationReport:
     """Structural well-formedness: distributions, rates, deadlocks, reward keys."""
     rep = ValidationReport()
-    for s in range(m.n_states):
-        name = m.state_names[s]
-        if m.is_markovian(s):
-            if not m.rates[s] > 0.0:
-                rep.add("WellFormed", name, f"Markovian state has non-positive rate {m.rates[s]}")
-        elif len(m.choices[s]) == 0:
-            rep.add("WellFormed", name, "probabilistic state enables no action (deadlock)")
-        for a, dist in enumerate(m.choices[s]):
-            if not dist:
-                rep.add("WellFormed", name, f"choice {a} has an empty distribution")
+    fl, names = flat(m), m.state_names
+    ptr, ep, succ, prob = fl.ptr.tolist(), fl.edge_ptr.tolist(), fl.succ.tolist(), fl.prob.tolist()
+    # each sum runs in edge order from 0.0, as when adding one edge at a time
+    total = np.bincount(fl.edge_choice, weights=fl.prob, minlength=len(ep) - 1).tolist()
+    for s, (mk, rate) in enumerate(zip(fl.markovian.tolist(), fl.rates.tolist())):
+        if mk:
+            if not rate > 0.0:
+                rep.add("WellFormed", names[s], f"Markovian state has non-positive rate {rate}")
+        elif ptr[s] == ptr[s + 1]:
+            rep.add("WellFormed", names[s], "probabilistic state enables no action (deadlock)")
+        for a, c in enumerate(range(ptr[s], ptr[s + 1])):
+            if ep[c] == ep[c + 1]:
+                rep.add("WellFormed", names[s], f"choice {a} has an empty distribution")
                 continue
-            total = 0.0
             seen: set[int] = set()
-            for t, p in dist:
+            for t, p in zip(succ[ep[c]:ep[c + 1]], prob[ep[c]:ep[c + 1]]):
                 if t in seen:
-                    rep.add("WellFormed", name, f"choice {a} lists successor {m.state_names[t]} twice")
+                    rep.add("WellFormed", names[s], f"choice {a} lists successor {names[t]} twice")
                 seen.add(t)
                 if not 0.0 < p <= 1.0 + PROB_TOL:
-                    rep.add("WellFormed", name, f"choice {a} carries probability {p} outside (0, 1]")
-                total += p
-            if abs(total - 1.0) > PROB_TOL:
-                rep.add("WellFormed", name, f"choice {a} sums to {total!r}, not 1")
+                    rep.add("WellFormed", names[s],
+                            f"choice {a} carries probability {p} outside (0, 1]")
+            if abs(total[c] - 1.0) > PROB_TOL:
+                rep.add("WellFormed", names[s], f"choice {a} sums to {total[c]!r}, not 1")
     # in a pure MDP (no Markovian states) every state earns per step, so state
     # rewards on probabilistic states only signal a mistake in a genuine MA
-    is_mdp = not m.markovian_states()
+    is_mdp = not fl.markovian.any()
     for rname, r in m.rewards.items():
-        for s, v in r.state_rewards.items():
+        state, _ = r.vectors(m)
+        # a reward born as vectors has no entry off the model
+        off_states, off_edges = r.off or (np.flatnonzero(~fl.markovian & (state != 0.0)), [])
+        for s in off_states.tolist():
             if not 0 <= s < m.n_states:
                 rep.add("WellFormed", rname, f"state reward on unknown state {s}")
-            elif not is_mdp and not m.is_markovian(s) and v != 0.0:
-                rep.add("WellFormed", rname,
-                        f"state reward on probabilistic state {m.state_names[s]}")
-        for (s, a, t), _ in r.transition_rewards.items():
-            if not (0 <= s < m.n_states and 0 <= a < len(m.choices[s])):
+            elif not is_mdp and state[s] != 0.0:
+                rep.add("WellFormed", rname, f"state reward on probabilistic state {names[s]}")
+        for s, a, t, known in off_edges:
+            if not known:
                 rep.add("WellFormed", rname, f"transition reward on unknown choice ({s}, {a})")
-            elif all(u != t for u, _ in m.choices[s][a]):
-                rep.add("WellFormed", rname,
-                        f"transition reward on zero-probability edge "
-                        f"({m.state_names[s]}, {a}, {t})")
+            else:
+                rep.add("WellFormed", rname, f"transition reward on zero-probability edge "
+                                              f"({names[s]}, {a}, {t})")
     return rep
 
 
@@ -512,31 +539,27 @@ def check_non_zeno(m: MarkovAutomaton, zeno_ecs) -> ValidationReport:
 
 def _internal_reward_entries(m: MarkovAutomaton, r: RewardAssignment, c) -> Iterator[tuple[str, float]]:
     """Nonzero reward entries assigned inside component c (exact comparison)."""
-    for s in sorted(c.markovian_states):
-        v = r.state_reward(s)
-        if v != 0.0:
-            yield m.state_names[s], v
-        for t, _ in m.choices[s][0]:
-            v = r.transition_reward(s, 0, t)
-            if v != 0.0:
-                yield f"{m.state_names[s]}->{m.state_names[t]}", v
-    for s, a in sorted(c.pairs):
-        for t, _ in m.choices[s][a]:
-            v = r.transition_reward(s, a, t)
-            if v != 0.0:
-                yield f"{m.state_names[s]}[{m.action_names[s][a]}]->{m.state_names[t]}", v
+    fl, names = flat(m), m.state_names
+    state, edge = r.vectors(m)
+    choices = ([(s, fl.ptr[s]) for s in sorted(c.markovian_states)]
+               + [(s, fl.ptr[s] + a) for s, a in sorted(c.pairs)])
+    for s, ch in choices:
+        if fl.markovian[s] and state[s] != 0.0:
+            yield names[s], float(state[s])
+        lo = fl.edge_ptr[ch]
+        act = "" if fl.markovian[s] else f"[{m.action_names[s][ch - fl.ptr[s]]}]"
+        for e in (lo + np.flatnonzero(edge[lo:fl.edge_ptr[ch + 1]])).tolist():
+            yield f"{names[s]}{act}->{names[fl.succ[e]]}", float(edge[e])
 
 
-def check_sign_consistency(m: MarkovAutomaton, totals: Sequence[RewardAssignment],
-                           mecs) -> tuple[ValidationReport, dict[str, int]]:
-    """Per total assignment, all end-component internal rewards must share a sign.
-
-    Returns the report plus the detected sign per assignment (+1, -1, or 0)
-    for downstream finiteness checking.
-    """
+def check_total_rewards(m: MarkovAutomaton, objectives: Sequence[Objective],
+                        mecs) -> ValidationReport:
+    """Total rewards inside the end components mecs.  Each one must keep
+    one sign there (SignConsistency), and a maximized one diverges iff a
+    reachable end component carries a strictly positive internal reward
+    (Finiteness)."""
     rep = ValidationReport()
-    signs: dict[str, int] = {}
-    for r in totals:
+    for r in {o.reward: m.rewards[o.reward] for o in objectives if o.kind == "total"}.values():
         pos_at = neg_at = None
         for c in mecs:
             for loc, v in _internal_reward_entries(m, r, c):
@@ -547,22 +570,11 @@ def check_sign_consistency(m: MarkovAutomaton, totals: Sequence[RewardAssignment
         if pos_at is not None and neg_at is not None:
             rep.add("SignConsistency", r.name,
                     f"end components mix positive ({pos_at}) and negative ({neg_at}) rewards")
-        signs[r.name] = 1 if pos_at is not None else (-1 if neg_at is not None else 0)
-    return rep, signs
-
-
-def check_finiteness(m: MarkovAutomaton, objectives: Sequence[Objective],
-                     mecs, signs: Mapping[str, int]) -> ValidationReport:
-    """A maximizing total objective diverges iff a reachable end component
-    carries a strictly positive internal reward."""
-    rep = ValidationReport()
     reachable = set(m.reachable())
     for o in objectives:
         if o.kind != "total" or o.direction != "max":
             continue
         r = m.rewards[o.reward]
-        if signs.get(r.name, 0) <= 0:
-            continue
         for c in mecs:
             if not (c.states() & reachable):
                 continue

@@ -433,8 +433,9 @@ def result_document(res: QueryResult, query_doc: dict, strategies: bool = False,
     if res.warnings:
         doc["warnings"] = res.warnings
     stats = dict(res.statistics)
-    stats["refinements"] = [{"weights": list(h["weights"]), "value": h["value"]}
-                            for h in res.history]
+    # one refinement per weighted solve, each adding its halfspace
+    stats["refinements"] = [{"weights": list(h["normal"]), "value": h["offset"]}
+                            for h in res.halfspaces or []]
     doc["statistics"] = stats
     if timings is not None:
         doc["timings"] = timings

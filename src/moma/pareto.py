@@ -67,13 +67,13 @@ class Facet:
 
 @dataclass
 class ApproximationState:
-    """The (P, Q) pair of the sandwich loop plus the refinement history,
-    with a cached facet decomposition of the downward hull of P."""
+    """The (P, Q) pair of the sandwich loop, with a cached facet
+    decomposition of the downward hull of P.  The halfspaces are the
+    refinement history: one per weighted solve, in order."""
 
     dimension: int
     points: list[AchievedPoint] = field(default_factory=list)
     halfspaces: list[HalfSpace] = field(default_factory=list)
-    history: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     _facets: list[Facet] | None = field(default=None, repr=False)
 
@@ -87,7 +87,6 @@ class ApproximationState:
                 "a strategy evaluated to -inf in some coordinate; consider dropping "
                 "the diverging objective and re-running on the remaining ones")
         self.halfspaces.append(HalfSpace(w, float(sol.value)))
-        self.history.append((w, float(sol.value)))
         self._facets = None
 
     def finite_indices(self) -> list[int]:
@@ -222,9 +221,9 @@ def select_weight(state: ApproximationState, eta: float,
     considered closed.
     """
     ell = state.dimension
-    if len(state.history) < ell:
+    if len(state.halfspaces) < ell:
         w = np.zeros(ell)
-        w[len(state.history)] = 1.0
+        w[len(state.halfspaces)] = 1.0
         return w
     best_key = None
     best = None
@@ -301,7 +300,6 @@ class QueryResult:
     precision_achieved: float | None = None
     iterations: int = 0
     exhausted: bool = False
-    history: list[dict] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     statistics: dict = field(default_factory=dict)
     state: ApproximationState | None = None
@@ -331,7 +329,7 @@ def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query,
     eta_eff = eta - eps_solver if eta > 2 * eps_solver else eta / 2
 
     def budget_left() -> bool:
-        if len(state.history) >= query.max_iterations:
+        if len(state.halfspaces) >= query.max_iterations:
             return False
         return deadline is None or time.monotonic() < deadline
 
@@ -345,13 +343,11 @@ def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query,
                                    eta, eps_solver, budget_left)
 
     result.objectives = list(p.original)
-    result.iterations = len(state.history)
-    result.history = [{"weights": _flip_vec(np.asarray(w), p.flips), "value": v}
-                      for w, v in state.history]
+    result.iterations = len(state.halfspaces)
     result.warnings = list(state.warnings)
     result.halfspaces = [{"normal": _flip_vec(np.asarray(h.normal), p.flips),
                           "offset": h.offset} for h in state.halfspaces]
-    result.statistics = problem_statistics(p, prep, len(state.history))
+    result.statistics = problem_statistics(p, prep, len(state.halfspaces))
     result.state = state
     result.problem = p
     return result

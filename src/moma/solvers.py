@@ -29,8 +29,8 @@ from scipy.sparse.linalg import splu
 
 from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
                     ModelError, Objective, RewardAssignment, SolverError, _chosen,
-                    _graph, _ptr, _spans, carry_rewards, copy_choices, edge_keys, flat,
-                    reach, reward_edges, strong_components)
+                    _graph, _ptr, _spans, carry_rewards, copy_choices, flat,
+                    reach, strong_components)
 from .components import (almost_sure_reach, decode_quotient_strategy, exits,
                          quotient, zero_mecs)
 
@@ -64,21 +64,14 @@ class ChainEvaluation:
     gains: list[list[float]]
 
 
-def _jump_rewards(m: MarkovAutomaton, r: RewardAssignment) -> np.ndarray:
-    """Expected transition reward per choice: sum_t P(s,a,t) * r(s,a,t),
-    summed in r's entry order."""
+def _reward_rates(m: MarkovAutomaton, r: RewardAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """The state reward rate of every state (0 off the Markovian states) and
+    the expected transition reward of every choice, sum_t P(s,a,t) r(s,a,t)
+    summed in edge order."""
     fl = flat(m)
-    e, v = reward_edges(m, r)
-    return np.bincount(fl.edge_choice[e], weights=fl.prob[e] * v,
-                       minlength=len(fl.choice_state))
-
-
-def _state_reward_vec(m: MarkovAutomaton, r: RewardAssignment) -> np.ndarray:
-    out = np.zeros(m.n_states)
-    for s, v in r.state_rewards.items():
-        if m.is_markovian(s):
-            out[s] = v
-    return out
+    state, edge = r.vectors(m)
+    return (np.where(fl.markovian, state, 0.0),
+            np.bincount(fl.edge_choice, weights=fl.prob * edge, minlength=len(fl.choice_state)))
 
 
 def resolve_reward(m: MarkovAutomaton, objective: Objective) -> RewardAssignment:
@@ -140,7 +133,7 @@ def bscc_gain(chain: MarkovAutomaton, r: RewardAssignment) -> float:
     tau = _sojourn(fl)
     if float(pi @ tau) <= 0.0:
         raise ModelError("chain spends no time: no Markovian state (Zeno)")
-    return _gain(pi, tau, _state_reward_vec(chain, r), _jump_rewards(chain, r))
+    return _gain(pi, tau, *_reward_rates(chain, r))
 
 
 def _bottom_sccs(n: int, src: np.ndarray, dst: np.ndarray,
@@ -208,8 +201,9 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
 
     # per-BSCC stationary distributions and gains
     tau = _sojourn(fl)
-    jump = [_jump_rewards(m, r)[chosen] for r in rewards]
-    srew = [_state_reward_vec(m, r) for r in rewards]
+    rates = [_reward_rates(m, r) for r in rewards]
+    srew = [s for s, _ in rates]
+    jump = [j[chosen] for _, j in rates]
     gains: list[list[float]] = []
     for b in members:
         pi = _stationary(P[b, :][:, b])
@@ -237,10 +231,8 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
             values.append(v)
             continue
         # total reward: its entries on reachable BSCCs decide finiteness
-        edge_rew = np.zeros(len(fl.succ))
-        re, rv = reward_edges(m, rewards[j])
-        edge_rew[re] = rv
-        entries = np.concatenate([srew[j][recurrent], edge_rew[e[recurrent[src]]]])
+        edge = rewards[j].vectors(m)[1]
+        entries = np.concatenate([srew[j][recurrent], edge[e[recurrent[src]]]])
         if (entries > 0.0).any():
             raise SolverError(
                 f"positive reward {rewards[j].name!r} recurs in a reachable BSCC; "
@@ -277,8 +269,7 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     if not fl.markovian.any():
         raise ModelError("component has no Markovian state (Zeno): no time passes")
     unif = float(fl.rates.max()) / 0.95
-    jump = _jump_rewards(sub, r)
-    srew = _state_reward_vec(sub, r)
+    srew, jump = _reward_rates(sub, r)
     tau = _sojourn(fl)
     ms, ps = np.flatnonzero(fl.markovian), np.flatnonzero(~fl.markovian)
     K_m = fl.kernel[fl.ptr[ms]]
@@ -426,8 +417,7 @@ def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
     counts = np.bincount(index[fl.choice_state[rows]], minlength=na)
     assert counts.all(), "active state without allowed choice"
     segs = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    jump = _jump_rewards(model, r)
-    srew = _state_reward_vec(model, r)
+    srew, jump = _reward_rates(model, r)
     per_state = np.where(fl.markovian, srew / np.where(fl.markovian, fl.rates, 1.0), 0.0)
     crew_v = per_state[fl.choice_state[rows]] + jump[rows]
     pos, e = fl.edges(rows)
@@ -577,7 +567,8 @@ def reach_to_total(m: MarkovAutomaton, goal) -> tuple[MarkovAutomaton, RewardAss
     rewards = carry_rewards(m, m2, np.concatenate([np.full(prepend, -1), ps]), edge_from)
     fresh_name = _fresh_name(m.rewards, "reach(" + ",".join(
         m.state_names[s] for s in sorted(goal)) + ")")
-    fresh = RewardAssignment(fresh_name, {}, dict.fromkeys(edge_keys(fl2, np.flatnonzero(flips)), 1.0))
+    fresh = RewardAssignment.from_vectors(fl2, fresh_name, np.zeros(len(names)),
+                                          flips.astype(np.float64))
     rewards[fresh_name] = fresh
     m2.rewards = rewards
     return m2, fresh

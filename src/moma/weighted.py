@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import (MarkovAutomaton, MDStrategy, ModelError, Objective,
-                    RewardAssignment, ValidationReport, check_finiteness,
-                    check_non_zeno, check_sign_consistency, embed_mdp, flat,
+                    RewardAssignment, ValidationReport, check_non_zeno,
+                    check_total_rewards, embed_mdp, flat,
                     validate_model, weighted_reward_sum)
 from .components import (EndComponent, QuotientModel, _stay_inside,
                          almost_sure_reach, decode_quotient_strategy,
@@ -83,7 +83,9 @@ def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> Norm
             # goal unreachable: the probability is 0 under every strategy
             name = _fresh_name(work.rewards, "reach(unreachable)")
             rewards = dict(work.rewards)
-            rewards[name] = RewardAssignment(name)
+            fl = flat(work)
+            rewards[name] = RewardAssignment.from_vectors(fl, name, np.zeros(work.n_states),
+                                                          np.zeros(len(fl.succ)))
             work = work.with_rewards(rewards)
             objs[i] = Objective("total", o.direction, name)
             continue
@@ -101,6 +103,7 @@ def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> Norm
             continue
         flips[i] = -1.0
         name = _fresh_name(rewards, f"neg({o.reward})")
+        rewards[o.reward].vectors(work)  # the negation runs on its vectors on work
         rewards[name] = rewards[o.reward].negated(name)
         objs[i] = Objective(o.kind, "max", name)
         changed = True
@@ -129,10 +132,8 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
     fl = flat(p.model)
     rep.extend(check_non_zeno(
         p.model, mec_decomposition(p.model, choice_ok=~fl.markovian[fl.choice_state])))
+    rep.extend(check_total_rewards(p.model, p.objectives, mecs))
     totals = _total_assignments(p)
-    sc, signs = check_sign_consistency(p.model, totals, mecs)
-    rep.extend(sc)
-    rep.extend(check_finiteness(p.model, p.objectives, mecs, signs))
     if totals and rep.ok:
         z = zero_mecs(p.model, totals)
         zstates = sorted(set().union(*[c.states() for c in z])) if z else []
@@ -191,18 +192,18 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
         raise ModelError("weight vector dimension does not match the objectives")
     if (w < 0).any():
         raise ModelError("weights must be nonnegative")
-    lra_parts = [(float(w[j]), o.reward)
-                 for j, o in enumerate(p.objectives) if o.kind == "lra" and w[j] != 0.0]
-    tot_parts = [(float(w[j]), p.model.rewards[o.reward])
-                 for j, o in enumerate(p.objectives) if o.kind == "total" and w[j] != 0.0]
-    r_tot = weighted_reward_sum("w.tot", tot_parts)
+    # per objective its weight in the sum of its kind (a weight 0 adds nothing)
+    lra_w = [float(w[j]) if o.kind == "lra" else 0.0 for j, o in enumerate(p.objectives)]
+    tot_w = [float(w[j]) if o.kind == "total" else 0.0 for j, o in enumerate(p.objectives)]
+    names = [o.reward for o in p.objectives]
+    r_tot = weighted_reward_sum("w.tot", [(x, p.model.rewards[n]) for x, n in zip(tot_w, names)])
 
     gains: list[float] = []
     stays: dict[int, dict[int, int]] = {}
     for i, c in enumerate(prep.zero_ecs):
         sub = prep.subs[i]
         # sub_ma already restricted every named reward to the component
-        rr = weighted_reward_sum("w.lra", [(wj, sub.rewards[name]) for wj, name in lra_parts])
+        rr = weighted_reward_sum("w.lra", [(x, sub.rewards[n]) for x, n in zip(lra_w, names)])
         if rr.is_zero:
             gains.append(0.0)
             stays[i] = _stay_inside(c)

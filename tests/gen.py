@@ -16,10 +16,10 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from moma import (MarkovAutomaton, Objective, RewardAssignment,
+from moma import (MarkovAutomaton, Objective, RewardAssignment, ValidationReport,
                   evaluate_strategy, normalize_query, validate_assumptions)
 from moma.components import mec_decomposition
-from moma.model import NEG_INF, flat
+from moma.model import NEG_INF, PROB_TOL, flat
 
 # ---------------------------------------------------------------------------
 # generators
@@ -68,6 +68,47 @@ def random_mdp(rng, max_states=6, max_actions=2):
 
 def _half_int(rng, lo=-3.0, hi=3.0):
     return float(rng.integers(int(lo * 2), int(hi * 2) + 1)) / 2.0
+
+
+def malformed_ma(rng, max_states=6):
+    """A model breaking the well-formedness rules at random: non-positive or
+    NaN rates, deadlocks, empty or duplicated distributions, probabilities
+    outside (0, 1] or off a sum of 1, and reward keys off the model (unknown
+    states and choices, missing edges, state rewards on probabilistic
+    states), in random entry order.  All states are probabilistic in about a
+    quarter of the draws."""
+    n = int(rng.integers(1, max_states + 1))
+    mdp = rng.random() < 0.25
+
+    def dist():
+        d = list(dyadic_dist(rng, _pick_succs(rng, n)))
+        u = rng.random()
+        if u < 0.08:
+            return ()
+        if u < 0.16:
+            d.append(d[0])
+        elif u < 0.24:
+            d[0] = (d[0][0], float(rng.choice([0.0, -0.5, 1.5, math.nan, 1.0 + 1e-13])))
+        elif u < 0.3:
+            d[0] = (d[0][0], d[0][1] + 3e-12)
+        return tuple(d)
+
+    rates: list[float | None] = []
+    choices = []
+    for _ in range(n):
+        if not mdp and rng.random() < 0.5:
+            rates.append(float(rng.choice([0.0, -1.0, math.nan])) if rng.random() < 0.2 else 1.0)
+            choices.append([dist()])
+        else:
+            rates.append(None)
+            choices.append([dist() for _ in range(int(rng.integers(rng.random() < 0.85, 3)))])
+    rewards = {}
+    for name in ("a", "b"):
+        srew = {int(s): _half_int(rng) for s in rng.integers(-1, n + 2, int(rng.integers(0, 5)))}
+        trew = {(int(rng.integers(-1, n + 1)), int(rng.integers(-1, 3)), int(rng.integers(0, n))):
+                _half_int(rng) for _ in range(int(rng.integers(0, 6)))}
+        rewards[name] = RewardAssignment(name, srew, trew)
+    return MarkovAutomaton(rates, choices, initial=0, rewards=rewards)
 
 
 def random_lra_reward(rng, m, name):
@@ -328,6 +369,125 @@ def weighted_oracle(points, w) -> float:
 
 
 # ---------------------------------------------------------------------------
+# reference validation
+
+
+def ref_validate_model(m: MarkovAutomaton) -> ValidationReport:
+    """Scan reference for `model.validate_model`: state by state, choice by
+    choice, edge by edge over the tuple views, then every reward entry."""
+    rep = ValidationReport()
+    for s in range(m.n_states):
+        name = m.state_names[s]
+        if m.is_markovian(s):
+            if not m.rates[s] > 0.0:
+                rep.add("WellFormed", name, f"Markovian state has non-positive rate {m.rates[s]}")
+        elif len(m.choices[s]) == 0:
+            rep.add("WellFormed", name, "probabilistic state enables no action (deadlock)")
+        for a, dist in enumerate(m.choices[s]):
+            if not dist:
+                rep.add("WellFormed", name, f"choice {a} has an empty distribution")
+                continue
+            total = 0.0
+            seen: set[int] = set()
+            for t, p in dist:
+                if t in seen:
+                    rep.add("WellFormed", name, f"choice {a} lists successor {m.state_names[t]} twice")
+                seen.add(t)
+                if not 0.0 < p <= 1.0 + PROB_TOL:
+                    rep.add("WellFormed", name, f"choice {a} carries probability {p} outside (0, 1]")
+                total += p
+            if abs(total - 1.0) > PROB_TOL:
+                rep.add("WellFormed", name, f"choice {a} sums to {total!r}, not 1")
+    is_mdp = not m.markovian_states()
+    for rname, r in m.rewards.items():
+        for s, v in r.state_rewards.items():
+            if not 0 <= s < m.n_states:
+                rep.add("WellFormed", rname, f"state reward on unknown state {s}")
+            elif not is_mdp and not m.is_markovian(s) and v != 0.0:
+                rep.add("WellFormed", rname,
+                        f"state reward on probabilistic state {m.state_names[s]}")
+        for (s, a, t), _ in r.transition_rewards.items():
+            if not (0 <= s < m.n_states and 0 <= a < len(m.choices[s])):
+                rep.add("WellFormed", rname, f"transition reward on unknown choice ({s}, {a})")
+            elif all(u != t for u, _ in m.choices[s][a]):
+                rep.add("WellFormed", rname,
+                        f"transition reward on zero-probability edge "
+                        f"({m.state_names[s]}, {a}, {t})")
+    return rep
+
+
+def _ref_internal_reward_entries(m: MarkovAutomaton, r: RewardAssignment, c):
+    """Nonzero reward entries assigned inside component c (exact comparison)."""
+    for s in sorted(c.markovian_states):
+        v = r.state_reward(s)
+        if v != 0.0:
+            yield m.state_names[s], v
+        for t, _ in m.choices[s][0]:
+            v = r.transition_reward(s, 0, t)
+            if v != 0.0:
+                yield f"{m.state_names[s]}->{m.state_names[t]}", v
+    for s, a in sorted(c.pairs):
+        for t, _ in m.choices[s][a]:
+            v = r.transition_reward(s, a, t)
+            if v != 0.0:
+                yield f"{m.state_names[s]}[{m.action_names[s][a]}]->{m.state_names[t]}", v
+
+
+def _ref_check_sign_consistency(m: MarkovAutomaton, totals, mecs):
+    """Per total assignment, all end-component internal rewards must share a sign.
+
+    Returns the report plus the detected sign per assignment (+1, -1, or 0)
+    for downstream finiteness checking.
+    """
+    rep = ValidationReport()
+    signs: dict[str, int] = {}
+    for r in totals:
+        pos_at = neg_at = None
+        for c in mecs:
+            for loc, v in _ref_internal_reward_entries(m, r, c):
+                if v > 0.0 and pos_at is None:
+                    pos_at = loc
+                elif v < 0.0 and neg_at is None:
+                    neg_at = loc
+        if pos_at is not None and neg_at is not None:
+            rep.add("SignConsistency", r.name,
+                    f"end components mix positive ({pos_at}) and negative ({neg_at}) rewards")
+        signs[r.name] = 1 if pos_at is not None else (-1 if neg_at is not None else 0)
+    return rep, signs
+
+
+def _ref_check_finiteness(m: MarkovAutomaton, objectives, mecs, signs):
+    """A maximizing total objective diverges iff a reachable end component
+    carries a strictly positive internal reward."""
+    rep = ValidationReport()
+    reachable = set(m.reachable())
+    for o in objectives:
+        if o.kind != "total" or o.direction != "max":
+            continue
+        r = m.rewards[o.reward]
+        if signs.get(r.name, 0) <= 0:
+            continue
+        for c in mecs:
+            if not (c.states() & reachable):
+                continue
+            for loc, v in _ref_internal_reward_entries(m, r, c):
+                if v > 0.0:
+                    rep.add("Finiteness", r.name,
+                            f"positive reward {v} at {loc} inside a reachable end component")
+                    break
+    return rep
+
+
+def ref_check_total_rewards(m: MarkovAutomaton, objectives, mecs) -> ValidationReport:
+    """Scan reference for `model.check_total_rewards`: sign consistency of
+    the distinct total rewards, then finiteness of the maximized ones, each
+    walking the tuple views component by component."""
+    totals = list({o.reward: m.rewards[o.reward] for o in objectives if o.kind == "total"}.values())
+    rep, signs = _ref_check_sign_consistency(m, totals, mecs)
+    return rep.extend(_ref_check_finiteness(m, objectives, mecs, signs))
+
+
+# ---------------------------------------------------------------------------
 # reference quotient
 
 
@@ -341,7 +501,7 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
     sorted.  Returns (choices, action_decoding, state_map, ec_states,
     bottom_state, lift) where lift(r, bottom_values) gives the lifted
     (state rewards, transition rewards) with transition entries in quotient
-    choice order, then order of first appearance.
+    edge order: by choice, then by successor.
     """
     collapsed = {s: i for i, c in enumerate(ecs) for s in c.states()}
     kept = [s for s in range(m.n_states) if s not in collapsed]
@@ -387,7 +547,7 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
         for i, v in enumerate(bottom_values or []):
             if v != 0.0:
                 trans_r[(k + i, len(choices[k + i]) - 1, bottom)] = v
-        return state_r, trans_r
+        return state_r, dict(sorted(trans_r.items()))
 
     return tuple(choices), decoding, state_map, list(range(k, bottom)), bottom, lift
 

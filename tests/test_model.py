@@ -8,7 +8,8 @@ from moma import model
 from moma.components import mec_decomposition, quotient, sub_ma
 from moma.solvers import reach_to_total
 
-from gen import random_lra_reward, random_ma, random_mdp, random_total_reward
+from gen import (malformed_ma, random_lra_reward, random_ma, random_mdp, random_total_reward,
+                 ref_check_total_rewards, ref_validate_model)
 
 
 def two_state(rates=(1.0, 2.0)):
@@ -112,12 +113,17 @@ class TestRewardEdges:
                 trans[(s, a, t)] = float(rng.integers(-1, 2))
             r = RewardAssignment("r", {}, trans)
             fl = model.flat(m)
-            want = [(int(fl.edge_ptr[fl.ptr[s] + a]) + [u for u, _ in m.choices[s][a]].index(t), v)
-                    for (s, a, t), v in trans.items()
-                    if v != 0.0 and a < len(m.choices[s])
-                    and t in [u for u, _ in m.choices[s][a]]]
-            e, v = model.reward_edges(m, r)
-            assert list(zip(e.tolist(), v.tolist())) == want
+            on = [(s, a, t) for s, a, t in trans
+                  if a < len(m.choices[s]) and t in [u for u, _ in m.choices[s][a]]]
+            want = {int(fl.edge_ptr[fl.ptr[s] + a]) + [u for u, _ in m.choices[s][a]].index(t):
+                    trans[(s, a, t)] for s, a, t in on if trans[(s, a, t)] != 0.0}
+            state, edge = r.vectors(m)
+            e = np.flatnonzero(edge)
+            assert dict(zip(e.tolist(), edge[e].tolist())) == want
+            assert not state.any()
+            # the entries off the model are recorded in entry order
+            assert r.off[1] == [(s, a, t, a < len(m.choices[s])) for s, a, t in trans
+                                if (s, a, t) not in on]
 
 
 class TestValidateModel:
@@ -173,33 +179,91 @@ class TestValidateModel:
         assert rep.ok
 
 
+    def test_matches_scan_reference(self):
+        kinds = ["non-positive rate", "deadlock", "empty distribution", "twice",
+                 "outside (0, 1]", "sums to", "reward on unknown state",
+                 "reward on probabilistic state", "unknown choice", "zero-probability edge"]
+        seen = set()
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            m = malformed_ma(rng)
+            rep = validate_model(m)
+            assert rep.violations == ref_validate_model(m).violations
+            seen.update(k for v in rep.violations for k in kinds if k in v.message)
+            # the same entries born as vectors: no key off the model is left
+            born = m.with_rewards({n: r.negated(n) for n, r in m.rewards.items()})
+            assert validate_model(born).violations == ref_validate_model(born).violations
+        assert seen == set(kinds)
+
+
+class TestTotalRewardChecks:
+    def test_matches_scan_reference(self):
+        seen = set()
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            m = random_ma(rng, max_states=7, max_actions=3)
+            fl = model.flat(m)
+            rewards = {}
+            for name in ("T0", "T1"):
+                e = rng.integers(0, len(fl.succ), int(rng.integers(0, 6))).tolist()
+                keys = [(int(fl.edge_src[f]), int(fl.edge_choice[f] - fl.ptr[fl.edge_src[f]]),
+                         int(fl.succ[f])) for f in e]
+                rewards[name] = RewardAssignment(
+                    name, {int(s): float(rng.choice([-1.0, 0.0, 2.0]))
+                           for s in rng.integers(0, m.n_states, int(rng.integers(0, 4)))},
+                    {k: float(rng.choice([-1.5, 0.0, 0.5])) for k in keys})
+            m = m.with_rewards(rewards)
+            objectives = [Objective("total", str(rng.choice(["max", "min"])), reward=n)
+                          for n in ("T0", "T1", "T0")]
+            mecs = mec_decomposition(m)
+            rep = model.check_total_rewards(m, objectives, mecs)
+            assert rep.violations == ref_check_total_rewards(m, objectives, mecs).violations
+            seen.update(v.assumption for v in rep.violations)
+        assert seen == {"SignConsistency", "Finiteness"}
+
+
 class TestRewardAlgebra:
+    # the algebra runs on the vectors of a reward placed on a model
+
+    @staticmethod
+    def placed(*rewards):
+        m = two_state()
+        for r in rewards:
+            r.vectors(m)
+        return rewards
+
     def test_defaults_and_is_zero(self):
         r = RewardAssignment("r", {1: 2.0}, {(0, 0, 1): -1.0})
         assert r.state_reward(1) == 2.0
         assert r.state_reward(0) == 0.0
         assert r.transition_reward(0, 0, 1) == -1.0
         assert r.transition_reward(1, 0, 0) == 0.0
+        with pytest.raises(ModelError):
+            r.is_zero
+        self.placed(r)
         assert not r.is_zero
-        assert RewardAssignment("z", {0: 0.0}, {}).is_zero
+        assert self.placed(RewardAssignment("z", {0: 0.0}, {}))[0].is_zero
 
-    def test_negated_and_scaled(self):
-        r = RewardAssignment("r", {1: 2.0}, {(0, 0, 1): -1.0})
+    def test_negated(self):
+        (r,) = self.placed(RewardAssignment("r", {1: 2.0}, {(0, 0, 1): -1.0}))
         n = r.negated("n")
         assert n.state_reward(1) == -2.0 and n.transition_reward(0, 0, 1) == 1.0
-        s = r.scaled(3.0, "s")
-        assert s.state_reward(1) == 6.0 and s.transition_reward(0, 0, 1) == -3.0
+        assert dict(n.state_rewards) == {1: -2.0}
+        assert dict(n.transition_rewards) == {(0, 0, 1): 1.0}
 
     def test_weighted_sum(self):
-        r1 = RewardAssignment("a", {0: 1.0}, {(0, 0, 1): 2.0})
-        r2 = RewardAssignment("b", {0: 4.0, 1: 1.0}, {})
+        r1, r2 = self.placed(RewardAssignment("a", {0: 1.0}, {(0, 0, 1): 2.0}),
+                             RewardAssignment("b", {0: 4.0, 1: 1.0}, {}))
         w = weighted_reward_sum("w", [(0.5, r1), (0.25, r2), (0.0, r2)])
         assert w.state_reward(0) == 0.5 + 1.0
         assert w.state_reward(1) == 0.25
         assert w.transition_reward(0, 0, 1) == 1.0
+        (other,) = self.placed(RewardAssignment("c", {0: 1.0}, {}))
+        with pytest.raises(ModelError):
+            weighted_reward_sum("w", [(1.0, r1), (1.0, other)])
 
     def test_zero_weight_contributes_nothing(self):
-        r = RewardAssignment("a", {0: float("nan")}, {})
+        (r,) = self.placed(RewardAssignment("a", {0: float("nan")}, {(0, 0, 1): float("inf")}))
         w = weighted_reward_sum("w", [(0.0, r)])
         assert w.is_zero
 

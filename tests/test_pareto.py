@@ -1,3 +1,6 @@
+from collections import Counter
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,11 @@ from hypothesis import strategies as st
 from moma import (AchievabilityQuery, ApproximationState, MarkovAutomaton,
                   ModelError, Objective, ParetoQuery, QuantitativeQuery,
                   RewardAssignment, WeightedSolution, answer_query,
-                  downward_hull, evaluate_strategy, select_weight)
+                  downward_hull, evaluate_strategy, normalize_query, select_weight,
+                  validate_assumptions)
+from moma.model import Flat, flat
 
-from gen import oracle_points, random_valid_instance
+from gen import layered_ma, oracle_points, random_valid_instance
 
 
 def fake_solution(w, value, point, strategy=None):
@@ -265,6 +270,65 @@ class TestSandwichInvariants:
             _, pts = oracle_points(m, objectives)
             self.check_state(res, pts)
             assert not res.exhausted
+
+
+class TestArraysOnly:
+    """A query reads structure and rewards as arrays: it builds no tuple view
+    of any model and no dict view of a reward the library derived, and it
+    places every reward of the user's model on that model once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def count(cls, attr, key):
+            derive = cls.__dict__[attr].func
+
+            def counted(obj):
+                counts.update([key])
+                return derive(obj)
+            prop = cached_property(counted)
+            prop.__set_name__(cls, attr)
+            monkeypatch.setattr(cls, attr, prop)
+
+        count(Flat, "choice_tuples", "choice tuples")
+        count(Flat, "rate_tuple", "rate tuple")
+        # input-form rewards hold their dicts from the start
+        count(RewardAssignment, "state_rewards", "derived state reward dicts")
+        count(RewardAssignment, "transition_rewards", "derived transition reward dicts")
+        vectors = RewardAssignment.vectors
+
+        def placing(r, m):
+            if r._fl is not flat(m):
+                counts.update([r])
+            return vectors(r, m)
+        monkeypatch.setattr(RewardAssignment, "vectors", placing)
+        return counts
+
+    @staticmethod
+    def check(counts, m, objectives, precision):
+        fresh = {n: RewardAssignment(n, r.state_rewards, r.transition_rewards)
+                 for n, r in m.rewards.items()}
+        counts.clear()
+        answer_query(m.with_rewards(fresh), objectives, ParetoQuery(precision=precision))
+        assert counts == Counter(fresh.values())
+
+    def test_layered(self, counts):
+        m, objectives = layered_ma(np.random.default_rng(5), n=500)
+        self.check(counts, m, objectives, 1e-3)
+
+    def test_reach_and_min(self, counts):
+        rng = np.random.default_rng(6)
+        checked = 0
+        while checked < 6:
+            m, _ = random_valid_instance(rng, max_states=6)
+            objectives = [Objective("lra", "min", reward="L0"),
+                          Objective("total", str(rng.choice(["max", "min"])), reward="T0"),
+                          Objective("reach", str(rng.choice(["max", "min"])),
+                                    goal=frozenset({int(rng.integers(1, m.n_states))}))]
+            if validate_assumptions(normalize_query(m, objectives)).ok:
+                self.check(counts, m, objectives, 1e-2)
+                checked += 1
 
 
 class TestAchievabilityQuery:

@@ -8,7 +8,8 @@ import moma.solvers
 from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   RewardAssignment, SolverError, bscc_gain, evaluate_strategy,
                   max_total_reward, mec_lra, normalize_query, optimize_weighted,
-                  prepare_weighted, quotient, reach_to_total, sub_ma, zero_mecs)
+                  prepare_weighted, quotient, reach_to_total, sub_ma,
+                  weighted_reward_sum, zero_mecs)
 
 from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp,
                  random_ssp, random_valid_instance, ring_ma)
@@ -198,8 +199,8 @@ class TestMecLra:
             r = sub.rewards[p.objectives[0].reward]
             c = 3.0
             v1 = mec_lra(sub, r, eps=eps)
-            v2 = mec_lra(sub.with_rewards({"s": r.scaled(c, "s")}),
-                         r.scaled(c, "s"), eps=eps)
+            s = weighted_reward_sum("s", [(c, r)])
+            v2 = mec_lra(sub.with_rewards({"s": s}), s, eps=eps)
             tol = 2 * eps * max(1.0, c * max(1.0, abs(v1.value)))
             assert abs(v2.value - c * v1.value) <= tol
             checked += 1
@@ -355,7 +356,8 @@ class TestMaxTotalReward:
                                                      (1, 0, 2): -1.0})})
         eps = 1e-8
         base = max_total_reward(m, m.rewards["r"], bottom_state=2, eps=eps)
-        scaled = max_total_reward(m, m.rewards["r"].scaled(4.0, "s"), bottom_state=2, eps=eps)
+        scaled = max_total_reward(m, weighted_reward_sum("s", [(4.0, m.rewards["r"])]),
+                                  bottom_state=2, eps=eps)
         # certified brackets must agree: 4 * [l, u] and [l', u'] overlap
         assert max(4.0 * base.lower, scaled.lower) <= \
             min(4.0 * base.upper, scaled.upper) + 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,17 @@ class TestOptimizeWeighted:
             optimize_weighted(prep, (1.0,))
         with pytest.raises(ModelError):
             optimize_weighted(prep, (1.0, -0.5))
+
+    def test_zero_weight_ignores_nan_and_inf(self, fig1, fig1_objectives):
+        # a weight 0 leaves its reward out of every sum, whatever it holds
+        bad = RewardAssignment("bad", {s: math.nan for s in fig1.markovian_states()},
+                               {(0, 0, t): math.inf for t, _ in fig1.choices[0][0]})
+        m = fig1.with_rewards({**fig1.rewards, "bad": bad})
+        prep = make_prep(m, fig1_objectives + [Objective("lra", "max", reward="bad")])
+        want = optimize_weighted(make_prep(fig1, fig1_objectives), (0.5, 0.5))
+        got = optimize_weighted(prep, (0.5, 0.5, 0.0))
+        assert got.value == want.value and got.strategy == want.strategy
+        assert got.point[:2].tolist() == want.point.tolist()
 
     def test_zero_weight_totals_still_shape_components(self):
         # A cycle carrying reward only under the weight-0 total must not be
