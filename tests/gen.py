@@ -20,6 +20,7 @@ from moma import (MarkovAutomaton, Objective, RewardAssignment, ValidationReport
                   evaluate_strategy, normalize_query, validate_assumptions)
 from moma.components import mec_decomposition
 from moma.model import NEG_INF, PROB_TOL, flat
+from moma.pareto import Facet
 
 # ---------------------------------------------------------------------------
 # generators
@@ -296,6 +297,36 @@ def cycle_with_tail(n_tail=600, n_cycle=600):
     return m, [Objective("lra", "max", reward="L"), Objective("total", "max", reward="T")], sigma
 
 
+def menu_doc(rng, stages, actions, directions):
+    """An MDP whose Pareto front is a Minkowski sum of per-stage menus, as a
+    moma-model document with its objective list (one total objective per
+    entry of `directions`, "max" or "min").
+
+    `stages` probabilistic stages of `actions` actions each lead to an
+    absorbing state.  Every action moves to the next stage and pays a reward
+    vector whose entries split a random total (a Dirichlet draw), one
+    transition reward per objective.  The same draw as the benchmark's menu
+    generator, so a seed names the same instance in both.
+    """
+    total = rng.integers(2, 9, size=(stages, actions, 1)) / 2.0
+    split = rng.dirichlet(np.ones(len(directions)), size=(stages, actions))
+    rewards = np.round(total * split, 6)
+    name = [f"stage{i}" for i in range(stages)] + ["done"]
+    states = [{"name": name[i], "actions": [
+        {"name": f"m{k}", "transitions": {name[i + 1]: 1.0}} for k in range(actions)]}
+        for i in range(stages)]
+    states.append({"name": "done", "actions": [{"name": "idle", "transitions": {"done": 1.0}}]})
+    blocks = [{"name": f"R{j}", "transitions": [
+        {"from": name[i], "action": f"m{k}", "to": name[i + 1],
+         "value": float(rewards[i, k, j])}
+        for i in range(stages) for k in range(actions)]} for j in range(len(directions))]
+    doc = {"format": "moma-model", "version": 1, "kind": "mdp",
+           "initial": name[0], "states": states, "rewards": blocks}
+    objectives = [{"kind": "total", "direction": d, "reward": f"R{j}"}
+                  for j, d in enumerate(directions)]
+    return doc, objectives
+
+
 def ring_ma(rng, n):
     """One large, nearly periodic end component: n states on a cycle.
 
@@ -550,6 +581,78 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
         return state_r, dict(sorted(trans_r.items()))
 
     return tuple(choices), decoding, state_map, list(range(k, bottom)), bottom, lift
+
+
+# ---------------------------------------------------------------------------
+# reference Pareto geometry
+
+
+def ref_downward_hull(points, dim: int) -> list[Facet]:
+    """Loop reference for `pareto.downward_hull` in 3 and 4 dimensions.
+
+    Duplicates collapse to their first index; the distinct points, sorted,
+    are padded with every projection onto the box corner below them and
+    handed to Qhull.  Simplices are grouped by their equation rounded to 9
+    digits, groups are visited in sorted key order, and each keeps the
+    equation of its first simplex as representative.
+    """
+    from scipy.spatial import ConvexHull
+
+    first_at: dict[tuple[float, ...], int] = {}
+    for i, p in enumerate(points):
+        first_at.setdefault(tuple(float(x) for x in p), i)
+    uniq = sorted(first_at)
+    arr = np.array(uniq, dtype=float)
+    k = len(uniq)
+    spread = float(np.max(arr.max(axis=0) - arr.min(axis=0))) if k > 1 else 0.0
+    mins = arr.min(axis=0) - (1.0 + spread)
+    pads = []
+    for p in arr:
+        for mask in range(1, 1 << dim):
+            q = p.copy()
+            for j in range(dim):
+                if mask >> j & 1:
+                    q[j] = mins[j]
+            pads.append(q)
+    pads = np.unique(np.array(pads), axis=0)
+    hull = ConvexHull(np.vstack([arr, pads]))
+
+    groups: dict[tuple, dict] = {}
+    for si, simplex in enumerate(hull.simplices):
+        eq = hull.equations[si]
+        key = tuple(np.round(eq, 9))
+        g = groups.setdefault(key, {"eq": eq, "verts": set()})
+        g["verts"].update(int(v) for v in simplex)
+    facets: list[Facet] = []
+    for key in sorted(groups):
+        n = groups[key]["eq"][:dim]
+        if (n < -1e-9).any():
+            continue
+        orig = sorted(v for v in groups[key]["verts"] if v < k)
+        if not orig:
+            continue
+        n2 = np.clip(n, 0.0, None)
+        s = float(n2.sum())
+        if s <= 0.0:
+            continue
+        n2 = n2 / s
+        off = float(np.max(arr @ n2))
+        verts = tuple(first_at[uniq[v]] for v in orig)
+        facets.append(Facet(n2, off, verts, len(orig) < dim))
+    return facets
+
+
+def ref_facet_gaps(points, facets, halfspaces) -> list[tuple[float, float, int]]:
+    """Loop reference for `ApproximationState.facet_gaps`: per facet, the
+    least slack of any halfspace (normal, offset) at the mean of the facet's
+    points, the scale max(1, |offset|) of that halfspace, and its index."""
+    out = []
+    for f in facets:
+        x = np.mean([points[i] for i in f.vertices], axis=0)
+        gaps = np.array([off - float(np.dot(normal, x)) for normal, off in halfspaces])
+        gi = int(np.argmin(gaps))
+        out.append((float(gaps[gi]), max(1.0, abs(halfspaces[gi][1])), gi))
+    return out
 
 
 # ---------------------------------------------------------------------------

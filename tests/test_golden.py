@@ -24,17 +24,23 @@ from moma.cli import main
 from moma.modelio import parse_objective
 
 from conftest import corpus_path
-from gen import cycle_with_tail, layered_ma
+from gen import cycle_with_tail, layered_ma, menu_doc
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 LAYERED_QUERY = {"format": "moma-query", "version": 1, "kind": "pareto",
                  "objectives": [{"kind": "lra", "direction": "max", "reward": "L0"},
                                 {"kind": "total", "direction": "max", "reward": "T0"}],
                  "precision": 1e-3}
+# menu MDPs: (seed, stages, actions, directions, precision); the 3- and
+# 4-objective fronts go through the padded hull, the 2-D cases do not
+MENUS = {"menu4": (7002, 5, 3, ("max", "max", "max", "min"), 1e-2),
+         "menu3": (7115, 6, 3, ("max", "max", "min"), 1e-3)}
 
 # golden file -> command line (model and query paths resolved by _argv)
 CASES = {
     "layered-2000-pareto.json": ["pareto", "@layered", "--query", "@layered-query"],
+    "menu4-pareto.json": ["pareto", "@menu4", "--query", "@menu4-query"],
+    "menu3-pareto.json": ["pareto", "@menu3", "--query", "@menu3-query"],
     "fig1-pareto.json": ["pareto", "@fig1", "--query", "@fig1-pareto.json"],
     "fig1-check.json": ["check", "@fig1", "--query", "@fig1-check.json"],
     "fig1-quant.json": ["check", "@fig1", "--query", "@fig1-quant.json"],
@@ -45,14 +51,25 @@ CASES = {
 CHAIN_EVAL = "cycle-with-tail-eval.json"
 
 
+def _generated(name: str) -> tuple[dict, dict]:
+    """Model and query document of a generated input."""
+    if name == "layered":
+        m, _ = layered_ma(np.random.default_rng(9000), n=2000)
+        return serialize_model(m), LAYERED_QUERY
+    seed, stages, actions, directions, precision = MENUS[name]
+    doc, objectives = menu_doc(np.random.default_rng(seed), stages, actions, directions)
+    return doc, {"format": "moma-query", "version": 1, "kind": "pareto",
+                 "objectives": objectives, "precision": precision}
+
+
 def _argv(case: str, work: Path) -> list[str]:
     files = {"@fig1": corpus_path("fig1.json")}
-    if "@layered" in CASES[case]:
-        m, _ = layered_ma(np.random.default_rng(9000), n=2000)
-        files["@layered"] = str(work / "layered.json")
-        files["@layered-query"] = str(work / "layered-query.json")
-        Path(files["@layered"]).write_text(dumps(serialize_model(m)), encoding="utf-8")
-        Path(files["@layered-query"]).write_text(dumps(LAYERED_QUERY), encoding="utf-8")
+    name = CASES[case][1][1:]
+    if name != "fig1":
+        files[f"@{name}"] = str(work / f"{name}.json")
+        files[f"@{name}-query"] = str(work / f"{name}-query.json")
+        for key, doc in zip((f"@{name}", f"@{name}-query"), _generated(name)):
+            Path(files[key]).write_text(dumps(doc), encoding="utf-8")
     return [files.get(a) or (corpus_path(a[1:]) if a.startswith("@") else a)
             for a in CASES[case]]
 
