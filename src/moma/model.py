@@ -571,10 +571,8 @@ def check_total_rewards(m: MarkovAutomaton, objectives: Sequence[Objective],
             rep.add("SignConsistency", r.name,
                     f"end components mix positive ({pos_at}) and negative ({neg_at}) rewards")
     reachable = set(m.reachable())
-    for o in objectives:
-        if o.kind != "total" or o.direction != "max":
-            continue
-        r = m.rewards[o.reward]
+    for r in {o.reward: m.rewards[o.reward] for o in objectives
+              if o.kind == "total" and o.direction == "max"}.values():
         for c in mecs:
             if not (c.states() & reachable):
                 continue

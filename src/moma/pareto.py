@@ -68,26 +68,38 @@ class Facet:
 @dataclass
 class ApproximationState:
     """The (P, Q) pair of the sandwich loop, with a cached facet
-    decomposition of the downward hull of P.  The halfspaces are the
-    refinement history: one per weighted solve, in order."""
+    decomposition of the downward hull of P and the facets' centroids (one
+    row each).  The halfspaces are the refinement history: one per weighted
+    solve, in order; `normals` and `offsets` hold them as arrays."""
 
     dimension: int
     points: list[AchievedPoint] = field(default_factory=list)
     halfspaces: list[HalfSpace] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     _facets: list[Facet] | None = field(default=None, repr=False)
+    _hull_input: set[tuple[float, ...]] = field(default_factory=set, repr=False)
+
+    def __post_init__(self):
+        self.normals = np.zeros((0, self.dimension))
+        self.offsets = np.zeros(0)
 
     def add(self, sol: WeightedSolution) -> None:
-        finite = bool(np.all(np.isfinite(sol.point)))
+        point = np.array(sol.point, dtype=float)
+        finite = bool(np.all(np.isfinite(point)))
         w = tuple(float(x) for x in sol.weights)
-        self.points.append(AchievedPoint(np.array(sol.point, dtype=float),
-                                         dict(sol.strategy), w, finite))
+        self.points.append(AchievedPoint(point, dict(sol.strategy), w, finite))
         if not finite:
             self.warnings.append(
                 "a strategy evaluated to -inf in some coordinate; consider dropping "
                 "the diverging objective and re-running on the remaining ones")
         self.halfspaces.append(HalfSpace(w, float(sol.value)))
-        self._facets = None
+        self.normals = np.vstack([self.normals, w])
+        self.offsets = np.append(self.offsets, float(sol.value))
+        # the hull sees each distinct finite point once, at its first index,
+        # so a repeated or non-finite point leaves the facets as they are
+        if finite and (key := tuple(point.tolist())) not in self._hull_input:
+            self._hull_input.add(key)
+            self._facets = None
 
     def finite_indices(self) -> list[int]:
         return [i for i, ap in enumerate(self.points) if ap.finite]
@@ -95,23 +107,27 @@ class ApproximationState:
     def facets(self) -> list[Facet]:
         if self._facets is None:
             idx = self.finite_indices()
-            raw = downward_hull([self.points[i].point for i in idx], self.dimension)
+            pts = np.array([self.points[i].point for i in idx]).reshape(len(idx), self.dimension)
+            raw = downward_hull(pts, self.dimension)
             self._facets = [Facet(f.normal, f.offset,
                                   tuple(idx[v] for v in f.vertices), f.degenerate)
                             for f in raw]
+            # means summed in vertex order, as np.mean sums: one row of
+            # vertex ids per facet, padded with the id of a zero row
+            sizes = np.array([len(f.vertices) for f in raw], dtype=int)
+            ids = np.full((len(raw), max(sizes, default=0)), len(pts))
+            ids[np.arange(ids.shape[1]) < sizes[:, None]] = [v for f in raw for v in f.vertices]
+            self._centroids = np.vstack([pts, np.zeros(self.dimension)])[ids].sum(axis=1) / sizes[:, None]
         return self._facets
 
-    def facet_gaps(self) -> list[tuple[Facet, float, float]]:
+    def facet_gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """Per facet: the minimal slack against all halfspaces at the facet
         centroid, and the scale (offset magnitude, floored at 1) of the
         halfspace attaining it."""
-        out = []
-        for f in self.facets():
-            x = np.mean([self.points[i].point for i in f.vertices], axis=0)
-            gaps = np.array([h.offset - float(np.dot(h.normal, x)) for h in self.halfspaces])
-            gi = int(np.argmin(gaps))
-            out.append((f, float(gaps[gi]), max(1.0, abs(self.halfspaces[gi].offset))))
-        return out
+        self.facets()
+        slack = self.offsets - self._centroids @ self.normals.T
+        gi = np.argmin(slack, axis=1) if slack.size else np.zeros(0, dtype=int)
+        return slack[np.arange(len(gi)), gi], np.maximum(1.0, np.abs(self.offsets[gi]))
 
 
 def downward_hull(points: Sequence[np.ndarray], dimension: int) -> list[Facet]:
@@ -123,9 +139,9 @@ def downward_hull(points: Sequence[np.ndarray], dimension: int) -> list[Facet]:
     dimensional and turns the downward closure's unbounded faces into box
     walls that are filtered by normal sign afterwards.
     """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
+    if len(points) == 0:
         return []
+    pts = np.array(points, dtype=float)
     if dimension == 1:
         best = max(range(len(pts)), key=lambda i: (pts[i][0], -i))
         return [Facet(np.array([1.0]), float(pts[best][0]), (best,), False)]
@@ -140,7 +156,7 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_2d(pts: list[np.ndarray]) -> list[Facet]:
+def _hull_2d(pts: np.ndarray) -> list[Facet]:
     first_at: dict[tuple[float, float], int] = {}
     for i, p in enumerate(pts):
         first_at.setdefault((float(p[0]), float(p[1])), i)
@@ -163,50 +179,36 @@ def _hull_2d(pts: list[np.ndarray]) -> list[Facet]:
     return facets
 
 
-def _hull_padded(pts: list[np.ndarray], dim: int) -> list[Facet]:
+def _hull_padded(pts: np.ndarray, dim: int) -> list[Facet]:
     from scipy.spatial import ConvexHull
 
-    first_at: dict[tuple[float, ...], int] = {}
-    for i, p in enumerate(pts):
-        first_at.setdefault(tuple(float(x) for x in p), i)
-    uniq = sorted(first_at)
-    arr = np.array(uniq, dtype=float)
-    k = len(uniq)
+    # distinct points in sorted order, each with the index of its first copy
+    arr, first = np.unique(pts, axis=0, return_index=True)
+    k = len(arr)
     spread = float(np.max(arr.max(axis=0) - arr.min(axis=0))) if k > 1 else 0.0
     mins = arr.min(axis=0) - (1.0 + spread)
-    pads = []
-    for p in arr:
-        for mask in range(1, 1 << dim):
-            q = p.copy()
-            for j in range(dim):
-                if mask >> j & 1:
-                    q[j] = mins[j]
-            pads.append(q)
-    pads = np.unique(np.array(pads), axis=0)
+    masks = (np.arange(1, 1 << dim)[:, None] >> np.arange(dim) & 1).astype(bool)
+    pads = np.unique(np.where(masks, mins, arr[:, None, :]).reshape(-1, dim), axis=0)
     hull = ConvexHull(np.vstack([arr, pads]))
 
-    groups: dict[tuple, dict] = {}
-    for si, simplex in enumerate(hull.simplices):
-        eq = hull.equations[si]
-        key = tuple(np.round(eq, 9))
-        g = groups.setdefault(key, {"eq": eq, "verts": set()})
-        g["verts"].update(int(v) for v in simplex)
+    # simplices with equal rounded equations form one facet, represented by
+    # the equation of its first simplex; its vertices are the original
+    # points among the simplices' corners
+    _, rep, group = np.unique(np.round(hull.equations, 9), axis=0,
+                              return_index=True, return_inverse=True)
+    pairs = np.stack([np.repeat(group.ravel(), dim), hull.simplices.ravel()], axis=1)
+    pairs = np.unique(pairs[pairs[:, 1] < k], axis=0)
+    bounds = np.searchsorted(pairs[:, 0], np.arange(len(rep) + 1))
+    normals = hull.equations[rep, :dim]
+    clipped = np.clip(normals, 0.0, None)
+    sums = clipped.sum(axis=1)
+    keep = ~(normals < -1e-9).any(axis=1) & (bounds[1:] > bounds[:-1]) & (sums > 0.0)
     facets: list[Facet] = []
-    for key in sorted(groups):
-        n = groups[key]["eq"][:dim]
-        if (n < -1e-9).any():
-            continue
-        orig = sorted(v for v in groups[key]["verts"] if v < k)
-        if not orig:
-            continue
-        n2 = np.clip(n, 0.0, None)
-        s = float(n2.sum())
-        if s <= 0.0:
-            continue
-        n2 = n2 / s
-        off = float(np.max(arr @ n2))
-        verts = tuple(first_at[uniq[v]] for v in orig)
-        facets.append(Facet(n2, off, verts, len(orig) < dim))
+    for g in np.flatnonzero(keep):
+        n = clipped[g] / sums[g]
+        orig = pairs[bounds[g]:bounds[g + 1], 1]
+        facets.append(Facet(n, float(np.max(arr @ n)), tuple(first[orig].tolist()),
+                            len(orig) < dim))
     return facets
 
 
@@ -218,32 +220,27 @@ def select_weight(state: ApproximationState, eta: float,
     with the largest gap to the boundary of Q (relative to the scale of the
     tightest halfspace) is chosen, preferring facets whose normal points
     toward `guidance` when given.  Facets with gap at most eta * scale are
-    considered closed.
+    considered closed.  Ties go to the facet with the smallest normal
+    (rounded to 12 digits), then to the first.
     """
-    ell = state.dimension
-    if len(state.halfspaces) < ell:
-        w = np.zeros(ell)
-        w[len(state.halfspaces)] = 1.0
-        return w
-    best_key = None
-    best = None
-    for f, gap, scale in state.facet_gaps():
-        if gap <= max(eta * scale, 1e-15):
-            continue
-        if guidance is not None:
-            x = np.mean([state.points[i].point for i in f.vertices], axis=0)
-            d = guidance - x
-            nd = float(np.linalg.norm(d))
-            nn = float(np.linalg.norm(f.normal))
-            cos = float(np.dot(f.normal, d)) / (nd * nn) if nd > 0 else 1.0
-            score = gap * (0.1 + max(0.0, cos))
-        else:
-            score = gap
-        key = (-score, tuple(np.round(f.normal, 12)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = f.normal
-    return None if best is None else np.asarray(best, dtype=float)
+    if len(state.halfspaces) < state.dimension:
+        return np.eye(state.dimension)[len(state.halfspaces)]
+    facets = state.facets()
+    gaps, scales = state.facet_gaps()
+    open_ = np.flatnonzero(gaps > np.maximum(eta * scales, 1e-15))
+    if not open_.size:
+        return None
+    normals = np.array([facets[i].normal for i in open_])
+    score = gaps[open_]
+    if guidance is not None:
+        d = guidance - state._centroids[open_]
+        # row-wise dot products by stacked matmul, which rounds as np.dot does
+        nn, dd, nd = (np.stack([normals, d, normals])[:, :, None, :]
+                      @ np.stack([normals, d, d])[:, :, :, None])[:, :, 0, 0]
+        cos = np.divide(nd, np.sqrt(dd) * np.sqrt(nn), out=np.ones(len(open_)), where=dd > 0)
+        score = score * (0.1 + np.maximum(0.0, cos))
+    order = np.lexsort((*np.round(normals, 12).T[::-1], -score))
+    return np.asarray(facets[open_[order[0]]].normal, dtype=float)
 
 
 def refine(state: ApproximationState, prep: WeightedPrep, w: np.ndarray,
@@ -377,24 +374,16 @@ def _run_pareto(state, prep, p, eta_eff, eps, budget_left) -> QueryResult:
         refine(state, prep, w, eps)
     exhausted = select_weight(state, eta_eff) is not None
 
-    gaps = state.facet_gaps()
-    worst = max((g / s for _, g, s in gaps), default=0.0)
+    gaps, scales = state.facet_gaps()
+    worst = float(np.max(gaps / scales)) if len(gaps) else 0.0
     vertex_ids = sorted({i for f in state.facets() for i in f.vertices},
                         key=lambda i: tuple(state.points[i].point * p.flips))
     vertex_ids = _extreme_ids(state, vertex_ids)
-    pos = {state.points[i].point.tobytes(): j for j, i in enumerate(vertex_ids)}
     vertices = [_flip_vec(state.points[i].point, p.flips) for i in vertex_ids]
-
-    def support(f):
-        out = []
-        for i in f.vertices:
-            j = pos.get(state.points[i].point.tobytes())
-            if j is not None and j not in out:
-                out.append(j)
-        return out
-
+    # every hull names a distinct point by one index, its first
+    pos = {i: j for j, i in enumerate(vertex_ids)}
     facets = [{"normal": _flip_vec(f.normal, p.flips), "offset": f.offset,
-               "vertices": support(f)}
+               "vertices": [pos[i] for i in f.vertices if i in pos]}
               for f in state.facets() if not f.degenerate]
     witness = {"vertices": [_strategy_ids(state.points[i].strategy) for i in vertex_ids]}
     return QueryResult(kind="pareto", objectives=[], vertices=vertices, facets=facets,
@@ -410,11 +399,11 @@ def _run_achievability(state, prep, p, point, eta_eff, eps, budget_left) -> Quer
     witness = None
     exhausted = False
     while True:
-        hit = next((h for h in state.halfspaces if float(np.dot(h.normal, q)) > h.offset), None)
+        hit = next(iter(np.flatnonzero(state.normals @ q > state.offsets)), None)
         if hit is not None:
             verdict = "no"
-            witness = {"separating": {"normal": _flip_vec(np.asarray(hit.normal), p.flips),
-                                      "offset": hit.offset}}
+            witness = {"separating": {"normal": _flip_vec(state.normals[hit], p.flips),
+                                      "offset": float(state.offsets[hit])}}
             break
         mix = _inner_feasible(state, q)
         if mix is not None:
@@ -561,16 +550,11 @@ def _outer_slice_max(state: ApproximationState, t_int: np.ndarray, dim: int):
     thresholds; +inf when Q is still unbounded in that direction."""
     if not state.halfspaces:
         return math.inf, None
-    A = [list(h.normal) for h in state.halfspaces]
-    b = [h.offset for h in state.halfspaces]
-    for j, t in enumerate(t_int, start=1):
-        row = [0.0] * dim
-        row[j] = -1.0
-        A.append(row)
-        b.append(-float(t))
-    c = [0.0] * dim
-    c[0] = -1.0
-    res = linprog(c=c, A_ub=np.array(A), b_ub=np.array(b),
+    # maximize x_0 subject to one row x_j >= t_j per threshold (0.0 - eye
+    # keeps the zeros unsigned)
+    cut = 0.0 - np.eye(dim)
+    res = linprog(c=cut[0], A_ub=np.vstack([state.normals, cut[1:len(t_int) + 1]]),
+                  b_ub=np.concatenate([state.offsets, -t_int]),
                   bounds=[(None, None)] * dim, method="highs")
     if res.status == 2:
         return NEG_INF, None

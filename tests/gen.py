@@ -488,14 +488,12 @@ def _ref_check_sign_consistency(m: MarkovAutomaton, totals, mecs):
 
 
 def _ref_check_finiteness(m: MarkovAutomaton, objectives, mecs, signs):
-    """A maximizing total objective diverges iff a reachable end component
-    carries a strictly positive internal reward."""
+    """A maximized total reward diverges iff a reachable end component
+    carries a strictly positive internal reward; one report per reward."""
     rep = ValidationReport()
     reachable = set(m.reachable())
-    for o in objectives:
-        if o.kind != "total" or o.direction != "max":
-            continue
-        r = m.rewards[o.reward]
+    for r in {o.reward: m.rewards[o.reward] for o in objectives
+              if o.kind == "total" and o.direction == "max"}.values():
         if signs.get(r.name, 0) <= 0:
             continue
         for c in mecs:
@@ -653,6 +651,26 @@ def ref_facet_gaps(points, facets, halfspaces) -> list[tuple[float, float, int]]
         gi = int(np.argmin(gaps))
         out.append((float(gaps[gi]), max(1.0, abs(halfspaces[gi][1])), gi))
     return out
+
+
+def ref_select_normal(points, facets, halfspaces, eta, guidance=None):
+    """Loop reference for `select_weight` after the unit vectors: the normal
+    of the open facet with the largest (guided) gap, ties to the smallest
+    rounded normal, then the first; None when every facet is closed."""
+    best_key = best = None
+    for f, (gap, scale, _) in zip(facets, ref_facet_gaps(points, facets, halfspaces)):
+        if gap <= max(eta * scale, 1e-15):
+            continue
+        score = gap
+        if guidance is not None:
+            d = guidance - np.mean([points[i] for i in f.vertices], axis=0)
+            nd = float(np.linalg.norm(d))
+            cos = float(np.dot(f.normal, d)) / (nd * float(np.linalg.norm(f.normal))) if nd > 0 else 1.0
+            score = gap * (0.1 + max(0.0, cos))
+        key = (-score, tuple(np.round(f.normal, 12)))
+        if best_key is None or key < best_key:
+            best_key, best = key, f.normal
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,12 @@ class TestTotalRewardChecks:
             seen.update(v.assumption for v in rep.violations)
         assert seen == {"SignConsistency", "Finiteness"}
 
+    def test_one_finiteness_report_per_reward(self):
+        m = two_state().with_rewards({"r": RewardAssignment("r", {0: 1.0}, {})})
+        objectives = [Objective("total", "max", reward="r")] * 2
+        rep = model.check_total_rewards(m, objectives, mec_decomposition(m))
+        assert [(v.assumption, v.location) for v in rep.violations] == [("Finiteness", "r")]
+
 
 class TestRewardAlgebra:
     # the algebra runs on the vectors of a reward placed on a model

@@ -11,9 +11,12 @@ from moma import (AchievabilityQuery, ApproximationState, MarkovAutomaton,
                   RewardAssignment, WeightedSolution, answer_query,
                   downward_hull, evaluate_strategy, normalize_query, select_weight,
                   validate_assumptions)
+from moma import pareto, parse_model
 from moma.model import Flat, flat
+from moma.modelio import parse_objective
 
-from gen import layered_ma, oracle_points, random_valid_instance
+from gen import (layered_ma, menu_doc, oracle_points, random_valid_instance,
+                 ref_downward_hull, ref_facet_gaps, ref_select_normal)
 
 
 def fake_solution(w, value, point, strategy=None):
@@ -108,13 +111,10 @@ class TestDownwardHull:
         for t in extreme_points(pts):
             assert t in used
 
-    @settings(deadline=None)
-    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
-                              st.integers(-9, 9)),
-                    min_size=1, max_size=8))
-    def test_hull_properties_3d(self, raw):
+    @staticmethod
+    def check_padded_hull(raw, dim):
         pts = [np.array(p, dtype=float) for p in raw]
-        facets = downward_hull(pts, 3)
+        facets = downward_hull(pts, dim)
         assert facets
         for f in facets:
             n = np.asarray(f.normal)
@@ -126,6 +126,118 @@ class TestDownwardHull:
         used = {tuple(pts[i]) for f in facets for i in f.vertices}
         for t in extreme_points(pts):
             assert t in used
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=1, max_size=8))
+    def test_hull_properties_3d(self, raw):
+        self.check_padded_hull(raw, 3)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=1, max_size=8))
+    def test_hull_properties_4d(self, raw):
+        self.check_padded_hull(raw, 4)
+
+
+def facet_tuples(facets):
+    return [(f.normal.tolist(), f.offset, f.vertices, f.degenerate) for f in facets]
+
+
+def point_sets(dim, count=12):
+    """Seeded point sets for the padded hull: integer grids with duplicate
+    and dominated points, continuous draws with zeros of both signs, and
+    points on a plane, some lifted off it by about 1e-10 so that facet
+    equations differ near the 1e-9 grouping precision."""
+    rng = np.random.default_rng(8000 + dim)
+    for trial in range(count):
+        n = int(rng.integers(dim + 1, 14))
+        if trial % 3 == 0:
+            pts = rng.integers(0, 7, size=(n, dim)).astype(float)
+            pts = np.vstack([pts, pts[rng.integers(0, n, 3)], pts.min(axis=0) - 1.0])
+        elif trial % 3 == 1:
+            pts = rng.uniform(-3.0, 3.0, size=(n, dim))
+            pts[rng.random(pts.shape) < 0.2] = 0.0
+            pts = np.vstack([pts, np.where(pts[:2] == 0.0, -0.0, pts[:2])])
+        else:
+            normal = rng.dirichlet(np.ones(dim))
+            pts = rng.uniform(0.0, 5.0, size=(n, dim))
+            pts[:, -1] = (4.0 - pts[:, :-1] @ normal[:-1]) / normal[-1]
+            lifted = rng.random(n) < 0.4
+            pts[lifted] += np.outer(rng.uniform(0.5, 2.0, lifted.sum()) * 1e-10, normal)
+        yield pts[rng.permutation(len(pts))]
+
+
+class TestGeometryMatchesLoops:
+    """The array geometry against the loop code it replaced (tests/gen.py)."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_hull(self, dim):
+        for pts in point_sets(dim):
+            assert facet_tuples(downward_hull(list(pts), dim)) == \
+                facet_tuples(ref_downward_hull(list(pts), dim))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_gaps_and_selection(self, dim):
+        rng = np.random.default_rng(8100 + dim)
+        for pts in point_sets(dim):
+            # one halfspace per point, with distinct offsets above 1, so the
+            # scale of a gap names the halfspace attaining it
+            pts = pts - pts.min() + 2.0
+            state = ApproximationState(dim)
+            for p in pts:
+                w = rng.dirichlet(np.ones(dim))
+                state.add(fake_solution(w, float(np.max(pts @ w)) + rng.uniform(0.0, 2.0), p))
+            halfspaces = [(h.normal, h.offset) for h in state.halfspaces]
+            assert facet_tuples(state.facets()) == facet_tuples(ref_downward_hull(list(pts), dim))
+            gaps, scales = state.facet_gaps()
+            ref = ref_facet_gaps(list(pts), state.facets(), halfspaces)
+            assert scales.tolist() == [s for _, s, _ in ref]
+            assert np.abs(gaps - [g for g, _, _ in ref]).max() <= 1e-12 * scales.max()
+            for eta in (0.0, 1e-2):
+                for guidance in (None, pts.max(axis=0) + rng.uniform(-1.0, 1.0, dim)):
+                    w = select_weight(state, eta, guidance)
+                    want = ref_select_normal(list(pts), state.facets(), halfspaces, eta, guidance)
+                    assert (w is None and want is None) or w.tolist() == want.tolist()
+
+
+class TestFacetReuse:
+    def test_hull_built_once_per_new_distinct_point(self, monkeypatch):
+        calls = []
+        hull = pareto.downward_hull
+
+        def counted(points, dimension):
+            calls.append(len(points))
+            return hull(points, dimension)
+        monkeypatch.setattr(pareto, "downward_hull", counted)
+        doc, objectives = menu_doc(np.random.default_rng(7115), 6, 3, ("max", "max", "min"))
+        m = parse_model(doc)
+        res = answer_query(m, [parse_objective(o, m) for o in objectives],
+                           ParetoQuery(precision=1e-3))
+        keys = [tuple(ap.point.tolist()) for ap in res.state.points]
+        assert len(set(keys)) < len(keys)  # some refinement repeats a point
+        # one build after the unit weights, then one per new distinct point
+        assert len(calls) == 1 + len(set(keys)) - len(set(keys[:3]))
+
+    def test_repeated_or_divergent_point_keeps_facets(self):
+        rng = np.random.default_rng(8200)
+        pts = rng.uniform(0.0, 5.0, size=(9, 3))
+        sols = [fake_solution(rng.dirichlet(np.ones(3)), 10.0, p) for p in pts]
+        sols += [fake_solution([0.2, 0.3, 0.5], 10.0, pts[4]),
+                 fake_solution([0.5, 0.3, 0.2], 10.0, [1.0, float("-inf"), 2.0])]
+        state = ApproximationState(3)
+        for sol in sols[:9]:
+            state.add(sol)
+        facets = state.facets()
+        for sol in sols[9:]:
+            state.add(sol)
+            assert state.facets() is facets
+        fresh = ApproximationState(3)
+        for sol in sols:
+            fresh.add(sol)
+        assert facet_tuples(state.facets()) == facet_tuples(fresh.facets())
+        assert np.array_equal(state._centroids, fresh._centroids)
+        assert [g.tolist() for g in state.facet_gaps()] == [g.tolist() for g in fresh.facet_gaps()]
+        state.add(fake_solution([0.2, 0.3, 0.5], 10.0, pts.max(axis=0)))
+        assert state.facets() is not facets
 
 
 class TestSelectWeight:
