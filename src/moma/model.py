@@ -441,6 +441,27 @@ def strong_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return connected_components(_graph(n, src, dst), directed=True, connection="strong")[1]
 
 
+def scc_levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per state, the height of its strongly connected component in the
+    condensation of the edges src[i] -> dst[i]: 0 for a component no edge
+    leaves, else one more than the highest component its edges enter.  An
+    edge never raises the level and lowers it between components."""
+    labels = strong_components(n, src, dst)  # below n
+    cross = labels[src] != labels[dst]
+    a, b = labels[src[cross]], labels[dst[cross]]  # component edges a -> b
+    out = np.bincount(a, minlength=n)
+    into, by_b = _ptr(np.bincount(b, minlength=n)), a[np.argsort(b, kind="stable")]
+    height = np.zeros(n, dtype=np.int64)
+    # peel the components whose edges all enter components already leveled
+    level, h = np.flatnonzero(out == 0), 0
+    while len(level):
+        height[level] = h
+        u, c = np.unique(by_b[_spans(into[level], into[level + 1])[1]], return_counts=True)
+        out[u] -= c
+        level, h = u[out[u] == 0], h + 1
+    return height[labels]
+
+
 @dataclass(frozen=True)
 class Violation:
     assumption: str  # WellFormed | NonZeno | SignConsistency | Finiteness

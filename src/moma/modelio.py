@@ -432,11 +432,7 @@ def result_document(res: QueryResult, query_doc: dict, strategies: bool = False,
         doc["exhausted"] = res.exhausted
     if res.warnings:
         doc["warnings"] = res.warnings
-    stats = dict(res.statistics)
-    # one refinement per weighted solve, each adding its halfspace
-    stats["refinements"] = [{"weights": list(h["normal"]), "value": h["offset"]}
-                            for h in res.halfspaces or []]
-    doc["statistics"] = stats
+    doc["statistics"] = dict(res.statistics)
     if timings is not None:
         doc["timings"] = timings
     return doc

@@ -70,7 +70,8 @@ class ApproximationState:
     """The (P, Q) pair of the sandwich loop, with a cached facet
     decomposition of the downward hull of P and the facets' centroids (one
     row each).  The halfspaces are the refinement history: one per weighted
-    solve, in order; `normals` and `offsets` hold them as arrays."""
+    solve, in order; `normals` and `offsets` hold them as arrays, and
+    `solves` each solve's (rounds, sweeps) counters."""
 
     dimension: int
     points: list[AchievedPoint] = field(default_factory=list)
@@ -82,6 +83,7 @@ class ApproximationState:
     def __post_init__(self):
         self.normals = np.zeros((0, self.dimension))
         self.offsets = np.zeros(0)
+        self.solves: list[tuple[int, int]] = []
 
     def add(self, sol: WeightedSolution) -> None:
         point = np.array(sol.point, dtype=float)
@@ -95,6 +97,7 @@ class ApproximationState:
         self.halfspaces.append(HalfSpace(w, float(sol.value)))
         self.normals = np.vstack([self.normals, w])
         self.offsets = np.append(self.offsets, float(sol.value))
+        self.solves.append((sol.rounds, sol.sweeps))
         # the hull sees each distinct finite point once, at its first index,
         # so a repeated or non-finite point leaves the facets as they are
         if finite and (key := tuple(point.tolist())) not in self._hull_input:
@@ -345,6 +348,10 @@ def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query,
     result.halfspaces = [{"normal": _flip_vec(np.asarray(h.normal), p.flips),
                           "offset": h.offset} for h in state.halfspaces]
     result.statistics = problem_statistics(p, prep, len(state.halfspaces))
+    # one refinement per weighted solve, each adding its halfspace
+    result.statistics["refinements"] = [
+        {"weights": h["normal"], "value": h["offset"], "rounds": r, "sweeps": k}
+        for h, (r, k) in zip(result.halfspaces, state.solves)]
     result.state = state
     result.problem = p
     return result
@@ -363,6 +370,7 @@ def problem_statistics(p: NormalizedProblem, prep: WeightedPrep, iterations: int
         "zero_ecs": len(prep.zero_ecs),
         "zero_ec_states": sum(len(c.states()) for c in prep.zero_ecs),
         "iterations": iterations,
+        "total_structures": len(prep.structures),
     }
 
 
@@ -487,21 +495,14 @@ def _extreme_ids(state: ApproximationState, ids: list[int]) -> list[int]:
 
     A supporting point of a degenerate cap facet may still be dominated by a
     mixture of the others (it lies on the cap but inside the front); such a
-    point is not a vertex.  Exact duplicates are collapsed first so identical
-    pairs do not eliminate each other.
+    point is not a vertex.  The ids name distinct points (every hull names a
+    point by the index of its first copy), so no two eliminate each other.
     """
-    distinct: list[int] = []
-    seen = set()
-    for i in ids:
-        key = state.points[i].point.tobytes()
-        if key not in seen:
-            seen.add(key)
-            distinct.append(i)
-    if len(distinct) <= 1:
-        return distinct
+    if len(ids) <= 1:
+        return ids
     keep = []
-    for i in distinct:
-        others = np.array([state.points[j].point for j in distinct if j != i])
+    for i in ids:
+        others = np.array([state.points[j].point for j in ids if j != i])
         k = len(others)
         res = linprog(c=np.zeros(k), A_ub=-others.T, b_ub=-state.points[i].point,
                       A_eq=np.ones((1, k)), b_eq=[1.0],

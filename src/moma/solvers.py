@@ -9,11 +9,13 @@ bias: Markovian states advance one damped tick, the instantaneous
 probabilistic layer is closed to a fixed point, and the classical span bounds
 on the gain then hold for any starting vector.  Total rewards come from
 stochastic-shortest-path strategy iteration started from a proper strategy
-(one that reaches the target almost surely).  Zero-reward end components are
-collapsed first; every remaining non-target end component then drains
-strictly negative reward, which makes the Bellman fixed point unique on the
-almost-sure reach region and lets a verified inductive vector (T U <= U)
-certify the upper bound.
+(one that reaches the target almost surely), on a structure built once per
+reward support pattern.  Zero-reward end components are collapsed first;
+every remaining non-target end component then drains strictly negative
+reward, which makes the Bellman fixed point unique on the almost-sure reach
+region and lets a verified inductive vector (T U <= U) certify the upper
+bound, searched level by level over the condensation of the allowed-choice
+graph, sinks first (topological value iteration).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from scipy.sparse.linalg import splu
 from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
                     ModelError, Objective, RewardAssignment, SolverError, _chosen,
                     _graph, _ptr, _spans, carry_rewards, copy_choices, flat,
-                    reach, strong_components)
-from .components import (almost_sure_reach, decode_quotient_strategy, exits,
-                         quotient, zero_mecs)
+                    reach, scc_levels, strong_components)
+from .components import (QuotientModel, almost_sure_reach, decode_quotient_strategy,
+                         exits, quotient, zero_mecs)
 
 _DENSE_LIMIT = 512
 
@@ -50,6 +52,8 @@ class ScalarSolution:
     error_bound: float
     lower: float
     upper: float
+    rounds: int = 0  # strategy-iteration rounds
+    sweeps: int = 0  # Bellman steps of a total-reward certificate
 
 
 @dataclass
@@ -335,11 +339,68 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     h[ms] = hm_new
     sigma = dict(zip(ps.tolist(), (_first_max(close_instant(h), seg)[1] - seg).tolist()))
     value = 0.5 * (lb + ub)
-    return ScalarSolution(value, sigma, 0.5 * (ub - lb) / max(1.0, abs(value)), lb, ub)
+    return ScalarSolution(value, sigma, 0.5 * (ub - lb) / max(1.0, abs(value)), lb, ub, it)
 
 
 # ---------------------------------------------------------------------------
 # maximal expected total reward
+
+
+@dataclass
+class TotalStructure:
+    """The weight-independent part of a total-reward solve, shared by the
+    rewards of one support pattern: the zero-EC quotient `q`, the `active`
+    states (the almost-sure region the initial state reaches, minus the
+    target; the initial one is `i0`), a row of K per allowed choice of an
+    active state (`rows`, state by state from `segs`), a proper strategy
+    `pick`, and per level of the allowed-choice condensation, sinks first,
+    its active states, their rows, their segment starts and K block."""
+
+    q: QuotientModel
+    target: int
+    active: np.ndarray
+    i0: int
+    rows: np.ndarray
+    segs: np.ndarray
+    K: csr_matrix
+    pick: np.ndarray
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, csr_matrix]]
+
+
+def total_structure(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int) -> TotalStructure:
+    """The structure of a total-reward solve of r on m (only r's support
+    matters).  Raises InfeasibleError when no strategy reaches the bottom
+    state almost surely from the initial state."""
+    # without bottom actions an exit-less component would leave its quotient
+    # state with no choices; such states cannot reach the target anyway, so
+    # leaving them uncollapsed changes no value
+    z = [c for c in zero_mecs(m, [r]) if bottom_state not in c.states() and exits(m, c)]
+    q = quotient(m, z, with_bottom=False)
+    target, init_q = q.state_map[bottom_state], q.state_map[m.initial]
+    region, allowed = almost_sure_reach(q.model, [target])
+    if not region[init_q]:
+        raise InfeasibleError("no strategy reaches the bottom state almost surely")
+    fl = flat(q.model)
+    region &= reach(fl.edge_src, fl.succ, np.arange(len(region)) == init_q)
+    region[target] = False
+    active, index = np.flatnonzero(region), np.cumsum(region) - 1
+    rows = np.flatnonzero(allowed & region[fl.choice_state])
+    ptr = _ptr(np.bincount(index[fl.choice_state[rows]], minlength=len(active)))
+    assert (np.diff(ptr) > 0).all(), "active state without allowed choice"
+    pos, e = fl.edges(rows)
+    keep = fl.succ[e] != target
+    src, dst = index[fl.edge_src[e[keep]]], index[fl.succ[e[keep]]]
+    K = csr_matrix((fl.prob[e[keep]], (pos[keep], dst)), shape=(len(rows), len(active)))
+    # the rows of K in level order, cut into one block per level
+    level = scc_levels(len(active), src, dst)
+    order = np.argsort(level, kind="stable")
+    rp, lp = _spans(ptr[order], ptr[order + 1])[1], _ptr(np.diff(ptr)[order])
+    Kl, cuts = K[rp], np.searchsorted(level[order], np.arange(level.max(initial=0) + 2))
+    levels = [(order[lo:hi], rp[a:b], lp[lo:hi] - a, Kl[a:b])
+              for lo, hi, a, b in zip(cuts, cuts[1:], lp[cuts], lp[cuts[1:]])]
+    return TotalStructure(q, target, active, int(index[init_q]), rows, ptr[:-1], K,
+                          np.searchsorted(rows, _toward(fl, e, np.array([target]))[active]),
+                          levels)
 
 
 def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
@@ -354,111 +415,57 @@ def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
     reward recurs (finiteness violated) or the bracket [lower, upper] cannot
     be certified to eps.
     """
-    # without bottom actions an exit-less component would leave its quotient
-    # state with no choices; such states cannot reach the target anyway, so
-    # leaving them uncollapsed changes no value
-    z = [c for c in zero_mecs(m, [r]) if bottom_state not in c.states() and exits(m, c)]
-    q = quotient(m, z, with_bottom=False)
-    rq = q.lift_reward(r, r.name + "@q")
-    target = q.state_map[bottom_state]
-
-    region, allowed = almost_sure_reach(q.model, [target])
-    init_q = q.state_map[m.initial]
-    if not region[init_q]:
-        raise InfeasibleError("no strategy reaches the bottom state almost surely")
-    qfl = flat(q.model)
-    start = np.zeros(q.model.n_states, dtype=bool)
-    start[init_q] = True
-    region &= reach(qfl.edge_src, qfl.succ, start)
-    allowed &= region[qfl.choice_state]
-
-    upper, lower, actions = _solve_total_region(q.model, rq, region, allowed, target, eps)
-    ps = np.flatnonzero(~qfl.markovian)
-    sigma = decode_quotient_strategy(q, dict(zip(ps.tolist(), actions[ps].tolist())), {})
-    u0, l0 = float(upper[init_q]), float(lower[init_q])
-    return ScalarSolution(value=u0, strategy=sigma,
-                          error_bound=(u0 - l0) / max(1.0, abs(u0)) + 1e-12,
-                          lower=l0, upper=u0)
+    return solve_total(total_structure(m, r, bottom_state), r, eps)
 
 
-def _solve_total_region(model: MarkovAutomaton, r: RewardAssignment,
-                        region: np.ndarray, allowed: np.ndarray,
-                        target: int, eps: float
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Certified [L, U] value vectors (full length, 0 at target and outside
-    the region) plus the action of every region state (0 elsewhere).
-    `region` masks states and `allowed` flat choices of model; every allowed
-    choice of a region state must keep its support in the region, and every
-    region state must reach the target through allowed choices.
-
-    Strategy iteration from a proper strategy (every state steps toward the
-    target): evaluate the strategy exactly (L) and switch a state only where
-    a choice improves crew + K L by more than rounding.  An improved strategy
-    that no longer reaches the target means positive reward recurs.  The
-    upper certificate is a Bellman-inductive vector found from the final L
-    (see module docstring).
-    """
-    fl = flat(model)
-    n = model.n_states
-    is_active = region.copy()
-    is_active[target] = False
-    active = np.flatnonzero(is_active)
-    U_full = np.zeros(n)
-    L_full = np.zeros(n)
-    actions = np.zeros(n, dtype=np.int64)
-    if not len(active):
-        return U_full, L_full, actions
-    na = len(active)
-    index = np.full(n, -1, dtype=np.int64)
-    index[active] = np.arange(na)
-
-    # one kernel row per allowed choice of an active state, state by state
-    rows = np.flatnonzero(allowed & is_active[fl.choice_state])
-    counts = np.bincount(index[fl.choice_state[rows]], minlength=na)
-    assert counts.all(), "active state without allowed choice"
-    segs = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    srew, jump = _reward_rates(model, r)
-    per_state = np.where(fl.markovian, srew / np.where(fl.markovian, fl.rates, 1.0), 0.0)
-    crew_v = per_state[fl.choice_state[rows]] + jump[rows]
-    pos, e = fl.edges(rows)
-    keep = fl.succ[e] != target
-    K = csr_matrix((fl.prob[e[keep]], (pos[keep], index[fl.succ[e[keep]]])),
-                   shape=(len(rows), na))
-
-    pick = np.searchsorted(rows, _toward(fl, e, np.array([target]))[active])
-    for it in range(1, 1001):
-        L = _solver(K[pick])(crew_v[pick])
-        L_full[active] = L
-        q = crew_v + K @ L
-        best, better = _first_max(q, segs)
-        # a margin above rounding keeps tied choices from swapping forever
-        switch = best > q[pick] + 1e-12 * max(1.0, float(np.max(np.abs(L))))
-        if not switch.any():
-            break
-        pick = np.where(switch, better, pick)
-        _, pe = fl.edges(rows[pick])
-        if not reach(fl.succ[pe], fl.edge_src[pe], np.arange(n) == target)[active].all():
-            raise SolverError(
-                f"positive reward {r.name!r} recurs: the strategy improved in round {it} "
-                f"no longer reaches the target (finiteness violated); total reward at "
-                f"least {L_full[model.initial]} at the initial state")
-    else:
-        raise SolverError(f"total-reward strategy iteration did not settle in {it} rounds "
-                          f"(lower bound {L_full[model.initial]} at the initial state)")
-    actions[active] = rows[pick] - fl.ptr[active]
-
-    U = _inductive_upper(lambda h: np.maximum.reduceat(crew_v + K @ h, segs), L, eps)
-    l0 = float(L_full[model.initial])
-    if U is None:
-        raise SolverError(f"no Bellman-inductive upper bound found: total-reward bracket "
-                          f"[{l0}, inf] at the initial state after {it} strategy iterations")
-    U_full[active] = U
-    u0 = float(U_full[model.initial])
+def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> ScalarSolution:
+    """max_total_reward of r (a reward of st.q.base with the support st was
+    built for) on a prebuilt structure.  Strategy iteration from the proper
+    strategy st.pick: evaluate the strategy exactly (L) and switch a state
+    only where a choice improves crew + K L by more than rounding; an
+    improved strategy that no longer reaches the target means positive
+    reward recurs.  The upper certificate is searched from the final L
+    (`_inductive_upper`) and accepted by one exact check T U <= U."""
+    fl, rows, K, segs = flat(st.q.model), st.rows, st.K, st.segs
+    actions = np.zeros(len(fl.markovian), dtype=np.int64)
+    it, sweeps, L, U = 0, 0, np.zeros(1), np.zeros(1)  # the initial state may be the target
+    if len(st.active):
+        srew, jump = _reward_rates(st.q.model, st.q.lift_reward(r, r.name + "@q"))
+        per_state = np.where(fl.markovian, srew / np.where(fl.markovian, fl.rates, 1.0), 0.0)
+        crew_v = per_state[fl.choice_state[rows]] + jump[rows]
+        pick = st.pick
+        for it in range(1, 1001):
+            L = _solver(K[pick])(crew_v[pick])
+            q = crew_v + K @ L
+            best, better = _first_max(q, segs)
+            # a margin above rounding keeps tied choices from swapping forever
+            switch = best > q[pick] + 1e-12 * max(1.0, float(np.max(np.abs(L))))
+            if not switch.any():
+                break
+            pick = np.where(switch, better, pick)
+            _, pe = fl.edges(rows[pick])
+            if not reach(fl.succ[pe], fl.edge_src[pe], np.arange(len(actions)) == st.target
+                         )[st.active].all():
+                raise SolverError(
+                    f"positive reward {r.name + '@q'!r} recurs: the strategy improved in round "
+                    f"{it} no longer reaches the target (finiteness violated); total reward "
+                    f"at least {L[st.i0]} at the initial state")
+        else:
+            raise SolverError(f"total-reward strategy iteration did not settle in {it} rounds "
+                              f"(lower bound {L[st.i0]} at the initial state)")
+        actions[st.active] = rows[pick] - fl.ptr[st.active]
+        U, sweeps = _inductive_upper(st, crew_v, L, eps)
+        if U is None or not (np.maximum.reduceat(crew_v + K @ U, segs) <= U).all():
+            raise SolverError(f"no Bellman-inductive upper bound found: total-reward bracket "
+                              f"[{L[st.i0]}, inf] at the initial state after {it} iterations")
+    u0, l0 = float(U[st.i0]), float(L[st.i0])
     if u0 - l0 > eps * max(1.0, abs(u0)) and \
             float(np.max(U - L)) > eps * max(1.0, float(np.max(np.abs(U)))):
         raise SolverError(f"total-reward bracket [{l0}, {u0}] at the initial state wider "
                           f"than {eps} after {it} strategy iterations")
-    return U_full, L_full, actions
+    ps = np.flatnonzero(~fl.markovian)
+    sigma = decode_quotient_strategy(st.q, dict(zip(ps.tolist(), actions[ps].tolist())), {})
+    return ScalarSolution(u0, sigma, (u0 - l0) / max(1.0, abs(u0)) + 1e-12, l0, u0, it, sweeps)
 
 
 def _first_max(q: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,38 +476,45 @@ def _first_max(q: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, np.minimum.reduceat(hit, seg)
 
 
-def _inductive_upper(bellman, L, eps):
-    """Find U with bellman(U) <= U pointwise (exact float comparison),
-    starting from the values L plus slack.  Such U upper-bounds the optimum:
+def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps: float
+                     ) -> tuple[np.ndarray | None, int]:
+    """A vector U >= L with bellman(U) <= U (exact float comparison), or
+    None, and the Bellman steps spent.  Such U upper-bounds the optimum:
     iterating bellman from any vector converges to the unique fixed point,
-    and from an inductive U the iterates only descend.  The search caps U by
-    bellman(U) each step, which preserves being an upper bound and decreases
-    monotonically; a stagnant vector (bellman(U) >= U with strict excess
-    somewhere, usually rounding jitter) gets one upward nudge before the slack
-    is escalated.  Returns None on failure."""
+    and from an inductive U the iterates only descend.  Levels are searched
+    sinks first, the levels below fixed: a level starts at L + slack, and
+    batched Bellman steps of its rows, computed exactly as in the global
+    check, cap it until it is inductive.  The slack rises strictly with the
+    level, from delta/2 to delta, so no level is held up by the slack below
+    it.  A stagnant level (rounding jitter) gets one upward nudge before
+    delta is escalated, from that level on."""
     delta = max(eps, 1e-9) * max(1.0, float(np.max(np.abs(L)))) * 0.5
+    top = max(len(st.levels) - 1, 1)
+    U, ell, sweeps = L.copy(), 0, 0
     for _ in range(7):
-        U = L + delta
-        stagnant = 0
-        nudged = False
-        for _ in range(30_000):
-            TU = bellman(U)
-            if np.all(TU <= U):
-                return np.minimum(U, TU)
-            newU = np.minimum(U, TU)
-            if np.array_equal(newU, U):
-                stagnant += 1
-                if stagnant > 2:
+        while ell < len(st.levels):
+            s, rp, seg, K = st.levels[ell]
+            crew, u, nudged = crew_v[rp], L[s] + 0.5 * delta * (1.0 + ell / top), False
+            for _ in range(30_000):
+                sweeps += 1
+                U[s] = u
+                tu = np.maximum.reduceat(crew + K @ U, seg)
+                if inductive := bool((tu <= u).all()):
+                    break
+                new = np.minimum(u, tu)
+                if np.array_equal(new, u):
                     if nudged:
                         break
-                    U = np.nextafter(U, np.inf)
-                    nudged = True
-                    stagnant = 0
-            else:
-                stagnant = 0
-                U = newU
+                    new, nudged = np.nextafter(u, np.inf), True
+                u = new
+            if not inductive:
+                break
+            U[s] = tu
+            ell += 1
+        else:
+            return U, sweeps
         delta *= 8.0
-    return None
+    return None, sweeps
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ certified upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +25,8 @@ from .model import (MarkovAutomaton, MDStrategy, ModelError, Objective,
 from .components import (EndComponent, QuotientModel, _stay_inside,
                          almost_sure_reach, decode_quotient_strategy,
                          mec_decomposition, quotient, sub_ma, zero_mecs)
-from .solvers import (_fresh_name, evaluate_strategy, max_total_reward,
-                      mec_lra, reach_to_total)
+from .solvers import (TotalStructure, _fresh_name, evaluate_strategy, mec_lra,
+                      reach_to_total, solve_total, total_structure)
 
 
 @dataclass
@@ -149,12 +149,14 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
 class WeightedPrep:
     """Weight-independent precomputation shared across weighted solves:
     the end components carrying no total reward, their standalone sub-models,
-    and the bottom-extended quotient that collapses them."""
+    the bottom-extended quotient that collapses them, and the total-reward
+    structures built so far, keyed by the lifted reward's support pattern."""
 
     problem: NormalizedProblem
     zero_ecs: list[EndComponent]
     quot: QuotientModel
     subs: list[MarkovAutomaton]
+    structures: dict[bytes, TotalStructure] = field(default_factory=dict)
 
 
 def prepare_weighted(p: NormalizedProblem) -> WeightedPrep:
@@ -177,6 +179,8 @@ class WeightedSolution:
     strategy: MDStrategy
     error_bound: float
     component_gains: list[float]
+    rounds: int = 0  # of the total solve: strategy-iteration rounds
+    sweeps: int = 0  # and Bellman steps of its certificate
 
 
 def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> WeightedSolution:
@@ -213,13 +217,16 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
         stays[i] = _decode_sub_strategy(sub, c, sol.strategy)
 
     r_star = prep.quot.lift_reward(r_tot, "w.star", bottom_values=gains)
-    total = max_total_reward(prep.quot.model, r_star, prep.quot.bottom_state, eps=eps / 2.0)
+    key = np.packbits(np.concatenate(r_star.vectors(prep.quot.model)) != 0.0).tobytes()
+    if key not in prep.structures:
+        prep.structures[key] = total_structure(prep.quot.model, r_star, prep.quot.bottom_state)
+    total = solve_total(prep.structures[key], r_star, eps=eps / 2.0)
     sigma = decode_quotient_strategy(prep.quot, total.strategy, stays)
     ev = evaluate_strategy(p.model, sigma, p.objectives)
     point = np.asarray(ev.values)
     achieved = _dot(w, point)
     return WeightedSolution(w, total.value, point, sigma,
-                            max(0.0, total.value - achieved), gains)
+                            max(0.0, total.value - achieved), gains, total.rounds, total.sweeps)
 
 
 def _decode_sub_strategy(sub: MarkovAutomaton, c: EndComponent,

@@ -171,6 +171,82 @@ def random_ssp(rng, max_states=6, max_actions=3):
     return m.with_rewards({"r": r}), n
 
 
+def scc_chain(rng, blocks=60, max_block=5):
+    """(model, bottom): a deep chain of small strongly connected blocks, the
+    first holding the initial state, draining into an absorbing Markovian
+    bottom state (the last one).  Each block is a cycle of 2..max_block
+    states.  A Markovian state steps around its cycle with probability 7/8
+    and otherwise drops to a state of the next three blocks (or the
+    bottom); a probabilistic state either steps around its cycle surely or
+    drops like that with probability 1.  Moving around a cycle costs (a
+    negative reward on the edge, and a nonpositive rate reward at Markovian
+    states), dropping pays up to 3, so every cycle drains reward, no
+    end component is reward-free and the optimal total over the strategies
+    reaching the bottom is the unique Bellman fixed point.  Total reward "r"."""
+    sizes = rng.integers(2, max_block + 1, size=blocks)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(starts[-1])
+
+    def drop(b):
+        lo, hi = starts[min(b + 1, blocks)], starts[min(b + 4, blocks)]
+        return int(rng.integers(lo, hi)) if hi > lo else n
+
+    rates: list[float | None] = []
+    choices = []
+    srew: dict[int, float] = {}
+    trew: dict[tuple[int, int, int], float] = {}
+    for b in range(blocks):
+        for s in range(int(starts[b]), int(starts[b + 1])):
+            nxt = s + 1 if s + 1 < starts[b + 1] else int(starts[b])
+            down = drop(b)
+            if rng.random() < 0.5:
+                rates.append(float(rng.integers(1, 7)) / 2.0)
+                choices.append([((nxt, 0.875), (down, 0.125))])
+                srew[s] = -float(rng.integers(0, 3)) / 2.0
+            else:
+                rates.append(None)
+                choices.append([((nxt, 1.0),), ((down, 1.0),)])
+                trew[(s, 1, down)] = float(rng.integers(-4, 7)) / 2.0
+            trew[(s, 0, nxt)] = -float(rng.integers(1, 5)) / 4.0
+    rates.append(1.0)
+    choices.append([((n, 1.0),)])
+    srew = {s: v for s, v in srew.items() if v != 0.0}
+    trew = {k: v for k, v in trew.items() if v != 0.0}
+    return MarkovAutomaton(rates, choices, initial=0,
+                           rewards={"r": RewardAssignment("r", srew, trew)}), n
+
+
+def total_value_lp(m: MarkovAutomaton, r: RewardAssignment, bottom: int) -> float:
+    """Optimal total reward at the initial state, as a linear program over
+    one value variable per state: minimize the sum of values subject to
+    v(s) >= c(s, a) + sum_t P(s, a, t) v(t) for every choice, with v = 0 at
+    `bottom`, where c is the expected reward of one visit (the rate reward
+    over the rate at a Markovian state, plus the expected transition
+    reward).  Exact when every cycle avoiding the bottom drains reward."""
+    rows, cols, vals, c = [], [], [], []
+    for s in range(m.n_states):
+        if s == bottom:
+            continue
+        for a, dist in enumerate(m.choices[s]):
+            i = len(c)
+            c.append(r.state_reward(s) / m.rates[s] if m.is_markovian(s) else 0.0)
+            rows.append(i)
+            cols.append(s)
+            vals.append(-1.0)
+            for t, p in dist:
+                c[i] += p * r.transition_reward(s, a, t)
+                if t != bottom:
+                    rows.append(i)
+                    cols.append(t)
+                    vals.append(p)
+    A_ub = coo_matrix((vals, (rows, cols)), shape=(len(c), m.n_states)).tocsr()
+    bounds = [(0.0, 0.0) if s == bottom else (None, None) for s in range(m.n_states)]
+    res = linprog(np.ones(m.n_states), A_ub=A_ub, b_ub=-np.asarray(c), bounds=bounds,
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[m.initial])
+
+
 def random_valid_instance(rng, n_lra=1, n_total=1, max_states=8, max_actions=2,
                           directions=False):
     """(model, objectives) passing every assumption check."""

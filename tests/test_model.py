@@ -98,6 +98,26 @@ class TestGraphSearch:
             same = labels[:, None] == labels[None, :]
             assert same.tolist() == (reach & reach.T).tolist()
 
+    def test_scc_levels_order_the_condensation(self):
+        # the total-reward certificate searches levels sinks first and
+        # relies on this order: no edge climbs, edges between components
+        # descend, and a level is the height (a component above 0 has an
+        # edge exactly one level down)
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            e = int(rng.integers(0, 3 * n))
+            src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
+            level = model.scc_levels(n, src, dst)
+            labels = model.strong_components(n, src, dst)
+            cross = labels[src] != labels[dst]
+            assert (level[dst] <= level[src]).all()
+            assert (level[dst[cross]] < level[src[cross]]).all()
+            for c in np.unique(labels):
+                below = level[dst[cross & (labels[src] == c)]]
+                assert level[labels == c].min() == level[labels == c].max()
+                assert level[labels == c][0] == (below.max() + 1 if len(below) else 0)
+
 
 class TestRewardEdges:
     def test_lookup_matches_scan(self):

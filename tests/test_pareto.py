@@ -285,12 +285,6 @@ class TestExtremeFilter:
                         FakePoint([3.0, -40.0])]
         assert _extreme_ids(state, [0, 1, 2]) == [0, 1]
 
-    def test_duplicates_collapse(self):
-        from moma.pareto import _extreme_ids
-        state = ApproximationState(2)
-        state.points = [FakePoint([3.0, 0.0]), FakePoint([3.0, 0.0])]
-        assert _extreme_ids(state, [0, 1]) == [0]
-
 
 class TestParetoQuery:
     def test_fig1_front(self, fig1, fig1_objectives):
@@ -314,9 +308,15 @@ class TestParetoQuery:
 
     def test_fig1_statistics(self, fig1, fig1_objectives):
         res = answer_query(fig1, fig1_objectives, ParetoQuery())
-        assert res.statistics == {"states": 6, "markovian_states": 4,
-                                  "choices": 8, "zero_ecs": 2,
-                                  "zero_ec_states": 4, "iterations": 3}
+        stats = dict(res.statistics)
+        refinements = stats.pop("refinements")
+        assert stats == {"states": 6, "markovian_states": 4,
+                         "choices": 8, "zero_ecs": 2,
+                         "zero_ec_states": 4, "iterations": 3, "total_structures": 3}
+        # one record per weighted solve, with its total solve's counters
+        assert [(r["weights"], r["value"]) for r in refinements] == \
+            [(h["normal"], h["offset"]) for h in res.halfspaces]
+        assert [(r["rounds"], r["sweeps"]) for r in refinements] == [(2, 2), (1, 2), (1, 2)]
 
     def test_iteration_budget_is_flagged(self, fig1, fig1_objectives):
         res = answer_query(fig1, fig1_objectives, ParetoQuery(max_iterations=1))

@@ -12,7 +12,7 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   weighted_reward_sum, zero_mecs)
 
 from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp,
-                 random_ssp, random_valid_instance, ring_ma)
+                 random_ssp, random_valid_instance, ring_ma, scc_chain, total_value_lp)
 
 
 def lra_obj(name="R1"):
@@ -420,6 +420,59 @@ class TestMaxTotalReward:
             assert ev.values[0] == pytest.approx(sol.lower, abs=tol)
             feasible += 1
         assert feasible >= 30
+
+    def test_structure_levels_follow_allowed_edges(self):
+        # every allowed edge keeps or lowers the level and lowers it between
+        # strongly connected components; the level blocks are K's rows
+        rng = np.random.default_rng(38)
+        models = [random_ssp(rng) for _ in range(40)] + \
+            [scc_chain(np.random.default_rng(9100), blocks=20)]
+        for m, bottom in models:
+            try:
+                st = moma.solvers.total_structure(m, m.rewards["r"], bottom)
+            except InfeasibleError:
+                continue
+            level = np.full(len(st.active), -1)
+            for ell, (s, rp, seg, block) in enumerate(st.levels):
+                level[s] = ell
+                assert (block != st.K[rp]).nnz == 0
+                assert np.array_equal(np.searchsorted(st.segs, rp, side="right") - 1,
+                                      np.repeat(s, np.diff(seg, append=len(rp))))
+            assert (level >= 0).all()
+            coo = st.K.tocoo()
+            src = np.searchsorted(st.segs, coo.row, side="right") - 1
+            labels = moma.model.strong_components(len(st.active), src, coo.col)
+            assert (level[coo.col] <= level[src]).all()
+            cross = labels[src] != labels[coo.col]
+            assert (level[coo.col[cross]] < level[src[cross]]).all()
+
+    def test_scc_chains_match_value_lp(self, monkeypatch):
+        # deep chains of many small components, certified level by level;
+        # a linear program over value variables gives the optimum apart
+        found = []
+        search = moma.solvers._inductive_upper
+
+        def recorded(st, crew_v, L, eps):
+            U, sweeps = search(st, crew_v, L, eps)
+            found.append((st, crew_v, L, U, eps))
+            return U, sweeps
+
+        monkeypatch.setattr(moma.solvers, "_inductive_upper", recorded)
+        for seed in range(6):
+            m, bottom = scc_chain(np.random.default_rng(9100 + seed))
+            assert 100 <= m.n_states <= 300
+            sol = max_total_reward(m, m.rewards["r"], bottom_state=bottom, eps=1e-6)
+            best = total_value_lp(m, m.rewards["r"], bottom)
+            tol = 1e-9 * max(1.0, abs(best))
+            assert sol.lower - tol <= best <= sol.upper + tol
+            st, crew_v, L, U, eps = found[-1]
+            assert len(st.levels) >= 40
+            # the certificate is inductive, and the slack never exceeds
+            # delta, the bracket the search starts from
+            assert (np.maximum.reduceat(crew_v + st.K @ U, st.segs) <= U).all()
+            delta = max(eps, 1e-9) * max(1.0, float(np.max(np.abs(L)))) * 0.5
+            assert float(np.max(U - L)) <= delta + np.spacing(float(np.max(np.abs(U))))
+            assert sol.sweeps < 3 * len(st.levels)
 
     def test_improper_improvement_raises(self):
         # state 0's +1 self-loop beats its exit to the bottom state 1: positive

@@ -5,7 +5,8 @@ import pytest
 
 from moma import (MarkovAutomaton, ModelError, Objective, RewardAssignment,
                   evaluate_strategy, normalize_query, optimize_weighted,
-                  prepare_weighted, validate_assumptions)
+                  prepare_weighted, validate_assumptions, weighted_reward_sum)
+from moma.pareto import problem_statistics
 
 from gen import oracle_points, random_valid_instance, weighted_oracle
 
@@ -234,3 +235,55 @@ class TestOptimizeWeighted:
                 assert sol.value - achieved <= eps * max(1.0, abs(sol.value)) + 1e-12
                 again = evaluate_strategy(p.model, sol.strategy, p.objectives).values
                 assert sol.point.tolist() == again
+
+
+class TestStructureCache:
+    @staticmethod
+    def bits(sol):
+        return (float(sol.value).hex(), float(sol.error_bound).hex(), sol.point.tobytes(),
+                sorted(sol.strategy.items()), sol.rounds, sol.sweeps)
+
+    def test_shared_prep_matches_fresh_preps(self):
+        # one prep across weights builds one total-reward structure per
+        # support pattern of the lifted reward and answers bit for bit as a
+        # fresh prep per weight does
+        rng = np.random.default_rng(405)
+        shared_patterns = 0
+        for _ in range(8):
+            m, objectives = random_valid_instance(rng, n_lra=1, n_total=2)
+            p = normalize_query(m, objectives)
+            shared = prepare_weighted(p)
+            patterns = set()
+            for _ in range(10):
+                w = rng.integers(0, 3, size=3).astype(float)
+                w = w / w.sum() if w.any() else np.ones(3) / 3
+                fresh = prepare_weighted(p)
+                a, b = optimize_weighted(shared, w), optimize_weighted(fresh, w)
+                assert self.bits(a) == self.bits(b)
+                assert problem_statistics(p, fresh, 1)["total_structures"] == 1
+                # the pattern: nonzero states and edges of the lifted reward
+                r_tot = weighted_reward_sum("t", [
+                    (wj if o.kind == "total" else 0.0, p.model.rewards[o.reward])
+                    for wj, o in zip(w, p.objectives)])
+                star = fresh.quot.lift_reward(r_tot, "s", bottom_values=b.component_gains)
+                patterns.add((star.state != 0.0).tobytes() + (star.edge != 0.0).tobytes())
+            assert problem_statistics(p, shared, 10)["total_structures"] == len(patterns)
+            shared_patterns += len(patterns)
+        assert shared_patterns < 8 * 10  # the cache is hit
+
+    def test_state_rewards_are_part_of_the_pattern(self):
+        # T0 and T1 pay on the same edge, but only T0 has a state reward, on
+        # the end component {0, 1}: a zero-reward component under T1 alone
+        m = MarkovAutomaton(
+            [1.0, None, 1.0], [[((1, 1.0),)], [((0, 1.0),), ((2, 1.0),)], [((2, 1.0),)]],
+            initial=0,
+            rewards={"L": RewardAssignment("L", {2: 1.0}),
+                     "T0": RewardAssignment("T0", {0: -1.0}, {(1, 1, 2): -1.0}),
+                     "T1": RewardAssignment("T1", {}, {(1, 1, 2): -1.0})})
+        p = normalize_query(m, [Objective("lra", reward="L"), Objective("total", reward="T0"),
+                                Objective("total", reward="T1")])
+        prep = prepare_weighted(p)
+        for w in ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
+            optimize_weighted(prep, w)
+        assert problem_statistics(p, prep, 2)["total_structures"] == 2
+
