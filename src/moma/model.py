@@ -639,10 +639,10 @@ def embed_mdp(m: MarkovAutomaton) -> MarkovAutomaton:
     return e
 
 
-def _chosen(m: MarkovAutomaton, sigma: MDStrategy) -> tuple[np.ndarray, np.ndarray]:
+def _chosen(m: MarkovAutomaton, sigma: MDStrategy) -> tuple[np.ndarray, np.ndarray, csr_matrix]:
     """The flat choice sigma takes at every state (the only one at a
-    Markovian state, action 0 at a probabilistic state sigma omits), and the
-    mask of the states reachable under sigma.
+    Markovian state, action 0 at a probabilistic state sigma omits), the
+    states reachable under sigma (a mask) and the `_graph` of its edges.
 
     Errors if sigma picks an action a state does not have, or misses a
     reachable probabilistic state; entries for other states are ignored.
@@ -663,14 +663,14 @@ def _chosen(m: MarkovAutomaton, sigma: MDStrategy) -> tuple[np.ndarray, np.ndarr
                          f"at {m.state_names[bad[0]]}")
     chosen = fl.ptr[:-1] + act
     _, e = fl.edges(chosen)
-    start = np.zeros(n, dtype=bool)
-    start[m.initial] = True
-    live = reach(fl.edge_src[e], fl.succ[e], start)
+    g = _graph(n, fl.edge_src[e], fl.succ[e])
+    live = np.zeros(n, dtype=bool)
+    live[breadth_first_order(g, m.initial, return_predecessors=False)] = True
     missing = np.flatnonzero(live & ~given)
     if len(missing):
         raise ModelError(f"strategy misses reachable probabilistic state "
                          f"{m.state_names[missing[0]]}")
-    return chosen, live
+    return chosen, live, g
 
 
 def induced_chain(m: MarkovAutomaton, sigma: MDStrategy) -> MarkovAutomaton:
@@ -679,7 +679,7 @@ def induced_chain(m: MarkovAutomaton, sigma: MDStrategy) -> MarkovAutomaton:
     Errors as `_chosen`; unreachable states sigma omits fall back to action
     0.  Transition reward keys are remapped to choice index 0.
     """
-    chosen, _ = _chosen(m, sigma)
+    chosen = _chosen(m, sigma)[0]
     fl = flat(m)
     edge_ptr, succ, prob, edge_from = copy_choices(fl, chosen)
     act = (chosen - fl.ptr[:-1]).tolist()

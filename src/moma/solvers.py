@@ -3,19 +3,20 @@ averages, and certified maximal expected total rewards.
 
 Solvers work on the flat choice view of a model (one sparse kernel row per
 choice), and both scalar solvers are strategy iterations with exact linear
-evaluation.  Long-run averages inside an end component come from gain/bias
-strategy iteration, certified by one uniformized time tick from the final
-bias: Markovian states advance one damped tick, the instantaneous
-probabilistic layer is closed to a fixed point, and the classical span bounds
-on the gain then hold for any starting vector.  Total rewards come from
-stochastic-shortest-path strategy iteration started from a proper strategy
-(one that reaches the target almost surely), on a structure built once per
-reward support pattern.  Zero-reward end components are collapsed first;
-every remaining non-target end component then drains strictly negative
-reward, which makes the Bellman fixed point unique on the almost-sure reach
-region and lets a verified inductive vector (T U <= U) certify the upper
-bound, searched level by level over the condensation of the allowed-choice
-graph, sinks first (topological value iteration).
+evaluation.  Every linear system and kernel row block is gathered straight
+from the CSR arrays (indptr/indices/data) of its matrix.  Long-run averages
+inside an end component come from gain/bias strategy iteration, certified by
+one uniformized time tick from the final bias: Markovian states advance one
+damped tick, the instantaneous probabilistic layer is closed to a fixed point,
+and the classical span bounds on the gain then hold for any starting vector.
+Total rewards come from stochastic-shortest-path strategy iteration started
+from a proper strategy (one that reaches the target almost surely), on a
+structure built once per reward support pattern.  Zero-reward end components
+are collapsed first; every remaining non-target end component then drains
+strictly negative reward, which makes the Bellman fixed point unique on the
+almost-sure reach region and lets a verified inductive vector (T U <= U)
+certify the upper bound, searched level by level over the condensation of the
+allowed-choice graph, sinks first (topological value iteration).
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse import eye as speye
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
@@ -87,15 +87,37 @@ def resolve_reward(m: MarkovAutomaton, objective: Objective) -> RewardAssignment
     return r
 
 
-def _solver(Q):
-    """b -> x with (I - Q) x = b for a square sparse matrix Q.  LAPACK on
-    the dense matrix up to _DENSE_LIMIT unknowns, one sparse LU
+def _block(M, rows, cols=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of M[rows][:, cols] (all columns when cols is None) for a
+    canonical CSR matrix M, gathered from its arrays row by row in stored
+    order: their block row, block column and value."""
+    pos, k = _spans(M.indptr[rows], M.indptr[rows + 1])
+    col = M.indices[k]
+    if cols is not None:
+        where = np.full(M.shape[1], -1)
+        where[cols] = np.arange(len(cols))
+        keep = where[col] >= 0
+        pos, k, col = pos[keep], k[keep], where[col[keep]]
+    return pos, col, M.data[k]
+
+
+def _rows(M, rows) -> csr_matrix:
+    """M[rows] of a canonical CSR matrix M, gathered from its arrays."""
+    pos, col, val = _block(M, rows)
+    return csr_matrix((val, col, _ptr(np.bincount(pos, minlength=len(rows)))),
+                      shape=(len(rows), M.shape[1]))
+
+
+def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray):
+    """b -> x with (I - Q) x = b for the n x n block Q whose entries v sit at
+    the distinct places (r, c), as gathered by _block.  LAPACK on np.eye(n)
+    minus Q, filled in place, up to _DENSE_LIMIT unknowns; one sparse LU
     factorization above."""
-    n = Q.shape[0]
     if n <= _DENSE_LIMIT:
-        A = np.eye(n) - Q.toarray()
+        A = np.eye(n)
+        A[r, c] -= v
         return lambda b: np.linalg.solve(A, b)
-    return splu((speye(n) - Q).tocsc()).solve
+    return splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c])))).solve
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +130,17 @@ def _sojourn(fl) -> np.ndarray:
                                             where=fl.rates > 0), 0.0)
 
 
-def _stationary(P) -> np.ndarray:
-    """Stationary distribution of an irreducible stochastic sparse matrix."""
-    n = P.shape[0]
+def _stationary(M, rows, cols=None) -> np.ndarray:
+    """Stationary distribution of the irreducible stochastic block
+    P = M[rows][:, cols] (as in _block), gathered from the CSR arrays of M."""
+    n = len(rows)
     if n == 1:
         return np.ones(1)
-    # (I - P^T) pi = 0 with pi[-1] = 1 fixed, then normalized
-    pi = np.append(_solver(P[:-1, :-1].T)(P[-1, :-1].toarray().ravel()), 1.0)
+    # (I - P[:-1, :-1]^T) pi = P[-1, :-1] with pi[-1] = 1 fixed, then normalized
+    r, c, v = _block(M, rows, cols)
+    inner, b = (r < n - 1) & (c < n - 1), np.zeros(n)
+    b[c[r == n - 1]] = v[r == n - 1]
+    pi = np.append(_solver(n - 1, c[inner], r[inner], v[inner])(b[:-1]), 1.0)
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
@@ -133,20 +159,18 @@ def bscc_gain(chain: MarkovAutomaton, r: RewardAssignment) -> float:
         raise ModelError("bscc_gain expects a chain: one choice per state")
     if strong_components(chain.n_states, fl.edge_src, fl.succ).any():
         raise ModelError("bscc_gain expects a strongly connected chain")
-    pi = _stationary(fl.kernel)
-    tau = _sojourn(fl)
+    pi, tau = _stationary(fl.kernel, np.arange(chain.n_states)), _sojourn(fl)
     if float(pi @ tau) <= 0.0:
         raise ModelError("chain spends no time: no Markovian state (Zeno)")
     return _gain(pi, tau, *_reward_rates(chain, r))
 
 
-def _bottom_sccs(n: int, src: np.ndarray, dst: np.ndarray,
-                 live: np.ndarray) -> list[np.ndarray]:
-    """Bottom SCCs of the edges src[i] -> dst[i] among the `live` states (a
-    mask closed under the edges), each in ascending order, listed by least
-    state."""
+def _bottom_sccs(g, src: np.ndarray, dst: np.ndarray, live: np.ndarray) -> list[np.ndarray]:
+    """Bottom SCCs of the edges src[i] -> dst[i] (g is their `_graph`) among
+    the `live` states (a mask closed under the edges), each in ascending
+    order, listed by least state."""
     # components of live states contain only live states
-    labels = strong_components(n, src, dst)
+    labels = connected_components(g, directed=True, connection="strong")[1]
     leaving = np.unique(labels[src[live[src] & (labels[src] != labels[dst])]])
     bottom = np.flatnonzero(live & ~np.isin(labels, leaving))
     _, first, counts = np.unique(labels[bottom], return_index=True, return_counts=True)
@@ -181,46 +205,38 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
     A reachable BSCC carrying a negative reward makes the total -inf (marker);
     a positive one raises, since finiteness checking must have excluded it.
     """
-    chosen, live = _chosen(m, sigma)
+    chosen, live, g = _chosen(m, sigma)
     rewards = [resolve_reward(m, o) for o in objectives]
-    n = m.n_states
-    fl = flat(m)
-    P = fl.kernel[chosen]  # n x n, the row of each state's chosen choice
+    n, fl = m.n_states, flat(m)
     _, e = fl.edges(chosen)
     src, dst = fl.edge_src[e], fl.succ[e]
-    members = _bottom_sccs(n, src, dst, live)
-    in_bscc = np.zeros(n, dtype=bool)
-    in_bscc[np.concatenate(members)] = True
+    members = _bottom_sccs(g, src, dst, live)
+    in_bscc = np.bincount(np.concatenate(members), minlength=n) > 0
     transient = np.flatnonzero(live & ~in_bscc)
 
     # absorption probabilities from the initial state
     if in_bscc[m.initial]:
         reach_probs = [1.0 if m.initial in b else 0.0 for b in members]
     else:
-        i0 = int(np.searchsorted(transient, m.initial))
-        P_t = P[transient, :]
-        solve = _solver(P_t[:, transient])
-        reach_probs = [float(solve(np.asarray(P_t[:, b].sum(axis=1)).ravel())[i0])
-                       for b in members]
+        i0, rows = int(np.searchsorted(transient, m.initial)), chosen[transient]
+        solve = _solver(len(transient), *_block(fl.kernel, rows, transient))
+        reach_probs = []
+        for b in members:  # P[rows][:, b].sum(axis=1), by one reduceat as scipy sums
+            pos, _, val = _block(fl.kernel, rows, b)
+            rhs, first = np.zeros(len(rows)), np.flatnonzero(np.diff(pos, prepend=-1))
+            rhs[pos[first]] = np.add.reduceat(val, first)
+            reach_probs.append(float(solve(rhs)[i0]))
 
     # per-BSCC stationary distributions and gains
-    tau = _sojourn(fl)
-    rates = [_reward_rates(m, r) for r in rewards]
-    srew = [s for s, _ in rates]
-    jump = [j[chosen] for _, j in rates]
+    tau, rates = _sojourn(fl), [_reward_rates(m, r) for r in rewards]
+    srew, jump = [s for s, _ in rates], [j[chosen] for _, j in rates]
     gains: list[list[float]] = []
     for b in members:
-        pi = _stationary(P[b, :][:, b])
-        time = float(pi @ tau[b])
-        row = []
-        for j, o in enumerate(objectives):
-            if o.kind != "lra":
-                row.append(0.0)
-                continue
-            if time <= 0.0:
-                raise SolverError("BSCC without Markovian state: long-run average undefined")
-            row.append(_gain(pi, tau[b], srew[j][b], jump[j][b]))
-        gains.append(row)
+        pi = _stationary(fl.kernel, chosen[b], b)
+        if float(pi @ tau[b]) <= 0.0 and any(o.kind == "lra" for o in objectives):
+            raise SolverError("BSCC without Markovian state: long-run average undefined")
+        gains.append([_gain(pi, tau[b], srew[j][b], jump[j][b]) if o.kind == "lra" else 0.0
+                      for j, o in enumerate(objectives)])
 
     recurrent = np.zeros(n, dtype=bool)
     for b, p in zip(members, reach_probs):
@@ -228,11 +244,7 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
     values: list[float] = []
     for j, o in enumerate(objectives):
         if o.kind == "lra":
-            v = 0.0
-            for i, p in enumerate(reach_probs):
-                if p > 0.0:
-                    v += p * gains[i][j]
-            values.append(v)
+            values.append(sum((p * gain[j] for p, gain in zip(reach_probs, gains) if p > 0.0), 0.0))
             continue
         # total reward: its entries on reachable BSCCs decide finiteness
         edge = rewards[j].vectors(m)[1]
@@ -248,8 +260,7 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
         else:
             crew = srew[j][transient] * tau[transient] + jump[j][transient]
             values.append(float(solve(crew)[i0]))
-    bsccs = [frozenset(b.tolist()) for b in members]
-    return ChainEvaluation(values, bsccs, reach_probs, gains)
+    return ChainEvaluation(values, [frozenset(b.tolist()) for b in members], reach_probs, gains)
 
 
 # ---------------------------------------------------------------------------
@@ -268,28 +279,27 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     the gain (see the module docstring); the strategy is the first maximizer
     of the closure after that tick.
     """
-    n = sub.n_states
-    fl = flat(sub)
+    n, fl = sub.n_states, flat(sub)
     if not fl.markovian.any():
         raise ModelError("component has no Markovian state (Zeno): no time passes")
     unif = float(fl.rates.max()) / 0.95
     srew, jump = _reward_rates(sub, r)
     tau = _sojourn(fl)
     ms, ps = np.flatnonzero(fl.markovian), np.flatnonzero(~fl.markovian)
-    K_m = fl.kernel[fl.ptr[ms]]
-    coef = fl.rates[ms] / unif
+    K_m, coef = _rows(fl.kernel, fl.ptr[ms]), fl.rates[ms] / unif
     tick_rew = srew[ms] / unif + coef * jump[fl.ptr[ms]]
     pc = np.flatnonzero(~fl.markovian[fl.choice_state])  # the choices of ps, state by state
-    K_p, jump_p = fl.kernel[pc], jump[pc]
+    K_p, jump_p = _rows(fl.kernel, pc), jump[pc]
     seg = np.searchsorted(pc, fl.ptr[ps])
     act = np.zeros(n, dtype=np.int64)
     for it in range(1, 1001):
         chosen = fl.ptr[:-1] + act
         _, e = fl.edges(chosen)
-        members = _bottom_sccs(n, fl.edge_src[e], fl.succ[e], np.ones(n, dtype=bool))
+        src, dst = fl.edge_src[e], fl.succ[e]
+        members = _bottom_sccs(_graph(n, src, dst), src, dst, np.ones(n, dtype=bool))
         gains = []
         for b in members:
-            pi = _stationary(fl.kernel[chosen[b]][:, b])
+            pi = _stationary(fl.kernel, chosen[b], b)
             if float(pi @ tau[b]) <= 0.0:
                 raise SolverError(f"bottom SCC without Markovian state (Zeno) in strategy "
                                   f"iteration {it}: its long-run average is undefined")
@@ -303,11 +313,11 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
             s = np.flatnonzero(to >= 0)
             act[s] = to[s] - fl.ptr[s]
             chosen = fl.ptr[:-1] + act
-        P = fl.kernel[chosen]
-        P.data[P.indptr[best_b[0]]:P.indptr[best_b[0] + 1]] = 0.0
+        row, col, v = _block(fl.kernel, chosen)
+        keep = row != best_b[0]  # that row becomes h = 0
         c = srew * tau + jump[chosen] - g * tau
         c[best_b[0]] = 0.0
-        h = _solver(P)(c)
+        h = _solver(n, row[keep], col[keep], v[keep])(c)
         q = jump_p + K_p @ h
         best, pick = _first_max(q, seg)
         # a margin above rounding keeps tied choices from swapping forever
@@ -395,8 +405,8 @@ def total_structure(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int) 
     level = scc_levels(len(active), src, dst)
     order = np.argsort(level, kind="stable")
     rp, lp = _spans(ptr[order], ptr[order + 1])[1], _ptr(np.diff(ptr)[order])
-    Kl, cuts = K[rp], np.searchsorted(level[order], np.arange(level.max(initial=0) + 2))
-    levels = [(order[lo:hi], rp[a:b], lp[lo:hi] - a, Kl[a:b])
+    cuts = np.searchsorted(level[order], np.arange(level.max(initial=0) + 2))
+    levels = [(order[lo:hi], rp[a:b], lp[lo:hi] - a, _rows(K, rp[a:b]))
               for lo, hi, a, b in zip(cuts, cuts[1:], lp[cuts], lp[cuts[1:]])]
     return TotalStructure(q, target, active, int(index[init_q]), rows, ptr[:-1], K,
                           np.searchsorted(rows, _toward(fl, e, np.array([target]))[active]),
@@ -435,7 +445,7 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
         crew_v = per_state[fl.choice_state[rows]] + jump[rows]
         pick = st.pick
         for it in range(1, 1001):
-            L = _solver(K[pick])(crew_v[pick])
+            L = _solver(len(pick), *_block(K, pick))(crew_v[pick])
             q = crew_v + K @ L
             best, better = _first_max(q, segs)
             # a margin above rounding keeps tied choices from swapping forever

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix, csr_matrix, identity
+from scipy.sparse.linalg import spsolve
 
 import moma.solvers
 from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
@@ -11,7 +13,10 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   prepare_weighted, quotient, reach_to_total, sub_ma,
                   weighted_reward_sum, zero_mecs)
 
-from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp,
+from moma.model import flat
+from moma.solvers import _DENSE_LIMIT, _block, _solver, _stationary
+
+from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp, random_ma,
                  random_ssp, random_valid_instance, ring_ma, scc_chain, total_value_lp)
 
 
@@ -136,6 +141,109 @@ class TestEvaluateStrategy:
                         assert g == w
                     else:
                         assert g == pytest.approx(w, abs=1e-9, rel=1e-9)
+
+
+class TestGather:
+    """Linear systems and row blocks are gathered from a kernel's CSR arrays;
+    each gather must equal scipy's fancy indexing, entry for entry."""
+
+    @staticmethod
+    def blocks(rng):
+        """Kernels of seeded random models with random row and column
+        selections (rows in any order, columns ascending) and a row to drop."""
+        for _ in range(80):
+            K = flat(random_ma(rng, max_states=10, max_actions=3)).kernel
+            rows = rng.choice(K.shape[0], size=int(rng.integers(1, K.shape[0] + 1)))
+            cols = np.sort(rng.choice(K.shape[1], size=int(rng.integers(1, K.shape[1] + 1)),
+                                      replace=False))
+            yield K, rows, cols, int(rng.integers(len(rows)))
+
+    def test_entries_match_scipy_indexing(self):
+        empty_rows = 0
+        for K, rows, cols, drop in self.blocks(np.random.default_rng(57)):
+            block = K[rows][:, cols]
+            for sub, (pos, col, val) in ((block, _block(K, rows, cols)),
+                                         (K[rows], _block(K, rows))):
+                # the same entries in the same stored order
+                assert np.array_equal(pos, np.repeat(np.arange(len(rows)), np.diff(sub.indptr)))
+                assert np.array_equal(col, sub.indices)
+                assert np.array_equal(val, sub.data)
+            empty_rows += int((np.diff(block.indptr) == 0).sum())
+            # one row dropped, as the bias system drops its pinned row
+            pos, col, val = _block(K, rows, cols)
+            dense = block.toarray()
+            dense[drop] = 0.0
+            got = np.zeros_like(dense)
+            got[pos[pos != drop], col[pos != drop]] = val[pos != drop]
+            assert np.array_equal(got, dense)
+        assert empty_rows > 0  # rows with no entry inside the columns occur
+
+    def test_stationary_block_is_the_transposed_system(self):
+        # the stationary distribution of every bottom SCC, against the
+        # formulation on scipy-indexed blocks: P[:-1, :-1]^T and P[-1, :-1]
+        rng = np.random.default_rng(58)
+        checked = 0
+        for _ in range(60):
+            m = random_ma(rng, max_states=10)
+            ev = evaluate_strategy(m, {s: 0 for s in range(m.n_states)}, [])
+            K, chosen = flat(m).kernel, flat(m).ptr[:-1]
+            for b in ev.bsccs:
+                b = np.array(sorted(b))
+                P = K[chosen[b]][:, b]
+                if len(b) == 1:
+                    assert np.array_equal(_stationary(K, chosen[b], b), [1.0])
+                    continue
+                pi = np.append(np.linalg.solve(np.eye(len(b) - 1) - P[:-1, :-1].T.toarray(),
+                                               P[-1, :-1].toarray().ravel()), 1.0)
+                pi = np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+                assert np.array_equal(_stationary(K, chosen[b], b), pi)
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("n_tail", [600, 100])
+    def test_solver_matches_spsolve(self, n_tail):
+        # the tail of cycle_with_tail under its strategy: above the dense
+        # limit at 600 states (sparse LU), below it at 100 (LAPACK)
+        m, _, sigma = cycle_with_tail(n_tail=n_tail, n_cycle=50)
+        fl = flat(m)
+        chosen, tail = fl.ptr[:-1].copy(), np.arange(n_tail)
+        for s, a in sigma.items():
+            chosen[s] += a
+        assert (n_tail > _DENSE_LIMIT) == (n_tail == 600)
+        b = np.random.default_rng(59).standard_normal(n_tail)
+        got = _solver(n_tail, *_block(fl.kernel, chosen[tail], tail))(b)
+        Q = fl.kernel[chosen[tail]][:, tail]
+        want = spsolve((identity(n_tail) - Q).tocsc(), b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestNoSparseIndexing:
+    """The solve path gathers every system and row block from CSR arrays:
+    it never indexes or slices a scipy sparse matrix."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for cls in (csr_matrix, csc_matrix):
+            def counted(self, key, index=cls.__getitem__):
+                calls.append(key)
+                return index(self, key)
+            monkeypatch.setattr(cls, "__getitem__", counted)
+        return calls
+
+    def test_weighted_solves_and_evaluation(self, calls):
+        flat(cycle_with_tail(n_tail=20, n_cycle=20)[0]).kernel[np.arange(2)]
+        assert len(calls) == 1  # the counter sees indexing
+        calls.clear()
+        rng = np.random.default_rng(61)
+        for _ in range(15):
+            m, objectives = random_valid_instance(rng, n_lra=1, n_total=1)
+            prep = prepare_weighted(normalize_query(m, objectives))
+            for w in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
+                optimize_weighted(prep, np.array(w))
+        m, objectives, sigma = cycle_with_tail()
+        evaluate_strategy(m, sigma, objectives)
+        assert calls == []
 
 
 class TestMecLra:
@@ -387,9 +495,9 @@ class TestMaxTotalReward:
         evaluations = []
         solver = moma.solvers._solver
 
-        def counted(Q):
-            evaluations.append(Q.shape[0])
-            return solver(Q)
+        def counted(n, r, c, v):
+            evaluations.append(n)
+            return solver(n, r, c, v)
 
         monkeypatch.setattr(moma.solvers, "_solver", counted)
         sol = max_total_reward(m, m.rewards["r"], bottom_state=3, eps=1e-9)
