@@ -3,34 +3,46 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
-from .model import (Flat, MarkovAutomaton, ModelError, RewardAssignment, _ptr,
-                    carry_rewards, copy_choices, flat, reach, strong_components)
+from .model import (Flat, MarkovAutomaton, ModelError, RewardAssignment, _graph, _ptr,
+                    _spans, carry_rewards, copy_choices, flat, reach, strong_components)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndComponent:
-    """A closed, connected set of Markovian states and state-action pairs."""
+    """A closed, connected part of a model, as arrays over the model's
+    structure `fl`: its states (`members`) and the flat choices that stay
+    inside it (`choices`), both ascending.  `markovian_states`, `pairs` and
+    `states()` are read-only set views derived from them."""
 
-    markovian_states: frozenset[int]
-    pairs: frozenset[tuple[int, int]]
+    fl: Flat
+    members: np.ndarray
+    choices: np.ndarray
+
+    @cached_property
+    def markovian_states(self) -> frozenset[int]:
+        return frozenset(self.members[self.fl.markovian[self.members]].tolist())
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        fl = self.fl
+        c = self.choices[~fl.markovian[fl.choice_state[self.choices]]]
+        s = fl.choice_state[c]
+        return frozenset(zip(s.tolist(), (c - fl.ptr[s]).tolist()))
 
     def states(self) -> frozenset[int]:
-        return self.markovian_states | frozenset(s for s, _ in self.pairs)
-
-    def sorted_states(self) -> list[int]:
-        return sorted(self.states())
-
-    def actions_at(self, s: int) -> list[int]:
-        return sorted(a for (u, a) in self.pairs if u == s)
+        return frozenset(self.members.tolist())
 
 
 def mec_decomposition(m: MarkovAutomaton,
                       choice_ok: np.ndarray | None = None) -> list[EndComponent]:
-    """Maximal end components, optionally restricted to allowed choices.
+    """Maximal end components, optionally restricted to allowed choices,
+    listed by least state.
 
     `choice_ok` is a boolean mask over the flat choices of m (see
     `model.Flat`); it defaults to allowing every choice.  Iteratively
@@ -54,19 +66,15 @@ def mec_decomposition(m: MarkovAutomaton,
             break
         alive[fl.edge_choice[cross]] = False
 
-    groups: dict[int, tuple[set[int], set[tuple[int, int]]]] = {}
     choices = np.flatnonzero(alive)
-    states = fl.choice_state[choices]
-    for s, a, lab, mk in zip(states.tolist(), (choices - fl.ptr[states]).tolist(),
-                             labels[states].tolist(), fl.markovian[states].tolist()):
-        ms, pairs = groups.setdefault(lab, (set(), set()))
-        if mk:
-            ms.add(s)
-        else:
-            pairs.add((s, a))
-    comps = [EndComponent(frozenset(ms), frozenset(pairs)) for ms, pairs in groups.values()]
-    comps.sort(key=lambda c: min(c.states()))
-    return comps
+    if not len(choices):
+        return []
+    lab = labels[fl.choice_state[choices]]
+    order = np.argsort(lab, kind="stable")  # by component, choices ascending inside
+    groups = np.split(choices[order], np.flatnonzero(np.diff(lab[order])) + 1)
+    # a component's least choice belongs to its least state
+    return [EndComponent(fl, np.unique(fl.choice_state[g]), g)
+            for g in sorted(groups, key=lambda g: g[0])]
 
 
 def zero_mecs(m: MarkovAutomaton, totals: Sequence[RewardAssignment]) -> list[EndComponent]:
@@ -76,8 +84,6 @@ def zero_mecs(m: MarkovAutomaton, totals: Sequence[RewardAssignment]) -> list[En
     Comparison is exact (0.0); with no assignments this is plain MEC
     decomposition.
     """
-    if not totals:
-        return mec_decomposition(m)
     fl = flat(m)
     ok = np.ones(len(fl.choice_state), dtype=bool)
     for r in totals:
@@ -87,27 +93,24 @@ def zero_mecs(m: MarkovAutomaton, totals: Sequence[RewardAssignment]) -> list[En
     return mec_decomposition(m, choice_ok=ok)
 
 
-def exits(m: MarkovAutomaton, c: EndComponent) -> list[tuple[int, int]]:
-    """State-action pairs leaving c: enabled at a state of c but not in c."""
+def exits(m: MarkovAutomaton, c: EndComponent) -> np.ndarray:
+    """The flat choices leaving c, ascending: those of its states not in c."""
     fl = flat(m)
-    return [(s, a) for s in c.sorted_states() if not fl.markovian[s]
-            for a in range(fl.ptr[s + 1] - fl.ptr[s]) if (s, a) not in c.pairs]
+    _, own = _spans(fl.ptr[c.members], fl.ptr[c.members + 1])
+    return own[~np.isin(own, c.choices)]
 
 
 def sub_ma(m: MarkovAutomaton, c: EndComponent) -> MarkovAutomaton:
     """The standalone Markov automaton induced by component c.
 
-    State i of the result is sorted(c.states())[i]; kept actions of a
-    probabilistic state preserve ascending original order, so action j
-    corresponds to c.actions_at(s)[j].  Rewards are restricted pointwise.
+    State i of the result is c.members[i] and choice k is c.choices[k], so
+    kept actions of a probabilistic state preserve ascending original
+    order.  Rewards are restricted pointwise.
     """
     fl = flat(m)
-    states = np.array(c.sorted_states(), dtype=np.int64)
+    states, kept = c.members, c.choices
     index = np.full(m.n_states, -1, dtype=np.int64)
     index[states] = np.arange(len(states))
-    pairs = np.array(list(c.pairs), dtype=np.int64).reshape(-1, 2)
-    kept = np.sort(np.concatenate([fl.ptr[np.fromiter(c.markovian_states, np.int64)],
-                                   fl.ptr[pairs[:, 0]] + pairs[:, 1]]))
     edge_ptr, succ, prob, edge_from = copy_choices(fl, kept)
     if (index[succ] < 0).any():
         raise ModelError("component is not closed; cannot form a sub-model")
@@ -126,10 +129,10 @@ def sub_ma(m: MarkovAutomaton, c: EndComponent) -> MarkovAutomaton:
 class QuotientModel:
     """A model with end components collapsed into single probabilistic states.
 
-    Collapsed states enable the decoded exits of their component plus, when
-    built with `with_bottom`, a bottom action leading to the absorbing bottom
-    state.  `action_decoding` maps (collapsed state, action index) to
-    ('exit', s, a) or ('bottom',); `kept[i]` is the base state behind the
+    Collapsed states enable the exits of their component plus, when built
+    with `with_bottom`, a bottom action leading to the absorbing bottom
+    state.  `base_choice[k]` is the base choice behind quotient choice k,
+    -1 for a bottom action; `kept[i]` is the base state behind the
     non-collapsed quotient state i (these come first); `state_map` sends
     base states to quotient states.
 
@@ -143,7 +146,7 @@ class QuotientModel:
     components: list[EndComponent]
     bottom_state: int
     ec_states: list[int]
-    action_decoding: dict[tuple[int, int], tuple]
+    base_choice: np.ndarray
     state_map: list[int]
     with_bottom: bool
     base: MarkovAutomaton
@@ -190,11 +193,10 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
     n = m.n_states
     label = np.full(n, -1, dtype=np.int64)
     for i, c in enumerate(ecs):
-        s = np.fromiter(c.states(), np.int64)
-        if (label[s] >= 0).any():
+        if (label[c.members] >= 0).any():
             raise ModelError(f"end components overlap on states "
-                             f"{sorted(s[label[s] >= 0].tolist())}")
-        label[s] = i
+                             f"{c.members[label[c.members] >= 0].tolist()}")
+        label[c.members] = i
     kept = np.flatnonzero(label < 0)
     k = len(kept)
     state_map = np.where(label < 0, 0, k + label)
@@ -211,20 +213,16 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
         taken.add(nm)
         names.append(nm)
     action_names = [m.action_names[s] for s in kept.tolist()]
-    action_decoding: dict[tuple[int, int], tuple] = {}
-    base_choice = [np.flatnonzero(label[fl.choice_state] < 0)]  # -1 for bottom actions
-    for qs, c in zip(ec_states, ecs):
+    base_choice = [np.flatnonzero(label[fl.choice_state] < 0)]
+    for c in ecs:
         outs = exits(m, c)
-        for j, (s, a) in enumerate(outs):
-            action_decoding[(qs, j)] = ("exit", s, a)
-        if with_bottom:
-            action_decoding[(qs, len(outs))] = ("bottom",)
-        action_names.append(tuple(f"{m.state_names[s]}.{m.action_names[s][a]}"
-                                  for s, a in outs) + ("bot",) * with_bottom)
-        base_choice.append(np.array([fl.ptr[s] + a for s, a in outs] + [-1] * with_bottom,
-                                    dtype=np.int64))
+        s = fl.choice_state[outs]
+        action_names.append(tuple(f"{m.state_names[u]}.{m.action_names[u][a]}" for u, a in
+                                  zip(s.tolist(), (outs - fl.ptr[s]).tolist()))
+                            + ("bot",) * with_bottom)
+        base_choice += [outs, [-1] * with_bottom]
     action_names.append(("",))
-    base_choice = np.concatenate(base_choice + [[-1]])
+    base_choice = np.concatenate(base_choice + [[-1]]).astype(np.int64)
     counts = np.concatenate([np.diff(fl.ptr)[kept], list(map(len, action_names[k:]))])
 
     # merged edges: one per (quotient choice, quotient successor), their
@@ -244,7 +242,7 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
         Flat(_ptr(counts), _ptr(np.bincount(choice, minlength=len(base_choice))), succ, prob,
              markov, np.concatenate([fl.rates[kept], np.zeros(len(ecs)), [1.0]])),
         int(state_map[m.initial]), names, action_names)
-    return QuotientModel(qm, list(ecs), bottom, ec_states, action_decoding, state_map.tolist(),
+    return QuotientModel(qm, list(ecs), bottom, ec_states, base_choice, state_map.tolist(),
                          with_bottom, m, kept, e, qedge[group])
 
 
@@ -273,40 +271,22 @@ def almost_sure_reach(m: MarkovAutomaton, targets: Iterable[int]
         region = reached
 
 
-def reach_witness_strategy(m: MarkovAutomaton, c: EndComponent, target: int) -> dict[int, int]:
-    """Choices steering play inside component c toward `target` almost surely.
-
-    Backward BFS from the target over c's internal structure; every
-    probabilistic state of c gets the lowest action whose support touches the
-    already-reached layer.  Staying inside c and always having a positive-
-    probability path to the target makes the target almost surely reached.
-    """
-    fl = flat(m)
-    acts: dict[int, list[int]] = {s: [0] for s in c.markovian_states}
-    for s, a in sorted(c.pairs):
-        acts.setdefault(s, []).append(a)
-    # per state of c in order, its choices inside c with their successors
-    options = [(s, [(a, set(fl.succ[fl.edge_ptr[fl.ptr[s] + a]:
-                                    fl.edge_ptr[fl.ptr[s] + a + 1]].tolist())) for a in acts[s]])
-               for s in sorted(acts)]
-    reached = {target}
-    sigma: dict[int, int] = {}
-    frontier = True
-    while frontier:
-        frontier = False
-        for s, choices in options:
-            if s in reached:
-                continue
-            for a, succ in choices:
-                if not succ.isdisjoint(reached):
-                    if s not in c.markovian_states:
-                        sigma[s] = a
-                    reached.add(s)
-                    frontier = True
-                    break
-    if reached != c.states():
-        raise ModelError("component is not connected to the requested target")
-    return sigma
+def _toward(fl, e: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """Per state, the flat choice of the first of the edges e (ascending edge
+    indices of fl) that leads one step closer to the `goal` states in a
+    backward breadth-first search over e; -1 at goal states and at states
+    that cannot reach them."""
+    n = len(fl.markovian)
+    src, dst = fl.edge_src[e], fl.succ[e]
+    # edges reversed, plus an extra root n with an edge to every goal state
+    rev = _graph(n + 1, np.concatenate([dst, np.full(len(goal), n)]),
+                 np.concatenate([src, goal]))
+    pred = breadth_first_order(rev, n, return_predecessors=True)[1]
+    step = np.flatnonzero(dst == pred[src])
+    s, first = np.unique(src[step], return_index=True)
+    out = np.full(n, -1, dtype=np.int64)
+    out[s] = fl.edge_choice[e[step[first]]]
+    return out
 
 
 def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
@@ -314,44 +294,34 @@ def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
     """Translate a strategy on the quotient into one on the base model.
 
     Non-collapsed probabilistic states copy their choice.  A collapsed
-    component whose quotient state picks an exit (s, a) plays a at s and
-    steers toward s from everywhere else inside; one that picks bottom follows
-    its stay strategy (`stay[i]`, required in that case) forever.
+    component whose quotient state picks an exit plays it and steers toward
+    its state from everywhere else inside; one that picks bottom follows its
+    stay strategy (`stay[i]`, required in that case) forever.  Probabilistic
+    states of a component that nothing else decides take their first choice
+    inside it, so play stays there.
     """
-    base = q.base
-    kept = q.kept.tolist()
-    sigma: dict[int, int] = {}
-    for qs, a in sigma_q.items():
-        if qs < len(kept) and not base.is_markovian(kept[qs]):
-            sigma[kept[qs]] = a
-    for i, c in enumerate(q.components):
-        qs = q.ec_states[i]
-        a = sigma_q.get(qs)
-        if a is None:
-            # component unreachable under sigma_q: stay inside deterministically
-            sigma.update(_stay_inside(c))
-            continue
-        decoded = q.action_decoding[(qs, a)]
-        if decoded == ("bottom",):
-            st = stay.get(i)
-            if st is None:
-                raise ModelError("bottom chosen for a component without a stay strategy")
-            sigma.update(st)
-            # any probabilistic state of c missing from the stay strategy keeps play inside
-            for s, b in _stay_inside(c).items():
-                sigma.setdefault(s, b)
-        else:
-            _, s_exit, a_exit = decoded
-            sigma.update(reach_witness_strategy(base, c, s_exit))
-            sigma[s_exit] = a_exit
-    # total on all probabilistic states for determinism
-    for s in np.flatnonzero(~flat(base).markovian).tolist():
-        sigma.setdefault(s, 0)
-    return sigma
+    fl, qfl = flat(q.base), flat(q.model)
+    choice = fl.ptr[:-1].copy()  # first choices unless decided below
+    inside = np.concatenate([c.choices for c in q.components] + [np.zeros(0, np.int64)])
+    s, first = np.unique(fl.choice_state[inside], return_index=True)
+    choice[s] = inside[first]
 
-
-def _stay_inside(c: EndComponent) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for s, a in sorted(c.pairs):
-        out.setdefault(s, a)
-    return out
+    qs = np.fromiter(sigma_q.keys(), np.int64, len(sigma_q))
+    picked = q.base_choice[qfl.ptr[qs] + np.fromiter(sigma_q.values(), np.int64, len(sigma_q))]
+    ec = qs - len(q.kept)
+    for i in ec[(ec >= 0) & (ec < len(q.components)) & (picked < 0)].tolist():
+        st = stay.get(i)
+        if st is None:
+            raise ModelError("bottom chosen for a component without a stay strategy")
+        for u, b in st.items():
+            choice[u] = fl.ptr[u] + b
+    # one search over the inside edges of the components that pick an exit
+    # routes each of their states to its own component's exit
+    out = (ec >= 0) & (picked >= 0)
+    if out.any():
+        routed = np.sort(np.concatenate([q.components[i].choices for i in ec[out].tolist()]))
+        to = _toward(fl, fl.edges(routed)[1], fl.choice_state[picked[out]])
+        choice[to >= 0] = to[to >= 0]
+    choice[fl.choice_state[picked[picked >= 0]]] = picked[picked >= 0]
+    ps = np.flatnonzero(~fl.markovian)
+    return dict(zip(ps.tolist(), (choice[ps] - fl.ptr[ps]).tolist()))

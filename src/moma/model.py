@@ -552,19 +552,19 @@ def check_non_zeno(m: MarkovAutomaton, zeno_ecs) -> ValidationReport:
     """
     rep = ValidationReport()
     for c in zeno_ecs:
-        states = ",".join(m.state_names[s] for s in sorted(c.states()))
+        states = ",".join(m.state_names[s] for s in c.members.tolist())
         rep.add("NonZeno", "{" + states + "}",
                 "end component without a Markovian state (time does not progress)")
     return rep
 
 
 def _internal_reward_entries(m: MarkovAutomaton, r: RewardAssignment, c) -> Iterator[tuple[str, float]]:
-    """Nonzero reward entries assigned inside component c (exact comparison)."""
+    """Nonzero reward entries assigned inside component c (exact comparison):
+    those of its Markovian choices, then of its probabilistic ones."""
     fl, names = flat(m), m.state_names
     state, edge = r.vectors(m)
-    choices = ([(s, fl.ptr[s]) for s in sorted(c.markovian_states)]
-               + [(s, fl.ptr[s] + a) for s, a in sorted(c.pairs)])
-    for s, ch in choices:
+    choices = c.choices[np.argsort(~fl.markovian[fl.choice_state[c.choices]], kind="stable")]
+    for s, ch in zip(fl.choice_state[choices].tolist(), choices.tolist()):
         if fl.markovian[s] and state[s] != 0.0:
             yield names[s], float(state[s])
         lo = fl.edge_ptr[ch]
@@ -591,11 +591,11 @@ def check_total_rewards(m: MarkovAutomaton, objectives: Sequence[Objective],
         if pos_at is not None and neg_at is not None:
             rep.add("SignConsistency", r.name,
                     f"end components mix positive ({pos_at}) and negative ({neg_at}) rewards")
-    reachable = set(m.reachable())
+    reachable = m.reachable()
     for r in {o.reward: m.rewards[o.reward] for o in objectives
               if o.kind == "total" and o.direction == "max"}.values():
         for c in mecs:
-            if not (c.states() & reachable):
+            if not np.isin(c.members, reachable).any():
                 continue
             for loc, v in _internal_reward_entries(m, r, c):
                 if v > 0.0:

@@ -368,7 +368,7 @@ def problem_statistics(p: NormalizedProblem, prep: WeightedPrep, iterations: int
         "markovian_states": len(p.model.markovian_states()),
         "choices": p.model.n_choices,
         "zero_ecs": len(prep.zero_ecs),
-        "zero_ec_states": sum(len(c.states()) for c in prep.zero_ecs),
+        "zero_ec_states": sum(len(c.members) for c in prep.zero_ecs),
         "iterations": iterations,
         "total_structures": len(prep.structures),
     }

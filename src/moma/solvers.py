@@ -6,9 +6,10 @@ choice), and both scalar solvers are strategy iterations with exact linear
 evaluation.  Every linear system and kernel row block is gathered straight
 from the CSR arrays (indptr/indices/data) of its matrix.  Long-run averages
 inside an end component come from gain/bias strategy iteration, certified by
-one uniformized time tick from the final bias: Markovian states advance one
-damped tick, the instantaneous probabilistic layer is closed to a fixed point,
-and the classical span bounds on the gain then hold for any starting vector.
+one uniformized time tick from the final bias: the instantaneous
+probabilistic layer is closed to a fixed point, Markovian states advance one
+damped tick, and the classical span bounds on the gain then hold for any
+starting vector.  The final strategy of the iteration is the one returned.
 Total rewards come from stochastic-shortest-path strategy iteration started
 from a proper strategy (one that reaches the target almost surely), on a
 structure built once per reward support pattern.  Zero-reward end components
@@ -26,15 +27,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
                     ModelError, Objective, RewardAssignment, SolverError, _chosen,
                     _graph, _ptr, _spans, carry_rewards, copy_choices, flat,
                     reach, scc_levels, strong_components)
-from .components import (QuotientModel, almost_sure_reach, decode_quotient_strategy,
-                         exits, quotient, zero_mecs)
+from .components import (QuotientModel, _toward, almost_sure_reach,
+                         decode_quotient_strategy, exits, quotient, zero_mecs)
 
 _DENSE_LIMIT = 512
 
@@ -178,24 +179,6 @@ def _bottom_sccs(g, src: np.ndarray, dst: np.ndarray, live: np.ndarray) -> list[
     return [by_label[i] for i in np.argsort(first)]
 
 
-def _toward(fl, e: np.ndarray, goal: np.ndarray) -> np.ndarray:
-    """Per state, the flat choice of the first of the edges e (ascending edge
-    indices of fl) that leads one step closer to the `goal` states in a
-    backward breadth-first search over e; -1 at goal states and at states
-    that cannot reach them."""
-    n = len(fl.markovian)
-    src, dst = fl.edge_src[e], fl.succ[e]
-    # edges reversed, plus an extra root n with an edge to every goal state
-    rev = _graph(n + 1, np.concatenate([dst, np.full(len(goal), n)]),
-                 np.concatenate([src, goal]))
-    pred = breadth_first_order(rev, n, return_predecessors=True)[1]
-    step = np.flatnonzero(dst == pred[src])
-    s, first = np.unique(src[step], return_index=True)
-    out = np.full(n, -1, dtype=np.int64)
-    out[s] = fl.edge_choice[e[step[first]]]
-    return out
-
-
 def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
                       objectives: Sequence[Objective]) -> ChainEvaluation:
     """Exact value of sigma for every objective via linear systems on the
@@ -276,8 +259,9 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     equations h = c - g tau + P h (h = 0 at that SCC's least state) exactly,
     and switch a probabilistic state only where a choice improves jump + K h
     by more than rounding.  One uniformized tick from the final h certifies
-    the gain (see the module docstring); the strategy is the first maximizer
-    of the closure after that tick.
+    the gain (see the module docstring).  The strategy is the final one of
+    the iteration: its gain g was evaluated exactly, and its chain has the
+    single bottom SCC it was routed to.
     """
     n, fl = sub.n_states, flat(sub)
     if not fl.markovian.any():
@@ -328,26 +312,23 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     else:
         raise SolverError(f"strategy iteration did not settle in {it} rounds (gain {g})")
 
-    def close_instant(h: np.ndarray) -> np.ndarray:
-        for _ in range(100_000):
-            q = jump_p + K_p @ h
-            new = np.maximum.reduceat(q, seg)
-            delta = float(np.max(np.abs(new - h[ps]), initial=0.0))
-            h[ps] = new
-            if delta <= 1e-13 * max(1.0, float(np.max(np.abs(h)))):
-                return q
+    # close the instantaneous layer: h becomes a fixed point of its maximum
+    for _ in range(100_000):
+        new = np.maximum.reduceat(jump_p + K_p @ h, seg)
+        delta = float(np.max(np.abs(new - h[ps]), initial=0.0))
+        h[ps] = new
+        if delta <= 1e-13 * max(1.0, float(np.max(np.abs(h)))):
+            break
+    else:
         raise SolverError(f"instantaneous layer does not converge (near-Zeno structure; "
                           f"gain {g} after {it} strategy iterations)")
-
-    close_instant(h)
     hm_new = tick_rew + coef * (K_m @ h) + (1.0 - coef) * h[ms]
     diffs = hm_new - h[ms]
     lb, ub = unif * float(diffs.min()), unif * float(diffs.max())
     if ub - lb > eps * max(1.0, abs(lb)):
         raise SolverError(f"long-run average bracket [{lb}, {ub}] wider than {eps} "
                           f"after {it} strategy iterations")
-    h[ms] = hm_new
-    sigma = dict(zip(ps.tolist(), (_first_max(close_instant(h), seg)[1] - seg).tolist()))
+    sigma = dict(zip(ps.tolist(), act[ps].tolist()))
     value = 0.5 * (lb + ub)
     return ScalarSolution(value, sigma, 0.5 * (ub - lb) / max(1.0, abs(value)), lb, ub, it)
 
@@ -384,7 +365,7 @@ def total_structure(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int) 
     # without bottom actions an exit-less component would leave its quotient
     # state with no choices; such states cannot reach the target anyway, so
     # leaving them uncollapsed changes no value
-    z = [c for c in zero_mecs(m, [r]) if bottom_state not in c.states() and exits(m, c)]
+    z = [c for c in zero_mecs(m, [r]) if bottom_state not in c.members and len(exits(m, c))]
     q = quotient(m, z, with_bottom=False)
     target, init_q = q.state_map[bottom_state], q.state_map[m.initial]
     region, allowed = almost_sure_reach(q.model, [target])

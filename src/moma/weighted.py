@@ -22,9 +22,9 @@ from .model import (MarkovAutomaton, MDStrategy, ModelError, Objective,
                     RewardAssignment, ValidationReport, check_non_zeno,
                     check_total_rewards, embed_mdp, flat,
                     validate_model, weighted_reward_sum)
-from .components import (EndComponent, QuotientModel, _stay_inside,
-                         almost_sure_reach, decode_quotient_strategy,
-                         mec_decomposition, quotient, sub_ma, zero_mecs)
+from .components import (EndComponent, QuotientModel, almost_sure_reach,
+                         decode_quotient_strategy, mec_decomposition, quotient,
+                         sub_ma, zero_mecs)
 from .solvers import (TotalStructure, _fresh_name, evaluate_strategy, mec_lra,
                       reach_to_total, solve_total, total_structure)
 
@@ -136,8 +136,7 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
     totals = _total_assignments(p)
     if totals and rep.ok:
         z = zero_mecs(p.model, totals)
-        zstates = sorted(set().union(*[c.states() for c in z])) if z else []
-        region, _ = almost_sure_reach(p.model, zstates)
+        region, _ = almost_sure_reach(p.model, [s for c in z for s in c.members.tolist()])
         if not region[p.model.initial]:
             rep.add("Finiteness", p.model.state_names[p.model.initial],
                     "no strategy keeps every total reward finite (the initial state "
@@ -210,7 +209,7 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
         rr = weighted_reward_sum("w.lra", [(x, sub.rewards[n]) for x, n in zip(lra_w, names)])
         if rr.is_zero:
             gains.append(0.0)
-            stays[i] = _stay_inside(c)
+            stays[i] = {}  # decoding keeps play inside by default
             continue
         sol = mec_lra(sub, rr, eps=eps / 2.0)
         gains.append(sol.upper)
@@ -232,14 +231,11 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
 def _decode_sub_strategy(sub: MarkovAutomaton, c: EndComponent,
                          sigma_sub: MDStrategy) -> dict[int, int]:
     """Translate a strategy on a component sub-model back to base states and
-    original action indices."""
-    out: dict[int, int] = {}
-    for i_sub, a_sub in sigma_sub.items():
-        s = sub.origin[i_sub]
-        out[s] = c.actions_at(s)[a_sub]
-    for s, a in _stay_inside(c).items():
-        out.setdefault(s, a)
-    return out
+    original action indices: sub choice k is base choice c.choices[k]."""
+    k = np.fromiter(sigma_sub.keys(), np.int64, len(sigma_sub))
+    base = c.choices[flat(sub).ptr[k] + np.fromiter(sigma_sub.values(), np.int64, len(k))]
+    s = c.fl.choice_state[base]
+    return dict(zip(s.tolist(), (base - c.fl.ptr[s]).tolist()))
 
 
 def _dot(w: np.ndarray, point: np.ndarray) -> float:

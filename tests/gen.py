@@ -437,6 +437,22 @@ def ring_ma(rng, n):
                            rewards={"gain": RewardAssignment("gain", srew, trew)})
 
 
+def near_zeno_ma(p):
+    """Three states whose best choice almost never lets time pass.
+
+    s0 is Markovian (rate 1, reward "r" 1 per time unit) and moves to s1.
+    s1 is probabilistic: action "a" stays at s1 with probability 1 - p and
+    returns to s0 with p; action "b" moves to s2.  s2 is Markovian (rate 5,
+    reward "z" 1 per time unit) and moves back to s1.  Action "a" earns the
+    optimal gain 1 of "r" and "b" the gain 1 of "z", for every p in (0, 1).
+    """
+    return MarkovAutomaton(
+        [1.0, None, 5.0], [[((1, 1.0),)], [((1, 1.0 - p), (0, p)), ((2, 1.0),)], [((1, 1.0),)]],
+        initial=0, action_names=[("",), ("a", "b"), ("",)],
+        rewards={"r": RewardAssignment("r", {0: 1.0}, {}),
+                 "z": RewardAssignment("z", {2: 1.0}, {})})
+
+
 # ---------------------------------------------------------------------------
 # strategy enumeration oracles
 

@@ -15,6 +15,19 @@ def as_pairs(comps):
     return {(c.markovian_states, c.pairs) for c in comps}
 
 
+def decoding(q):
+    """q.base_choice as the table (collapsed state, action) -> ('exit', s, a)
+    or ('bottom',)."""
+    fl, qfl = flat(q.base), flat(q.model)
+    out = {}
+    for qs in q.ec_states:
+        for a in range(int(qfl.ptr[qs + 1] - qfl.ptr[qs])):
+            c = int(q.base_choice[qfl.ptr[qs] + a])
+            s = int(fl.choice_state[c])
+            out[(qs, a)] = ("bottom",) if c < 0 else ("exit", s, c - int(fl.ptr[s]))
+    return out
+
+
 def reach_sets(m, targets):
     """almost_sure_reach's masks as (region, {state: allowed actions})."""
     region, allowed = almost_sure_reach(m, targets)
@@ -178,8 +191,8 @@ class TestQuotient:
         assert q.state_map == [0, 2, 1, 2, 3, 2]
         assert q.model.initial == 1
         # both components are exit-free, so their only action is bottom
-        assert q.action_decoding[(2, 0)] == ("bottom",)
-        assert q.action_decoding[(3, 0)] == ("bottom",)
+        assert decoding(q)[(2, 0)] == ("bottom",)
+        assert decoding(q)[(3, 0)] == ("bottom",)
         assert q.model.choices[2] == (((4, 1.0),),)
         # s1's Markovian distribution is redirected onto the classes
         assert q.model.choices[0] == (((1, 0.5), (2, 0.5)),)
@@ -196,8 +209,8 @@ class TestQuotient:
         (c,) = [c for c in mec_decomposition(m) if 0 in c.states()]
         q = quotient(m, [c], with_bottom=True)
         qs = q.ec_states[0]
-        assert q.action_decoding[(qs, 0)] == ("exit", 1, 1)
-        assert q.action_decoding[(qs, 1)] == ("bottom",)
+        assert decoding(q)[(qs, 0)] == ("exit", 1, 1)
+        assert decoding(q)[(qs, 1)] == ("bottom",)
         assert q.model.choices[qs][0] == ((q.state_map[2], 1.0),)
 
     def test_overlap_rejected(self, fig1):
@@ -238,9 +251,10 @@ class TestQuotient:
             lra = random_lra_reward(rng, m, "L")
             ecs = [c for c in mecs if rng.random() < 0.6]
             q = quotient(m, ecs, with_bottom=with_bottom)
-            choices, decoding, state_map, ec_states, bottom, lift = ref_quotient(m, ecs, with_bottom)
+            choices, ref_decoding, state_map, ec_states, bottom, lift = \
+                ref_quotient(m, ecs, with_bottom)
             assert q.model.choices == choices
-            assert q.action_decoding == decoding
+            assert decoding(q) == ref_decoding
             assert q.state_map == state_map
             assert q.ec_states == ec_states
             assert q.bottom_state == bottom
@@ -344,7 +358,8 @@ class TestSubMa:
 
     def test_open_component_rejected(self, fig1):
         from moma import EndComponent
-        c = EndComponent(frozenset({0}), frozenset())
+        fl = flat(fig1)
+        c = EndComponent(fl, np.array([0]), fl.ptr[:1])  # s1 alone, its move leaves
         with pytest.raises(ModelError):
             sub_ma(fig1, c)
 
@@ -381,6 +396,44 @@ class TestDecodeQuotientStrategy:
         m, c, q = exit_model
         sigma = decode_quotient_strategy(q, {}, {})
         assert sigma[1] == 0
+
+    def test_exits_are_reached_from_inside(self):
+        # every component of a quotient picks one of its exits at once; the
+        # decoded strategy must keep play inside each component until it
+        # reaches the state of that component's exit, almost surely
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(100):
+            # two disjoint copies of a random model: components exit in pairs
+            base = random_ma(rng, max_states=8, max_actions=3, p_markov=0.3)
+            n = base.n_states
+            m = MarkovAutomaton(base.rates * 2, base.choices + tuple(
+                tuple(tuple((t + n, p) for t, p in d) for d in cs) for cs in base.choices),
+                initial=0)
+            fl = flat(m)
+            z = zero_mecs(m, [random_total_reward(rng, m, mec_decomposition(m), "T")])
+            q = quotient(m, z, with_bottom=True)
+            qfl = flat(q.model)
+            outs = [q.base_choice[qfl.ptr[qs]:qfl.ptr[qs + 1] - 1] for qs in q.ec_states]
+            for j in range(max(map(len, outs), default=0)):
+                pick = {i: min(j, len(o) - 1) for i, o in enumerate(outs) if len(o)}
+                sigma = decode_quotient_strategy(
+                    q, {q.ec_states[i]: a for i, a in pick.items()}, {})
+                for i, a in pick.items():
+                    c, exit_choice = z[i], int(outs[i][a])
+                    goal = int(fl.choice_state[exit_choice])
+                    assert fl.ptr[goal] + sigma[goal] == exit_choice
+                    inner = c.members[c.members != goal]
+                    chosen = fl.ptr[inner] + np.array(
+                        [0 if m.is_markovian(s) else sigma[s] for s in inner.tolist()],
+                        dtype=np.int64)
+                    assert np.isin(chosen, c.choices).all()
+                    _, e = fl.edges(chosen)
+                    # every state of c reaches the exit's state along chosen edges
+                    assert reach(fl.succ[e], fl.edge_src[e],
+                                 np.arange(m.n_states) == goal)[c.members].all()
+                    checked += 1
+        assert checked > 80
 
     def test_copies_plain_choices(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])

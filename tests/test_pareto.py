@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moma import (AchievabilityQuery, ApproximationState, MarkovAutomaton,
-                  ModelError, Objective, ParetoQuery, QuantitativeQuery,
-                  RewardAssignment, WeightedSolution, answer_query,
-                  downward_hull, evaluate_strategy, normalize_query, select_weight,
-                  validate_assumptions)
+from moma import (AchievabilityQuery, ApproximationState, EndComponent,
+                  MarkovAutomaton, ModelError, Objective, ParetoQuery,
+                  QuantitativeQuery, RewardAssignment, WeightedSolution, answer_query,
+                  downward_hull, evaluate_strategy, mec_decomposition, normalize_query,
+                  select_weight, validate_assumptions)
 from moma import pareto, parse_model
 from moma.model import Flat, flat
 from moma.modelio import parse_objective
@@ -441,6 +441,54 @@ class TestArraysOnly:
             if validate_assumptions(normalize_query(m, objectives)).ok:
                 self.check(counts, m, objectives, 1e-2)
                 checked += 1
+
+
+class TestComponentArraysOnly:
+    """A query reads end components as arrays: it derives none of their set
+    views (`markovian_states`, `pairs`, `states()`)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def count(attr, derive):
+            def counted(c):
+                counts.update([attr])
+                return derive(c)
+            return counted
+
+        for attr in ("markovian_states", "pairs"):
+            prop = cached_property(count(attr, EndComponent.__dict__[attr].func))
+            prop.__set_name__(EndComponent, attr)
+            monkeypatch.setattr(EndComponent, attr, prop)
+        monkeypatch.setattr(EndComponent, "states", count("states()", EndComponent.states))
+        return counts
+
+    def test_views_are_counted(self, counts, fig1):
+        (c, *_) = mec_decomposition(fig1)
+        assert c.states() and c.markovian_states and c.pairs is not None
+        assert counts == Counter(["states()", "markovian_states", "pairs"])
+
+    def test_layered(self, counts):
+        m, objectives = layered_ma(np.random.default_rng(5), n=500)
+        counts.clear()
+        answer_query(m, objectives, ParetoQuery(precision=1e-3))
+        assert counts == Counter()
+
+    def test_total_and_reach(self, counts):
+        rng = np.random.default_rng(6)
+        checked = 0
+        while checked < 6:
+            m, _ = random_valid_instance(rng, max_states=6)
+            objectives = [Objective("lra", "max", reward="L0"),
+                          Objective("total", str(rng.choice(["max", "min"])), reward="T0"),
+                          Objective("reach", "max",
+                                    goal=frozenset({int(rng.integers(1, m.n_states))}))]
+            counts.clear()  # the generator reads the views; the library must not
+            if validate_assumptions(normalize_query(m, objectives)).ok:
+                answer_query(m, objectives, ParetoQuery(precision=1e-2))
+                checked += 1
+            assert counts == Counter()
 
 
 class TestAchievabilityQuery:

@@ -8,16 +8,17 @@ from scipy.sparse.linalg import spsolve
 
 import moma.solvers
 from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
-                  RewardAssignment, SolverError, bscc_gain, evaluate_strategy,
-                  max_total_reward, mec_lra, normalize_query, optimize_weighted,
-                  prepare_weighted, quotient, reach_to_total, sub_ma,
-                  weighted_reward_sum, zero_mecs)
+                  ParetoQuery, RewardAssignment, SolverError, answer_query, bscc_gain,
+                  evaluate_strategy, max_total_reward, mec_decomposition, mec_lra,
+                  normalize_query, optimize_weighted, prepare_weighted, quotient,
+                  reach_to_total, sub_ma, weighted_reward_sum, zero_mecs)
 
 from moma.model import flat
 from moma.solvers import _DENSE_LIMIT, _block, _solver, _stationary
 
-from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp, random_ma,
-                 random_ssp, random_valid_instance, ring_ma, scc_chain, total_value_lp)
+from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp, near_zeno_ma,
+                 random_ma, random_ssp, random_valid_instance, ring_ma, scc_chain,
+                 total_value_lp)
 
 
 def lra_obj(name="R1"):
@@ -279,7 +280,6 @@ class TestMecLra:
             m, objectives = random_valid_instance(rng, n_lra=1, n_total=0,
                                                   max_states=6)
             p = normalize_query(m, objectives)
-            from moma import mec_decomposition
             for c in mec_decomposition(p.model):
                 if not c.markovian_states:
                     continue
@@ -299,7 +299,6 @@ class TestMecLra:
             m, objectives = random_valid_instance(rng, n_lra=1, n_total=0,
                                                   max_states=6)
             p = normalize_query(m, objectives)
-            from moma import mec_decomposition
             comps = [c for c in mec_decomposition(p.model) if c.markovian_states]
             if not comps:
                 continue
@@ -378,6 +377,51 @@ class TestMecLraMultichain:
         again = mec_lra(self.component(), m.rewards["r"], eps=eps)
         assert again.strategy == sol.strategy
         assert (again.lower, again.upper) == (sol.lower, sol.upper)
+
+
+class TestMecLraNearZeno:
+    """The near-Zeno family (gen.near_zeno_ma): the optimal action lets time
+    pass only with probability p per step, from 1e-3 down to 1e-12."""
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_gain_one_is_bracketed_and_attained(self, p):
+        m = near_zeno_ma(p)
+        eps = 1e-6
+        sol = mec_lra(m, m.rewards["r"], eps=eps)
+        assert sol.lower - eps <= 1.0 <= sol.upper + eps
+        assert evaluate_strategy(m, sol.strategy, [lra_obj("r")]).values[0] == \
+            pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_pareto_query_is_fast(self, p):
+        t0 = time.monotonic()
+        res = answer_query(near_zeno_ma(p), [lra_obj("r"), lra_obj("z")],
+                           ParetoQuery(precision=1e-4))
+        assert time.monotonic() - t0 < 1.0
+        assert np.allclose(sorted(res.vertices), [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
+
+
+class TestMecLraStrategy:
+    def test_attains_the_lower_bound(self):
+        # the criterion-6 draw: the returned strategy earns the bracket's
+        # lower end, not only the value
+        rng = np.random.default_rng(66)
+        eps = 1e-7
+        checked = 0
+        while checked < 100:
+            m, objectives = random_valid_instance(rng, n_lra=1, n_total=0, max_states=7)
+            p = normalize_query(m, objectives)
+            obj = [lra_obj(p.objectives[0].reward)]
+            for c in mec_decomposition(p.model):
+                if not c.markovian_states:
+                    continue
+                sub = sub_ma(p.model, c)
+                sol = mec_lra(sub, sub.rewards[obj[0].reward], eps=eps)
+                best = max(evaluate_strategy(sub, sigma, obj).values[0]
+                           for sigma in all_strategies(sub))
+                got = evaluate_strategy(sub, sol.strategy, obj).values[0]
+                assert got >= sol.lower - 2 * eps * max(1.0, abs(best))
+                checked += 1
 
 
 class TestMaxTotalReward:
