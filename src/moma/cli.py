@@ -112,13 +112,19 @@ def _apply_overrides(pq: ParsedQuery, args) -> None:
         q.time_limit = args.time_limit
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(doc: dict, args, t0: float) -> None:
+    """Write the result file, with the wall time since t0 under --timings,
+    and report that time on stderr."""
+    dt = time.monotonic() - t0
+    if args.timings:
+        doc["timings"] = {"wall_s": dt}
     text = dumps(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+    print(f"wall time: {dt:.3f}s", file=sys.stderr)
 
 
 def cmd_validate(args) -> int:
@@ -164,11 +170,7 @@ def cmd_single(args) -> int:
     doc = {"format": "moma-result", "version": 1, "kind": "single",
            "query": echo, "values": values,
            "statistics": problem_statistics(p, prep, p.dimension)}
-    dt = time.monotonic() - t0
-    if args.timings:
-        doc["timings"] = {"wall_s": dt}
-    _emit(doc, args)
-    print(f"wall time: {dt:.3f}s", file=sys.stderr)
+    _emit(doc, args, t0)
     return 0
 
 
@@ -197,11 +199,7 @@ def cmd_check(args) -> int:
     _apply_overrides(pq, args)
     res = answer_query(m, pq.objectives, pq.query)
     doc = result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies)
-    dt = time.monotonic() - t0
-    if args.timings:
-        doc["timings"] = {"wall_s": dt}
-    _emit(doc, args)
-    print(f"wall time: {dt:.3f}s", file=sys.stderr)
+    _emit(doc, args, t0)
     if res.kind == "achievability":
         return 1 if res.verdict == "unknown" else 0
     return 1 if res.exhausted else 0
@@ -217,18 +215,14 @@ def cmd_pareto(args) -> int:
         pq.kind = "pareto"
     _apply_overrides(pq, args)
     res = answer_query(m, pq.objectives, pq.query)
-    doc = result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies)
-    dt = time.monotonic() - t0
-    if args.timings:
-        doc["timings"] = {"wall_s": dt}
-    _emit(doc, args)
+    _emit(result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies),
+          args, t0)
     if args.plot:
         with open(args.plot, "w", encoding="utf-8") as f:
             f.write(plot_csv(res))
     elif pq.plot:
         print("plot data requested by the query; pass --plot PATH to write it",
               file=sys.stderr)
-    print(f"wall time: {dt:.3f}s", file=sys.stderr)
     return 1 if res.exhausted else 0
 
 

@@ -177,6 +177,17 @@ class QuotientModel:
                 bottom_values
         return RewardAssignment.from_vectors(qfl, name, qstate, qedge)
 
+    @cached_property
+    def decode_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """The base choice decoding starts from at every state (the first one
+        inside its component, if any) and the probabilistic base states."""
+        fl = flat(self.base)
+        choice = fl.ptr[:-1].copy()
+        inside = np.concatenate([c.choices for c in self.components] + [np.zeros(0, np.int64)])
+        s, first = np.unique(fl.choice_state[inside], return_index=True)
+        choice[s] = inside[first]
+        return choice, np.flatnonzero(~fl.markovian)
+
 
 def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
              with_bottom: bool = True) -> QuotientModel:
@@ -301,11 +312,8 @@ def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
     inside it, so play stays there.
     """
     fl, qfl = flat(q.base), flat(q.model)
-    choice = fl.ptr[:-1].copy()  # first choices unless decided below
-    inside = np.concatenate([c.choices for c in q.components] + [np.zeros(0, np.int64)])
-    s, first = np.unique(fl.choice_state[inside], return_index=True)
-    choice[s] = inside[first]
-
+    start, ps = q.decode_start
+    choice = start.copy()  # unless decided below
     qs = np.fromiter(sigma_q.keys(), np.int64, len(sigma_q))
     picked = q.base_choice[qfl.ptr[qs] + np.fromiter(sigma_q.values(), np.int64, len(sigma_q))]
     ec = qs - len(q.kept)
@@ -323,5 +331,4 @@ def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
         to = _toward(fl, fl.edges(routed)[1], fl.choice_state[picked[out]])
         choice[to >= 0] = to[to >= 0]
     choice[fl.choice_state[picked[picked >= 0]]] = picked[picked >= 0]
-    ps = np.flatnonzero(~fl.markovian)
     return dict(zip(ps.tolist(), (choice[ps] - fl.ptr[ps]).tolist()))

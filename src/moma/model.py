@@ -488,9 +488,7 @@ class ValidationReport:
         return self
 
     def __str__(self):
-        if self.ok:
-            return "ok"
-        return "\n".join(str(v) for v in self.violations)
+        return "\n".join(str(v) for v in self.violations) if self.violations else "ok"
 
 
 def validate_model(m: MarkovAutomaton) -> ValidationReport:

@@ -82,12 +82,7 @@ def _ser(obj, out: list[str], ind: int) -> None:
             out.append("[]")
             return
         if all(_is_scalar(x) for x in seq):
-            parts = []
-            for x in seq:
-                sub: list[str] = []
-                _ser(x, sub, 0)
-                parts.append("".join(sub))
-            out.append("[" + ", ".join(parts) + "]")
+            out.append("[" + ", ".join(dumps(x)[:-1] for x in seq) + "]")
             return
         out.append("[\n")
         for i, x in enumerate(seq):
@@ -171,11 +166,9 @@ def parse_model(doc: dict) -> MarkovAutomaton:
     action_names: list[tuple[str, ...]] = []
     for rec in states:
         name = rec["name"]
-        has_rate = "rate" in rec
-        has_actions = "actions" in rec
-        if has_rate == has_actions:
+        if ("rate" in rec) == ("actions" in rec):
             raise ModelError(f"state {name!r}: needs either a rate or actions, not both")
-        if has_rate:
+        if "rate" in rec:
             if kind == "mdp":
                 raise ModelError(f"state {name!r}: MDP states cannot carry a rate")
             rates.append(_number(rec["rate"], f"state {name!r} rate"))
@@ -410,24 +403,17 @@ def result_document(res: QueryResult, query_doc: dict, strategies: bool = False,
                  "kind": res.kind, "query": query_doc}
     if res.kind == "achievability":
         doc["verdict"] = res.verdict
-        w = _witness_doc(res.witness, model, strategies)
-        if w:
-            doc["witness"] = w
     elif res.kind == "quantitative":
         doc["lower"] = res.lower
         doc["upper"] = res.upper
-        w = _witness_doc(res.witness, model, strategies)
-        if w:
-            doc["witness"] = w
-        doc["precision_achieved"] = res.precision_achieved
-        doc["exhausted"] = res.exhausted
-    elif res.kind == "pareto":
+    else:
         doc["vertices"] = [list(v) for v in res.vertices or []]
         doc["facets"] = res.facets or []
         doc["halfspaces"] = res.halfspaces or []
-        w = _witness_doc(res.witness, model, strategies)
-        if w:
-            doc["witness"] = w
+    w = _witness_doc(res.witness, model, strategies)
+    if w:
+        doc["witness"] = w
+    if res.kind != "achievability":
         doc["precision_achieved"] = res.precision_achieved
         doc["exhausted"] = res.exhausted
     if res.warnings:
@@ -446,9 +432,7 @@ def plot_csv(res: QueryResult) -> str:
     if res.state is None or res.state.dimension != 2:
         raise ModelError("plot output requires exactly 2 objectives")
     flips = res.problem.flips
-    rows: list[tuple[float, float, str]] = []
-    for v in res.vertices or []:
-        rows.append((v[0], v[1], "vertex"))
+    rows = [(v[0], v[1], "vertex") for v in res.vertices or []]
     hs = res.state.halfspaces
     corners = []
     for i in range(len(hs)):
@@ -461,9 +445,6 @@ def plot_csv(res: QueryResult) -> str:
             if all(float(np.dot(h.normal, x)) <= h.offset + 1e-9 * max(1.0, abs(h.offset))
                    for h in hs):
                 corners.append(tuple(np.round(x * flips, 9)))
-    for c in sorted(set(corners)):
-        rows.append((float(c[0]), float(c[1]), "q_boundary"))
-    lines = ["coord_1,coord_2,kind"]
-    for x, y, kind in rows:
-        lines.append(f"{format(x, '.17g')},{format(y, '.17g')},{kind}")
-    return "\n".join(lines) + "\n"
+    rows += [(float(c[0]), float(c[1]), "q_boundary") for c in sorted(set(corners))]
+    return "coord_1,coord_2,kind\n" + "".join(f"{format(x, '.17g')},{format(y, '.17g')},{kind}\n"
+                                              for x, y, kind in rows)

@@ -329,9 +329,8 @@ def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query,
     eta_eff = eta - eps_solver if eta > 2 * eps_solver else eta / 2
 
     def budget_left() -> bool:
-        if len(state.halfspaces) >= query.max_iterations:
-            return False
-        return deadline is None or time.monotonic() < deadline
+        return len(state.halfspaces) < query.max_iterations and \
+            (deadline is None or time.monotonic() < deadline)
 
     if isinstance(query, ParetoQuery):
         result = _run_pareto(state, prep, p, eta_eff, eps_solver, budget_left)
@@ -403,9 +402,7 @@ def _run_achievability(state, prep, p, point, eta_eff, eps, budget_left) -> Quer
     if point.shape != (p.dimension,):
         raise ModelError("point dimension does not match the objectives")
     q = point * p.flips
-    verdict = "unknown"
-    witness = None
-    exhausted = False
+    verdict, witness, exhausted = "unknown", None, False
     while True:
         hit = next(iter(np.flatnonzero(state.normals @ q > state.offsets)), None)
         if hit is not None:
@@ -434,9 +431,6 @@ def _run_quantitative(state, prep, p, thresholds, eta, eps, budget_left) -> Quer
         raise ModelError("quantitative queries need one threshold per objective "
                          "after the first")
     t_int = np.array([p.flips[j + 1] * thresholds[j] for j in range(len(thresholds))])
-    lower = NEG_INF
-    upper = math.inf
-    mix = None
     exhausted = False
     while True:
         lower, mix = _inner_slice_max(state, t_int)
@@ -446,28 +440,21 @@ def _run_quantitative(state, prep, p, thresholds, eta, eps, budget_left) -> Quer
         if not budget_left():
             exhausted = True
             break
-        guidance = None
-        if x_outer is not None:
-            guidance = np.asarray(x_outer, dtype=float)
+        guidance = None if x_outer is None else np.asarray(x_outer, dtype=float)
         w = select_weight(state, 0.0, guidance=guidance)
         if w is None:
             exhausted = _bracket(lower, upper) > eta
             break
         refine(state, prep, w, eps)
     witness = _mixture_witness(state, mix, p) if mix else None
-    if p.flips[0] > 0:
-        lo_u, up_u = lower, upper
-    else:
-        lo_u, up_u = -upper, -lower
+    lo_u, up_u = (lower, upper) if p.flips[0] > 0 else (-upper, -lower)
     return QueryResult(kind="quantitative", objectives=[], lower=lo_u, upper=up_u,
                        witness=witness, precision_achieved=_bracket(lower, upper),
                        exhausted=exhausted)
 
 
 def _bracket(lower: float, upper: float) -> float:
-    if lower == upper:
-        return 0.0
-    return upper - lower
+    return 0.0 if lower == upper else upper - lower  # equal infinities give 0
 
 
 def _strategy_ids(sigma: MDStrategy) -> dict[int, int]:
@@ -503,13 +490,16 @@ def _extreme_ids(state: ApproximationState, ids: list[int]) -> list[int]:
     keep = []
     for i in ids:
         others = np.array([state.points[j].point for j in ids if j != i])
-        k = len(others)
-        res = linprog(c=np.zeros(k), A_ub=-others.T, b_ub=-state.points[i].point,
-                      A_eq=np.ones((1, k)), b_eq=[1.0],
-                      bounds=[(0.0, None)] * k, method="highs")
-        if res.status != 0:
+        if _mixture_lp(np.zeros(len(others)), -others.T, -state.points[i].point).status != 0:
             keep.append(i)
     return keep
+
+
+def _mixture_lp(c: np.ndarray, A_ub, b_ub):
+    """HiGHS linear program min c.lam, A_ub lam <= b_ub over the mixture
+    weights lam: nonnegative, summing to 1."""
+    return linprog(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=np.ones((1, len(c))), b_eq=[1.0],
+                   bounds=[(0.0, None)] * len(c), method="highs")
 
 
 def _inner_feasible(state: ApproximationState, q: np.ndarray):
@@ -518,10 +508,7 @@ def _inner_feasible(state: ApproximationState, q: np.ndarray):
     if not idx:
         return None
     P = np.array([state.points[i].point for i in idx])
-    k = len(idx)
-    res = linprog(c=np.zeros(k), A_ub=-P.T, b_ub=-q,
-                  A_eq=np.ones((1, k)), b_eq=[1.0],
-                  bounds=[(0.0, None)] * k, method="highs")
+    res = _mixture_lp(np.zeros(len(idx)), -P.T, -q)
     if res.status != 0:
         return None
     return _mixture_from(res.x, idx)
@@ -533,12 +520,8 @@ def _inner_slice_max(state: ApproximationState, t_int: np.ndarray):
     if not idx:
         return NEG_INF, None
     P = np.array([state.points[i].point for i in idx])
-    k = len(idx)
-    A_ub = -P[:, 1:].T if len(t_int) else None
-    b_ub = -t_int if len(t_int) else None
-    res = linprog(c=-P[:, 0], A_ub=A_ub, b_ub=b_ub,
-                  A_eq=np.ones((1, k)), b_eq=[1.0],
-                  bounds=[(0.0, None)] * k, method="highs")
+    res = _mixture_lp(-P[:, 0], -P[:, 1:].T if len(t_int) else None,
+                      -t_int if len(t_int) else None)
     if res.status == 2:
         return NEG_INF, None
     if res.status != 0:

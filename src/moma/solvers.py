@@ -12,12 +12,14 @@ damped tick, and the classical span bounds on the gain then hold for any
 starting vector.  The final strategy of the iteration is the one returned.
 Total rewards come from stochastic-shortest-path strategy iteration started
 from a proper strategy (one that reaches the target almost surely), on a
-structure built once per reward support pattern.  Zero-reward end components
-are collapsed first; every remaining non-target end component then drains
+structure that depends only on the zero-reward end components it collapses.
+Once they are collapsed, every remaining non-target end component drains
 strictly negative reward, which makes the Bellman fixed point unique on the
 almost-sure reach region and lets a verified inductive vector (T U <= U)
-certify the upper bound, searched level by level over the condensation of the
-allowed-choice graph, sinks first (topological value iteration).
+certify the upper bound, searched level by level over the condensation of
+the allowed-choice graph, sinks first (topological value iteration).  In
+that level order every strategy's system is block lower-triangular, so its
+sparse LU keeps that order.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
                     ModelError, Objective, RewardAssignment, SolverError, _chosen,
                     _graph, _ptr, _spans, carry_rewards, copy_choices, flat,
                     reach, scc_levels, strong_components)
-from .components import (QuotientModel, _toward, almost_sure_reach,
+from .components import (EndComponent, QuotientModel, _toward, almost_sure_reach,
                          decode_quotient_strategy, exits, quotient, zero_mecs)
 
 _DENSE_LIMIT = 512
@@ -109,16 +111,25 @@ def _rows(M, rows) -> csr_matrix:
                       shape=(len(rows), M.shape[1]))
 
 
-def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray):
+def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray,
+            order: np.ndarray | None = None):
     """b -> x with (I - Q) x = b for the n x n block Q whose entries v sit at
     the distinct places (r, c), as gathered by _block.  LAPACK on np.eye(n)
-    minus Q, filled in place, up to _DENSE_LIMIT unknowns; one sparse LU
-    factorization above."""
+    minus Q, filled in place, up to _DENSE_LIMIT unknowns; above, one sparse
+    LU factorization with COLAMD's column order, or with the rows and
+    columns in a given `order` that makes I - Q block lower-triangular (a
+    total-reward structure's levels, sinks first), kept as it is: the
+    diagonal blocks are then factored one after another, with little fill,
+    and no column ordering has to be computed."""
     if n <= _DENSE_LIMIT:
         A = np.eye(n)
         A[r, c] -= v
         return lambda b: np.linalg.solve(A, b)
-    return splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c])))).solve
+    spec, order = ("COLAMD", np.arange(n)) if order is None else ("NATURAL", order)
+    at = np.argsort(order)  # the row and column of each unknown
+    lu = splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, at[r]], np.r_[:n, at[c]]))),
+              permc_spec=spec)
+    return lambda b: lu.solve(b[order])[at]
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +350,17 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
 
 @dataclass
 class TotalStructure:
-    """The weight-independent part of a total-reward solve, shared by the
-    rewards of one support pattern: the zero-EC quotient `q`, the `active`
-    states (the almost-sure region the initial state reaches, minus the
-    target; the initial one is `i0`), a row of K per allowed choice of an
-    active state (`rows`, state by state from `segs`), a proper strategy
-    `pick`, and per level of the allowed-choice condensation, sinks first,
-    its active states, their rows, their segment starts and K block."""
+    """The weight-independent part of a total-reward solve, which depends
+    only on the zero-reward end components it collapses: their quotient `q`,
+    the `active` states (the almost-sure region the initial state reaches,
+    minus the target; the initial one is `i0`), a row of K per allowed
+    choice of an active state (`rows`, state by state from `segs`), a proper
+    strategy `pick`, and the levels of the allowed-choice condensation,
+    sinks first.  `order` lists the active states level by level, level i
+    from `levels[i]` on, and `lrows` their rows of K, those of order[i] from
+    `lsegs[i]` on, with their entries `lK` (row in lrows, column, value) in
+    stored order.  An allowed edge never climbs a level, so I - K[pick] is
+    block lower-triangular in `order`."""
 
     q: QuotientModel
     target: int
@@ -355,17 +370,26 @@ class TotalStructure:
     segs: np.ndarray
     K: csr_matrix
     pick: np.ndarray
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, csr_matrix]]
+    order: np.ndarray
+    levels: np.ndarray
+    lrows: np.ndarray
+    lsegs: np.ndarray
+    lK: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def total_structure(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int) -> TotalStructure:
-    """The structure of a total-reward solve of r on m (only r's support
-    matters).  Raises InfeasibleError when no strategy reaches the bottom
-    state almost surely from the initial state."""
-    # without bottom actions an exit-less component would leave its quotient
-    # state with no choices; such states cannot reach the target anyway, so
-    # leaving them uncollapsed changes no value
-    z = [c for c in zero_mecs(m, [r]) if bottom_state not in c.members and len(exits(m, c))]
+def total_zero_ecs(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int
+                   ) -> list[EndComponent]:
+    """The zero-reward end components of r that a total-reward solve on m
+    collapses: those with an exit, apart from the bottom state's (an
+    exit-less one cannot reach the target, so it changes no value)."""
+    return [c for c in zero_mecs(m, [r]) if bottom_state not in c.members and len(exits(m, c))]
+
+
+def total_structure(m: MarkovAutomaton, z: Sequence[EndComponent],
+                    bottom_state: int) -> TotalStructure:
+    """The structure of a total-reward solve on m that collapses the end
+    components z (see total_zero_ecs).  Raises InfeasibleError when no
+    strategy reaches the bottom state almost surely from the initial state."""
     q = quotient(m, z, with_bottom=False)
     target, init_q = q.state_map[bottom_state], q.state_map[m.initial]
     region, allowed = almost_sure_reach(q.model, [target])
@@ -382,16 +406,13 @@ def total_structure(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int) 
     keep = fl.succ[e] != target
     src, dst = index[fl.edge_src[e[keep]]], index[fl.succ[e[keep]]]
     K = csr_matrix((fl.prob[e[keep]], (pos[keep], dst)), shape=(len(rows), len(active)))
-    # the rows of K in level order, cut into one block per level
     level = scc_levels(len(active), src, dst)
     order = np.argsort(level, kind="stable")
-    rp, lp = _spans(ptr[order], ptr[order + 1])[1], _ptr(np.diff(ptr)[order])
-    cuts = np.searchsorted(level[order], np.arange(level.max(initial=0) + 2))
-    levels = [(order[lo:hi], rp[a:b], lp[lo:hi] - a, _rows(K, rp[a:b]))
-              for lo, hi, a, b in zip(cuts, cuts[1:], lp[cuts], lp[cuts[1:]])]
+    levels = np.searchsorted(level[order], np.arange(level.max(initial=-1) + 1))
+    lrows = _spans(ptr[order], ptr[order + 1])[1]
     return TotalStructure(q, target, active, int(index[init_q]), rows, ptr[:-1], K,
                           np.searchsorted(rows, _toward(fl, e, np.array([target]))[active]),
-                          levels)
+                          order, levels, lrows, _ptr(np.diff(ptr)[order]), _block(K, lrows))
 
 
 def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
@@ -406,12 +427,13 @@ def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
     reward recurs (finiteness violated) or the bracket [lower, upper] cannot
     be certified to eps.
     """
-    return solve_total(total_structure(m, r, bottom_state), r, eps)
+    return solve_total(total_structure(m, total_zero_ecs(m, r, bottom_state), bottom_state),
+                       r, eps)
 
 
 def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> ScalarSolution:
-    """max_total_reward of r (a reward of st.q.base with the support st was
-    built for) on a prebuilt structure.  Strategy iteration from the proper
+    """max_total_reward of r (a reward of st.q.base whose total_zero_ecs st
+    collapses) on a prebuilt structure.  Strategy iteration from the proper
     strategy st.pick: evaluate the strategy exactly (L) and switch a state
     only where a choice improves crew + K L by more than rounding; an
     improved strategy that no longer reaches the target means positive
@@ -426,7 +448,7 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
         crew_v = per_state[fl.choice_state[rows]] + jump[rows]
         pick = st.pick
         for it in range(1, 1001):
-            L = _solver(len(pick), *_block(K, pick))(crew_v[pick])
+            L = _solver(len(pick), *_block(K, pick), st.order)(crew_v[pick])
             q = crew_v + K @ L
             best, better = _first_max(q, segs)
             # a margin above rounding keeps tied choices from swapping forever
@@ -484,12 +506,12 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
     U, ell, sweeps = L.copy(), 0, 0
     for _ in range(7):
         while ell < len(st.levels):
-            s, rp, seg, K = st.levels[ell]
-            crew, u, nudged = crew_v[rp], L[s] + 0.5 * delta * (1.0 + ell / top), False
+            s, bellman = _level(st, ell, crew_v)
+            u, nudged = L[s] + 0.5 * delta * (1.0 + ell / top), False
             for _ in range(30_000):
                 sweeps += 1
                 U[s] = u
-                tu = np.maximum.reduceat(crew + K @ U, seg)
+                tu = bellman(U)
                 if inductive := bool((tu <= u).all()):
                     break
                 new = np.minimum(u, tu)
@@ -506,6 +528,19 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
             return U, sweeps
         delta *= 8.0
     return None, sweeps
+
+
+def _level(st: TotalStructure, ell: int, crew_v: np.ndarray):
+    """The states of level ell of st, and U -> the Bellman step on them, on
+    their rows cut from the level-ordered ones as one span.  K @ U sums each
+    row entry by entry in stored order from 0.0, as scipy's CSR product
+    does, so the step equals the global check's bit for bit."""
+    (lo, hi), (pos, col, val) = np.append(st.levels, len(st.order))[[ell, ell + 1]], st.lK
+    a, b = st.lsegs[lo], st.lsegs[hi]
+    e = slice(*np.searchsorted(pos, [a, b]))
+    r, c, v, crew, seg = pos[e] - a, col[e], val[e], crew_v[st.lrows[a:b]], st.lsegs[lo:hi] - a
+    return st.order[lo:hi], lambda U: np.maximum.reduceat(crew + np.bincount(r, v * U[c], b - a),
+                                                          seg)
 
 
 # ---------------------------------------------------------------------------

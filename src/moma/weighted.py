@@ -26,7 +26,7 @@ from .components import (EndComponent, QuotientModel, almost_sure_reach,
                          decode_quotient_strategy, mec_decomposition, quotient,
                          sub_ma, zero_mecs)
 from .solvers import (TotalStructure, _fresh_name, evaluate_strategy, mec_lra,
-                      reach_to_total, solve_total, total_structure)
+                      reach_to_total, solve_total, total_structure, total_zero_ecs)
 
 
 @dataclass
@@ -95,7 +95,6 @@ def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> Norm
 
     flips = np.ones(len(objs))
     rewards = dict(work.rewards)
-    changed = False
     for i, o in enumerate(objs):
         if o.reward not in rewards:
             raise ModelError(f"model has no reward assignment named {o.reward!r}")
@@ -106,18 +105,14 @@ def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> Norm
         rewards[o.reward].vectors(work)  # the negation runs on its vectors on work
         rewards[name] = rewards[o.reward].negated(name)
         objs[i] = Objective(o.kind, "max", name)
-        changed = True
-    if changed:
+    if (flips < 0).any():
         work = work.with_rewards(rewards)
     return NormalizedProblem(work, objs, flips, original)
 
 
 def _total_assignments(p: NormalizedProblem) -> list[RewardAssignment]:
-    seen: dict[str, RewardAssignment] = {}
-    for o in p.objectives:
-        if o.kind == "total" and o.reward not in seen:
-            seen[o.reward] = p.model.rewards[o.reward]
-    return list(seen.values())
+    return list({o.reward: p.model.rewards[o.reward] for o in p.objectives
+                 if o.kind == "total"}.values())
 
 
 def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
@@ -149,13 +144,17 @@ class WeightedPrep:
     """Weight-independent precomputation shared across weighted solves:
     the end components carrying no total reward, their standalone sub-models,
     the bottom-extended quotient that collapses them, and the total-reward
-    structures built so far, keyed by the lifted reward's support pattern."""
+    structures built so far: one per set of zero-reward end components a
+    total solve collapses (keyed by their inside choices), since that set
+    alone determines a structure, and `patterns` sends each support pattern
+    of the lifted reward seen so far to its structure."""
 
     problem: NormalizedProblem
     zero_ecs: list[EndComponent]
     quot: QuotientModel
     subs: list[MarkovAutomaton]
-    structures: dict[bytes, TotalStructure] = field(default_factory=dict)
+    structures: dict[tuple[bytes, ...], TotalStructure] = field(default_factory=dict)
+    patterns: dict[bytes, TotalStructure] = field(default_factory=dict)
 
 
 def prepare_weighted(p: NormalizedProblem) -> WeightedPrep:
@@ -203,8 +202,7 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
 
     gains: list[float] = []
     stays: dict[int, dict[int, int]] = {}
-    for i, c in enumerate(prep.zero_ecs):
-        sub = prep.subs[i]
+    for i, (c, sub) in enumerate(zip(prep.zero_ecs, prep.subs)):
         # sub_ma already restricted every named reward to the component
         rr = weighted_reward_sum("w.lra", [(x, sub.rewards[n]) for x, n in zip(lra_w, names)])
         if rr.is_zero:
@@ -217,9 +215,13 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
 
     r_star = prep.quot.lift_reward(r_tot, "w.star", bottom_values=gains)
     key = np.packbits(np.concatenate(r_star.vectors(prep.quot.model)) != 0.0).tobytes()
-    if key not in prep.structures:
-        prep.structures[key] = total_structure(prep.quot.model, r_star, prep.quot.bottom_state)
-    total = solve_total(prep.structures[key], r_star, eps=eps / 2.0)
+    if key not in prep.patterns:
+        z = total_zero_ecs(prep.quot.model, r_star, prep.quot.bottom_state)
+        zk = tuple(c.choices.tobytes() for c in z)
+        if zk not in prep.structures:
+            prep.structures[zk] = total_structure(prep.quot.model, z, prep.quot.bottom_state)
+        prep.patterns[key] = prep.structures[zk]
+    total = solve_total(prep.patterns[key], r_star, eps=eps / 2.0)
     sigma = decode_quotient_strategy(prep.quot, total.strategy, stays)
     ev = evaluate_strategy(p.model, sigma, p.objectives)
     point = np.asarray(ev.values)

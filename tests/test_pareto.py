@@ -312,7 +312,7 @@ class TestParetoQuery:
         refinements = stats.pop("refinements")
         assert stats == {"states": 6, "markovian_states": 4,
                          "choices": 8, "zero_ecs": 2,
-                         "zero_ec_states": 4, "iterations": 3, "total_structures": 3}
+                         "zero_ec_states": 4, "iterations": 3, "total_structures": 1}
         # one record per weighted solve, with its total solve's counters
         assert [(r["weights"], r["value"]) for r in refinements] == \
             [(h["normal"], h["offset"]) for h in res.halfspaces]

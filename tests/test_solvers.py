@@ -16,8 +16,8 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
 from moma.model import flat
 from moma.solvers import _DENSE_LIMIT, _block, _solver, _stationary
 
-from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp, near_zeno_ma,
-                 random_ma, random_ssp, random_valid_instance, ring_ma, scc_chain,
+from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp, layered_ma,
+                 near_zeno_ma, random_ma, random_ssp, random_valid_instance, ring_ma, scc_chain,
                  total_value_lp)
 
 
@@ -424,6 +424,19 @@ class TestMecLraStrategy:
                 checked += 1
 
 
+def structures():
+    """Total-reward structures of random_ssp models (the feasible ones among
+    40) and of a 20-block scc_chain."""
+    rng = np.random.default_rng(38)
+    for m, bottom in [random_ssp(rng) for _ in range(40)] + \
+            [scc_chain(np.random.default_rng(9100), blocks=20)]:
+        try:
+            yield moma.solvers.total_structure(
+                m, moma.solvers.total_zero_ecs(m, m.rewards["r"], bottom), bottom)
+        except InfeasibleError:
+            continue
+
+
 class TestMaxTotalReward:
     def test_simple_chain(self):
         m = MarkovAutomaton(
@@ -539,9 +552,9 @@ class TestMaxTotalReward:
         evaluations = []
         solver = moma.solvers._solver
 
-        def counted(n, r, c, v):
+        def counted(n, r, c, v, order=None):
             evaluations.append(n)
-            return solver(n, r, c, v)
+            return solver(n, r, c, v, order)
 
         monkeypatch.setattr(moma.solvers, "_solver", counted)
         sol = max_total_reward(m, m.rewards["r"], bottom_state=3, eps=1e-9)
@@ -575,18 +588,16 @@ class TestMaxTotalReward:
 
     def test_structure_levels_follow_allowed_edges(self):
         # every allowed edge keeps or lowers the level and lowers it between
-        # strongly connected components; the level blocks are K's rows
-        rng = np.random.default_rng(38)
-        models = [random_ssp(rng) for _ in range(40)] + \
-            [scc_chain(np.random.default_rng(9100), blocks=20)]
-        for m, bottom in models:
-            try:
-                st = moma.solvers.total_structure(m, m.rewards["r"], bottom)
-            except InfeasibleError:
-                continue
+        # strongly connected components; the level spans are K's rows
+        for st in structures():
             level = np.full(len(st.active), -1)
-            for ell, (s, rp, seg, block) in enumerate(st.levels):
+            ends = np.append(st.levels[1:], len(st.order))
+            pos, col, val = st.lK
+            for ell, (lo, hi) in enumerate(zip(st.levels, ends)):
+                s, (a, b) = st.order[lo:hi], st.lsegs[[lo, hi]]
+                rp, seg, e = st.lrows[a:b], st.lsegs[lo:hi] - a, (pos >= a) & (pos < b)
                 level[s] = ell
+                block = csr_matrix((val[e], (pos[e] - a, col[e])), shape=(b - a, len(st.active)))
                 assert (block != st.K[rp]).nnz == 0
                 assert np.array_equal(np.searchsorted(st.segs, rp, side="right") - 1,
                                       np.repeat(s, np.diff(seg, append=len(rp))))
@@ -597,6 +608,43 @@ class TestMaxTotalReward:
             assert (level[coo.col] <= level[src]).all()
             cross = labels[src] != labels[coo.col]
             assert (level[coo.col[cross]] < level[src[cross]]).all()
+
+    def test_level_order_makes_systems_block_lower_triangular(self):
+        # in st.order, each row of I - K[pick] has its entries in the columns
+        # of its own level or of levels listed before it
+        for st in structures():
+            coo = st.K.tocoo()
+            src = np.searchsorted(st.segs, coo.row, side="right") - 1
+            level = moma.model.scc_levels(len(st.active), src, coo.col)[st.order]
+            assert (np.diff(level) >= 0).all()
+            assert np.array_equal(st.levels, np.searchsorted(level, np.arange(level.max() + 1)))
+            at, end = np.argsort(st.order), np.searchsorted(level, level, side="right")
+            r, c, _ = _block(st.K, st.pick)
+            assert (at[c] < end[at[r]]).all()
+
+    def test_level_bellman_equals_global_check(self):
+        # the level's Bellman step is the global check's on its states, bit for bit
+        rng = np.random.default_rng(39)
+        for st in structures():
+            crew_v = rng.standard_normal(len(st.rows))
+            U = rng.standard_normal(len(st.active)) * 10.0
+            full = np.maximum.reduceat(crew_v + st.K @ U, st.segs)
+            for ell in range(len(st.levels)):
+                s, bellman = moma.solvers._level(st, ell, crew_v)
+                assert np.array_equal(bellman(U), full[s])
+
+    def test_level_ordered_sparse_solve_matches_spsolve(self):
+        # above the dense limit the pick system is factored in level order
+        m, objectives = layered_ma(np.random.default_rng(9000), n=1500)
+        prep = prepare_weighted(normalize_query(m, objectives))
+        optimize_weighted(prep, [0.5, 0.5])
+        (st,) = prep.structures.values()
+        n = len(st.active)
+        assert n > _DENSE_LIMIT
+        b = np.random.default_rng(60).standard_normal(n)
+        got = _solver(n, *_block(st.K, st.pick), st.order)(b)
+        want = spsolve((identity(n) - st.K[st.pick]).tocsc(), b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
     def test_scc_chains_match_value_lp(self, monkeypatch):
         # deep chains of many small components, certified level by level;

@@ -7,6 +7,7 @@ from moma import (MarkovAutomaton, ModelError, Objective, RewardAssignment,
                   evaluate_strategy, normalize_query, optimize_weighted,
                   prepare_weighted, validate_assumptions, weighted_reward_sum)
 from moma.pareto import problem_statistics
+from moma.solvers import total_zero_ecs
 
 from gen import oracle_points, random_valid_instance, weighted_oracle
 
@@ -244,16 +245,16 @@ class TestStructureCache:
                 sorted(sol.strategy.items()), sol.rounds, sol.sweeps)
 
     def test_shared_prep_matches_fresh_preps(self):
-        # one prep across weights builds one total-reward structure per
-        # support pattern of the lifted reward and answers bit for bit as a
-        # fresh prep per weight does
+        # one prep across weights builds one total-reward structure per set
+        # of zero-reward end components its solves collapse and answers bit
+        # for bit as a fresh prep per weight does
         rng = np.random.default_rng(405)
         shared_patterns = 0
         for _ in range(8):
             m, objectives = random_valid_instance(rng, n_lra=1, n_total=2)
             p = normalize_query(m, objectives)
             shared = prepare_weighted(p)
-            patterns = set()
+            patterns, zero_sets = set(), set()
             for _ in range(10):
                 w = rng.integers(0, 3, size=3).astype(float)
                 w = w / w.sum() if w.any() else np.ones(3) / 3
@@ -267,9 +268,23 @@ class TestStructureCache:
                     for wj, o in zip(w, p.objectives)])
                 star = fresh.quot.lift_reward(r_tot, "s", bottom_values=b.component_gains)
                 patterns.add((star.state != 0.0).tobytes() + (star.edge != 0.0).tobytes())
-            assert problem_statistics(p, shared, 10)["total_structures"] == len(patterns)
+                z = total_zero_ecs(fresh.quot.model, star, fresh.quot.bottom_state)
+                zero_sets.add(tuple(c.choices.tobytes() for c in z))
+            assert problem_statistics(p, shared, 10)["total_structures"] == len(zero_sets)
+            assert len(shared.patterns) == len(patterns)
             shared_patterns += len(patterns)
         assert shared_patterns < 8 * 10  # the cache is hit
+
+    def test_patterns_with_one_zero_ec_set_share_a_structure(self, fig1, fig1_objectives):
+        # the three weights lift to three support patterns, and each solve
+        # collapses no zero-reward end component: one structure serves all
+        prep = prepare_weighted(normalize_query(fig1, fig1_objectives))
+        for w in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
+            optimize_weighted(prep, w)
+        assert len(prep.patterns) == 3
+        (st,) = prep.structures.values()
+        assert all(s is st for s in prep.patterns.values())
+        assert problem_statistics(prep.problem, prep, 3)["total_structures"] == 1
 
     def test_state_rewards_are_part_of_the_pattern(self):
         # T0 and T1 pay on the same edge, but only T0 has a state reward, on
