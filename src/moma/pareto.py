@@ -27,6 +27,8 @@ from .weighted import (NormalizedProblem, WeightedPrep, WeightedSolution,
                        validate_assumptions)
 
 MAX_DIMENSION = 4
+# precision of every weighted solve; halfspace offsets carry up to this slack
+EPS_SOLVER = 1e-6
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,7 @@ def select_weight(state: ApproximationState, eta: float,
 
 
 def refine(state: ApproximationState, prep: WeightedPrep, w: np.ndarray,
-           eps: float = 1e-6) -> WeightedSolution:
+           eps: float = EPS_SOLVER) -> WeightedSolution:
     """One sandwich iteration: solve the weighted problem, store the exact
     point with its witness strategy, intersect Q with the new halfspace."""
     sol = optimize_weighted(prep, w, eps)
@@ -306,8 +308,7 @@ class QueryResult:
     problem: NormalizedProblem | None = None
 
 
-def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query,
-                 eps_solver: float = 1e-6) -> QueryResult:
+def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query) -> QueryResult:
     """Run the refinement loop until the query is answered, the requested
     precision is met, or the iteration/time budget runs out (flagged, never
     silent).  Raises ModelError when the model violates the assumptions."""
@@ -324,22 +325,21 @@ def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query,
 
     deadline = time.monotonic() + query.time_limit if query.time_limit else None
     eta = query.precision
-    # halfspace offsets already carry up to eps_solver of slack; stop slightly
+    # halfspace offsets already carry up to EPS_SOLVER of slack; stop slightly
     # earlier so the reported precision stays within the request
-    eta_eff = eta - eps_solver if eta > 2 * eps_solver else eta / 2
+    eta_eff = eta - EPS_SOLVER if eta > 2 * EPS_SOLVER else eta / 2
 
     def budget_left() -> bool:
         return len(state.halfspaces) < query.max_iterations and \
             (deadline is None or time.monotonic() < deadline)
 
     if isinstance(query, ParetoQuery):
-        result = _run_pareto(state, prep, p, eta_eff, eps_solver, budget_left)
+        result = _run_pareto(state, prep, p, eta_eff, budget_left)
     elif isinstance(query, AchievabilityQuery):
         result = _run_achievability(state, prep, p, np.asarray(query.point, dtype=float),
-                                    eta_eff, eps_solver, budget_left)
+                                    eta_eff, budget_left)
     else:
-        result = _run_quantitative(state, prep, p, list(query.thresholds),
-                                   eta, eps_solver, budget_left)
+        result = _run_quantitative(state, prep, p, list(query.thresholds), eta, budget_left)
 
     result.objectives = list(p.original)
     result.iterations = len(state.halfspaces)
@@ -373,32 +373,31 @@ def problem_statistics(p: NormalizedProblem, prep: WeightedPrep, iterations: int
     }
 
 
-def _run_pareto(state, prep, p, eta_eff, eps, budget_left) -> QueryResult:
+def _run_pareto(state, prep, p, eta_eff, budget_left) -> QueryResult:
     while budget_left():
         w = select_weight(state, eta_eff)
         if w is None:
             break
-        refine(state, prep, w, eps)
+        refine(state, prep, w)
     exhausted = select_weight(state, eta_eff) is not None
 
     gaps, scales = state.facet_gaps()
     worst = float(np.max(gaps / scales)) if len(gaps) else 0.0
-    vertex_ids = sorted({i for f in state.facets() for i in f.vertices},
+    vertex_ids = sorted(_extreme_ids(state, state.finite_indices()),
                         key=lambda i: tuple(state.points[i].point * p.flips))
-    vertex_ids = _extreme_ids(state, vertex_ids)
     vertices = [_flip_vec(state.points[i].point, p.flips) for i in vertex_ids]
     # every hull names a distinct point by one index, its first
     pos = {i: j for j, i in enumerate(vertex_ids)}
     facets = [{"normal": _flip_vec(f.normal, p.flips), "offset": f.offset,
-               "vertices": [pos[i] for i in f.vertices if i in pos]}
+               "vertices": [pos[i] for i in f.vertices]}
               for f in state.facets() if not f.degenerate]
     witness = {"vertices": [_strategy_ids(state.points[i].strategy) for i in vertex_ids]}
     return QueryResult(kind="pareto", objectives=[], vertices=vertices, facets=facets,
-                       witness=witness, precision_achieved=worst + eps,
+                       witness=witness, precision_achieved=worst + EPS_SOLVER,
                        exhausted=exhausted)
 
 
-def _run_achievability(state, prep, p, point, eta_eff, eps, budget_left) -> QueryResult:
+def _run_achievability(state, prep, p, point, eta_eff, budget_left) -> QueryResult:
     if point.shape != (p.dimension,):
         raise ModelError("point dimension does not match the objectives")
     q = point * p.flips
@@ -421,12 +420,12 @@ def _run_achievability(state, prep, p, point, eta_eff, eps, budget_left) -> Quer
         w = select_weight(state, eta_eff, guidance=q)
         if w is None:
             break  # front resolved to precision; the point sits in the slack
-        refine(state, prep, w, eps)
+        refine(state, prep, w)
     return QueryResult(kind="achievability", objectives=[], verdict=verdict,
                        witness=witness, exhausted=exhausted)
 
 
-def _run_quantitative(state, prep, p, thresholds, eta, eps, budget_left) -> QueryResult:
+def _run_quantitative(state, prep, p, thresholds, eta, budget_left) -> QueryResult:
     if len(thresholds) != p.dimension - 1:
         raise ModelError("quantitative queries need one threshold per objective "
                          "after the first")
@@ -445,7 +444,7 @@ def _run_quantitative(state, prep, p, thresholds, eta, eps, budget_left) -> Quer
         if w is None:
             exhausted = _bracket(lower, upper) > eta
             break
-        refine(state, prep, w, eps)
+        refine(state, prep, w)
     witness = _mixture_witness(state, mix, p) if mix else None
     lo_u, up_u = (lower, upper) if p.flips[0] > 0 else (-upper, -lower)
     return QueryResult(kind="quantitative", objectives=[], lower=lo_u, upper=up_u,
@@ -477,22 +476,12 @@ def _mixture_witness(state: ApproximationState, mix, p: NormalizedProblem) -> di
 
 
 def _extreme_ids(state: ApproximationState, ids: list[int]) -> list[int]:
-    """Filter facet-supporting point ids down to the extreme points of the
-    downward closure.
-
-    A supporting point of a degenerate cap facet may still be dominated by a
-    mixture of the others (it lies on the cap but inside the front); such a
-    point is not a vertex.  The ids name distinct points (every hull names a
-    point by the index of its first copy), so no two eliminate each other.
-    """
-    if len(ids) <= 1:
-        return ids
-    keep = []
-    for i in ids:
-        others = np.array([state.points[j].point for j in ids if j != i])
-        if _mixture_lp(np.zeros(len(others)), -others.T, -state.points[i].point).status != 0:
-            keep.append(i)
-    return keep
+    """The ids among `ids` that name a vertex of the downward hull of the
+    stored points, in the given order.  The hull's facets list exactly the
+    extreme points of the downward closure (a point dominated by a mixture
+    of others lies on no facet), each by the index of its first copy."""
+    named = {i for f in state.facets() for i in f.vertices}
+    return [i for i in ids if i in named]
 
 
 def _mixture_lp(c: np.ndarray, A_ub, b_ub):

@@ -17,9 +17,10 @@ Once they are collapsed, every remaining non-target end component drains
 strictly negative reward, which makes the Bellman fixed point unique on the
 almost-sure reach region and lets a verified inductive vector (T U <= U)
 certify the upper bound, searched level by level over the condensation of
-the allowed-choice graph, sinks first (topological value iteration).  In
-that level order every strategy's system is block lower-triangular, so its
-sparse LU keeps that order.
+the allowed-choice graph, sinks first (topological value iteration).  The
+structure numbers its states once, in that level order: every strategy's
+system is then block lower-triangular as numbered, so its sparse LU keeps
+the natural order, and every level is one span of rows and entries.
 """
 
 from __future__ import annotations
@@ -111,25 +112,21 @@ def _rows(M, rows) -> csr_matrix:
                       shape=(len(rows), M.shape[1]))
 
 
-def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray,
-            order: np.ndarray | None = None):
+def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, natural: bool = False):
     """b -> x with (I - Q) x = b for the n x n block Q whose entries v sit at
     the distinct places (r, c), as gathered by _block.  LAPACK on np.eye(n)
     minus Q, filled in place, up to _DENSE_LIMIT unknowns; above, one sparse
-    LU factorization with COLAMD's column order, or with the rows and
-    columns in a given `order` that makes I - Q block lower-triangular (a
-    total-reward structure's levels, sinks first), kept as it is: the
+    LU factorization with COLAMD's column order, or with the `natural` one
+    when the unknowns are already numbered so that I - Q is block
+    lower-triangular (a total-reward structure's levels, sinks first): the
     diagonal blocks are then factored one after another, with little fill,
     and no column ordering has to be computed."""
     if n <= _DENSE_LIMIT:
         A = np.eye(n)
         A[r, c] -= v
         return lambda b: np.linalg.solve(A, b)
-    spec, order = ("COLAMD", np.arange(n)) if order is None else ("NATURAL", order)
-    at = np.argsort(order)  # the row and column of each unknown
-    lu = splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, at[r]], np.r_[:n, at[c]]))),
-              permc_spec=spec)
-    return lambda b: lu.solve(b[order])[at]
+    return splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c]))),
+                permc_spec="NATURAL" if natural else "COLAMD").solve
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +310,10 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
         c = srew * tau + jump[chosen] - g * tau
         c[best_b[0]] = 0.0
         h = _solver(n, row[keep], col[keep], v[keep])(c)
-        q = jump_p + K_p @ h
-        best, pick = _first_max(q, seg)
-        # a margin above rounding keeps tied choices from swapping forever
-        switch = best > q[seg + act[ps]] + 1e-12 * max(1.0, float(np.max(np.abs(h))))
-        if not switch.any():
+        better = _improve(jump_p + K_p @ h, seg, seg + act[ps], h)
+        if better is None:
             break
-        act[ps[switch]] = (pick - seg)[switch]
+        act[ps] = better - seg
     else:
         raise SolverError(f"strategy iteration did not settle in {it} rounds (gain {g})")
 
@@ -351,30 +345,28 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
 @dataclass
 class TotalStructure:
     """The weight-independent part of a total-reward solve, which depends
-    only on the zero-reward end components it collapses: their quotient `q`,
-    the `active` states (the almost-sure region the initial state reaches,
-    minus the target; the initial one is `i0`), a row of K per allowed
-    choice of an active state (`rows`, state by state from `segs`), a proper
-    strategy `pick`, and the levels of the allowed-choice condensation,
-    sinks first.  `order` lists the active states level by level, level i
-    from `levels[i]` on, and `lrows` their rows of K, those of order[i] from
-    `lsegs[i]` on, with their entries `lK` (row in lrows, column, value) in
-    stored order.  An allowed edge never climbs a level, so I - K[pick] is
-    block lower-triangular in `order`."""
+    only on the zero-reward end components it collapses: their quotient `q`
+    and the `active` states (the almost-sure region the initial state
+    reaches, minus the target), numbered level by level over the
+    condensation of the allowed-choice graph, sinks first, level i from
+    `levels[i]` to `levels[i + 1]`; the initial state is number `i0`.  Every
+    allowed choice of an active state has a row of K (`rows`), state by
+    state in that numbering, those of state i from `segs[i]` to
+    `segs[i + 1]`; each row keeps its entries in edge order, and `erow` is
+    the row of every stored entry.  `pick` is a proper strategy (one row per
+    state).  An allowed edge never climbs a level, so I - K[pick] is block
+    lower-triangular, and a level's rows and entries are contiguous."""
 
     q: QuotientModel
     target: int
     active: np.ndarray
     i0: int
+    levels: np.ndarray
     rows: np.ndarray
     segs: np.ndarray
     K: csr_matrix
+    erow: np.ndarray
     pick: np.ndarray
-    order: np.ndarray
-    levels: np.ndarray
-    lrows: np.ndarray
-    lsegs: np.ndarray
-    lK: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def total_zero_ecs(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int
@@ -399,20 +391,25 @@ def total_structure(m: MarkovAutomaton, z: Sequence[EndComponent],
     region &= reach(fl.edge_src, fl.succ, np.arange(len(region)) == init_q)
     region[target] = False
     active, index = np.flatnonzero(region), np.cumsum(region) - 1
-    rows = np.flatnonzero(allowed & region[fl.choice_state])
-    ptr = _ptr(np.bincount(index[fl.choice_state[rows]], minlength=len(active)))
-    assert (np.diff(ptr) > 0).all(), "active state without allowed choice"
+    choices = np.flatnonzero(allowed & region[fl.choice_state])
+    _, e = fl.edges(choices)
+    toward = _toward(fl, e, np.array([target]))
+    e = e[fl.succ[e] != target]
+    level = scc_levels(len(active), index[fl.edge_src[e]], index[fl.succ[e]])
+    # number the active states by level, a stable sort of the ascending ones
+    active = active[np.argsort(level, kind="stable")]
+    index[active] = np.arange(len(active))
+    rows = choices[np.argsort(index[fl.choice_state[choices]], kind="stable")]
+    segs = _ptr(np.bincount(index[fl.choice_state[rows]], minlength=len(active)))
+    assert (np.diff(segs) > 0).all(), "active state without allowed choice"
     pos, e = fl.edges(rows)
     keep = fl.succ[e] != target
-    src, dst = index[fl.edge_src[e[keep]]], index[fl.succ[e[keep]]]
-    K = csr_matrix((fl.prob[e[keep]], (pos[keep], dst)), shape=(len(rows), len(active)))
-    level = scc_levels(len(active), src, dst)
-    order = np.argsort(level, kind="stable")
-    levels = np.searchsorted(level[order], np.arange(level.max(initial=-1) + 1))
-    lrows = _spans(ptr[order], ptr[order + 1])[1]
-    return TotalStructure(q, target, active, int(index[init_q]), rows, ptr[:-1], K,
-                          np.searchsorted(rows, _toward(fl, e, np.array([target]))[active]),
-                          order, levels, lrows, _ptr(np.diff(ptr)[order]), _block(K, lrows))
+    K = csr_matrix((fl.prob[e[keep]], index[fl.succ[e[keep]]],
+                    _ptr(np.bincount(pos[keep], minlength=len(rows)))),
+                   shape=(len(rows), len(active)))
+    pick = np.flatnonzero(rows == np.repeat(toward[active], np.diff(segs)))  # toward the target
+    return TotalStructure(q, target, active, int(index[init_q]), _ptr(np.bincount(level)),
+                          rows, segs, K, pos[keep], pick)
 
 
 def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
@@ -439,7 +436,7 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
     improved strategy that no longer reaches the target means positive
     reward recurs.  The upper certificate is searched from the final L
     (`_inductive_upper`) and accepted by one exact check T U <= U."""
-    fl, rows, K, segs = flat(st.q.model), st.rows, st.K, st.segs
+    fl, rows, K, segs = flat(st.q.model), st.rows, st.K, st.segs[:-1]
     actions = np.zeros(len(fl.markovian), dtype=np.int64)
     it, sweeps, L, U = 0, 0, np.zeros(1), np.zeros(1)  # the initial state may be the target
     if len(st.active):
@@ -448,14 +445,11 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
         crew_v = per_state[fl.choice_state[rows]] + jump[rows]
         pick = st.pick
         for it in range(1, 1001):
-            L = _solver(len(pick), *_block(K, pick), st.order)(crew_v[pick])
-            q = crew_v + K @ L
-            best, better = _first_max(q, segs)
-            # a margin above rounding keeps tied choices from swapping forever
-            switch = best > q[pick] + 1e-12 * max(1.0, float(np.max(np.abs(L))))
-            if not switch.any():
+            L = _solver(len(pick), *_block(K, pick), natural=True)(crew_v[pick])
+            better = _improve(crew_v + K @ L, segs, pick, L)
+            if better is None:
                 break
-            pick = np.where(switch, better, pick)
+            pick = better
             _, pe = fl.edges(rows[pick])
             if not reach(fl.succ[pe], fl.edge_src[pe], np.arange(len(actions)) == st.target
                          )[st.active].all():
@@ -481,12 +475,20 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
     return ScalarSolution(u0, sigma, (u0 - l0) / max(1.0, abs(u0)) + 1e-12, l0, u0, it, sweeps)
 
 
-def _first_max(q: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per segment of q (segment i starts at seg[i]): the largest entry and
-    the position of its first occurrence."""
+def _improve(q: np.ndarray, seg: np.ndarray, cur: np.ndarray, x: np.ndarray
+             ) -> np.ndarray | None:
+    """One switching step of strategy iteration over the segments of q
+    (segment i starts at seg[i], and cur[i] is its current position): where
+    the largest entry of a segment beats q[cur[i]] by more than rounding
+    relative to the evaluated vector x, the position of its first
+    occurrence, else cur[i]; None when no segment improves.  The margin
+    keeps tied choices from swapping forever."""
     best = np.maximum.reduceat(q, seg)
+    switch = best > q[cur] + 1e-12 * max(1.0, float(np.max(np.abs(x))))
+    if not switch.any():
+        return None
     hit = np.where(q == np.repeat(best, np.diff(seg, append=len(q))), np.arange(len(q)), len(q))
-    return best, np.minimum.reduceat(hit, seg)
+    return np.where(switch, np.minimum.reduceat(hit, seg), cur)
 
 
 def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps: float
@@ -502,10 +504,10 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
     it.  A stagnant level (rounding jitter) gets one upward nudge before
     delta is escalated, from that level on."""
     delta = max(eps, 1e-9) * max(1.0, float(np.max(np.abs(L)))) * 0.5
-    top = max(len(st.levels) - 1, 1)
+    top = max(len(st.levels) - 2, 1)
     U, ell, sweeps = L.copy(), 0, 0
     for _ in range(7):
-        while ell < len(st.levels):
+        while ell < len(st.levels) - 1:
             s, bellman = _level(st, ell, crew_v)
             u, nudged = L[s] + 0.5 * delta * (1.0 + ell / top), False
             for _ in range(30_000):
@@ -531,16 +533,19 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
 
 
 def _level(st: TotalStructure, ell: int, crew_v: np.ndarray):
-    """The states of level ell of st, and U -> the Bellman step on them, on
-    their rows cut from the level-ordered ones as one span.  K @ U sums each
-    row entry by entry in stored order from 0.0, as scipy's CSR product
-    does, so the step equals the global check's bit for bit."""
-    (lo, hi), (pos, col, val) = np.append(st.levels, len(st.order))[[ell, ell + 1]], st.lK
-    a, b = st.lsegs[lo], st.lsegs[hi]
-    e = slice(*np.searchsorted(pos, [a, b]))
-    r, c, v, crew, seg = pos[e] - a, col[e], val[e], crew_v[st.lrows[a:b]], st.lsegs[lo:hi] - a
-    return st.order[lo:hi], lambda U: np.maximum.reduceat(crew + np.bincount(r, v * U[c], b - a),
-                                                          seg)
+    """The states of level ell of st (a slice), and U -> the Bellman step on
+    them, on their rows and entries, one span of each.  K @ U sums each row
+    entry by entry in stored order from 0.0, as scipy's CSR product does, so
+    the step equals the global check's bit for bit."""
+    lo, hi = st.levels[ell], st.levels[ell + 1]
+    a, b = st.segs[lo], st.segs[hi]
+    e = slice(st.K.indptr[a], st.K.indptr[b])
+    r, c, v = st.erow[e] - a, st.K.indices[e], st.K.data[e]
+    crew, seg = crew_v[a:b], st.segs[lo:hi] - a
+
+    def bellman(U):
+        return np.maximum.reduceat(crew + np.bincount(r, v * U[c], b - a), seg)
+    return slice(lo, hi), bellman
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ certified upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,12 @@ class NormalizedProblem:
     @property
     def dimension(self) -> int:
         return len(self.objectives)
+
+    @cached_property
+    def zero_ecs(self) -> list[EndComponent]:
+        """The end components of the model free of every total reward of the
+        objectives, computed once for validation and preparation."""
+        return zero_mecs(self.model, _total_assignments(self))
 
 
 def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> NormalizedProblem:
@@ -128,10 +135,8 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
     rep.extend(check_non_zeno(
         p.model, mec_decomposition(p.model, choice_ok=~fl.markovian[fl.choice_state])))
     rep.extend(check_total_rewards(p.model, p.objectives, mecs))
-    totals = _total_assignments(p)
-    if totals and rep.ok:
-        z = zero_mecs(p.model, totals)
-        region, _ = almost_sure_reach(p.model, [s for c in z for s in c.members.tolist()])
+    if _total_assignments(p) and rep.ok:
+        region, _ = almost_sure_reach(p.model, [s for c in p.zero_ecs for s in c.members.tolist()])
         if not region[p.model.initial]:
             rep.add("Finiteness", p.model.state_names[p.model.initial],
                     "no strategy keeps every total reward finite (the initial state "
@@ -158,10 +163,9 @@ class WeightedPrep:
 
 
 def prepare_weighted(p: NormalizedProblem) -> WeightedPrep:
-    z = zero_mecs(p.model, _total_assignments(p))
-    q = quotient(p.model, z, with_bottom=True)
-    subs = [sub_ma(p.model, c) for c in z]
-    return WeightedPrep(p, z, q, subs)
+    z = p.zero_ecs
+    return WeightedPrep(p, z, quotient(p.model, z, with_bottom=True),
+                        [sub_ma(p.model, c) for c in z])
 
 
 @dataclass

@@ -107,9 +107,9 @@ class TestDownwardHull:
             assert support == pytest.approx(f.offset, abs=1e-9)
             for p in pts:
                 assert float(np.dot(n, p)) <= f.offset + 1e-9
+        # the facets name exactly the extreme points of the downward closure
         used = {tuple(pts[i]) for f in facets for i in f.vertices}
-        for t in extreme_points(pts):
-            assert t in used
+        assert used == set(extreme_points(pts))
 
     @staticmethod
     def check_padded_hull(raw, dim):
@@ -122,10 +122,9 @@ class TestDownwardHull:
             assert n.sum() == pytest.approx(1.0)
             for p in pts:
                 assert float(np.dot(n, p)) <= f.offset + 1e-7
-        # every extreme point of the downward closure lies on some facet
+        # the facets name exactly the extreme points of the downward closure
         used = {tuple(pts[i]) for f in facets for i in f.vertices}
-        for t in extreme_points(pts):
-            assert t in used
+        assert used == set(extreme_points(pts))
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=1, max_size=8))
@@ -284,6 +283,26 @@ class TestExtremeFilter:
         state.points = [FakePoint([4.0, -2.0]), FakePoint([3.0, 0.0]),
                         FakePoint([3.0, -40.0])]
         assert _extreme_ids(state, [0, 1, 2]) == [0, 1]
+
+    @pytest.mark.parametrize("seed,stages,directions,precision", [
+        (7115, 6, ("max", "max", "min"), 1e-3), (7002, 5, ("max", "max", "max", "min"), 1e-2)])
+    def test_pareto_query_solves_no_lp(self, monkeypatch, seed, stages, directions, precision):
+        # the menu3 and menu4 golden queries
+        # read their vertices off the hull, so they solve no LP
+        calls = []
+        linprog = pareto.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(pareto, "linprog", counted)
+        doc, objectives = menu_doc(np.random.default_rng(seed), stages, 3, directions)
+        m = parse_model(doc)
+        res = answer_query(m, [parse_objective(o, m) for o in objectives],
+                           ParetoQuery(precision=precision))
+        assert len(res.vertices) > len(directions)
+        assert calls == []
 
 
 class TestParetoQuery:

@@ -552,9 +552,9 @@ class TestMaxTotalReward:
         evaluations = []
         solver = moma.solvers._solver
 
-        def counted(n, r, c, v, order=None):
+        def counted(n, r, c, v, natural=False):
             evaluations.append(n)
-            return solver(n, r, c, v, order)
+            return solver(n, r, c, v, natural)
 
         monkeypatch.setattr(moma.solvers, "_solver", counted)
         sol = max_total_reward(m, m.rewards["r"], bottom_state=3, eps=1e-9)
@@ -587,40 +587,45 @@ class TestMaxTotalReward:
         assert feasible >= 30
 
     def test_structure_levels_follow_allowed_edges(self):
-        # every allowed edge keeps or lowers the level and lowers it between
-        # strongly connected components; the level spans are K's rows
+        # the levels number the states in order; every allowed edge keeps or
+        # lowers the level and lowers it between strongly connected
+        # components; the rows are the allowed choices state by state, and
+        # each row holds its edges to active states in edge order
         for st in structures():
-            level = np.full(len(st.active), -1)
-            ends = np.append(st.levels[1:], len(st.order))
-            pos, col, val = st.lK
-            for ell, (lo, hi) in enumerate(zip(st.levels, ends)):
-                s, (a, b) = st.order[lo:hi], st.lsegs[[lo, hi]]
-                rp, seg, e = st.lrows[a:b], st.lsegs[lo:hi] - a, (pos >= a) & (pos < b)
-                level[s] = ell
-                block = csr_matrix((val[e], (pos[e] - a, col[e])), shape=(b - a, len(st.active)))
-                assert (block != st.K[rp]).nnz == 0
-                assert np.array_equal(np.searchsorted(st.segs, rp, side="right") - 1,
-                                      np.repeat(s, np.diff(seg, append=len(rp))))
-            assert (level >= 0).all()
-            coo = st.K.tocoo()
-            src = np.searchsorted(st.segs, coo.row, side="right") - 1
-            labels = moma.model.strong_components(len(st.active), src, coo.col)
-            assert (level[coo.col] <= level[src]).all()
-            cross = labels[src] != labels[coo.col]
-            assert (level[coo.col[cross]] < level[src[cross]]).all()
+            n, fl = len(st.active), flat(st.q.model)
+            level = np.repeat(np.arange(len(st.levels) - 1), np.diff(st.levels))
+            assert st.levels[0] == 0 and len(level) == n
+            assert (np.diff(st.active)[np.diff(level) == 0] > 0).all()  # ascending in a level
+            state = np.repeat(np.arange(n), np.diff(st.segs))
+            assert st.segs[0] == 0 and len(state) == len(st.rows)
+            assert np.array_equal(fl.choice_state[st.rows], st.active[state])
+            number = np.full(len(fl.markovian), -1)
+            number[st.active] = np.arange(n)
+            pos, e = fl.edges(st.rows)
+            keep = fl.succ[e] != st.target
+            assert np.array_equal(st.erow, pos[keep])
+            assert np.array_equal(np.diff(st.K.indptr), np.bincount(pos[keep],
+                                                                    minlength=len(st.rows)))
+            assert np.array_equal(st.K.indices, number[fl.succ[e[keep]]])
+            assert np.array_equal(st.K.data, fl.prob[e[keep]])
+            src, dst = state[st.erow], st.K.indices
+            labels = moma.model.strong_components(n, src, dst)
+            assert (level[dst] <= level[src]).all()
+            cross = labels[src] != labels[dst]
+            assert (level[dst[cross]] < level[src[cross]]).all()
 
     def test_level_order_makes_systems_block_lower_triangular(self):
-        # in st.order, each row of I - K[pick] has its entries in the columns
-        # of its own level or of levels listed before it
+        # in the structure's numbering, each row of I - K[pick] has its
+        # entries in the columns of its own level or of levels before it
         for st in structures():
-            coo = st.K.tocoo()
-            src = np.searchsorted(st.segs, coo.row, side="right") - 1
-            level = moma.model.scc_levels(len(st.active), src, coo.col)[st.order]
+            n = len(st.active)
+            src = np.repeat(np.arange(n), np.diff(st.segs))[st.erow]
+            level = moma.model.scc_levels(n, src, st.K.indices)
             assert (np.diff(level) >= 0).all()
-            assert np.array_equal(st.levels, np.searchsorted(level, np.arange(level.max() + 1)))
-            at, end = np.argsort(st.order), np.searchsorted(level, level, side="right")
+            assert np.array_equal(st.levels, np.searchsorted(level, np.arange(level.max() + 2)))
+            end = np.searchsorted(level, level, side="right")
             r, c, _ = _block(st.K, st.pick)
-            assert (at[c] < end[at[r]]).all()
+            assert (c < end[r]).all()
 
     def test_level_bellman_equals_global_check(self):
         # the level's Bellman step is the global check's on its states, bit for bit
@@ -628,13 +633,14 @@ class TestMaxTotalReward:
         for st in structures():
             crew_v = rng.standard_normal(len(st.rows))
             U = rng.standard_normal(len(st.active)) * 10.0
-            full = np.maximum.reduceat(crew_v + st.K @ U, st.segs)
-            for ell in range(len(st.levels)):
+            full = np.maximum.reduceat(crew_v + st.K @ U, st.segs[:-1])
+            for ell in range(len(st.levels) - 1):
                 s, bellman = moma.solvers._level(st, ell, crew_v)
                 assert np.array_equal(bellman(U), full[s])
 
     def test_level_ordered_sparse_solve_matches_spsolve(self):
-        # above the dense limit the pick system is factored in level order
+        # above the dense limit the pick system is factored in the
+        # structure's numbering, which is level order
         m, objectives = layered_ma(np.random.default_rng(9000), n=1500)
         prep = prepare_weighted(normalize_query(m, objectives))
         optimize_weighted(prep, [0.5, 0.5])
@@ -642,7 +648,7 @@ class TestMaxTotalReward:
         n = len(st.active)
         assert n > _DENSE_LIMIT
         b = np.random.default_rng(60).standard_normal(n)
-        got = _solver(n, *_block(st.K, st.pick), st.order)(b)
+        got = _solver(n, *_block(st.K, st.pick), natural=True)(b)
         want = spsolve((identity(n) - st.K[st.pick]).tocsc(), b)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
@@ -666,13 +672,13 @@ class TestMaxTotalReward:
             tol = 1e-9 * max(1.0, abs(best))
             assert sol.lower - tol <= best <= sol.upper + tol
             st, crew_v, L, U, eps = found[-1]
-            assert len(st.levels) >= 40
+            assert len(st.levels) - 1 >= 40
             # the certificate is inductive, and the slack never exceeds
             # delta, the bracket the search starts from
-            assert (np.maximum.reduceat(crew_v + st.K @ U, st.segs) <= U).all()
+            assert (np.maximum.reduceat(crew_v + st.K @ U, st.segs[:-1]) <= U).all()
             delta = max(eps, 1e-9) * max(1.0, float(np.max(np.abs(L)))) * 0.5
             assert float(np.max(U - L)) <= delta + np.spacing(float(np.max(np.abs(U))))
-            assert sol.sweeps < 3 * len(st.levels)
+            assert sol.sweeps < 3 * (len(st.levels) - 1)
 
     def test_improper_improvement_raises(self):
         # state 0's +1 self-loop beats its exit to the bottom state 1: positive

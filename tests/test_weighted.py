@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import moma.weighted
 from moma import (MarkovAutomaton, ModelError, Objective, RewardAssignment,
                   evaluate_strategy, normalize_query, optimize_weighted,
                   prepare_weighted, validate_assumptions, weighted_reward_sum)
@@ -126,6 +127,22 @@ class TestPrepareWeighted:
         assert prep.quot.with_bottom
         assert len(prep.subs) == 2
         assert prep.subs[0].origin == (1, 3, 5)
+
+    def test_zero_ecs_found_once_per_problem(self, fig1, fig1_objectives, monkeypatch):
+        # validation and preparation read the same zero-ECs of the problem
+        calls = []
+        zero_mecs = moma.weighted.zero_mecs
+
+        def counted(*args):
+            calls.append(1)
+            return zero_mecs(*args)
+
+        monkeypatch.setattr(moma.weighted, "zero_mecs", counted)
+        p = normalize_query(fig1, fig1_objectives)
+        assert validate_assumptions(p).ok
+        prep = prepare_weighted(p)
+        assert len(calls) == 1
+        assert prep.zero_ecs is p.zero_ecs
 
 
 class TestOptimizeWeighted:
