@@ -28,7 +28,7 @@ import numpy as np
 from .model import InfeasibleError, ModelError, SolverError, validate_model
 from .modelio import (ParsedQuery, _strategy_doc, dumps, parse_model,
                       parse_query, plot_csv, query_echo, result_document)
-from .pareto import (AchievabilityQuery, ParetoQuery, QuantitativeQuery,
+from .pareto import (EPS_SOLVER, AchievabilityQuery, ParetoQuery, QuantitativeQuery,
                      answer_query, problem_statistics)
 from .weighted import normalize_query, optimize_weighted, prepare_weighted, validate_assumptions
 
@@ -153,18 +153,16 @@ def cmd_single(args) -> int:
         print(report, file=sys.stderr)
         return 2
     prep = prepare_weighted(p)
-    eps = args.precision if args.precision is not None else 1e-6
+    eps = args.precision if args.precision is not None else EPS_SOLVER
 
     echo = query_echo(pq, m)
     values = []
-    for j, obj in enumerate(p.original):
-        w = np.zeros(p.dimension)
-        w[j] = 1.0
-        sol = optimize_weighted(prep, w, eps)
+    for j in range(p.dimension):
+        sol = optimize_weighted(prep, np.eye(p.dimension)[j], eps)
         ent = {"objective": echo["objectives"][j],
                "value": float(p.flips[j]) * sol.point[j],
                "error_bound": sol.error_bound}
-        if args.strategies:
+        if args.strategies or pq.strategies:
             ent["strategy"] = _strategy_doc(sol.strategy, p.model)
         values.append(ent)
     doc = {"format": "moma-result", "version": 1, "kind": "single",
@@ -178,21 +176,17 @@ def cmd_check(args) -> int:
     t0 = time.monotonic()
     m = parse_model(_load_json(args.model))
     pq = parse_query(_load_json(args.query), m)
+    budget = (pq.query.precision, pq.query.max_iterations, pq.query.time_limit)
     if args.point is not None:
         point = _floats(args.point, "--point")
         if len(point) != len(pq.objectives):
             raise ModelError("--point needs one value per objective")
-        pq.query = AchievabilityQuery(point, pq.query.precision,
-                                      pq.query.max_iterations, pq.query.time_limit)
-        pq.kind = "achievability"
+        pq.kind, pq.query = "achievability", AchievabilityQuery(point, *budget)
     elif args.thresholds is not None:
         thresholds = _floats(args.thresholds, "--thresholds")
         if len(thresholds) != len(pq.objectives) - 1:
-            raise ModelError("--thresholds needs one value per objective "
-                             "after the first")
-        pq.query = QuantitativeQuery(thresholds, pq.query.precision,
-                                     pq.query.max_iterations, pq.query.time_limit)
-        pq.kind = "quantitative"
+            raise ModelError("--thresholds needs one value per objective after the first")
+        pq.kind, pq.query = "quantitative", QuantitativeQuery(thresholds, *budget)
     elif pq.kind not in ("achievability", "quantitative"):
         raise ModelError("check needs an achievability or quantitative query "
                          "(or --point / --thresholds)")
@@ -210,9 +204,8 @@ def cmd_pareto(args) -> int:
     m = parse_model(_load_json(args.model))
     pq = parse_query(_load_json(args.query), m)
     if pq.kind != "pareto":
-        pq.query = ParetoQuery(pq.query.precision, pq.query.max_iterations,
-                               pq.query.time_limit)
-        pq.kind = "pareto"
+        q = pq.query
+        pq.kind, pq.query = "pareto", ParetoQuery(q.precision, q.max_iterations, q.time_limit)
     _apply_overrides(pq, args)
     res = answer_query(m, pq.objectives, pq.query)
     _emit(result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies),

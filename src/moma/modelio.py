@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
 
 import numpy as np
 
@@ -65,31 +65,23 @@ def _ser(obj, out: list[str], ind: int) -> None:
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.append("  " * (ind + 1) + json.dumps(str(k)) + ": ")
-            _ser(v, out, ind + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        if all(_is_scalar(x) for x in seq):
-            out.append("[" + ", ".join(dumps(x)[:-1] for x in seq) + "]")
-            return
-        out.append("[\n")
-        for i, x in enumerate(seq):
-            out.append("  " * (ind + 1))
-            _ser(x, out, ind + 1)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(pad + "]")
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        # a map lists "key": value items, a sequence its entries; a sequence
+        # of scalars stays on one line
+        keyed = isinstance(obj, dict)
+        items = list(obj.items() if keyed else obj)
+        opener, closer = "{}" if keyed else "[]"
+        if not items:
+            out.append(opener + closer)
+        elif not keyed and all(_is_scalar(x) for x in items):
+            out.append("[" + ", ".join(dumps(x)[:-1] for x in items) + "]")
+        else:
+            out.append(opener + "\n")
+            for i, x in enumerate(items):
+                out.append("  " * (ind + 1) + (json.dumps(str(x[0])) + ": " if keyed else ""))
+                _ser(x[1] if keyed else x, out, ind + 1)
+                out.append(",\n" if i + 1 < len(items) else "\n")
+            out.append(pad + closer)
     else:
         raise ModelError(f"cannot serialize {type(obj).__name__}")
 
@@ -292,12 +284,10 @@ def parse_objective(doc: dict, m: MarkovAutomaton) -> Objective:
         if not isinstance(goal_names, list) or not goal_names:
             raise ModelError("reach objective needs a nonempty goal list")
         index = {n: i for i, n in enumerate(m.state_names)}
-        goal = set()
         for g in goal_names:
             if g not in index:
                 raise ModelError(f"reach objective: unknown state {g!r}")
-            goal.add(index[g])
-        return Objective("reach", direction, goal=frozenset(goal))
+        return Objective("reach", direction, goal=frozenset(index[g] for g in goal_names))
     reward = doc.get("reward")
     if reward not in m.rewards:
         raise ModelError(f"objective references unknown reward {reward!r}")
@@ -358,8 +348,7 @@ def query_echo(pq: ParsedQuery, m: MarkovAutomaton) -> dict:
         doc["point"] = list(q.point)
     elif isinstance(q, QuantitativeQuery):
         doc["thresholds"] = list(q.thresholds)
-    doc["precision"] = q.precision
-    doc["max_iterations"] = q.max_iterations
+    doc.update(precision=q.precision, max_iterations=q.max_iterations)
     if q.time_limit is not None:
         doc["time_limit"] = q.time_limit
     return doc
@@ -376,13 +365,9 @@ def _witness_doc(witness: dict | None, m: MarkovAutomaton, strategies: bool) -> 
     if "separating" in witness:
         out["separating"] = witness["separating"]
     if "mixture" in witness:
-        mix = []
-        for part in witness["mixture"]:
-            ent: dict = {"weight": part["weight"], "point": part["point"]}
-            if strategies:
-                ent["strategy"] = _strategy_doc(part["strategy"], m)
-            mix.append(ent)
-        out["mixture"] = mix
+        out["mixture"] = [{"weight": w["weight"], "point": w["point"]}
+                          | ({"strategy": _strategy_doc(w["strategy"], m)} if strategies else {})
+                          for w in witness["mixture"]]
         out["point"] = witness["point"]
     if "vertices" in witness and strategies:
         out["strategies"] = [_strategy_doc(s, m) for s in witness["vertices"]]
@@ -404,18 +389,15 @@ def result_document(res: QueryResult, query_doc: dict, strategies: bool = False,
     if res.kind == "achievability":
         doc["verdict"] = res.verdict
     elif res.kind == "quantitative":
-        doc["lower"] = res.lower
-        doc["upper"] = res.upper
+        doc.update(lower=res.lower, upper=res.upper)
     else:
-        doc["vertices"] = [list(v) for v in res.vertices or []]
-        doc["facets"] = res.facets or []
-        doc["halfspaces"] = res.halfspaces or []
+        doc.update(vertices=[list(v) for v in res.vertices or []], facets=res.facets or [],
+                   halfspaces=res.halfspaces or [])
     w = _witness_doc(res.witness, model, strategies)
     if w:
         doc["witness"] = w
     if res.kind != "achievability":
-        doc["precision_achieved"] = res.precision_achieved
-        doc["exhausted"] = res.exhausted
+        doc.update(precision_achieved=res.precision_achieved, exhausted=res.exhausted)
     if res.warnings:
         doc["warnings"] = res.warnings
     doc["statistics"] = dict(res.statistics)
@@ -435,16 +417,14 @@ def plot_csv(res: QueryResult) -> str:
     rows = [(v[0], v[1], "vertex") for v in res.vertices or []]
     hs = res.state.halfspaces
     corners = []
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            a = np.array([hs[i].normal, hs[j].normal])
-            b = np.array([hs[i].offset, hs[j].offset])
-            if abs(np.linalg.det(a)) < 1e-12:
-                continue
-            x = np.linalg.solve(a, b)
-            if all(float(np.dot(h.normal, x)) <= h.offset + 1e-9 * max(1.0, abs(h.offset))
-                   for h in hs):
-                corners.append(tuple(np.round(x * flips, 9)))
+    for h1, h2 in combinations(hs, 2):
+        a, b = np.array([h1.normal, h2.normal]), np.array([h1.offset, h2.offset])
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, b)
+        if all(float(np.dot(h.normal, x)) <= h.offset + 1e-9 * max(1.0, abs(h.offset))
+               for h in hs):
+            corners.append(tuple(np.round(x * flips, 9)))
     rows += [(float(c[0]), float(c[1]), "q_boundary") for c in sorted(set(corners))]
     return "coord_1,coord_2,kind\n" + "".join(f"{format(x, '.17g')},{format(y, '.17g')},{kind}\n"
                                               for x, y, kind in rows)

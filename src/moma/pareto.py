@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -67,19 +68,45 @@ class Facet:
     degenerate: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Hull(abc.Sequence):
+    """The facets of a downward hull as arrays, one row or entry per facet
+    (see Facet); facet i's vertex ids, ascending by point, are
+    `ids[ptr[i]:ptr[i + 1]]`.  Indexing builds a Facet, and a hull equals
+    the list of its facets."""
+
+    normals: np.ndarray
+    offsets: np.ndarray
+    ptr: np.ndarray
+    ids: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, i: int) -> Facet:
+        i = range(len(self))[i]
+        return Facet(self.normals[i], float(self.offsets[i]),
+                     tuple(self.ids[self.ptr[i]:self.ptr[i + 1]].tolist()),
+                     bool(self.degenerate[i]))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
 @dataclass
 class ApproximationState:
-    """The (P, Q) pair of the sandwich loop, with a cached facet
-    decomposition of the downward hull of P and the facets' centroids (one
-    row each).  The halfspaces are the refinement history: one per weighted
-    solve, in order; `normals` and `offsets` hold them as arrays, and
-    `solves` each solve's (rounds, sweeps) counters."""
+    """The (P, Q) pair of the sandwich loop, with the downward hull of P
+    cached as arrays (its vertex ids naming stored points) and the facets'
+    centroids (one row each).  The halfspaces are the refinement history:
+    one per weighted solve, in order; `normals` and `offsets` hold them as
+    arrays, and `solves` each solve's (rounds, sweeps) counters."""
 
     dimension: int
     points: list[AchievedPoint] = field(default_factory=list)
     halfspaces: list[HalfSpace] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    _facets: list[Facet] | None = field(default=None, repr=False)
+    _facets: Hull | None = field(default=None, repr=False)
     _hull_input: set[tuple[float, ...]] = field(default_factory=set, repr=False)
 
     def __post_init__(self):
@@ -109,19 +136,17 @@ class ApproximationState:
     def finite_indices(self) -> list[int]:
         return [i for i, ap in enumerate(self.points) if ap.finite]
 
-    def facets(self) -> list[Facet]:
+    def facets(self) -> Hull:
         if self._facets is None:
-            idx = self.finite_indices()
+            idx = np.array(self.finite_indices(), dtype=int)
             pts = np.array([self.points[i].point for i in idx]).reshape(len(idx), self.dimension)
             raw = downward_hull(pts, self.dimension)
-            self._facets = [Facet(f.normal, f.offset,
-                                  tuple(idx[v] for v in f.vertices), f.degenerate)
-                            for f in raw]
+            self._facets = replace(raw, ids=idx[raw.ids])
             # means summed in vertex order, as np.mean sums: one row of
             # vertex ids per facet, padded with the id of a zero row
-            sizes = np.array([len(f.vertices) for f in raw], dtype=int)
-            ids = np.full((len(raw), max(sizes, default=0)), len(pts))
-            ids[np.arange(ids.shape[1]) < sizes[:, None]] = [v for f in raw for v in f.vertices]
+            sizes = np.diff(raw.ptr)
+            ids = np.full((len(raw), sizes.max(initial=0)), len(pts))
+            ids[np.arange(ids.shape[1]) < sizes[:, None]] = raw.ids
             self._centroids = np.vstack([pts, np.zeros(self.dimension)])[ids].sum(axis=1) / sizes[:, None]
         return self._facets
 
@@ -135,7 +160,7 @@ class ApproximationState:
         return slack[np.arange(len(gi)), gi], np.maximum(1.0, np.abs(self.offsets[gi]))
 
 
-def downward_hull(points: Sequence[np.ndarray], dimension: int) -> list[Facet]:
+def downward_hull(points: Sequence[np.ndarray], dimension: int) -> Hull:
     """Facets of the upper-right boundary of the downward convex hull.
 
     Dimension 1 and 2 are handled directly (maximum / monotone staircase);
@@ -145,11 +170,13 @@ def downward_hull(points: Sequence[np.ndarray], dimension: int) -> list[Facet]:
     walls that are filtered by normal sign afterwards.
     """
     if len(points) == 0:
-        return []
+        return Hull(np.zeros((0, dimension)), np.zeros(0), np.zeros(1, dtype=int),
+                    np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
     pts = np.array(points, dtype=float)
     if dimension == 1:
         best = max(range(len(pts)), key=lambda i: (pts[i][0], -i))
-        return [Facet(np.array([1.0]), float(pts[best][0]), (best,), False)]
+        return Hull(np.ones((1, 1)), pts[best], np.array([0, 1]), np.array([best]),
+                    np.zeros(1, dtype=bool))
     if dimension == 2:
         return _hull_2d(pts)
     if dimension in (3, 4):
@@ -161,60 +188,72 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_2d(pts: np.ndarray) -> list[Facet]:
-    first_at: dict[tuple[float, float], int] = {}
-    for i, p in enumerate(pts):
-        first_at.setdefault((float(p[0]), float(p[1])), i)
-    uniq = sorted(first_at)
-    chain: list[tuple[float, float]] = []
-    for t in uniq:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], t) >= 0:
+def _hull_2d(pts: np.ndarray) -> Hull:
+    arr, first, _ = _unique_rows(pts)
+    uniq = arr.tolist()
+    chain: list[int] = []  # the upper chain, as ranks among the distinct points
+    for i, t in enumerate(uniq):
+        while len(chain) >= 2 and _cross(uniq[chain[-2]], uniq[chain[-1]], t) >= 0:
             chain.pop()
-        chain.append(t)
-    ymax = max(t[1] for t in chain)
-    start = max(i for i, t in enumerate(chain) if t[1] == ymax)
-    front = chain[start:]
-    facets = [Facet(np.array([0.0, 1.0]), float(front[0][1]), (first_at[front[0]],), True)]
+        chain.append(i)
+    ymax = max(uniq[i][1] for i in chain)
+    chain = chain[max(j for j, i in enumerate(chain) if uniq[i][1] == ymax):]
+    front = [uniq[i] for i in chain]
+    # a cap on each end point, degenerate, and one facet per front edge
+    normals, offsets = [np.array([0.0, 1.0])], [front[0][1]]
     for a, b in zip(front, front[1:]):
         n = np.array([a[1] - b[1], b[0] - a[0]])
-        n = n / n.sum()
-        off = max(float(np.dot(n, a)), float(np.dot(n, b)))
-        facets.append(Facet(n, off, (first_at[a], first_at[b]), False))
-    facets.append(Facet(np.array([1.0, 0.0]), float(front[-1][0]), (first_at[front[-1]],), True))
-    return facets
+        normals.append(n / n.sum())
+        offsets.append(max(float(np.dot(normals[-1], a)), float(np.dot(normals[-1], b))))
+    normals.append(np.array([1.0, 0.0]))
+    offsets.append(front[-1][0])
+    k = len(front)
+    return Hull(np.array(normals), np.array(offsets), np.r_[0, np.arange(1, 2 * k, 2), 2 * k],
+                np.repeat(first[chain], 2), np.arange(k + 1) % k == 0)
 
 
-def _hull_padded(pts: np.ndarray, dim: int) -> list[Facet]:
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`np.unique(a, axis=0, return_index=True, return_inverse=True)` by one
+    stable lexsort; rows equal as floats (0.0 and -0.0 alike) are one row,
+    kept as its first copy."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], order[new], inverse
+
+
+def _hull_padded(pts: np.ndarray, dim: int) -> Hull:
     from scipy.spatial import ConvexHull
 
     # distinct points in sorted order, each with the index of its first copy
-    arr, first = np.unique(pts, axis=0, return_index=True)
+    arr, first, _ = _unique_rows(pts)
     k = len(arr)
     spread = float(np.max(arr.max(axis=0) - arr.min(axis=0))) if k > 1 else 0.0
     mins = arr.min(axis=0) - (1.0 + spread)
     masks = (np.arange(1, 1 << dim)[:, None] >> np.arange(dim) & 1).astype(bool)
-    pads = np.unique(np.where(masks, mins, arr[:, None, :]).reshape(-1, dim), axis=0)
+    pads = _unique_rows(np.where(masks, mins, arr[:, None, :]).reshape(-1, dim))[0]
     hull = ConvexHull(np.vstack([arr, pads]))
 
     # simplices with equal rounded equations form one facet, represented by
     # the equation of its first simplex; its vertices are the original
-    # points among the simplices' corners
-    _, rep, group = np.unique(np.round(hull.equations, 9), axis=0,
-                              return_index=True, return_inverse=True)
-    pairs = np.stack([np.repeat(group.ravel(), dim), hull.simplices.ravel()], axis=1)
-    pairs = np.unique(pairs[pairs[:, 1] < k], axis=0)
-    bounds = np.searchsorted(pairs[:, 0], np.arange(len(rep) + 1))
+    # points among the simplices' corners, as sorted (facet, point) keys
+    _, rep, group = _unique_rows(np.round(hull.equations, 9))
+    corner = hull.simplices.ravel()
+    key = np.unique((np.repeat(group, dim) * k + corner)[corner < k])
+    counts = np.bincount(key // k, minlength=len(rep))
     normals = hull.equations[rep, :dim]
     clipped = np.clip(normals, 0.0, None)
     sums = clipped.sum(axis=1)
-    keep = ~(normals < -1e-9).any(axis=1) & (bounds[1:] > bounds[:-1]) & (sums > 0.0)
-    facets: list[Facet] = []
-    for g in np.flatnonzero(keep):
-        n = clipped[g] / sums[g]
-        orig = pairs[bounds[g]:bounds[g + 1], 1]
-        facets.append(Facet(n, float(np.max(arr @ n)), tuple(first[orig].tolist()),
-                            len(orig) < dim))
-    return facets
+    keep = ~(normals < -1e-9).any(axis=1) & (counts > 0) & (sums > 0.0)
+    n = clipped[keep] / sums[keep, None]
+    # one matrix-vector product per facet, stacked: each rounds as arr @ n
+    offsets = (n[:, None, :] @ arr.T).max(axis=-1)[:, 0]
+    sizes = counts[keep]
+    return Hull(n, offsets, np.concatenate([[0], np.cumsum(sizes)]),
+                first[key[np.repeat(keep, counts)] % k], sizes < dim)
 
 
 def select_weight(state: ApproximationState, eta: float,
@@ -230,12 +269,11 @@ def select_weight(state: ApproximationState, eta: float,
     """
     if len(state.halfspaces) < state.dimension:
         return np.eye(state.dimension)[len(state.halfspaces)]
-    facets = state.facets()
     gaps, scales = state.facet_gaps()
     open_ = np.flatnonzero(gaps > np.maximum(eta * scales, 1e-15))
     if not open_.size:
         return None
-    normals = np.array([facets[i].normal for i in open_])
+    normals = state.facets().normals[open_]
     score = gaps[open_]
     if guidance is not None:
         d = guidance - state._centroids[open_]
@@ -245,7 +283,7 @@ def select_weight(state: ApproximationState, eta: float,
         cos = np.divide(nd, np.sqrt(dd) * np.sqrt(nn), out=np.ones(len(open_)), where=dd > 0)
         score = score * (0.1 + np.maximum(0.0, cos))
     order = np.lexsort((*np.round(normals, 12).T[::-1], -score))
-    return np.asarray(facets[open_[order[0]]].normal, dtype=float)
+    return normals[order[0]]
 
 
 def refine(state: ApproximationState, prep: WeightedPrep, w: np.ndarray,
@@ -480,7 +518,7 @@ def _extreme_ids(state: ApproximationState, ids: list[int]) -> list[int]:
     stored points, in the given order.  The hull's facets list exactly the
     extreme points of the downward closure (a point dominated by a mixture
     of others lies on no facet), each by the index of its first copy."""
-    named = {i for f in state.facets() for i in f.vertices}
+    named = set(state.facets().ids.tolist())
     return [i for i in ids if i in named]
 
 

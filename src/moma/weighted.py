@@ -88,12 +88,9 @@ def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> Norm
         goal_now = {j for j in range(work.n_states) if comp[j] in o.goal}
         if not goal_now:
             # goal unreachable: the probability is 0 under every strategy
-            name = _fresh_name(work.rewards, "reach(unreachable)")
-            rewards = dict(work.rewards)
-            fl = flat(work)
-            rewards[name] = RewardAssignment.from_vectors(fl, name, np.zeros(work.n_states),
-                                                          np.zeros(len(fl.succ)))
-            work = work.with_rewards(rewards)
+            name, fl = _fresh_name(work.rewards, "reach(unreachable)"), flat(work)
+            work = work.with_rewards({**work.rewards, name: RewardAssignment.from_vectors(
+                fl, name, np.zeros(work.n_states), np.zeros(len(fl.succ)))})
             objs[i] = Objective("total", o.direction, name)
             continue
         work, fresh = reach_to_total(work, goal_now)
@@ -229,7 +226,8 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
     sigma = decode_quotient_strategy(prep.quot, total.strategy, stays)
     ev = evaluate_strategy(p.model, sigma, p.objectives)
     point = np.asarray(ev.values)
-    achieved = _dot(w, point)
+    # weights . point with 0 * (-inf) taken as 0, summed in objective order
+    achieved = float(sum(w[w != 0.0] * point[w != 0.0]))
     return WeightedSolution(w, total.value, point, sigma,
                             max(0.0, total.value - achieved), gains, total.rounds, total.sweeps)
 
@@ -242,12 +240,3 @@ def _decode_sub_strategy(sub: MarkovAutomaton, c: EndComponent,
     base = c.choices[flat(sub).ptr[k] + np.fromiter(sigma_sub.values(), np.int64, len(k))]
     s = c.fl.choice_state[base]
     return dict(zip(s.tolist(), (base - c.fl.ptr[s]).tolist()))
-
-
-def _dot(w: np.ndarray, point: np.ndarray) -> float:
-    """weights . point with 0 * (-inf) treated as 0."""
-    total = 0.0
-    for wj, pj in zip(w, point):
-        if wj != 0.0:
-            total += wj * pj
-    return float(total)

@@ -86,6 +86,14 @@ class TestSingle:
         doc = json.loads(out)
         assert all("strategy" in v for v in doc["values"])
 
+    def test_strategies_from_query_file(self, ws, capsys):
+        code, out, _ = run(capsys, "single", ws.model, "--query", ws.query(strategies=True))
+        assert code == 0
+        doc = json.loads(out)
+        assert all("strategy" in v for v in doc["values"])
+        code, out, _ = run(capsys, "single", ws.model, "--query", ws.query())
+        assert not any("strategy" in v for v in json.loads(out)["values"])
+
     def test_query_is_required(self, ws, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["single", ws.model])

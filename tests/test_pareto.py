@@ -165,14 +165,28 @@ def point_sets(dim, count=12):
         yield pts[rng.permutation(len(pts))]
 
 
+def concave_front(dim, count):
+    """`count` seeded points on the positive orthant of a sphere: a strictly
+    concave front, so every point is a vertex, at the size of the largest
+    hulls a `front-rich` benchmark round builds (about 115 points)."""
+    u = np.abs(np.random.default_rng(8400 + dim).normal(size=(count, dim)))
+    return 10.0 * u / np.linalg.norm(u, axis=1)[:, None] - 5.0
+
+
 class TestGeometryMatchesLoops:
     """The array geometry against the loop code it replaced (tests/gen.py)."""
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_hull(self, dim):
-        for pts in point_sets(dim):
+        for pts in [*point_sets(dim), concave_front(dim, {3: 25, 4: 100}[dim])]:
             assert facet_tuples(downward_hull(list(pts), dim)) == \
                 facet_tuples(ref_downward_hull(list(pts), dim))
+
+    @pytest.mark.parametrize("dim,count,min_facets", [(3, 25, 40), (4, 100, 300)])
+    def test_concave_front_is_all_vertices(self, dim, count, min_facets):
+        hull = downward_hull(concave_front(dim, count), dim)
+        assert len(hull) >= min_facets
+        assert sorted(set(hull.ids.tolist())) == list(range(count))
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_gaps_and_selection(self, dim):
@@ -196,6 +210,51 @@ class TestGeometryMatchesLoops:
                     w = select_weight(state, eta, guidance)
                     want = ref_select_normal(list(pts), state.facets(), halfspaces, eta, guidance)
                     assert (w is None and want is None) or w.tolist() == want.tolist()
+
+
+class TestUniqueRows:
+    """`pareto._unique_rows` against np.unique(a, axis=0, return_index=True,
+    return_inverse=True): the same rows bit for bit, first indices and
+    inverse."""
+
+    @staticmethod
+    def check(a):
+        want = np.unique(a, axis=0, return_index=True, return_inverse=True)
+        got = pareto._unique_rows(a)
+        assert got[0].tobytes() == want[0].tobytes()  # the sign of every zero too
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2].tolist() == want[2].ravel().tolist()
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(8300)
+        for dim in (1, 2, 3, 4, 5):
+            for n in (1, 2, 7, 60):
+                self.check(rng.integers(0, 3, size=(n, dim)).astype(float))
+
+    def test_signed_zeros_are_one_row(self):
+        # rows differing only by the sign of a zero merge into their first copy
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0],
+                         [-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0]])
+        rng = np.random.default_rng(8301)
+        for _ in range(50):
+            self.check(rows[rng.permutation(len(rows))])
+        for _ in range(50):
+            a = rng.integers(-1, 2, size=(30, 3)).astype(float)
+            a[a == 0] = rng.choice([0.0, -0.0], size=int((a == 0).sum()))
+            self.check(a)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_rounded_equations_tie(self, dim):
+        from scipy.spatial import ConvexHull
+        for pts in point_sets(dim):
+            # with a shifted copy, so that the points on a plane span a hull
+            eq = np.round(ConvexHull(np.vstack([pts, pts - 1.0 - np.ptp(pts)])).equations, 9)
+            self.check(eq)
+        # coplanar simplices on the faces of an integer grid: equal equations
+        grid = np.random.default_rng(8302).integers(0, 4, size=(40, dim)).astype(float)
+        eq = np.round(ConvexHull(grid).equations, 9)
+        assert len(np.unique(eq, axis=0)) < len(eq)
+        self.check(eq)
 
 
 class TestFacetReuse:
