@@ -26,8 +26,8 @@ import time
 import numpy as np
 
 from .model import InfeasibleError, ModelError, SolverError, validate_model
-from .modelio import (ParsedQuery, _strategy_doc, dumps, parse_model,
-                      parse_query, plot_csv, query_echo, result_document)
+from .modelio import (FORMAT_VERSION, RESULT_FORMAT, ParsedQuery, _strategy_doc, dumps,
+                      parse_model, parse_query, plot_csv, query_echo, result_document)
 from .pareto import (EPS_SOLVER, AchievabilityQuery, ParetoQuery, QuantitativeQuery,
                      answer_query, problem_statistics)
 from .weighted import normalize_query, optimize_weighted, prepare_weighted, validate_assumptions
@@ -106,9 +106,9 @@ def _apply_overrides(pq: ParsedQuery, args) -> None:
     q = pq.query
     if args.precision is not None:
         q.precision = args.precision
-    if getattr(args, "max_iterations", None) is not None:
+    if args.max_iterations is not None:
         q.max_iterations = args.max_iterations
-    if getattr(args, "time_limit", None) is not None:
+    if args.time_limit is not None:
         q.time_limit = args.time_limit
 
 
@@ -143,6 +143,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_single(args) -> int:
+    """Each objective optimized alone at --precision, else EPS_SOLVER (not the file's)."""
     t0 = time.monotonic()
     m = parse_model(_load_json(args.model))
     pq = parse_query(_load_json(args.query), m)
@@ -165,7 +166,7 @@ def cmd_single(args) -> int:
         if args.strategies or pq.strategies:
             ent["strategy"] = _strategy_doc(sol.strategy, p.model)
         values.append(ent)
-    doc = {"format": "moma-result", "version": 1, "kind": "single",
+    doc = {"format": RESULT_FORMAT, "version": FORMAT_VERSION, "kind": "single",
            "query": echo, "values": values,
            "statistics": problem_statistics(p, prep, p.dimension)}
     _emit(doc, args, t0)

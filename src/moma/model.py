@@ -492,32 +492,36 @@ class ValidationReport:
 
 
 def validate_model(m: MarkovAutomaton) -> ValidationReport:
-    """Structural well-formedness: distributions, rates, deadlocks, reward keys."""
+    """Well-formedness of distributions, rates, deadlocks and reward keys, in scan order."""
     rep = ValidationReport()
     fl, names = flat(m), m.state_names
-    ptr, ep, succ, prob = fl.ptr.tolist(), fl.edge_ptr.tolist(), fl.succ.tolist(), fl.prob.tolist()
     # each sum runs in edge order from 0.0, as when adding one edge at a time
-    total = np.bincount(fl.edge_choice, weights=fl.prob, minlength=len(ep) - 1).tolist()
-    for s, (mk, rate) in enumerate(zip(fl.markovian.tolist(), fl.rates.tolist())):
-        if mk:
-            if not rate > 0.0:
-                rep.add("WellFormed", names[s], f"Markovian state has non-positive rate {rate}")
-        elif ptr[s] == ptr[s + 1]:
-            rep.add("WellFormed", names[s], "probabilistic state enables no action (deadlock)")
-        for a, c in enumerate(range(ptr[s], ptr[s + 1])):
-            if ep[c] == ep[c + 1]:
-                rep.add("WellFormed", names[s], f"choice {a} has an empty distribution")
-                continue
-            seen: set[int] = set()
-            for t, p in zip(succ[ep[c]:ep[c + 1]], prob[ep[c]:ep[c + 1]]):
-                if t in seen:
-                    rep.add("WellFormed", names[s], f"choice {a} lists successor {names[t]} twice")
-                seen.add(t)
-                if not 0.0 < p <= 1.0 + PROB_TOL:
-                    rep.add("WellFormed", names[s],
-                            f"choice {a} carries probability {p} outside (0, 1]")
-            if abs(total[c] - 1.0) > PROB_TOL:
-                rep.add("WellFormed", names[s], f"choice {a} sums to {total[c]!r}, not 1")
+    total = np.bincount(fl.edge_choice, weights=fl.prob, minlength=len(fl.choice_state))
+    keys, rank = fl.edge_index  # a repeated successor repeats a key, in edge order
+    s = np.flatnonzero(np.where(fl.markovian, ~(fl.rates > 0.0), fl.ptr[:-1] == fl.ptr[1:]))
+    # (place in the scan, state, message): c + e at edge e of choice c or, for all of
+    # c, at its end edge; a state at its first choice and edge; ties keep check order
+    found = list(zip((fl.ptr[s] + fl.edge_ptr[fl.ptr[s]]).tolist(), s.tolist(),
+                     [f"Markovian state has non-positive rate {r}" if mk else
+                      "probabilistic state enables no action (deadlock)"
+                      for mk, r in zip(fl.markovian[s].tolist(), fl.rates[s].tolist())]))
+
+    def note(c, e, message, *values):
+        a = c - fl.ptr[fl.choice_state[c]]
+        found.extend(zip((c + e).tolist(), fl.choice_state[c].tolist(),
+                         (message.format(*v) for v in zip(a.tolist(), *values))))
+    c = np.flatnonzero(fl.edge_ptr[:-1] == fl.edge_ptr[1:])
+    note(c, fl.edge_ptr[c], "choice {} has an empty distribution")
+    e = rank[1:][keys[1:] == keys[:-1]]
+    note(fl.edge_choice[e], e, "choice {} lists successor {} twice",
+         [names[t] for t in fl.succ[e].tolist()])
+    e = np.flatnonzero(~((fl.prob > 0.0) & (fl.prob <= 1.0 + PROB_TOL)))
+    note(fl.edge_choice[e], e, "choice {} carries probability {} outside (0, 1]",
+         fl.prob[e].tolist())
+    c = np.flatnonzero((fl.edge_ptr[:-1] < fl.edge_ptr[1:]) & (np.abs(total - 1.0) > PROB_TOL))
+    note(c, fl.edge_ptr[c + 1], "choice {} sums to {!r}, not 1", total[c].tolist())
+    for _, s, message in sorted(found, key=lambda f: f[0]):
+        rep.add("WellFormed", names[s], message)
     # in a pure MDP (no Markovian states) every state earns per step, so state
     # rewards on probabilistic states only signal a mistake in a genuine MA
     is_mdp = not fl.markovian.any()

@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import MarkovAutomaton, ModelError, Objective, RewardAssignment
+from .model import Flat, MarkovAutomaton, ModelError, Objective, RewardAssignment
 from .pareto import (AchievabilityQuery, ParetoQuery, QuantitativeQuery,
                      QueryResult)
 
@@ -120,12 +120,10 @@ def _check_header(doc: dict, expect: str) -> None:
 
 
 def parse_model(doc: dict) -> MarkovAutomaton:
-    """Build a model from a moma-model document.
-
-    Structural problems (unknown names, duplicate states, a rate on an MDP
-    state) raise ModelError; semantic validation beyond that is left to
-    validate_model so that a report can list every violation at once.
-    """
+    """Build a model from a moma-model document, filling its `Flat` arrays in
+    one pass.  Structural problems (unknown names, duplicate states, a rate on
+    an MDP state) raise ModelError; semantic validation beyond that is left to
+    validate_model so that a report can list every violation at once."""
     _check_header(doc, MODEL_FORMAT)
     kind = doc.get("kind", "ma")
     if kind not in ("ma", "mdp"):
@@ -143,18 +141,19 @@ def parse_model(doc: dict) -> MarkovAutomaton:
             raise ModelError(f"duplicate state name {name!r}")
         index[name] = len(index)
 
-    def dist(entries, where: str):
+    ptr, edge_ptr, succ, prob = [0], [0], [], []  # the lists of the Flat arrays
+
+    def add_choice(entries, where: str) -> None:
         if not isinstance(entries, dict) or not entries:
             raise ModelError(f"{where}: transitions must be a nonempty map")
-        out = []
-        for succ, prob in entries.items():
-            if succ not in index:
-                raise ModelError(f"{where}: unknown successor {succ!r}")
-            out.append((index[succ], _number(prob, f"{where} -> {succ}")))
-        return tuple(out)
+        for t, p in entries.items():
+            if t not in index:
+                raise ModelError(f"{where}: unknown successor {t!r}")
+            succ.append(index[t])
+            prob.append(_number(p, f"{where} -> {t}"))
+        edge_ptr.append(len(succ))
 
     rates: list[float | None] = []
-    choices: list[list] = []
     action_names: list[tuple[str, ...]] = []
     for rec in states:
         name = rec["name"]
@@ -164,23 +163,22 @@ def parse_model(doc: dict) -> MarkovAutomaton:
             if kind == "mdp":
                 raise ModelError(f"state {name!r}: MDP states cannot carry a rate")
             rates.append(_number(rec["rate"], f"state {name!r} rate"))
-            choices.append([dist(rec.get("transitions"), f"state {name!r}")])
+            add_choice(rec.get("transitions"), f"state {name!r}")
             action_names.append(("",))
         else:
             acts = rec["actions"]
             if not isinstance(acts, list) or not acts:
                 raise ModelError(f"state {name!r}: actions must be a nonempty list")
             rates.append(None)
-            row = []
             labels = []
             for k, act in enumerate(acts):
                 label = act.get("name", f"a{k}")
                 if label in labels:
                     raise ModelError(f"state {name!r}: duplicate action name {label!r}")
                 labels.append(label)
-                row.append(dist(act.get("transitions"), f"state {name!r} action {label!r}"))
-            choices.append(row)
+                add_choice(act.get("transitions"), f"state {name!r} action {label!r}")
             action_names.append(tuple(labels))
+        ptr.append(len(edge_ptr) - 1)
 
     initial = doc.get("initial")
     if initial not in index:
@@ -205,26 +203,23 @@ def parse_model(doc: dict) -> MarkovAutomaton:
             if src not in index or dst not in index:
                 raise ModelError(f"{where}: unknown state")
             s = index[src]
-            if al is None:
-                if rates[s] is None:
-                    raise ModelError(f"{where}: probabilistic state needs an action name")
-                a = 0
-            else:
-                if al not in action_names[s]:
-                    raise ModelError(f"{where}: unknown action {al!r}")
-                a = action_names[s].index(al)
-            t = index[dst]
-            if all(u != t for u, _ in choices[s][a]):
+            if al is None and rates[s] is None:
+                raise ModelError(f"{where}: probabilistic state needs an action name")
+            if al is not None and al not in action_names[s]:
+                raise ModelError(f"{where}: unknown action {al!r}")
+            a = 0 if al is None else action_names[s].index(al)
+            t, c = index[dst], ptr[s] + a
+            if t not in succ[edge_ptr[c]:edge_ptr[c + 1]]:
                 raise ModelError(f"{where}: transition does not exist")
             if (s, a, t) in trew:
                 raise ModelError(f"{where}: duplicate transition reward entry")
             trew[(s, a, t)] = _number(ent.get("value"), where)
         rewards[rname] = RewardAssignment(rname, srew, trew)
 
-    return MarkovAutomaton(rates, choices, index[initial],
-                           state_names=tuple(index),
-                           action_names=tuple(action_names),
-                           rewards=rewards)
+    fl = Flat(*(np.array(x, dtype=np.int64) for x in (ptr, edge_ptr, succ)), np.array(prob),
+              np.array([r is not None for r in rates]),
+              np.array([0.0 if r is None else r for r in rates]))
+    return MarkovAutomaton.from_flat(fl, index[initial], index, action_names, rewards)
 
 
 def serialize_model(m: MarkovAutomaton) -> dict:

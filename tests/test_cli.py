@@ -94,6 +94,18 @@ class TestSingle:
         code, out, _ = run(capsys, "single", ws.model, "--query", ws.query())
         assert not any("strategy" in v for v in json.loads(out)["values"])
 
+    def test_solves_at_fixed_precision(self, ws, capsys):
+        # single runs no refinement, which is all a query file's precision
+        # bounds: the solves keep the solver precision unless --precision is given
+        code, out, _ = run(capsys, "single", ws.model, "--query", ws.query(precision=0.5))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["query"]["precision"] == 0.5
+        _, out, _ = run(capsys, "single", ws.model, "--query", ws.query())
+        assert doc["values"] == json.loads(out)["values"]
+        # fig1's lra bound reads 1.0000000005838672e-06: the solver precision, rounded
+        assert all(v["error_bound"] <= 1e-6 * (1 + 1e-6) for v in doc["values"])
+
     def test_query_is_required(self, ws, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["single", ws.model])
@@ -141,6 +153,19 @@ class TestCheck:
         code, _, err = run(capsys, "check", ws.model, "--query", ws.query())
         assert code == 2
         assert "--point" in err
+
+    @pytest.mark.parametrize("flag, value", [("--point", "2.9,0.9"), ("--thresholds", "0.5")])
+    def test_exhausted_budget_exits_1_with_result(self, ws, capsys, flag, value):
+        out = ws.dir / "check.json"
+        code, _, _ = run(capsys, "check", ws.model, "--query", ws.query(), flag, value,
+                         "--max-iterations", "1", "--precision", "1e-12",
+                         "--output", str(out))
+        assert code == 1
+        doc = json.loads(out.read_text())
+        if flag == "--point":
+            assert doc["verdict"] == "unknown"
+        else:
+            assert doc["exhausted"]
 
 
 class TestPareto:

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from moma import (ModelError, ParetoQuery, answer_query, dumps, parse_model,
-                  parse_query, plot_csv, result_document, serialize_model)
+from moma import (MarkovAutomaton, ModelError, ParetoQuery, answer_query, dumps,
+                  parse_model, parse_query, plot_csv, result_document, serialize_model)
+from moma.model import flat
 from moma.modelio import query_echo
 
-from gen import random_ma
+from gen import layered_ma, menu_doc, random_ma, random_mdp
 
 
 def parse_query_doc(extra=None, kind="pareto"):
@@ -86,6 +87,34 @@ class TestModelRoundTrip:
         m = parse_model(doc)
         assert not m.markovian_states()
         assert serialize_model(m)["kind"] == "mdp"
+
+
+class TestParseBuildsArrays:
+    """parse_model fills the arrays the tuple constructor would build from
+    the same document: same values and dtypes, names and reward entries."""
+
+    def models(self):
+        rng = np.random.default_rng(13)
+        yield from (random_ma(rng) for _ in range(10))
+        yield from (random_mdp(rng) for _ in range(10))
+        yield layered_ma(rng, n=2000)[0]
+        yield parse_model(menu_doc(rng, 4, 3, ["max", "min"])[0])
+
+    def test_matches_tuple_constructor(self):
+        for m in self.models():
+            got = parse_model(serialize_model(m))
+            # the document lists each distribution by successor
+            want = MarkovAutomaton(m.rates, [[tuple(sorted(d)) for d in row] for row in m.choices],
+                                   m.initial, m.state_names, m.action_names)
+            for f in ("ptr", "edge_ptr", "succ", "prob", "markovian", "rates"):
+                a, b = getattr(flat(got), f), getattr(flat(want), f)
+                assert a.dtype == b.dtype and np.array_equal(a, b), f
+            assert (got.initial, got.state_names, got.action_names) == \
+                   (want.initial, want.state_names, want.action_names)
+            assert got.rewards.keys() == m.rewards.keys()
+            for name, r in m.rewards.items():
+                assert dict(got.rewards[name].state_rewards) == dict(r.state_rewards)
+                assert dict(got.rewards[name].transition_rewards) == dict(r.transition_rewards)
 
 
 class TestParseModelErrors:

@@ -205,8 +205,9 @@ class TestValidateModel:
                  "reward on probabilistic state", "unknown choice", "zero-probability edge"]
         seen = set()
         rng = np.random.default_rng(41)
-        for _ in range(400):
-            m = malformed_ma(rng)
+        # small draws, then larger ones whose scan order crosses many states
+        for max_states in [6] * 400 + [40] * 60:
+            m = malformed_ma(rng, max_states=max_states)
             rep = validate_model(m)
             assert rep.violations == ref_validate_model(m).violations
             seen.update(k for v in rep.violations for k in kinds if k in v.message)

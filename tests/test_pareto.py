@@ -11,7 +11,7 @@ from moma import (AchievabilityQuery, ApproximationState, EndComponent,
                   QuantitativeQuery, RewardAssignment, WeightedSolution, answer_query,
                   downward_hull, evaluate_strategy, mec_decomposition, normalize_query,
                   select_weight, validate_assumptions)
-from moma import pareto, parse_model
+from moma import pareto, parse_model, serialize_model
 from moma.model import Flat, flat
 from moma.modelio import parse_objective
 
@@ -507,6 +507,22 @@ class TestArraysOnly:
         m, objectives = layered_ma(np.random.default_rng(5), n=500)
         self.check(counts, m, objectives, 1e-3)
 
+    def test_model_files(self, counts, monkeypatch, fig1, fig1_objectives):
+        # a parsed model is born as arrays: no tuple constructor, no tuple view
+        init = MarkovAutomaton.__init__
+
+        def counted(m, *args, **kwargs):
+            counts.update(["tuple constructor"])
+            init(m, *args, **kwargs)
+        monkeypatch.setattr(MarkovAutomaton, "__init__", counted)
+        layered, objectives = layered_ma(np.random.default_rng(5), n=500)
+        for doc, objs in ((serialize_model(fig1), fig1_objectives),
+                          (serialize_model(layered), objectives)):
+            counts.clear()
+            m = parse_model(doc)
+            answer_query(m, objs, ParetoQuery(precision=1e-3))
+            assert counts == Counter(m.rewards.values())
+
     def test_reach_and_min(self, counts):
         rng = np.random.default_rng(6)
         checked = 0
@@ -598,6 +614,13 @@ class TestAchievabilityQuery:
         with pytest.raises(ModelError):
             answer_query(fig1, fig1_objectives, AchievabilityQuery(point=(1.0,)))
 
+    def test_iteration_budget_leaves_unknown(self, fig1, fig1_objectives):
+        # a point just under the front needs refinements past the first
+        res = answer_query(fig1, fig1_objectives, AchievabilityQuery(
+            point=(2.9, 0.9), precision=1e-12, max_iterations=1))
+        assert res.verdict == "unknown"
+        assert res.exhausted
+
 
 class TestQuantitativeQuery:
     def test_fig1_slice(self, fig1, fig1_objectives):
@@ -620,6 +643,12 @@ class TestQuantitativeQuery:
         with pytest.raises(ModelError):
             answer_query(fig1, fig1_objectives,
                          QuantitativeQuery(thresholds=(0.0, 1.0)))
+
+    def test_iteration_budget_is_flagged(self, fig1, fig1_objectives):
+        res = answer_query(fig1, fig1_objectives, QuantitativeQuery(
+            thresholds=(0.5,), precision=1e-12, max_iterations=1))
+        assert res.exhausted
+        assert res.upper - res.lower > 1e-12
 
     def test_min_first_objective_flips_bracket(self, fig1):
         objectives = [Objective("total", "min", reward="R2"),

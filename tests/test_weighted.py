@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import moma.weighted
-from moma import (MarkovAutomaton, ModelError, Objective, RewardAssignment,
-                  evaluate_strategy, normalize_query, optimize_weighted,
+from moma import (MarkovAutomaton, ModelError, Objective, ParetoQuery, RewardAssignment,
+                  answer_query, evaluate_strategy, normalize_query, optimize_weighted,
                   prepare_weighted, validate_assumptions, weighted_reward_sum)
 from moma.pareto import problem_statistics
 from moma.solvers import total_zero_ecs
@@ -49,6 +49,22 @@ class TestNormalizeQuery:
         pays = [(s, a, t) for (s, a, t), v in r.transition_rewards.items()
                 if v == 1.0]
         assert pays and all(p.model.origin[t] == 4 for _, _, t in pays)
+
+    def test_unreachable_goal_becomes_zero_total(self):
+        # s2 is unreachable, so the product for the first goal drops it
+        m = MarkovAutomaton([1.0, None, 1.0],
+                            [[((1, 1.0),)], [((0, 1.0),), ((0, 1.0),)], [((0, 1.0),)]],
+                            initial=0)
+        objectives = [Objective("reach", goal=frozenset({1})),
+                      Objective("reach", goal=frozenset({2}))]
+        p = normalize_query(m, objectives)
+        o = p.objectives[1]
+        assert (o.kind, o.direction, o.reward) == ("total", "max", "reach(unreachable)")
+        assert p.model.rewards[o.reward].is_zero
+        res = answer_query(m, objectives, ParetoQuery())
+        assert res.vertices == [[1.0, 0.0]]
+        with pytest.raises(ModelError, match="goal state 9 out of range"):
+            normalize_query(m, [Objective("reach", goal=frozenset({9}))])
 
     def test_mdp_is_embedded(self):
         mdp = MarkovAutomaton(
