@@ -150,7 +150,7 @@ def parse_model(doc: dict) -> MarkovAutomaton:
             if t not in index:
                 raise ModelError(f"{where}: unknown successor {t!r}")
             succ.append(index[t])
-            prob.append(_number(p, f"{where} -> {t}"))
+            prob.append(p if isinstance(p, float) else _number(p, f"{where} -> {t}"))
         edge_ptr.append(len(succ))
 
     rates: list[float | None] = []

@@ -4,12 +4,13 @@ averages, and certified maximal expected total rewards.
 Solvers work on the flat choice view of a model (one sparse kernel row per
 choice), and both scalar solvers are strategy iterations with exact linear
 evaluation.  Every linear system and kernel row block is gathered straight
-from the CSR arrays (indptr/indices/data) of its matrix.  Long-run averages
-inside an end component come from gain/bias strategy iteration, certified by
-one uniformized time tick from the final bias: the instantaneous
-probabilistic layer is closed to a fixed point, Markovian states advance one
-damped tick, and the classical span bounds on the gain then hold for any
-starting vector.  The final strategy of the iteration is the one returned.
+from the CSR arrays (indptr/indices/data) of its matrix.  A chain's gain g
+and bias h come from one system, (I - P) h + tau g = b with one h pinned to 0.
+Long-run averages inside an end component come from gain/bias strategy
+iteration, certified by one uniformized time tick from the final bias: the
+instantaneous probabilistic layer is closed to a fixed point, Markovian
+states advance one damped tick, and the classical span bounds on the gain
+then hold for any starting vector.  The final strategy is the one returned.
 Total rewards come from stochastic-shortest-path strategy iteration started
 from a proper strategy (one that reaches the target almost surely), on a
 structure that depends only on the zero-reward end components it collapses.
@@ -120,13 +121,23 @@ def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, natural: bool =
     when the unknowns are already numbered so that I - Q is block
     lower-triangular (a total-reward structure's levels, sinks first): the
     diagonal blocks are then factored one after another, with little fill,
-    and no column ordering has to be computed."""
+    and no column ordering has to be computed.  A singular system raises
+    SolverError."""
     if n <= _DENSE_LIMIT:
         A = np.eye(n)
         A[r, c] -= v
-        return lambda b: np.linalg.solve(A, b)
-    return splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c]))),
-                permc_spec="NATURAL" if natural else "COLAMD").solve
+
+        def solve(b):
+            try:
+                return np.linalg.solve(A, b)
+            except np.linalg.LinAlgError as err:
+                raise SolverError(f"singular {n} x {n} system (dense LU): {err}") from None
+        return solve
+    try:
+        return splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c]))),
+                    permc_spec="NATURAL" if natural else "COLAMD").solve
+    except RuntimeError as err:
+        raise SolverError(f"singular {n} x {n} system (sparse LU): {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -139,39 +150,38 @@ def _sojourn(fl) -> np.ndarray:
                                             where=fl.rates > 0), 0.0)
 
 
-def _stationary(M, rows, cols=None) -> np.ndarray:
-    """Stationary distribution of the irreducible stochastic block
-    P = M[rows][:, cols] (as in _block), gathered from the CSR arrays of M."""
-    n = len(rows)
-    if n == 1:
-        return np.ones(1)
-    # (I - P[:-1, :-1]^T) pi = P[-1, :-1] with pi[-1] = 1 fixed, then normalized
-    r, c, v = _block(M, rows, cols)
-    inner, b = (r < n - 1) & (c < n - 1), np.zeros(n)
-    b[c[r == n - 1]] = v[r == n - 1]
-    pi = np.append(_solver(n - 1, c[inner], r[inner], v[inner])(b[:-1]), 1.0)
-    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+def _gain_bias(fl, chosen: np.ndarray, states: np.ndarray, tau: np.ndarray):
+    """b -> (g, h) with (I - P) h + tau g = b, P = kernel[chosen[states]][:, states]
+    on the closed set `states` (ascending), and h = 0 at its first state p with
+    tau > 0, which must exist.  One square system: I - P with column p replaced
+    by tau / tau[p], so its diagonal entry stays exactly 1, and unknown g tau[p]
+    at p.  The pin removes the constant from the null space of a chain with one
+    bottom SCC, wherever p lies."""
+    t, (r, c, v) = tau[states], _block(fl.kernel, chosen[states], states)
+    col = np.flatnonzero(t > 0)  # the pin, then the rest of the tau column
+    p, col, keep = int(col[0]), col[1:], c != col[0]
+    solve = _solver(len(t), np.r_[r[keep], col], np.r_[c[keep], np.full(len(col), p)],
+                    np.r_[v[keep], -t[col] / t[p]])
 
-
-def _gain(pi: np.ndarray, tau: np.ndarray, srew: np.ndarray, jump: np.ndarray) -> float:
-    """Long-run average reward of an irreducible chain with stationary jump
-    distribution pi: expected reward per expected time unit."""
-    return float(pi @ (srew * tau + jump)) / float(pi @ tau)
+    def gain_bias(b):
+        h = solve(b)
+        g, h[p] = float(h[p] / t[p]), 0.0
+        return g, h
+    return gain_bias
 
 
 def bscc_gain(chain: MarkovAutomaton, r: RewardAssignment) -> float:
     """Long-run average reward of a strongly connected, nondeterminism-free
-    Markov automaton: stationary expected reward per expected time unit of
-    the embedded jump chain."""
+    Markov automaton, from its gain/bias equations."""
     fl = flat(chain)
     if (np.diff(fl.ptr) != 1).any():
         raise ModelError("bscc_gain expects a chain: one choice per state")
     if strong_components(chain.n_states, fl.edge_src, fl.succ).any():
         raise ModelError("bscc_gain expects a strongly connected chain")
-    pi, tau = _stationary(fl.kernel, np.arange(chain.n_states)), _sojourn(fl)
-    if float(pi @ tau) <= 0.0:
+    tau, (srew, jump) = _sojourn(fl), _reward_rates(chain, r)
+    if not (tau > 0).any():
         raise ModelError("chain spends no time: no Markovian state (Zeno)")
-    return _gain(pi, tau, *_reward_rates(chain, r))
+    return _gain_bias(fl, fl.ptr[:-1], np.arange(chain.n_states), tau)(srew * tau + jump)[0]
 
 
 def _bottom_sccs(g, src: np.ndarray, dst: np.ndarray, live: np.ndarray) -> list[np.ndarray]:
@@ -190,8 +200,8 @@ def _bottom_sccs(g, src: np.ndarray, dst: np.ndarray, live: np.ndarray) -> list[
 def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
                       objectives: Sequence[Objective]) -> ChainEvaluation:
     """Exact value of sigma for every objective via linear systems on the
-    chain sigma induces: BSCC decomposition, absorption probabilities,
-    stationary gains for long-run averages, transient accumulation for totals.
+    chain sigma induces: BSCC decomposition, absorption probabilities, one
+    gain/bias system per BSCC for long-run averages, transient sums for totals.
 
     A reachable BSCC carrying a negative reward makes the total -inf (marker);
     a positive one raises, since finiteness checking must have excluded it.
@@ -218,16 +228,17 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
             rhs[pos[first]] = np.add.reduceat(val, first)
             reach_probs.append(float(solve(rhs)[i0]))
 
-    # per-BSCC stationary distributions and gains
+    # per-BSCC gains
     tau, rates = _sojourn(fl), [_reward_rates(m, r) for r in rewards]
-    srew, jump = [s for s, _ in rates], [j[chosen] for _, j in rates]
-    gains: list[list[float]] = []
-    for b in members:
-        pi = _stationary(fl.kernel, chosen[b], b)
-        if float(pi @ tau[b]) <= 0.0 and any(o.kind == "lra" for o in objectives):
+    srew, rew = [s for s, _ in rates], [s * tau + j[chosen] for s, j in rates]
+    lra = [j for j, o in enumerate(objectives) if o.kind == "lra"]
+    gains = [[0.0] * len(objectives) for _ in members]
+    for b, gain in zip(members, gains if lra else []):
+        if not (tau[b] > 0).any():
             raise SolverError("BSCC without Markovian state: long-run average undefined")
-        gains.append([_gain(pi, tau[b], srew[j][b], jump[j][b]) if o.kind == "lra" else 0.0
-                      for j, o in enumerate(objectives)])
+        gain_bias = _gain_bias(fl, chosen, b, tau)
+        for j in lra:
+            gain[j] = gain_bias(rew[j][b])[0]
 
     recurrent = np.zeros(n, dtype=bool)
     for b, p in zip(members, reach_probs):
@@ -249,8 +260,7 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
         elif in_bscc[m.initial]:
             values.append(0.0)
         else:
-            crew = srew[j][transient] * tau[transient] + jump[j][transient]
-            values.append(float(solve(crew)[i0]))
+            values.append(float(solve(rew[j][transient])[i0]))
     return ChainEvaluation(values, [frozenset(b.tolist()) for b in members], reach_probs, gains)
 
 
@@ -262,58 +272,46 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     """Maximal long-run average reward of a standalone end component.
 
     Gain/bias strategy iteration from the first choice of every probabilistic
-    state: keep the strategy's best bottom SCC (ties to the least state),
-    route every probabilistic state outside it towards it, solve the bias
-    equations h = c - g tau + P h (h = 0 at that SCC's least state) exactly,
-    and switch a probabilistic state only where a choice improves jump + K h
-    by more than rounding.  One uniformized tick from the final h certifies
-    the gain (see the module docstring).  The strategy is the final one of
-    the iteration: its gain g was evaluated exactly, and its chain has the
-    single bottom SCC it was routed to.
+    state: when the strategy has several bottom SCCs, keep the best one (ties
+    to the least state) and route every state outside it towards it; solve
+    the gain/bias equations (I - P) h + tau g = r tau + jump of the routed
+    strategy exactly, as one system, and switch a probabilistic state only
+    where a choice improves jump + K h by more than rounding.  One uniformized
+    tick from the final h certifies the gain (see the module docstring).  The
+    strategy is the final one of the iteration: its gain g was evaluated
+    exactly, and its chain has the single bottom SCC it was routed to.
     """
     n, fl = sub.n_states, flat(sub)
     if not fl.markovian.any():
         raise ModelError("component has no Markovian state (Zeno): no time passes")
     unif = float(fl.rates.max()) / 0.95
-    srew, jump = _reward_rates(sub, r)
-    tau = _sojourn(fl)
+    tau, (srew, jump) = _sojourn(fl), _reward_rates(sub, r)
+    crew = (srew * tau)[fl.choice_state] + jump  # reward per visit, by choice
     ms, ps = np.flatnonzero(fl.markovian), np.flatnonzero(~fl.markovian)
     K_m, coef = _rows(fl.kernel, fl.ptr[ms]), fl.rates[ms] / unif
     tick_rew = srew[ms] / unif + coef * jump[fl.ptr[ms]]
     pc = np.flatnonzero(~fl.markovian[fl.choice_state])  # the choices of ps, state by state
     K_p, jump_p = _rows(fl.kernel, pc), jump[pc]
     seg = np.searchsorted(pc, fl.ptr[ps])
-    act = np.zeros(n, dtype=np.int64)
+    chosen = fl.ptr[:-1].copy()
     for it in range(1, 1001):
-        chosen = fl.ptr[:-1] + act
         _, e = fl.edges(chosen)
         src, dst = fl.edge_src[e], fl.succ[e]
         members = _bottom_sccs(_graph(n, src, dst), src, dst, np.ones(n, dtype=bool))
-        gains = []
-        for b in members:
-            pi = _stationary(fl.kernel, chosen[b], b)
-            if float(pi @ tau[b]) <= 0.0:
-                raise SolverError(f"bottom SCC without Markovian state (Zeno) in strategy "
-                                  f"iteration {it}: its long-run average is undefined")
-            gains.append(_gain(pi, tau[b], srew[b], jump[chosen[b]]))
-        k = int(np.argmax(gains))
-        g, best_b = gains[k], members[k]
+        if not all((tau[b] > 0).any() for b in members):
+            raise SolverError(f"bottom SCC without Markovian state (Zeno) in strategy "
+                              f"iteration {it}: its long-run average is undefined")
         if len(members) > 1:
-            # every state outside best_b steps toward it; an end component
-            # reaches every state, so one BSCC is left
-            to = _toward(fl, np.arange(len(fl.succ)), best_b)
-            s = np.flatnonzero(to >= 0)
-            act[s] = to[s] - fl.ptr[s]
-            chosen = fl.ptr[:-1] + act
-        row, col, v = _block(fl.kernel, chosen)
-        keep = row != best_b[0]  # that row becomes h = 0
-        c = srew * tau + jump[chosen] - g * tau
-        c[best_b[0]] = 0.0
-        h = _solver(n, row[keep], col[keep], v[keep])(c)
-        better = _improve(jump_p + K_p @ h, seg, seg + act[ps], h)
+            # every state outside the best BSCC steps toward it; an end
+            # component reaches every state, so one BSCC is left
+            gains = [_gain_bias(fl, chosen, b, tau)(crew[chosen[b]])[0] for b in members]
+            to = _toward(fl, np.arange(len(fl.succ)), members[int(np.argmax(gains))])
+            chosen = np.where(to >= 0, to, chosen)
+        g, h = _gain_bias(fl, chosen, np.arange(n), tau)(crew[chosen])
+        better = _improve(jump_p + K_p @ h, seg, seg + chosen[ps] - fl.ptr[ps], h)
         if better is None:
             break
-        act[ps] = better - seg
+        chosen[ps] = pc[better]
     else:
         raise SolverError(f"strategy iteration did not settle in {it} rounds (gain {g})")
 
@@ -333,7 +331,7 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     if ub - lb > eps * max(1.0, abs(lb)):
         raise SolverError(f"long-run average bracket [{lb}, {ub}] wider than {eps} "
                           f"after {it} strategy iterations")
-    sigma = dict(zip(ps.tolist(), act[ps].tolist()))
+    sigma = dict(zip(ps.tolist(), (chosen[ps] - fl.ptr[ps]).tolist()))
     value = 0.5 * (lb + ub)
     return ScalarSolution(value, sigma, 0.5 * (ub - lb) / max(1.0, abs(value)), lb, ub, it)
 

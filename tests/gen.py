@@ -1,7 +1,8 @@
 """Random model generators and brute-force oracles shared by the tests.
 
 Generated probabilities are dyadic (multiples of 1/8) so that distributions
-sum to 1.0 exactly in floating point.  Oracles deliberately use the dumbest
+sum to 1.0 exactly in floating point, unless a generator is given another
+`dist` such as `near_one_dist`.  Oracles deliberately use the dumbest
 correct algorithm available: exhaustive strategy enumeration, subset
 enumeration for end components, and dense linear algebra for chains.
 """
@@ -36,24 +37,38 @@ def dyadic_dist(rng, succs):
     return tuple((int(s), float(w) / 8.0) for s, w in zip(succs, weights))
 
 
+def near_one_dist(rng, succs):
+    """Distribution over the given successors in which all but one entry is
+    10^-j, j uniform in 3..12, and the last is 1 minus their sum, the entries
+    placed on the successors in the order of a random permutation: tiny
+    probabilities next to ones that miss 1 by them."""
+    k = len(succs)
+    if k == 1:
+        return ((int(succs[0]), 1.0),)
+    small = [10.0 ** -int(rng.integers(3, 13)) for _ in range(k - 1)]
+    probs = [*small, 1.0 - sum(small)]
+    return tuple((int(succs[i]), p) for i, p in zip(rng.permutation(k), probs))
+
+
 def _pick_succs(rng, n, k_max=3):
     k = int(rng.integers(1, min(k_max, n) + 1))
     return rng.choice(n, size=k, replace=False)
 
 
-def random_ma(rng, max_states=8, max_actions=2, p_markov=0.6):
-    """Structurally valid MA (closed, deadlock-free); may be Zeno."""
+def random_ma(rng, max_states=8, max_actions=2, p_markov=0.6, dist=dyadic_dist):
+    """Structurally valid MA (closed, deadlock-free); may be Zeno.  `dist`
+    draws each distribution over its successors."""
     n = int(rng.integers(2, max_states + 1))
     rates: list[float | None] = []
     choices = []
     for _ in range(n):
         if rng.random() < p_markov:
             rates.append(float(rng.integers(1, 7)) / 2.0)
-            choices.append([dyadic_dist(rng, _pick_succs(rng, n))])
+            choices.append([dist(rng, _pick_succs(rng, n))])
         else:
             rates.append(None)
             k = int(rng.integers(1, max_actions + 1))
-            choices.append([dyadic_dist(rng, _pick_succs(rng, n)) for _ in range(k)])
+            choices.append([dist(rng, _pick_succs(rng, n)) for _ in range(k)])
     return MarkovAutomaton(rates, choices, initial=0)
 
 
@@ -248,10 +263,10 @@ def total_value_lp(m: MarkovAutomaton, r: RewardAssignment, bottom: int) -> floa
 
 
 def random_valid_instance(rng, n_lra=1, n_total=1, max_states=8, max_actions=2,
-                          directions=False):
+                          directions=False, dist=dyadic_dist):
     """(model, objectives) passing every assumption check."""
     while True:
-        m = random_ma(rng, max_states, max_actions)
+        m = random_ma(rng, max_states, max_actions, dist=dist)
         fl = flat(m)
         if mec_decomposition(m, choice_ok=~fl.markovian[fl.choice_state]):
             continue  # a probabilistic-only end component is Zeno

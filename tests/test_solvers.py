@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -14,11 +15,11 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   reach_to_total, sub_ma, weighted_reward_sum, zero_mecs)
 
 from moma.model import flat
-from moma.solvers import _DENSE_LIMIT, _block, _solver, _stationary
+from moma.solvers import _DENSE_LIMIT, _block, _gain_bias, _solver
 
 from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp, layered_ma,
-                 near_zeno_ma, random_ma, random_ssp, random_valid_instance, ring_ma, scc_chain,
-                 total_value_lp)
+                 near_one_dist, near_zeno_ma, random_ma, random_ssp, random_valid_instance,
+                 ring_ma, scc_chain, total_value_lp)
 
 
 def lra_obj(name="R1"):
@@ -51,6 +52,12 @@ class TestBsccGain:
         with pytest.raises(ModelError):
             bscc_gain(fig1, fig1.rewards["R1"])
 
+    def test_rejects_zeno(self):
+        m = MarkovAutomaton([None, None], [[((1, 1.0),)], [((0, 1.0),)]], initial=0,
+                            rewards={"r": RewardAssignment("r")})
+        with pytest.raises(ModelError, match="no Markovian state"):
+            bscc_gain(m, m.rewards["r"])
+
     def test_rejects_disconnected(self):
         m = MarkovAutomaton([1.0, 1.0], [[((1, 1.0),)], [((1, 1.0),)]], initial=0,
                             rewards={"r": RewardAssignment("r")})
@@ -59,6 +66,14 @@ class TestBsccGain:
 
 
 class TestEvaluateStrategy:
+    def test_bscc_without_markovian_state_raises(self):
+        # state 0's first choice loops on it: a bottom SCC where no time passes
+        m = MarkovAutomaton([None, 1.0], [[((0, 1.0),), ((1, 1.0),)], [((0, 1.0),)]],
+                            initial=0, rewards={"r": RewardAssignment("r", {1: 1.0}, {})})
+        with pytest.raises(SolverError, match="BSCC without Markovian state"):
+            evaluate_strategy(m, {0: 0}, [lra_obj("r")])
+        assert evaluate_strategy(m, {0: 1}, [lra_obj("r")]).values == [1.0]
+
     def test_fig1_alpha_alpha(self, fig1, fig1_objectives):
         ev = evaluate_strategy(fig1, {2: 0, 3: 0}, fig1_objectives)
         assert ev.values[0] == pytest.approx(4.0, abs=1e-12)
@@ -179,27 +194,43 @@ class TestGather:
             assert np.array_equal(got, dense)
         assert empty_rows > 0  # rows with no entry inside the columns occur
 
-    def test_stationary_block_is_the_transposed_system(self):
-        # the stationary distribution of every bottom SCC, against the
-        # formulation on scipy-indexed blocks: P[:-1, :-1]^T and P[-1, :-1]
+    def test_gain_bias_matches_bordered_system(self):
+        # gain and bias of every bottom SCC with a Markovian state, against
+        # the bordered system [[I - P, tau], [e_p^T, 0]] (h, g) = (b, 0) on
+        # scipy-indexed blocks, p the first state with tau > 0
         rng = np.random.default_rng(58)
         checked = 0
         for _ in range(60):
             m = random_ma(rng, max_states=10)
             ev = evaluate_strategy(m, {s: 0 for s in range(m.n_states)}, [])
-            K, chosen = flat(m).kernel, flat(m).ptr[:-1]
+            fl = flat(m)
+            K, chosen = fl.kernel, fl.ptr[:-1]
+            tau = np.divide(1.0, fl.rates, out=np.zeros(m.n_states), where=fl.markovian)
             for b in ev.bsccs:
                 b = np.array(sorted(b))
-                P = K[chosen[b]][:, b]
-                if len(b) == 1:
-                    assert np.array_equal(_stationary(K, chosen[b], b), [1.0])
+                if not (tau[b] > 0).any():
                     continue
-                pi = np.append(np.linalg.solve(np.eye(len(b) - 1) - P[:-1, :-1].T.toarray(),
-                                               P[-1, :-1].toarray().ravel()), 1.0)
-                pi = np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
-                assert np.array_equal(_stationary(K, chosen[b], b), pi)
-                checked += 1
+                n, p = len(b), int(np.flatnonzero(tau[b] > 0)[0])
+                A = np.zeros((n + 1, n + 1))
+                A[:n, :n] = np.eye(n) - K[chosen[b]][:, b].toarray()
+                A[:n, n], A[n, p] = tau[b], 1.0
+                rhs = rng.standard_normal(n)
+                want = np.linalg.solve(A, np.append(rhs, 0.0))
+                g, h = _gain_bias(fl, chosen, b, tau)(rhs)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert abs(g - want[n]) <= 1e-12 * scale
+                assert h[p] == 0.0
+                assert np.max(np.abs(h - want[:n])) <= 1e-12 * scale
+                checked += n > 1
         assert checked >= 10
+
+    def test_singular_systems_raise_solver_error(self):
+        # a zero row in I - Q: state 0 loops with probability 1
+        with pytest.raises(SolverError, match=r"singular 2 x 2 system \(dense LU\)"):
+            _solver(2, np.array([0, 1]), np.array([0, 0]), np.array([1.0, 0.5]))(np.ones(2))
+        n = _DENSE_LIMIT + 1
+        with pytest.raises(SolverError, match=rf"singular {n} x {n} system \(sparse LU\)"):
+            _solver(n, np.array([0]), np.array([0]), np.array([1.0]))
 
     @pytest.mark.parametrize("n_tail", [600, 100])
     def test_solver_matches_spsolve(self, n_tail):
@@ -248,6 +279,14 @@ class TestNoSparseIndexing:
 
 
 class TestMecLra:
+    def test_zeno_bottom_scc_raises(self):
+        # the first choice of state 0 loops on it, so the first strategy's
+        # bottom SCC lets no time pass
+        m = MarkovAutomaton([None, 1.0], [[((0, 1.0),), ((1, 1.0),)], [((0, 1.0),)]],
+                            initial=0, rewards={"r": RewardAssignment("r", {1: 1.0}, {})})
+        with pytest.raises(SolverError, match="without Markovian state .* iteration 1"):
+            mec_lra(m, m.rewards["r"])
+
     def test_fig1_components(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
         big = sub_ma(fig1, z[0])
@@ -377,6 +416,48 @@ class TestMecLraMultichain:
         again = mec_lra(self.component(), m.rewards["r"], eps=eps)
         assert again.strategy == sol.strategy
         assert (again.lower, again.upper) == (sol.lower, sol.upper)
+
+
+class TestNearOneFamily:
+    """The near-one family (gen.near_one_dist): tiny probabilities next to
+    ones that miss 1 by them, 200 draws of random_valid_instance at seed 1."""
+
+    @staticmethod
+    @functools.cache
+    def draws():
+        rng = np.random.default_rng(1)
+        return [random_valid_instance(rng, n_lra=1, n_total=1, dist=near_one_dist)
+                for _ in range(200)]
+
+    def test_answers_or_gives_up(self):
+        gave_up = []
+        for d, (m, objectives) in enumerate(self.draws()):
+            try:
+                answer_query(m, objectives, ParetoQuery(1e-3))
+            except SolverError as err:
+                gave_up.append((d, str(err)))
+        assert len(gave_up) <= 7
+        assert sum("long-run average" in msg for _, msg in gave_up) <= 1
+
+    def test_singular_draws_raise_solver_error(self):
+        # draws 14 and 181: a system of their strategies is exactly singular
+        # in floating point; the solver names it instead of raising LinAlgError
+        for d in (14, 181):
+            prep = prepare_weighted(normalize_query(*self.draws()[d]))
+            with pytest.raises(SolverError, match="singular"):
+                optimize_weighted(prep, np.array([0.5, 0.5]))
+
+    def test_two_state_chain_bracket(self):
+        # draw 13's component: s1 leaves with 1e-11 per step and 1 - g is
+        # about 2e-11, so the bracket closes only when the gain and the bias
+        # come from one system
+        m = MarkovAutomaton([3.0, 2.0], [[((0, 1e-6), (1, 0.999999))],
+                                         [((0, 1e-11), (1, 0.99999999999))]], 0,
+                            rewards={"r": RewardAssignment("r", {}, {(1, 0, 1): 0.5})})
+        eps = 5e-7
+        sol = mec_lra(m, m.rewards["r"], eps=eps)
+        assert sol.upper - sol.lower <= eps
+        assert sol.lower <= 0.9999999999833333 <= sol.upper
 
 
 class TestMecLraNearZeno:
