@@ -73,13 +73,20 @@ class Hull(abc.Sequence):
     """The facets of a downward hull as arrays, one row or entry per facet
     (see Facet); facet i's vertex ids, ascending by point, are
     `ids[ptr[i]:ptr[i + 1]]`.  Indexing builds a Facet, and a hull equals
-    the list of its facets."""
+    the list of its facets.  A 3- or 4-D hull also keeps what the next
+    downward_hull call grows: the live Qhull it was read from, the pad
+    floor, the guard below which a new point forces a rebuild, and, per
+    Qhull input row, the index of its point (-1 for a pad)."""
 
     normals: np.ndarray
     offsets: np.ndarray
     ptr: np.ndarray
     ids: np.ndarray
     degenerate: np.ndarray
+    _qhull: object = field(default=None, repr=False)
+    _floor: np.ndarray | None = field(default=None, repr=False)
+    _guard: np.ndarray | None = field(default=None, repr=False)
+    _rows: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -100,13 +107,15 @@ class ApproximationState:
     cached as arrays (its vertex ids naming stored points) and the facets'
     centroids (one row each).  The halfspaces are the refinement history:
     one per weighted solve, in order; `normals` and `offsets` hold them as
-    arrays, and `solves` each solve's (rounds, sweeps) counters."""
+    arrays, and `solves` each solve's (rounds, sweeps) counters.  The last
+    hull built over the finite points is kept to be grown by the next."""
 
     dimension: int
     points: list[AchievedPoint] = field(default_factory=list)
     halfspaces: list[HalfSpace] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     _facets: Hull | None = field(default=None, repr=False)
+    _grown: Hull | None = field(default=None, repr=False)
     _hull_input: set[tuple[float, ...]] = field(default_factory=set, repr=False)
 
     def __post_init__(self):
@@ -140,7 +149,7 @@ class ApproximationState:
         if self._facets is None:
             idx = np.array(self.finite_indices(), dtype=int)
             pts = np.array([self.points[i].point for i in idx]).reshape(len(idx), self.dimension)
-            raw = downward_hull(pts, self.dimension)
+            raw = self._grown = downward_hull(pts, self.dimension, self._grown)
             self._facets = replace(raw, ids=idx[raw.ids])
             # means summed in vertex order, as np.mean sums: one row of
             # vertex ids per facet, padded with the id of a zero row
@@ -160,14 +169,21 @@ class ApproximationState:
         return slack[np.arange(len(gi)), gi], np.maximum(1.0, np.abs(self.offsets[gi]))
 
 
-def downward_hull(points: Sequence[np.ndarray], dimension: int) -> Hull:
+def downward_hull(points: Sequence[np.ndarray], dimension: int,
+                  previous: Hull | None = None) -> Hull:
     """Facets of the upper-right boundary of the downward convex hull.
 
     Dimension 1 and 2 are handled directly (maximum / monotone staircase);
     3 and 4 go through a convex hull of the points padded with their
-    projections onto a box below the point set, which makes the hull full-
-    dimensional and turns the downward closure's unbounded faces into box
+    projections onto a floor below the point set, which makes the hull full-
+    dimensional and turns the downward closure's unbounded faces into floor
     walls that are filtered by normal sign afterwards.
+
+    `previous` may be the hull this function last returned for a prefix of
+    `points`.  In 3 and 4 dimensions its Qhull is then grown by the new
+    distinct points, padded on its floor, and handed on to the result, so a
+    hull is grown at most once.  A new point within half the floor's depth
+    of the floor, or a Qhull error while growing, rebuilds from scratch.
     """
     if len(points) == 0:
         return Hull(np.zeros((0, dimension)), np.zeros(0), np.zeros(1, dtype=int),
@@ -180,7 +196,7 @@ def downward_hull(points: Sequence[np.ndarray], dimension: int) -> Hull:
     if dimension == 2:
         return _hull_2d(pts)
     if dimension in (3, 4):
-        return _hull_padded(pts, dimension)
+        return _hull_padded(pts, dimension, previous)
     raise ModelError(f"queries with {dimension} objectives are not supported (max {MAX_DIMENSION})")
 
 
@@ -225,26 +241,64 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[new], order[new], inverse
 
 
-def _hull_padded(pts: np.ndarray, dim: int) -> Hull:
-    from scipy.spatial import ConvexHull
-
-    # distinct points in sorted order, each with the index of its first copy
-    arr, first, _ = _unique_rows(pts)
-    k = len(arr)
-    spread = float(np.max(arr.max(axis=0) - arr.min(axis=0))) if k > 1 else 0.0
-    mins = arr.min(axis=0) - (1.0 + spread)
+def _pads(a: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Every row of `a` with each nonempty set of its coordinates moved to
+    the floor, row by row."""
+    dim = a.shape[1]
     masks = (np.arange(1, 1 << dim)[:, None] >> np.arange(dim) & 1).astype(bool)
-    pads = _unique_rows(np.where(masks, mins, arr[:, None, :]).reshape(-1, dim))[0]
-    hull = ConvexHull(np.vstack([arr, pads]))
+    return np.where(masks, floor, a[:, None, :]).reshape(-1, dim)
+
+
+def _grow(h: Hull, pts: np.ndarray, first: np.ndarray) -> np.ndarray | None:
+    """Add the distinct points of `pts` (`first`: the index of each one's
+    first copy) that the Qhull of `h` lacks, each with its pads on the
+    floor of `h`, and return the grown row map; None when the hull must be
+    rebuilt instead."""
+    from scipy.spatial import QhullError
+
+    new = np.setdiff1d(first, h._rows)
+    if h._qhull.npoints != len(h._rows) or (pts[new] < h._guard).any():
+        return None  # grown before, or a new point near the floor
+    try:
+        h._qhull.add_points(np.vstack([pts[new], _pads(pts[new], h._floor)]))
+    except QhullError:
+        return None
+    return np.concatenate([h._rows, new, np.full(h._qhull.npoints - len(h._rows) - len(new), -1)])
+
+
+def _hull_padded(pts: np.ndarray, dim: int, previous: Hull | None) -> Hull:
+    from scipy.spatial import ConvexHull, QhullError
+
+    # distinct points in sorted order, the index of each one's first copy,
+    # and each point's rank among them
+    arr, first, inverse = _unique_rows(pts)
+    k = len(arr)
+    rows = None if previous is None or previous._qhull is None else _grow(previous, pts, first)
+    if rows is not None:
+        qh, floor, guard = previous._qhull, previous._floor, previous._guard
+    else:
+        # from scratch: the sorted distinct points, then their sorted pads
+        spread = float(np.max(arr.max(axis=0) - arr.min(axis=0))) if k > 1 else 0.0
+        floor = arr.min(axis=0) - (1.0 + spread)
+        guard = arr.min(axis=0) - 0.5 * (1.0 + spread)
+        pads = _unique_rows(_pads(arr, floor))[0]
+        try:
+            qh = ConvexHull(np.vstack([arr, pads]), incremental=True)
+        except QhullError as err:
+            first_line = str(err).strip().split("\n")[0]
+            raise SolverError(f"Qhull failed on the {dim}-D hull of {k} distinct points: "
+                              f"{first_line}") from None
+        rows = np.concatenate([first, np.full(len(pads), -1)])
 
     # simplices with equal rounded equations form one facet, represented by
     # the equation of its first simplex; its vertices are the original
-    # points among the simplices' corners, as sorted (facet, point) keys
-    _, rep, group = _unique_rows(np.round(hull.equations, 9))
-    corner = hull.simplices.ravel()
-    key = np.unique((np.repeat(group, dim) * k + corner)[corner < k])
+    # points among the simplices' corners, as sorted (facet, rank) keys
+    rank = np.where(rows >= 0, inverse[rows], -1)
+    _, rep, group = _unique_rows(np.round(qh.equations, 9))
+    corner = rank[qh.simplices.ravel()]
+    key = np.unique((np.repeat(group, dim) * k + corner)[corner >= 0])
     counts = np.bincount(key // k, minlength=len(rep))
-    normals = hull.equations[rep, :dim]
+    normals = qh.equations[rep, :dim]
     clipped = np.clip(normals, 0.0, None)
     sums = clipped.sum(axis=1)
     keep = ~(normals < -1e-9).any(axis=1) & (counts > 0) & (sums > 0.0)
@@ -253,7 +307,7 @@ def _hull_padded(pts: np.ndarray, dim: int) -> Hull:
     offsets = (n[:, None, :] @ arr.T).max(axis=-1)[:, 0]
     sizes = counts[keep]
     return Hull(n, offsets, np.concatenate([[0], np.cumsum(sizes)]),
-                first[key[np.repeat(keep, counts)] % k], sizes < dim)
+                first[key[np.repeat(keep, counts)] % k], sizes < dim, qh, floor, guard, rows)
 
 
 def select_weight(state: ApproximationState, eta: float,

@@ -1,10 +1,13 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from moma import dumps, serialize_model
 from moma.cli import main
+
+from gen import menu_doc
 
 
 @pytest.fixture
@@ -235,3 +238,32 @@ class TestPareto:
         code, _, err = run(capsys, "pareto", str(bad), "--query", q)
         assert code == 2
         assert "assumptions" in err
+
+
+class TestQhullFailure:
+    """A Qhull failure on a 3-objective front is a solver failure: exit 1
+    with "solver gave up", not a traceback."""
+
+    @pytest.fixture
+    def menu3(self, tmp_path, monkeypatch):
+        import scipy.spatial
+
+        doc, objectives = menu_doc(np.random.default_rng(7115), 6, 3, ("max", "max", "min"))
+        model, query = tmp_path / "menu3.json", tmp_path / "menu3-query.json"
+        model.write_text(dumps(doc), encoding="utf-8")
+        query.write_text(dumps({"format": "moma-query", "version": 1, "kind": "pareto",
+                                "objectives": objectives, "precision": 1e-3}), encoding="utf-8")
+
+        def flat(*args, **kwargs):
+            raise scipy.spatial.QhullError("QH6154 Qhull precision error: initial simplex is flat")
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", flat)
+        return str(model), str(query)
+
+    @pytest.mark.parametrize("extra", [[], ["--point", "5.2,5.9,5.06"],
+                                       ["--thresholds", "5.9,5.06"]])
+    def test_exits_1(self, menu3, capsys, extra):
+        model, query = menu3
+        code, out, err = run(capsys, "check" if extra else "pareto", model, "--query", query, *extra)
+        assert code == 1
+        assert out == ""
+        assert "solver gave up: Qhull failed on the 3-D hull of" in err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from moma import (AchievabilityQuery, ApproximationState, EndComponent,
                   MarkovAutomaton, ModelError, Objective, ParetoQuery,
-                  QuantitativeQuery, RewardAssignment, WeightedSolution, answer_query,
+                  QuantitativeQuery, RewardAssignment, SolverError, WeightedSolution, answer_query,
                   downward_hull, evaluate_strategy, mec_decomposition, normalize_query,
                   select_weight, validate_assumptions)
 from moma import pareto, parse_model, serialize_model
@@ -262,9 +262,9 @@ class TestFacetReuse:
         calls = []
         hull = pareto.downward_hull
 
-        def counted(points, dimension):
+        def counted(points, dimension, previous=None):
             calls.append(len(points))
-            return hull(points, dimension)
+            return hull(points, dimension, previous)
         monkeypatch.setattr(pareto, "downward_hull", counted)
         doc, objectives = menu_doc(np.random.default_rng(7115), 6, 3, ("max", "max", "min"))
         m = parse_model(doc)
@@ -296,6 +296,94 @@ class TestFacetReuse:
         assert [g.tolist() for g in state.facet_gaps()] == [g.tolist() for g in fresh.facet_gaps()]
         state.add(fake_solution([0.2, 0.3, 0.5], 10.0, pts.max(axis=0)))
         assert state.facets() is not facets
+
+
+class TestGrownHull:
+    """A state grows one Qhull across refinements: at every step its facets
+    are those of a one-shot build of the same points, and a point near the
+    floor or a Qhull error while growing rebuilds through the one-shot path."""
+
+    @staticmethod
+    def check_same(grown, fresh):
+        assert grown.ids.tolist() == fresh.ids.tolist()
+        assert grown.ptr.tolist() == fresh.ptr.tolist()
+        assert grown.degenerate.tolist() == fresh.degenerate.tolist()
+        # representative simplices differ, so normals agree to rounding only
+        assert np.abs(grown.normals - fresh.normals).max(initial=0.0) <= 1e-9
+
+    @staticmethod
+    def state_of(pts):
+        state = ApproximationState(pts.shape[1])
+        for p in pts:
+            state.add(fake_solution(np.full(len(p), 1.0 / len(p)), 100.0, p))
+        return state
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_one_point_at_a_time_matches_one_shot(self, dim):
+        for pts in [*point_sets(dim), concave_front(dim, {3: 25, 4: 100}[dim])]:
+            state = ApproximationState(dim)
+            qhulls = []
+            for i, p in enumerate(pts):
+                state.add(fake_solution(np.full(dim, 1.0 / dim), 100.0, p))
+                self.check_same(state.facets(), downward_hull(pts[:i + 1], dim))
+                qhulls.append(state._grown._qhull)
+            if len(pts) > 20:  # the concave front is grown, not rebuilt
+                assert len({id(q) for q in qhulls}) <= 3
+
+    def test_first_build_is_the_one_shot_build(self):
+        pts = concave_front(4, 30)
+        assert facet_tuples(self.state_of(pts).facets()) == facet_tuples(downward_hull(pts, 4))
+
+    def test_point_near_the_floor_rebuilds(self):
+        pts = concave_front(3, 12)
+        state = self.state_of(pts)
+        grown = state.facets()
+        low = pts.max(axis=0)
+        low[0] = state._grown._floor[0] + 0.1
+        state.add(fake_solution([1 / 3, 1 / 3, 1 / 3], 100.0, low))
+        assert facet_tuples(state.facets()) == facet_tuples(downward_hull([*pts, low], 3))
+        assert state._grown._qhull is not grown._qhull
+        assert state._grown._floor[0] < low[0] - 1.0
+
+    def test_hull_grown_twice_rebuilds(self):
+        pts = concave_front(3, 12)
+        first = downward_hull(pts[:10], 3)
+        downward_hull(pts[:11], 3, first)
+        again = downward_hull(pts, 3, first)  # its Qhull holds pts[10] already
+        assert again._qhull is not first._qhull
+        assert facet_tuples(again) == facet_tuples(downward_hull(pts, 3))
+
+    def test_qhull_error_while_growing_rebuilds(self, monkeypatch):
+        from scipy.spatial import ConvexHull, QhullError
+
+        def wide_merge(self, points, restart=False):
+            raise QhullError("QH6347 qhull precision error (qh_mergefacet): wide merge")
+        monkeypatch.setattr(ConvexHull, "add_points", wide_merge)
+        pts = concave_front(4, 20)
+        state = ApproximationState(4)
+        for i, p in enumerate(pts):
+            state.add(fake_solution([0.25] * 4, 100.0, p))
+            assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts[:i + 1], 4))
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_qhull_failure_is_a_solver_error(self, monkeypatch, grown):
+        import scipy.spatial
+
+        pts = concave_front(3, 6)
+        state = self.state_of(pts[:5])
+        state.facets()
+
+        def flat(*args, **kwargs):
+            raise scipy.spatial.QhullError("QH6154 Qhull precision error: initial simplex is flat")
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", flat)
+        if grown:  # a failed growth rebuilds, and the rebuild fails
+            monkeypatch.setattr(type(state._grown._qhull), "add_points", flat)
+            state.add(fake_solution([1 / 3] * 3, 100.0, pts[5]))
+            with pytest.raises(SolverError, match=r"3-D hull of 6 distinct points: QH6154"):
+                state.facets()
+        else:
+            with pytest.raises(SolverError, match=r"3-D hull of 6 distinct points: QH6154"):
+                downward_hull(pts, 3)
 
 
 class TestSelectWeight:
