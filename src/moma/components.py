@@ -309,7 +309,9 @@ def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
     its state from everywhere else inside; one that picks bottom follows its
     stay strategy (`stay[i]`, required in that case) forever.  Probabilistic
     states of a component that nothing else decides take their first choice
-    inside it, so play stays there.
+    inside it, so play stays there.  The result covers every probabilistic
+    base state, in ascending order, whatever sigma_q is: `optimize_weighted`
+    keys its exact evaluations on the list of its actions alone.
     """
     fl, qfl = flat(q.base), flat(q.model)
     start, ps = q.decode_start

@@ -26,6 +26,7 @@ the natural order, and every level is one span of rows and entries.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -268,6 +269,47 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
 # long-run average inside one end component
 
 
+class _Strategy:
+    """The weight-independent analysis of one strategy `chosen` of an end
+    component: its bottom SCCs, whether each lets time pass (`timed`), and
+    the gain/bias solvers of the bottom SCCs when there are several (`bscc`),
+    else of the whole chain (`solve`)."""
+
+    def __init__(self, fl: Flat, chosen: np.ndarray, tau: np.ndarray):
+        n, (_, e) = len(tau), fl.edges(chosen)
+        src, dst = fl.edge_src[e], fl.succ[e]
+        self.chosen = chosen
+        self.members = _bottom_sccs(_graph(n, src, dst), src, dst, np.ones(n, dtype=bool))
+        self.timed = all((tau[b] > 0).any() for b in self.members)
+        several = self.timed and len(self.members) > 1
+        self.bscc = [_gain_bias(fl, chosen, b, tau) for b in self.members] if several else []
+        self.solve = (_gain_bias(fl, chosen, np.arange(n), tau)
+                      if self.timed and not several else None)
+
+
+class _Frame:
+    """The weight-independent part of mec_lra on one component: the
+    uniformization rate, the sojourn times, the Markovian states `ms` with
+    their kernel rows `K_m` and tick weights `coef`, the choices `pc` of the
+    probabilistic states `ps` (state by state) with their kernel rows `K_p`
+    and segment starts `seg`, and the analysis of the first-choice strategy.
+    It keeps no reference to the component's Flat, so it dies with it."""
+
+    def __init__(self, fl: Flat):
+        if not fl.markovian.any():
+            raise ModelError("component has no Markovian state (Zeno): no time passes")
+        self.unif = float(fl.rates.max()) / 0.95
+        self.tau, self.ms, self.ps = (_sojourn(fl), np.flatnonzero(fl.markovian),
+                                      np.flatnonzero(~fl.markovian))
+        self.K_m, self.coef = _rows(fl.kernel, fl.ptr[self.ms]), fl.rates[self.ms] / self.unif
+        self.pc = np.flatnonzero(~fl.markovian[fl.choice_state])  # the choices of ps, in order
+        self.K_p, self.seg = _rows(fl.kernel, self.pc), np.searchsorted(self.pc, fl.ptr[self.ps])
+        self.first = _Strategy(fl, fl.ptr[:-1].copy(), self.tau)
+
+
+_FRAMES: weakref.WeakKeyDictionary[Flat, _Frame] = weakref.WeakKeyDictionary()
+
+
 def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> ScalarSolution:
     """Maximal long-run average reward of a standalone end component.
 
@@ -279,45 +321,42 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     where a choice improves jump + K h by more than rounding.  One uniformized
     tick from the final h certifies the gain (see the module docstring).  The
     strategy is the final one of the iteration: its gain g was evaluated
-    exactly, and its chain has the single bottom SCC it was routed to.
+    exactly, and its chain has the single bottom SCC it was routed to.  The
+    weight-independent part of the solve is built once per component
+    (`_Frame`), the analysis of its first strategy included.
     """
-    n, fl = sub.n_states, flat(sub)
-    if not fl.markovian.any():
-        raise ModelError("component has no Markovian state (Zeno): no time passes")
-    unif = float(fl.rates.max()) / 0.95
-    tau, (srew, jump) = _sojourn(fl), _reward_rates(sub, r)
+    fl = flat(sub)
+    fr = _FRAMES.get(fl) or _FRAMES.setdefault(fl, _Frame(fl))
+    tau, ms, ps, pc, seg = fr.tau, fr.ms, fr.ps, fr.pc, fr.seg
+    srew, jump = _reward_rates(sub, r)
     crew = (srew * tau)[fl.choice_state] + jump  # reward per visit, by choice
-    ms, ps = np.flatnonzero(fl.markovian), np.flatnonzero(~fl.markovian)
-    K_m, coef = _rows(fl.kernel, fl.ptr[ms]), fl.rates[ms] / unif
-    tick_rew = srew[ms] / unif + coef * jump[fl.ptr[ms]]
-    pc = np.flatnonzero(~fl.markovian[fl.choice_state])  # the choices of ps, state by state
-    K_p, jump_p = _rows(fl.kernel, pc), jump[pc]
-    seg = np.searchsorted(pc, fl.ptr[ps])
-    chosen = fl.ptr[:-1].copy()
+    tick_rew = srew[ms] / fr.unif + fr.coef * jump[fl.ptr[ms]]
+    jump_p, st = jump[pc], fr.first
     for it in range(1, 1001):
-        _, e = fl.edges(chosen)
-        src, dst = fl.edge_src[e], fl.succ[e]
-        members = _bottom_sccs(_graph(n, src, dst), src, dst, np.ones(n, dtype=bool))
-        if not all((tau[b] > 0).any() for b in members):
+        if not st.timed:
             raise SolverError(f"bottom SCC without Markovian state (Zeno) in strategy "
                               f"iteration {it}: its long-run average is undefined")
-        if len(members) > 1:
+        chosen, gain_bias = st.chosen, st.solve
+        if len(st.members) > 1:
             # every state outside the best BSCC steps toward it; an end
             # component reaches every state, so one BSCC is left
-            gains = [_gain_bias(fl, chosen, b, tau)(crew[chosen[b]])[0] for b in members]
-            to = _toward(fl, np.arange(len(fl.succ)), members[int(np.argmax(gains))])
+            gains = [solve(crew[chosen[b]])[0] for b, solve in zip(st.members, st.bscc)]
+            to = _toward(fl, np.arange(len(fl.succ)), st.members[int(np.argmax(gains))])
             chosen = np.where(to >= 0, to, chosen)
-        g, h = _gain_bias(fl, chosen, np.arange(n), tau)(crew[chosen])
-        better = _improve(jump_p + K_p @ h, seg, seg + chosen[ps] - fl.ptr[ps], h)
+            gain_bias = _gain_bias(fl, chosen, np.arange(len(tau)), tau)
+        g, h = gain_bias(crew[chosen])
+        better = _improve(jump_p + fr.K_p @ h, seg, seg + chosen[ps] - fl.ptr[ps], h)
         if better is None:
             break
+        chosen = chosen.copy()  # the frame keeps its first strategy
         chosen[ps] = pc[better]
+        st = _Strategy(fl, chosen, tau)
     else:
         raise SolverError(f"strategy iteration did not settle in {it} rounds (gain {g})")
 
     # close the instantaneous layer: h becomes a fixed point of its maximum
     for _ in range(100_000):
-        new = np.maximum.reduceat(jump_p + K_p @ h, seg)
+        new = np.maximum.reduceat(jump_p + fr.K_p @ h, seg)
         delta = float(np.max(np.abs(new - h[ps]), initial=0.0))
         h[ps] = new
         if delta <= 1e-13 * max(1.0, float(np.max(np.abs(h)))):
@@ -325,9 +364,9 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     else:
         raise SolverError(f"instantaneous layer does not converge (near-Zeno structure; "
                           f"gain {g} after {it} strategy iterations)")
-    hm_new = tick_rew + coef * (K_m @ h) + (1.0 - coef) * h[ms]
+    hm_new = tick_rew + fr.coef * (fr.K_m @ h) + (1.0 - fr.coef) * h[ms]
     diffs = hm_new - h[ms]
-    lb, ub = unif * float(diffs.min()), unif * float(diffs.max())
+    lb, ub = fr.unif * float(diffs.min()), fr.unif * float(diffs.max())
     if ub - lb > eps * max(1.0, abs(lb)):
         raise SolverError(f"long-run average bracket [{lb}, {ub}] wider than {eps} "
                           f"after {it} strategy iterations")

@@ -7,8 +7,8 @@ average of each reward-free end component from above, collapse those
 components, and solve one total-reward problem that must reach the collapsed
 bottom and is paid the component gains there.  The optimal memoryless
 deterministic strategy is stitched back together from the component pieces
-and re-evaluated exactly, which yields a sound lower bound to pair with the
-certified upper bound.
+and re-evaluated exactly (once per distinct strategy of a query), which
+yields a sound lower bound to pair with the certified upper bound.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .model import (MarkovAutomaton, MDStrategy, ModelError, Objective,
 from .components import (EndComponent, QuotientModel, almost_sure_reach,
                          decode_quotient_strategy, mec_decomposition, quotient,
                          sub_ma, zero_mecs)
-from .solvers import (TotalStructure, _fresh_name, evaluate_strategy, mec_lra,
-                      reach_to_total, solve_total, total_structure, total_zero_ecs)
+from .solvers import (ChainEvaluation, TotalStructure, _fresh_name, evaluate_strategy,
+                      mec_lra, reach_to_total, solve_total, total_structure, total_zero_ecs)
 
 
 @dataclass
@@ -149,7 +149,8 @@ class WeightedPrep:
     structures built so far: one per set of zero-reward end components a
     total solve collapses (keyed by their inside choices), since that set
     alone determines a structure, and `patterns` sends each support pattern
-    of the lifted reward seen so far to its structure."""
+    of the lifted reward seen so far to its structure.  `evaluations` keeps
+    the exact evaluation of every decoded strategy, keyed by its actions."""
 
     problem: NormalizedProblem
     zero_ecs: list[EndComponent]
@@ -157,6 +158,7 @@ class WeightedPrep:
     subs: list[MarkovAutomaton]
     structures: dict[tuple[bytes, ...], TotalStructure] = field(default_factory=dict)
     patterns: dict[bytes, TotalStructure] = field(default_factory=dict)
+    evaluations: dict[bytes, ChainEvaluation] = field(default_factory=dict)
 
 
 def prepare_weighted(p: NormalizedProblem) -> WeightedPrep:
@@ -224,8 +226,10 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
         prep.patterns[key] = prep.structures[zk]
     total = solve_total(prep.patterns[key], r_star, eps=eps / 2.0)
     sigma = decode_quotient_strategy(prep.quot, total.strategy, stays)
-    ev = evaluate_strategy(p.model, sigma, p.objectives)
-    point = np.asarray(ev.values)
+    acts = np.fromiter(sigma.values(), np.int64, len(sigma)).tobytes()
+    if acts not in prep.evaluations:
+        prep.evaluations[acts] = evaluate_strategy(p.model, sigma, p.objectives)
+    point = np.array(prep.evaluations[acts].values)
     # weights . point with 0 * (-inf) taken as 0, summed in objective order
     achieved = float(sum(w[w != 0.0] * point[w != 0.0]))
     return WeightedSolution(w, total.value, point, sigma,

@@ -1,6 +1,8 @@
 import functools
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -285,8 +287,10 @@ class TestMecLra:
         # bottom SCC lets no time pass
         m = MarkovAutomaton([None, 1.0], [[((0, 1.0),), ((1, 1.0),)], [((0, 1.0),)]],
                             initial=0, rewards={"r": RewardAssignment("r", {1: 1.0}, {})})
-        with pytest.raises(SolverError, match="without Markovian state .* iteration 1"):
-            mec_lra(m, m.rewards["r"])
+        for _ in range(3):  # the verdict cached with the component's frame raises again
+            with pytest.raises(SolverError, match="without Markovian state .* iteration 1"):
+                mec_lra(m, m.rewards["r"])
+        assert flat(m) in moma.solvers._FRAMES
 
     def test_fig1_components(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
@@ -309,8 +313,10 @@ class TestMecLra:
     def test_zeno_component_rejected(self):
         m = MarkovAutomaton([None], [[((0, 1.0),)]], initial=0,
                             rewards={"r": RewardAssignment("r")})
-        with pytest.raises(ModelError):
-            mec_lra(m, m.rewards["r"])
+        for _ in range(3):  # no frame is kept, so every call checks again
+            with pytest.raises(ModelError, match="no Markovian state"):
+                mec_lra(m, m.rewards["r"])
+        assert flat(m) not in moma.solvers._FRAMES
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(32)
@@ -417,6 +423,57 @@ class TestMecLraMultichain:
         again = mec_lra(self.component(), m.rewards["r"], eps=eps)
         assert again.strategy == sol.strategy
         assert (again.lower, again.upper) == (sol.lower, sol.upper)
+
+
+class TestMecLraFrame:
+    """The weight-independent frame of mec_lra, built once per component."""
+
+    @staticmethod
+    def bits(sol):
+        return (float(sol.value).hex(), float(sol.lower).hex(), float(sol.upper).hex(),
+                sorted(sol.strategy.items()), sol.rounds)
+
+    def test_shared_frame_matches_fresh_components(self):
+        # rewards A, B, A on one sub answer bit for bit as fresh copies do
+        rng = np.random.default_rng(181)
+        several_rounds = 0
+        for _ in range(60):
+            m, objectives = random_valid_instance(rng, n_lra=2, n_total=0, max_states=7)
+            p = normalize_query(m, objectives)
+            a, b = (o.reward for o in p.objectives)
+            for c in mec_decomposition(p.model):
+                if not c.markovian_states:
+                    continue
+                sub = sub_ma(p.model, c)
+                got = [self.bits(mec_lra(sub, sub.rewards[x])) for x in (a, b, a)]
+                fresh = [self.bits(mec_lra(f, f.rewards[x]))
+                         for f, x in zip([sub_ma(p.model, c) for _ in range(3)], (a, b, a))]
+                assert got == fresh and got[0] == got[2]
+                several_rounds += max(got[0][4], got[1][4]) >= 2
+        assert several_rounds > 10
+        # the first strategies of random components have one bottom SCC, so
+        # the routing path needs the hand-made component with two; r and r2
+        # route to different ones, from the same cached bottom-SCC solvers
+        m, fresh = TestMecLraMultichain.component(), TestMecLraMultichain.component()
+        r2 = RewardAssignment("r2", {0: 3.0}, {})
+        got = [self.bits(mec_lra(m, x)) for x in (m.rewards["r"], r2, m.rewards["r"])]
+        assert got[0] == got[2] == self.bits(mec_lra(fresh, fresh.rewards["r"]))
+        assert got[1][3] == [(1, 0), (3, 1)]
+        first = moma.solvers._FRAMES[flat(m)].first
+        assert len(first.members) == len(first.bscc) == 2 and first.solve is None
+
+    def test_frame_dies_with_the_component(self):
+        def solved():
+            m = TestMecLraMultichain.component()
+            mec_lra(m, m.rewards["r"])
+            return weakref.ref(flat(m)), weakref.ref(moma.solvers._FRAMES[flat(m)])
+
+        gc.collect()
+        before = len(moma.solvers._FRAMES)
+        fl, frame = solved()
+        gc.collect()
+        assert fl() is None and frame() is None
+        assert len(moma.solvers._FRAMES) == before
 
 
 class TestNearOneFamily:

@@ -5,8 +5,10 @@ import pytest
 
 import moma.weighted
 from moma import (MarkovAutomaton, ModelError, Objective, ParetoQuery, RewardAssignment,
-                  answer_query, evaluate_strategy, normalize_query, optimize_weighted,
-                  prepare_weighted, validate_assumptions, weighted_reward_sum)
+                  SolverError, answer_query, decode_quotient_strategy, evaluate_strategy,
+                  normalize_query, optimize_weighted, prepare_weighted, validate_assumptions,
+                  weighted_reward_sum)
+from moma.model import flat
 from moma.pareto import problem_statistics
 from moma.solvers import total_zero_ecs
 
@@ -335,3 +337,89 @@ class TestStructureCache:
             optimize_weighted(prep, w)
         assert problem_statistics(p, prep, 2)["total_structures"] == 2
 
+
+
+class TestEvaluationMemo:
+    """One prep evaluates each decoded strategy once, keyed by its actions."""
+
+    @staticmethod
+    def bits(sol):
+        return TestStructureCache.bits(sol) + ([float(g).hex() for g in sol.component_gains],)
+
+    @staticmethod
+    def instances():
+        # several weight vectors per instance, some of them repeated
+        rng = np.random.default_rng(419)
+        for _ in range(8):
+            m, objectives = random_valid_instance(rng, n_lra=2, n_total=1, max_actions=3)
+            ws = [w / w.sum() if w.any() else np.ones(3) / 3
+                  for w in rng.integers(0, 4, size=(6, 3)).astype(float)]
+            yield normalize_query(m, objectives), ws + ws[:3]
+
+    def test_shared_prep_matches_fresh_preps_in_any_order(self):
+        for p, ws in self.instances():
+            forward, backward = prepare_weighted(p), prepare_weighted(p)
+            fresh = [self.bits(optimize_weighted(prepare_weighted(p), w)) for w in ws]
+            assert [self.bits(optimize_weighted(forward, w)) for w in ws] == fresh
+            assert [self.bits(optimize_weighted(backward, w)) for w in ws[::-1]] == fresh[::-1]
+
+    def test_one_evaluation_per_distinct_strategy(self, monkeypatch):
+        calls = []
+
+        def counted(m, sigma, objectives):
+            calls.append(tuple(sorted(sigma.items())))
+            return evaluate_strategy(m, sigma, objectives)
+
+        monkeypatch.setattr(moma.weighted, "evaluate_strategy", counted)
+        distinct = 0
+        for p, ws in self.instances():
+            calls.clear()
+            prep = prepare_weighted(p)
+            seen = {tuple(sorted(optimize_weighted(prep, w).strategy.items())) for w in ws}
+            assert sorted(calls) == sorted(seen)
+            assert len(prep.evaluations) == len(seen)
+            distinct += len(seen)
+        assert 8 < distinct < 8 * 9  # some instances have several strategies, and hits
+
+    def test_returned_point_is_a_copy(self, fig1, fig1_objectives):
+        prep = make_prep(fig1, fig1_objectives)
+        first = optimize_weighted(prep, (1.0, 0.0))
+        first.point[:] = 99.0
+        assert optimize_weighted(prep, (1.0, 0.0)).point.tolist() == pytest.approx([4.0, -2.0])
+
+    def test_solver_error_is_not_cached(self, fig1, fig1_objectives, monkeypatch):
+        calls = []
+
+        def failing(m, sigma, objectives):
+            calls.append(1)
+            raise SolverError("forced")
+
+        prep = make_prep(fig1, fig1_objectives)
+        monkeypatch.setattr(moma.weighted, "evaluate_strategy", failing)
+        for _ in range(2):
+            with pytest.raises(SolverError, match="forced"):
+                optimize_weighted(prep, (0.5, 0.5))
+        assert len(calls) == 2 and not prep.evaluations
+        monkeypatch.setattr(moma.weighted, "evaluate_strategy", evaluate_strategy)
+        sol = optimize_weighted(prep, (0.5, 0.5))
+        assert len(prep.evaluations) == 1
+        assert sol.point.tolist() == evaluate_strategy(fig1, sol.strategy, fig1_objectives).values
+
+    def test_decodes_list_every_probabilistic_state_in_order(self):
+        # the memo key is the action list alone, so every decode on one prep
+        # must list the same states in the same order
+        rng = np.random.default_rng(419)
+        differ = 0
+        for _ in range(10):
+            m, objectives = random_valid_instance(rng, n_lra=1, n_total=1)
+            prep = make_prep(m, objectives)
+            qfl = flat(prep.quot.model)
+            qs = np.flatnonzero(~qfl.markovian)
+            stay = {i: {} for i in range(len(prep.zero_ecs))}
+            first = decode_quotient_strategy(prep.quot, dict.fromkeys(qs.tolist(), 0), stay)
+            last = decode_quotient_strategy(
+                prep.quot, dict(zip(qs.tolist(), (np.diff(qfl.ptr)[qs] - 1).tolist())), stay)
+            ps = np.flatnonzero(~flat(prep.problem.model).markovian).tolist()
+            assert list(first) == list(last) == ps
+            differ += first != last
+        assert differ > 0
