@@ -17,9 +17,9 @@ from .solvers import (ChainEvaluation, ScalarSolution, bscc_gain,
 from .weighted import (NormalizedProblem, WeightedPrep, WeightedSolution,
                        normalize_query, optimize_weighted, prepare_weighted,
                        validate_assumptions)
-from .pareto import (AchievabilityQuery, ApproximationState, Facet, HalfSpace,
-                     ParetoQuery, QuantitativeQuery, QueryResult, answer_query,
-                     downward_hull, refine, select_weight)
+from .pareto import (AchievabilityQuery, ApproximationState, HalfSpace, ParetoQuery,
+                     QuantitativeQuery, QueryResult, answer_query, downward_hull, refine,
+                     select_weight)
 from .modelio import (dumps, parse_model, parse_query, plot_csv,
                       result_document, serialize_model)
 
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AchievabilityQuery", "ApproximationState", "ChainEvaluation",
-    "EndComponent", "Facet", "HalfSpace", "InfeasibleError", "MDStrategy",
+    "EndComponent", "HalfSpace", "InfeasibleError", "MDStrategy",
     "MarkovAutomaton", "ModelError", "NormalizedProblem", "Objective",
     "ParetoQuery", "QuantitativeQuery", "QueryResult", "QuotientModel",
     "RewardAssignment", "ScalarSolution", "SolverError", "ValidationReport",

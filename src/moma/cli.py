@@ -28,8 +28,7 @@ import numpy as np
 from .model import InfeasibleError, ModelError, SolverError, validate_model
 from .modelio import (FORMAT_VERSION, RESULT_FORMAT, ParsedQuery, _strategy_doc, dumps,
                       parse_model, parse_query, plot_csv, query_echo, result_document)
-from .pareto import (EPS_SOLVER, AchievabilityQuery, ParetoQuery, QuantitativeQuery,
-                     answer_query, problem_statistics)
+from .pareto import EPS_SOLVER, answer_query, problem_statistics
 from .weighted import normalize_query, optimize_weighted, prepare_weighted, validate_assumptions
 
 
@@ -102,14 +101,17 @@ def _floats(text: str, what: str) -> list[float]:
         raise ModelError(f"invalid {what} {text!r}: {e}") from e
 
 
-def _apply_overrides(pq: ParsedQuery, args) -> None:
-    q = pq.query
-    if args.precision is not None:
-        q.precision = args.precision
-    if args.max_iterations is not None:
-        q.max_iterations = args.max_iterations
-    if args.time_limit is not None:
-        q.time_limit = args.time_limit
+def _parse(args, m, **fields) -> ParsedQuery:
+    """The query file with `fields` and each given --precision,
+    --max-iterations and --time-limit written over its own, parsed and
+    checked as one document."""
+    doc = _load_json(args.query)
+    for key in ("precision", "max_iterations", "time_limit"):
+        if getattr(args, key) is not None:
+            fields[key] = getattr(args, key)
+    if isinstance(doc, dict):
+        doc.update(fields)
+    return parse_query(doc, m)
 
 
 def _emit(doc: dict, args, t0: float) -> None:
@@ -146,8 +148,7 @@ def cmd_single(args) -> int:
     """Each objective optimized alone at --precision, else EPS_SOLVER (not the file's)."""
     t0 = time.monotonic()
     m = parse_model(_load_json(args.model))
-    pq = parse_query(_load_json(args.query), m)
-    _apply_overrides(pq, args)
+    pq = _parse(args, m)
     p = normalize_query(m, pq.objectives)
     report = validate_assumptions(p)
     if not report.ok:
@@ -176,22 +177,15 @@ def cmd_single(args) -> int:
 def cmd_check(args) -> int:
     t0 = time.monotonic()
     m = parse_model(_load_json(args.model))
-    pq = parse_query(_load_json(args.query), m)
-    budget = (pq.query.precision, pq.query.max_iterations, pq.query.time_limit)
+    fields = {}
     if args.point is not None:
-        point = _floats(args.point, "--point")
-        if len(point) != len(pq.objectives):
-            raise ModelError("--point needs one value per objective")
-        pq.kind, pq.query = "achievability", AchievabilityQuery(point, *budget)
+        fields = {"kind": "achievability", "point": _floats(args.point, "--point")}
     elif args.thresholds is not None:
-        thresholds = _floats(args.thresholds, "--thresholds")
-        if len(thresholds) != len(pq.objectives) - 1:
-            raise ModelError("--thresholds needs one value per objective after the first")
-        pq.kind, pq.query = "quantitative", QuantitativeQuery(thresholds, *budget)
-    elif pq.kind not in ("achievability", "quantitative"):
+        fields = {"kind": "quantitative", "thresholds": _floats(args.thresholds, "--thresholds")}
+    pq = _parse(args, m, **fields)
+    if pq.kind not in ("achievability", "quantitative"):
         raise ModelError("check needs an achievability or quantitative query "
                          "(or --point / --thresholds)")
-    _apply_overrides(pq, args)
     res = answer_query(m, pq.objectives, pq.query)
     doc = result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies)
     _emit(doc, args, t0)
@@ -203,11 +197,7 @@ def cmd_check(args) -> int:
 def cmd_pareto(args) -> int:
     t0 = time.monotonic()
     m = parse_model(_load_json(args.model))
-    pq = parse_query(_load_json(args.query), m)
-    if pq.kind != "pareto":
-        q = pq.query
-        pq.kind, pq.query = "pareto", ParetoQuery(q.precision, q.max_iterations, q.time_limit)
-    _apply_overrides(pq, args)
+    pq = _parse(args, m, kind="pareto")
     res = answer_query(m, pq.objectives, pq.query)
     _emit(result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies),
           args, t0)

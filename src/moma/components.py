@@ -17,8 +17,8 @@ from .model import (Flat, MarkovAutomaton, ModelError, RewardAssignment, _graph,
 class EndComponent:
     """A closed, connected part of a model, as arrays over the model's
     structure `fl`: its states (`members`) and the flat choices that stay
-    inside it (`choices`), both ascending.  `markovian_states`, `pairs` and
-    `states()` are read-only set views derived from them."""
+    inside it (`choices`), both ascending.  `markovian_states` and `pairs`
+    are read-only set views derived from them."""
 
     fl: Flat
     members: np.ndarray
@@ -34,9 +34,6 @@ class EndComponent:
         c = self.choices[~fl.markovian[fl.choice_state[self.choices]]]
         s = fl.choice_state[c]
         return frozenset(zip(s.tolist(), (c - fl.ptr[s]).tolist()))
-
-    def states(self) -> frozenset[int]:
-        return frozenset(self.members.tolist())
 
 
 def mec_decomposition(m: MarkovAutomaton,

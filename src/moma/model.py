@@ -74,12 +74,6 @@ class RewardAssignment:
         keys = zip(src.tolist(), (fl.edge_choice[e] - fl.ptr[src]).tolist(), fl.succ[e].tolist())
         return MappingProxyType(dict(zip(keys, self.edge[e].tolist())))
 
-    def state_reward(self, s: int) -> float:
-        return self.state_rewards.get(s, 0.0)
-
-    def transition_reward(self, s: int, a: int, t: int) -> float:
-        return self.transition_rewards.get((s, a, t), 0.0)
-
     def vectors(self, m: "MarkovAutomaton") -> tuple[np.ndarray, np.ndarray]:
         """The state and edge vectors of this reward on m, placing its
         entries on m when they are not yet there.  Entries off m are dropped
@@ -259,10 +253,6 @@ class MarkovAutomaton:
 
     def markovian_states(self) -> list[int]:
         return np.flatnonzero(self._flat.markovian).tolist()
-
-    def successors(self, s: int) -> list[int]:
-        fl = self._flat
-        return np.unique(fl.succ[fl.edge_ptr[fl.ptr[s]]:fl.edge_ptr[fl.ptr[s + 1]]]).tolist()
 
     def reachable(self, start: int | None = None) -> list[int]:
         """States reachable from start (default: initial) under any strategy."""
@@ -540,23 +530,6 @@ def validate_model(m: MarkovAutomaton) -> ValidationReport:
             else:
                 rep.add("WellFormed", rname, f"transition reward on zero-probability edge "
                                               f"({names[s]}, {a}, {t})")
-    return rep
-
-
-def check_non_zeno(m: MarkovAutomaton, zeno_ecs) -> ValidationReport:
-    """Every end component must contain at least one Markovian state.
-
-    `zeno_ecs` are the maximal end components of the model restricted to its
-    probabilistic states; any such component is a witness that play can cycle
-    without time progressing.  Checking maximal components of the full model
-    is not enough: a probabilistic sub-cycle inside a mixed component is just
-    as Zeno.
-    """
-    rep = ValidationReport()
-    for c in zeno_ecs:
-        states = ",".join(m.state_names[s] for s in c.members.tolist())
-        rep.add("NonZeno", "{" + states + "}",
-                "end component without a Markovian state (time does not progress)")
     return rep
 
 

@@ -106,6 +106,18 @@ def _number(x, where: str) -> float:
     return float(x)
 
 
+def _object(x, where: str) -> dict:
+    if not isinstance(x, dict):
+        raise ModelError(f"{where}: expected a JSON object, got {type(x).__name__}")
+    return x
+
+
+def _numbers(xs, where: str) -> list[float]:
+    if not isinstance(xs, list):
+        raise ModelError(f"{where}: expected a list of numbers")
+    return [_number(x, where) for x in xs]
+
+
 def _check_header(doc: dict, expect: str) -> None:
     if not isinstance(doc, dict):
         raise ModelError(f"expected a JSON object with format {expect!r}")
@@ -133,7 +145,8 @@ def parse_model(doc: dict) -> MarkovAutomaton:
         raise ModelError("model needs a nonempty list of states")
 
     index: dict[str, int] = {}
-    for rec in states:
+    for i, rec in enumerate(states):
+        _object(rec, f"states[{i}]")
         name = rec.get("name")
         if not isinstance(name, str) or not name:
             raise ModelError("every state needs a nonempty name")
@@ -172,7 +185,7 @@ def parse_model(doc: dict) -> MarkovAutomaton:
             rates.append(None)
             labels = []
             for k, act in enumerate(acts):
-                label = act.get("name", f"a{k}")
+                label = _object(act, f"state {name!r} actions[{k}]").get("name", f"a{k}")
                 if label in labels:
                     raise ModelError(f"state {name!r}: duplicate action name {label!r}")
                 labels.append(label)
@@ -181,26 +194,33 @@ def parse_model(doc: dict) -> MarkovAutomaton:
         ptr.append(len(edge_ptr) - 1)
 
     initial = doc.get("initial")
-    if initial not in index:
+    if not isinstance(initial, str) or initial not in index:
         raise ModelError(f"unknown initial state {initial!r}")
 
     rewards: dict[str, RewardAssignment] = {}
-    for block in doc.get("rewards", []):
-        rname = block.get("name")
+    blocks = doc.get("rewards", [])
+    if not isinstance(blocks, list):
+        raise ModelError("rewards must be a list of reward blocks")
+    for i, block in enumerate(blocks):
+        rname = _object(block, f"rewards[{i}]").get("name")
         if not isinstance(rname, str) or not rname:
             raise ModelError("every reward block needs a nonempty name")
         if rname in rewards:
             raise ModelError(f"duplicate reward name {rname!r}")
         srew: dict[int, float] = {}
-        for sname, v in block.get("states", {}).items():
+        for sname, v in _object(block.get("states", {}), f"reward {rname!r} states").items():
             if sname not in index:
                 raise ModelError(f"reward {rname!r}: unknown state {sname!r}")
             srew[index[sname]] = _number(v, f"reward {rname!r} state {sname!r}")
         trew: dict[tuple[int, int, int], float] = {}
-        for ent in block.get("transitions", []):
+        entries = block.get("transitions", [])
+        if not isinstance(entries, list):
+            raise ModelError(f"reward {rname!r}: transitions must be a list")
+        for k, ent in enumerate(entries):
+            _object(ent, f"reward {rname!r} transitions[{k}]")
             src, al, dst = ent.get("from"), ent.get("action"), ent.get("to")
             where = f"reward {rname!r} transition {src!r}->{dst!r}"
-            if src not in index or dst not in index:
+            if not all(isinstance(x, str) and x in index for x in (src, dst)):
                 raise ModelError(f"{where}: unknown state")
             s = index[src]
             if al is None and rates[s] is None:
@@ -272,7 +292,7 @@ class ParsedQuery:
 
 
 def parse_objective(doc: dict, m: MarkovAutomaton) -> Objective:
-    kind = doc.get("kind")
+    kind = _object(doc, "objective").get("kind")
     direction = doc.get("direction", "max")
     if kind == "reach":
         goal_names = doc.get("goal")
@@ -280,11 +300,11 @@ def parse_objective(doc: dict, m: MarkovAutomaton) -> Objective:
             raise ModelError("reach objective needs a nonempty goal list")
         index = {n: i for i, n in enumerate(m.state_names)}
         for g in goal_names:
-            if g not in index:
+            if not isinstance(g, str) or g not in index:
                 raise ModelError(f"reach objective: unknown state {g!r}")
         return Objective("reach", direction, goal=frozenset(index[g] for g in goal_names))
     reward = doc.get("reward")
-    if reward not in m.rewards:
+    if not isinstance(reward, str) or reward not in m.rewards:
         raise ModelError(f"objective references unknown reward {reward!r}")
     return Objective(kind, direction, reward=reward)
 
@@ -299,30 +319,13 @@ def parse_query(doc: dict, m: MarkovAutomaton) -> ParsedQuery:
         raise ModelError("query needs a nonempty list of objectives")
     objectives = [parse_objective(o, m) for o in objs_doc]
 
-    precision = _number(doc.get("precision", 1e-4), "precision")
-    max_iterations = doc.get("max_iterations", 200)
-    if not isinstance(max_iterations, int) or max_iterations < 1:
-        raise ModelError("max_iterations must be a positive integer")
-    time_limit = doc.get("time_limit")
-    if time_limit is not None:
-        time_limit = _number(time_limit, "time_limit")
-
+    budget = {k: doc[k] for k in ("precision", "max_iterations", "time_limit") if k in doc}
     if kind == "pareto":
-        query = ParetoQuery(precision, max_iterations, time_limit)
+        query = ParetoQuery(**budget)
     elif kind == "achievability":
-        point = doc.get("point")
-        if not isinstance(point, list) or len(point) != len(objectives):
-            raise ModelError("achievability query needs a point with one entry "
-                             "per objective")
-        point = [_number(x, "point") for x in point]
-        query = AchievabilityQuery(point, precision, max_iterations, time_limit)
+        query = AchievabilityQuery(_numbers(doc.get("point"), "point"), **budget)
     else:
-        thresholds = doc.get("thresholds", [])
-        if not isinstance(thresholds, list) or len(thresholds) != len(objectives) - 1:
-            raise ModelError("quantitative query needs one threshold per objective "
-                             "after the first")
-        thresholds = [_number(x, "thresholds") for x in thresholds]
-        query = QuantitativeQuery(thresholds, precision, max_iterations, time_limit)
+        query = QuantitativeQuery(_numbers(doc.get("thresholds", []), "thresholds"), **budget)
 
     return ParsedQuery(kind, objectives, query,
                        strategies=bool(doc.get("strategies", False)),
@@ -374,10 +377,9 @@ def _strategy_doc(sigma: dict[int, int], m: MarkovAutomaton) -> dict:
             for s, a in sorted(sigma.items()) if not m.is_markovian(s)}
 
 
-def result_document(res: QueryResult, query_doc: dict, strategies: bool = False,
-                    timings: dict | None = None) -> dict:
-    """Result file content with a fixed key order.  `timings` is only
-    embedded when passed explicitly; by default results are byte-stable."""
+def result_document(res: QueryResult, query_doc: dict, strategies: bool = False) -> dict:
+    """Result file content with a fixed key order and no wall-clock field,
+    so that results are byte-stable."""
     model = res.problem.model if res.problem is not None else None
     doc: dict = {"format": RESULT_FORMAT, "version": FORMAT_VERSION,
                  "kind": res.kind, "query": query_doc}
@@ -396,8 +398,6 @@ def result_document(res: QueryResult, query_doc: dict, strategies: bool = False,
     if res.warnings:
         doc["warnings"] = res.warnings
     doc["statistics"] = dict(res.statistics)
-    if timings is not None:
-        doc["timings"] = timings
     return doc
 
 

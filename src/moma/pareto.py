@@ -14,8 +14,8 @@ small linear programs over the stored points and halfspaces.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from collections import abc
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -55,28 +55,17 @@ class AchievedPoint:
     finite: bool
 
 
-@dataclass
-class Facet:
-    """One face of the downward hull of the stored points: outward normal
-    (nonnegative, sum 1), support offset, indices of the stored points lying
-    on it.  Degenerate facets (fewer supporting vertices than dimensions)
-    close the hull at its coordinate-wise maxima."""
-
-    normal: np.ndarray
-    offset: float
-    vertices: tuple[int, ...]
-    degenerate: bool
-
-
 @dataclass(frozen=True, eq=False)
-class Hull(abc.Sequence):
-    """The facets of a downward hull as arrays, one row or entry per facet
-    (see Facet); facet i's vertex ids, ascending by point, are
-    `ids[ptr[i]:ptr[i + 1]]`.  Indexing builds a Facet, and a hull equals
-    the list of its facets.  A 3- or 4-D hull also keeps what the next
-    downward_hull call grows: the live Qhull it was read from, the pad
-    floor, the guard below which a new point forces a rebuild, and, per
-    Qhull input row, the index of its point (-1 for a pad)."""
+class Hull:
+    """The facets of a downward hull as arrays, one row or entry per facet:
+    the outward normal (nonnegative, summing to 1), the support offset, and
+    whether the facet is degenerate (fewer supporting vertices than
+    dimensions: a cap closing the hull at its coordinate-wise maxima).
+    Facet i's vertex ids, ascending by point, are `ids[ptr[i]:ptr[i + 1]]`.
+    A 3- or 4-D hull also keeps what the next downward_hull call grows: the
+    live Qhull it was read from, the pad floor, the guard below which a new
+    point forces a rebuild, and, per Qhull input row, the index of its point
+    (-1 for a pad)."""
 
     normals: np.ndarray
     offsets: np.ndarray
@@ -87,18 +76,6 @@ class Hull(abc.Sequence):
     _floor: np.ndarray | None = field(default=None, repr=False)
     _guard: np.ndarray | None = field(default=None, repr=False)
     _rows: np.ndarray | None = field(default=None, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def __getitem__(self, i: int) -> Facet:
-        i = range(len(self))[i]
-        return Facet(self.normals[i], float(self.offsets[i]),
-                     tuple(self.ids[self.ptr[i]:self.ptr[i + 1]].tolist()),
-                     bool(self.degenerate[i]))
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other
 
 
 @dataclass
@@ -154,7 +131,7 @@ class ApproximationState:
             # means summed in vertex order, as np.mean sums: one row of
             # vertex ids per facet, padded with the id of a zero row
             sizes = np.diff(raw.ptr)
-            ids = np.full((len(raw), sizes.max(initial=0)), len(pts))
+            ids = np.full((len(sizes), sizes.max(initial=0)), len(pts))
             ids[np.arange(ids.shape[1]) < sizes[:, None]] = raw.ids
             self._centroids = np.vstack([pts, np.zeros(self.dimension)])[ids].sum(axis=1) / sizes[:, None]
         return self._facets
@@ -353,23 +330,44 @@ def refine(state: ApproximationState, prep: WeightedPrep, w: np.ndarray,
 # queries
 
 
-@dataclass
-class ParetoQuery:
+class _Budget:
+    """The refinement budget every query kind carries, checked once on
+    construction: the precision is a finite number > 0, max_iterations an
+    integer >= 1, and time_limit a finite number of seconds > 0 or None."""
+
+    def __post_init__(self):
+        def positive(x) -> bool:
+            return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+                and math.isfinite(x) and x > 0
+
+        if not positive(self.precision):
+            raise ModelError(f"precision must be a finite number > 0, not {self.precision!r}")
+        if isinstance(self.max_iterations, bool) or \
+                not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ModelError(f"max_iterations must be an integer >= 1, "
+                             f"not {self.max_iterations!r}")
+        if self.time_limit is not None and not positive(self.time_limit):
+            raise ModelError(f"time_limit must be a finite number of seconds > 0, "
+                             f"not {self.time_limit!r}")
+
+
+@dataclass(frozen=True)
+class ParetoQuery(_Budget):
     precision: float = 1e-4
     max_iterations: int = 200
     time_limit: float | None = None
 
 
-@dataclass
-class AchievabilityQuery:
+@dataclass(frozen=True)
+class AchievabilityQuery(_Budget):
     point: Sequence[float] = ()
     precision: float = 1e-4
     max_iterations: int = 200
     time_limit: float | None = None
 
 
-@dataclass
-class QuantitativeQuery:
+@dataclass(frozen=True)
+class QuantitativeQuery(_Budget):
     thresholds: Sequence[float] = ()
     precision: float = 1e-4
     max_iterations: int = 200
@@ -415,7 +413,7 @@ def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query) -> 
     prep = prepare_weighted(p)
     state = ApproximationState(p.dimension)
 
-    deadline = time.monotonic() + query.time_limit if query.time_limit else None
+    deadline = None if query.time_limit is None else time.monotonic() + query.time_limit
     eta = query.precision
     # halfspace offsets already carry up to EPS_SOLVER of slack; stop slightly
     # earlier so the reported precision stays within the request
@@ -480,9 +478,10 @@ def _run_pareto(state, prep, p, eta_eff, budget_left) -> QueryResult:
     vertices = [_flip_vec(state.points[i].point, p.flips) for i in vertex_ids]
     # every hull names a distinct point by one index, its first
     pos = {i: j for j, i in enumerate(vertex_ids)}
-    facets = [{"normal": _flip_vec(f.normal, p.flips), "offset": f.offset,
-               "vertices": [pos[i] for i in f.vertices]}
-              for f in state.facets() if not f.degenerate]
+    h = state.facets()
+    facets = [{"normal": _flip_vec(h.normals[f], p.flips), "offset": float(h.offsets[f]),
+               "vertices": [pos[i] for i in h.ids[h.ptr[f]:h.ptr[f + 1]].tolist()]}
+              for f in np.flatnonzero(~h.degenerate)]
     witness = {"vertices": [_strategy_ids(state.points[i].strategy) for i in vertex_ids]}
     return QueryResult(kind="pareto", objectives=[], vertices=vertices, facets=facets,
                        witness=witness, precision_achieved=worst + EPS_SOLVER,
@@ -490,8 +489,9 @@ def _run_pareto(state, prep, p, eta_eff, budget_left) -> QueryResult:
 
 
 def _run_achievability(state, prep, p, point, eta_eff, budget_left) -> QueryResult:
-    if point.shape != (p.dimension,):
-        raise ModelError("point dimension does not match the objectives")
+    if point.shape != (p.dimension,) or not np.isfinite(point).all():
+        raise ModelError("achievability queries need a point with one value per objective, "
+                         "each finite")
     q = point * p.flips
     verdict, witness, exhausted = "unknown", None, False
     while True:
@@ -518,9 +518,9 @@ def _run_achievability(state, prep, p, point, eta_eff, budget_left) -> QueryResu
 
 
 def _run_quantitative(state, prep, p, thresholds, eta, budget_left) -> QueryResult:
-    if len(thresholds) != p.dimension - 1:
-        raise ModelError("quantitative queries need one threshold per objective "
-                         "after the first")
+    if len(thresholds) != p.dimension - 1 or not np.isfinite(thresholds).all():
+        raise ModelError("quantitative queries need one threshold per objective after the "
+                         "first, each finite")
     t_int = np.array([p.flips[j + 1] * thresholds[j] for j in range(len(thresholds))])
     exhausted = False
     while True:

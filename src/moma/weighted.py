@@ -20,9 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import (MarkovAutomaton, MDStrategy, ModelError, Objective,
-                    RewardAssignment, ValidationReport, check_non_zeno,
-                    check_total_rewards, embed_mdp, flat,
-                    validate_model, weighted_reward_sum)
+                    RewardAssignment, ValidationReport, check_total_rewards,
+                    embed_mdp, flat, validate_model, weighted_reward_sum)
 from .components import (EndComponent, QuotientModel, almost_sure_reach,
                          decode_quotient_strategy, mec_decomposition, quotient,
                          sub_ma, zero_mecs)
@@ -127,11 +126,14 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
     rep = validate_model(p.model)
     if not rep.ok:
         return rep
-    mecs = mec_decomposition(p.model)
-    fl = flat(p.model)
-    rep.extend(check_non_zeno(
-        p.model, mec_decomposition(p.model, choice_ok=~fl.markovian[fl.choice_state])))
-    rep.extend(check_total_rewards(p.model, p.objectives, mecs))
+    fl, names = flat(p.model), p.model.state_names
+    # every end component of the probabilistic choices alone cycles without
+    # time progressing: a probabilistic sub-cycle inside a mixed component
+    # is as Zeno as a component without any Markovian state
+    for c in mec_decomposition(p.model, choice_ok=~fl.markovian[fl.choice_state]):
+        rep.add("NonZeno", "{" + ",".join(names[s] for s in c.members.tolist()) + "}",
+                "end component without a Markovian state (time does not progress)")
+    rep.extend(check_total_rewards(p.model, p.objectives, mec_decomposition(p.model)))
     if _total_assignments(p) and rep.ok:
         region, _ = almost_sure_reach(p.model, [s for c in p.zero_ecs for s in c.members.tolist()])
         if not region[p.model.initial]:

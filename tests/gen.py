@@ -21,7 +21,6 @@ from moma import (MarkovAutomaton, Objective, RewardAssignment, ValidationReport
                   evaluate_strategy, normalize_query, validate_assumptions)
 from moma.components import mec_decomposition
 from moma.model import NEG_INF, PROB_TOL, flat
-from moma.pareto import Facet
 
 # ---------------------------------------------------------------------------
 # generators
@@ -153,7 +152,7 @@ def random_total_reward(rng, m, mecs, name):
                 if rng.random() < 0.3:
                     trew[(s, a, t)] = _half_int(rng)
     for c in mecs:
-        inside = c.states()
+        inside = set(c.members.tolist())
         for s in c.markovian_states:
             if s in srew:
                 srew[s] = 0.0 if rng.random() < 0.5 else -abs(srew[s])
@@ -244,12 +243,12 @@ def total_value_lp(m: MarkovAutomaton, r: RewardAssignment, bottom: int) -> floa
             continue
         for a, dist in enumerate(m.choices[s]):
             i = len(c)
-            c.append(r.state_reward(s) / m.rates[s] if m.is_markovian(s) else 0.0)
+            c.append(r.state_rewards.get(s, 0.0) / m.rates[s] if m.is_markovian(s) else 0.0)
             rows.append(i)
             cols.append(s)
             vals.append(-1.0)
             for t, p in dist:
-                c[i] += p * r.transition_reward(s, a, t)
+                c[i] += p * r.transition_rewards.get((s, a, t), 0.0)
                 if t != bottom:
                     rows.append(i)
                     cols.append(t)
@@ -557,16 +556,16 @@ def ref_validate_model(m: MarkovAutomaton) -> ValidationReport:
 def _ref_internal_reward_entries(m: MarkovAutomaton, r: RewardAssignment, c):
     """Nonzero reward entries assigned inside component c (exact comparison)."""
     for s in sorted(c.markovian_states):
-        v = r.state_reward(s)
+        v = r.state_rewards.get(s, 0.0)
         if v != 0.0:
             yield m.state_names[s], v
         for t, _ in m.choices[s][0]:
-            v = r.transition_reward(s, 0, t)
+            v = r.transition_rewards.get((s, 0, t), 0.0)
             if v != 0.0:
                 yield f"{m.state_names[s]}->{m.state_names[t]}", v
     for s, a in sorted(c.pairs):
         for t, _ in m.choices[s][a]:
-            v = r.transition_reward(s, a, t)
+            v = r.transition_rewards.get((s, a, t), 0.0)
             if v != 0.0:
                 yield f"{m.state_names[s]}[{m.action_names[s][a]}]->{m.state_names[t]}", v
 
@@ -604,7 +603,7 @@ def _ref_check_finiteness(m: MarkovAutomaton, objectives, mecs, signs):
         if signs.get(r.name, 0) <= 0:
             continue
         for c in mecs:
-            if not (c.states() & reachable):
+            if reachable.isdisjoint(c.members.tolist()):
                 continue
             for loc, v in _ref_internal_reward_entries(m, r, c):
                 if v > 0.0:
@@ -639,7 +638,7 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
     (state rewards, transition rewards) with transition entries in quotient
     edge order: by choice, then by successor.
     """
-    collapsed = {s: i for i, c in enumerate(ecs) for s in c.states()}
+    collapsed = {s: i for i, c in enumerate(ecs) for s in c.members.tolist()}
     kept = [s for s in range(m.n_states) if s not in collapsed]
     k = len(kept)
     state_map = [k + collapsed[s] if s in collapsed else kept.index(s) for s in range(m.n_states)]
@@ -655,7 +654,7 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
     behind = [[(s, a) for a in range(len(m.choices[s]))] for s in kept]  # None: bottom
     decoding = {}
     for i, c in enumerate(ecs):
-        outs = [(s, a) for s in sorted(c.states()) if not m.is_markovian(s)
+        outs = [(s, a) for s in c.members.tolist() if not m.is_markovian(s)
                 for a in range(len(m.choices[s])) if (s, a) not in c.pairs]
         decoding.update({(k + i, j): ("exit", s, a) for j, (s, a) in enumerate(outs)})
         dists = [redirect(m.choices[s][a]) for s, a in outs]
@@ -677,7 +676,7 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
                 mass: dict[int, float] = {}
                 for t, p in m.choices[s][a]:
                     qt = state_map[t]
-                    num[qt] = num.get(qt, 0.0) + p * r.transition_reward(s, a, t)
+                    num[qt] = num.get(qt, 0.0) + p * r.transition_rewards.get((s, a, t), 0.0)
                     mass[qt] = mass.get(qt, 0.0) + p
                 trans_r.update({(qs, qa, qt): v / mass[qt] for qt, v in num.items() if v != 0.0})
         for i, v in enumerate(bottom_values or []):
@@ -692,8 +691,17 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
 # reference Pareto geometry
 
 
-def ref_downward_hull(points, dim: int) -> list[Facet]:
-    """Loop reference for `pareto.downward_hull` in 3 and 4 dimensions.
+def facet_tuples(h) -> list[tuple[list[float], float, tuple[int, ...], bool]]:
+    """The facets of a `pareto.Hull` as (normal, offset, vertex ids,
+    degenerate) tuples, one per facet."""
+    return [(h.normals[i].tolist(), float(h.offsets[i]),
+             tuple(h.ids[h.ptr[i]:h.ptr[i + 1]].tolist()), bool(h.degenerate[i]))
+            for i in range(len(h.offsets))]
+
+
+def ref_downward_hull(points, dim: int) -> list[tuple[list[float], float, tuple[int, ...], bool]]:
+    """Loop reference for `pareto.downward_hull` in 3 and 4 dimensions, as
+    the facet tuples of `facet_tuples`.
 
     Duplicates collapse to their first index; the distinct points, sorted,
     are padded with every projection onto the box corner below them and
@@ -728,7 +736,7 @@ def ref_downward_hull(points, dim: int) -> list[Facet]:
         key = tuple(np.round(eq, 9))
         g = groups.setdefault(key, {"eq": eq, "verts": set()})
         g["verts"].update(int(v) for v in simplex)
-    facets: list[Facet] = []
+    facets = []
     for key in sorted(groups):
         n = groups[key]["eq"][:dim]
         if (n < -1e-9).any():
@@ -743,17 +751,18 @@ def ref_downward_hull(points, dim: int) -> list[Facet]:
         n2 = n2 / s
         off = float(np.max(arr @ n2))
         verts = tuple(first_at[uniq[v]] for v in orig)
-        facets.append(Facet(n2, off, verts, len(orig) < dim))
+        facets.append((n2.tolist(), off, verts, len(orig) < dim))
     return facets
 
 
 def ref_facet_gaps(points, facets, halfspaces) -> list[tuple[float, float, int]]:
-    """Loop reference for `ApproximationState.facet_gaps`: per facet, the
-    least slack of any halfspace (normal, offset) at the mean of the facet's
-    points, the scale max(1, |offset|) of that halfspace, and its index."""
+    """Loop reference for `ApproximationState.facet_gaps`: per facet tuple
+    (see `facet_tuples`), the least slack of any halfspace (normal, offset)
+    at the mean of the facet's points, the scale max(1, |offset|) of that
+    halfspace, and its index."""
     out = []
-    for f in facets:
-        x = np.mean([points[i] for i in f.vertices], axis=0)
+    for _, _, vertices, _ in facets:
+        x = np.mean([points[i] for i in vertices], axis=0)
         gaps = np.array([off - float(np.dot(normal, x)) for normal, off in halfspaces])
         gi = int(np.argmin(gaps))
         out.append((float(gaps[gi]), max(1.0, abs(halfspaces[gi][1])), gi))
@@ -765,18 +774,19 @@ def ref_select_normal(points, facets, halfspaces, eta, guidance=None):
     of the open facet with the largest (guided) gap, ties to the smallest
     rounded normal, then the first; None when every facet is closed."""
     best_key = best = None
-    for f, (gap, scale, _) in zip(facets, ref_facet_gaps(points, facets, halfspaces)):
+    for (normal, _, vertices, _), (gap, scale, _) in zip(
+            facets, ref_facet_gaps(points, facets, halfspaces)):
         if gap <= max(eta * scale, 1e-15):
             continue
-        score = gap
+        normal, score = np.array(normal), gap
         if guidance is not None:
-            d = guidance - np.mean([points[i] for i in f.vertices], axis=0)
+            d = guidance - np.mean([points[i] for i in vertices], axis=0)
             nd = float(np.linalg.norm(d))
-            cos = float(np.dot(f.normal, d)) / (nd * float(np.linalg.norm(f.normal))) if nd > 0 else 1.0
+            cos = float(np.dot(normal, d)) / (nd * float(np.linalg.norm(normal))) if nd > 0 else 1.0
             score = gap * (0.1 + max(0.0, cos))
-        key = (-score, tuple(np.round(f.normal, 12)))
+        key = (-score, tuple(np.round(normal, 12)))
         if best_key is None or key < best_key:
-            best_key, best = key, f.normal
+            best_key, best = key, normal
     return best
 
 
@@ -792,9 +802,9 @@ def _closure(m: MarkovAutomaton, S: frozenset[int], totals):
             if any(t not in S for t, _ in m.choices[s][0]):
                 return None
             if totals is not None:
-                if any(r.state_reward(s) != 0.0 for r in totals):
+                if any(r.state_rewards.get(s, 0.0) != 0.0 for r in totals):
                     return None
-                if any(r.transition_reward(s, 0, t) != 0.0
+                if any(r.transition_rewards.get((s, 0, t), 0.0) != 0.0
                        for t, _ in m.choices[s][0] for r in totals):
                     return None
             kept[s] = [0]
@@ -804,7 +814,7 @@ def _closure(m: MarkovAutomaton, S: frozenset[int], totals):
                 if any(t not in S for t, _ in dist):
                     continue
                 if totals is not None and any(
-                        r.transition_reward(s, a, t) != 0.0
+                        r.transition_rewards.get((s, a, t), 0.0) != 0.0
                         for t, _ in dist for r in totals):
                     continue
                 acts.append(a)
@@ -928,9 +938,9 @@ def chain_eval(m: MarkovAutomaton, sigma, objectives):
         rho = np.zeros(n)
         for s in range(n):
             a = visit[s]
-            rho[s] = r.state_reward(s) * tau[s] if m.is_markovian(s) else 0.0
+            rho[s] = r.state_rewards.get(s, 0.0) * tau[s] if m.is_markovian(s) else 0.0
             for t, p in m.choices[s][a]:
-                rho[s] += p * r.transition_reward(s, a, t)
+                rho[s] += p * r.transition_rewards.get((s, a, t), 0.0)
         if o.kind == "lra":
             gain = np.zeros(n)
             for comp in range(ncomp):
@@ -953,9 +963,9 @@ def chain_eval(m: MarkovAutomaton, sigma, objectives):
                 entries = []
                 for s in members:
                     if m.is_markovian(s):
-                        entries.append(r.state_reward(s))
+                        entries.append(r.state_rewards.get(s, 0.0))
                     for t, _ in m.choices[s][visit[s]]:
-                        entries.append(r.transition_reward(s, visit[s], t))
+                        entries.append(r.transition_rewards.get((s, visit[s], t), 0.0))
                 if any(v < 0.0 for v in entries):
                     neg = True
                 if any(v > 0.0 for v in entries):
@@ -997,12 +1007,12 @@ def ec_lra_lp(m: MarkovAutomaton, r: RewardAssignment) -> float:
                 rows.append(t)
                 cols.append(c)
                 vals.append(-p)
-                rho[c] += p * r.transition_reward(s, a, t)
+                rho[c] += p * r.transition_rewards.get((s, a, t), 0.0)
             if m.is_markovian(s):
                 rows.append(m.n_states)
                 cols.append(c)
                 vals.append(1.0 / m.rates[s])
-                rho[c] += r.state_reward(s) / m.rates[s]
+                rho[c] += r.state_rewards.get(s, 0.0) / m.rates[s]
     A_eq = coo_matrix((vals, (rows, cols)), shape=(m.n_states + 1, len(rho))).tocsr()
     b_eq = np.zeros(m.n_states + 1)
     b_eq[-1] = 1.0
@@ -1024,10 +1034,10 @@ def mdp_step_lra(mdp: MarkovAutomaton, sigma, r: RewardAssignment) -> float:
     step = np.zeros(n)
     for s in range(n):
         a = sigma.get(s, 0)
-        step[s] = r.state_reward(s)
+        step[s] = r.state_rewards.get(s, 0.0)
         for t, pr in mdp.choices[s][a]:
             P[s, t] += pr
-            step[s] += pr * r.transition_reward(s, a, t)
+            step[s] += pr * r.transition_rewards.get((s, a, t), 0.0)
     ncomp, labels = connected_components(P > 0, directed=True, connection="strong")
     is_bottom = [True] * ncomp
     for s in range(n):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,6 +138,13 @@ class TestCheck:
         assert code == 2
         assert "one value per objective" in err
 
+    @pytest.mark.parametrize("flag, value", [("--point", "nan,0"), ("--point", "3,-inf"),
+                                             ("--thresholds", "nan"), ("--thresholds", "inf")])
+    def test_non_finite_values_exit_2(self, ws, capsys, flag, value):
+        code, out, err = run(capsys, "check", ws.model, "--query", ws.query(), flag, value)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "finite" in err
+
     def test_thresholds(self, ws, capsys):
         code, out, _ = run(capsys, "check", ws.model, "--query", ws.query(),
                            "--thresholds", "0")
@@ -238,6 +246,86 @@ class TestPareto:
         code, _, err = run(capsys, "pareto", str(bad), "--query", q)
         assert code == 2
         assert "assumptions" in err
+
+
+# (query field, command-line value, file value): each out of its range
+BAD_BUDGETS = [("precision", "nan", float("nan")), ("precision", "inf", float("inf")),
+               ("precision", "0", 0.0), ("precision", "-1", -1.0),
+               ("max_iterations", "0", 0), ("time_limit", "0", 0.0),
+               ("time_limit", "nan", float("nan"))]
+
+
+class TestBudgetRange:
+    """A budget out of range is an input error, whether it comes from a flag
+    or from the query file: exit 2 and no result."""
+
+    @pytest.mark.parametrize("command", [["pareto"], ["check", "--point", "3,0"], ["single"]])
+    @pytest.mark.parametrize("field, flag_value, file_value", BAD_BUDGETS)
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_exits_2(self, ws, capsys, command, field, flag_value, file_value, source):
+        if source == "flag":
+            extra = ["--" + field.replace("_", "-"), flag_value]
+            query = ws.query()
+        else:
+            extra = []
+            query = ws.dir / "budget.json"  # json.dumps writes NaN and Infinity
+            query.write_text(json.dumps(json.loads(Path(ws.query()).read_text())
+                                        | {field: file_value}), encoding="utf-8")
+        out = ws.dir / "result.json"
+        code, _, err = run(capsys, command[0], ws.model, "--query", str(query), *command[1:],
+                           *extra, "--output", str(out))
+        assert code == 2
+        assert err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
+
+def _broken(doc: dict, path: str, value) -> dict:
+    """A copy of doc with the entry at path ("rewards.0.states") set to value."""
+    doc = json.loads(json.dumps(doc))
+    *keys, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    at = doc
+    for k in keys:
+        at = at[k]
+    at[last] = value
+    return doc
+
+
+class TestMalformedDocuments:
+    """A record of the wrong JSON type is an input error that names the
+    record, not a traceback."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("states.0", "oops", "states[0]: expected a JSON object"),
+        ("states.2.actions.1", ["s1"], "state 's3' actions[1]: expected a JSON object"),
+        ("initial", ["s3"], "unknown initial state"),
+        ("rewards", {"a": 1}, "rewards must be a list"),
+        ("rewards.0", 1, "rewards[0]: expected a JSON object"),
+        ("rewards.0.states", [1], "reward 'R1' states: expected a JSON object"),
+        ("rewards.0.transitions", {"from": "s3"}, "reward 'R1': transitions must be a list"),
+        ("rewards.0.transitions.0", 1, "reward 'R1' transitions[0]: expected a JSON object"),
+        ("rewards.0.transitions.0.from", ["s3"], "unknown state"),
+        ("rewards.0.transitions.0.to", {"s1": 1}, "unknown state"),
+    ])
+    def test_model(self, ws, capsys, path, value, message):
+        bad = ws.dir / "bad.json"
+        doc = json.loads((ws.dir / "model.json").read_text())
+        bad.write_text(json.dumps(_broken(doc, path, value)), encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("objectives.0", "x", "objective: expected a JSON object"),
+        ("objectives.0.reward", ["R1"], "unknown reward"),
+        ("objectives.1", {"kind": "reach", "goal": [["s4"]]}, "unknown state"),
+    ])
+    def test_query(self, ws, capsys, path, value, message):
+        bad = ws.dir / "bad-query.json"
+        bad.write_text(json.dumps(_broken(json.loads(Path(ws.query()).read_text()), path, value)),
+                       encoding="utf-8")
+        code, _, err = run(capsys, "pareto", ws.model, "--query", str(bad))
+        assert code == 2
+        assert err.startswith("error: ") and message in err
 
 
 class TestQhullFailure:

@@ -62,9 +62,9 @@ class TestMecDecomposition:
             seen: set[int] = set()
             starts = []
             for c in comps:
-                assert not (seen & c.states())
-                seen |= c.states()
-                starts.append(min(c.states()))
+                assert seen.isdisjoint(c.members.tolist())
+                seen.update(c.members.tolist())
+                starts.append(int(c.members.min()))
             assert starts == sorted(starts)
 
 
@@ -148,7 +148,7 @@ class TestMecDecompositionMask:
 class TestZeroMecs:
     def test_fig1_zero_ecs(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
-        assert [sorted(c.states()) for c in z] == [[1, 3, 5], [4]]
+        assert [c.members.tolist() for c in z] == [[1, 3, 5], [4]]
 
     def test_without_assignments_plain_mecs(self, fig1):
         assert as_pairs(zero_mecs(fig1, [])) == as_pairs(mec_decomposition(fig1))
@@ -206,7 +206,7 @@ class TestQuotient:
             [1.0, None, 1.0],
             [[((1, 1.0),)], [((0, 1.0),), ((2, 1.0),)], [((2, 1.0),)]],
             initial=0)
-        (c,) = [c for c in mec_decomposition(m) if 0 in c.states()]
+        (c,) = [c for c in mec_decomposition(m) if 0 in c.members]
         q = quotient(m, [c], with_bottom=True)
         qs = q.ec_states[0]
         assert decoding(q)[(qs, 0)] == ("exit", 1, 1)
@@ -222,9 +222,9 @@ class TestQuotient:
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
         q = quotient(fig1, z, with_bottom=True)
         lifted = q.lift_reward(fig1.rewards["R2"], "lift", bottom_values=[4.0, 2.0])
-        assert lifted.transition_reward(1, 0, 0) == -1.0
-        assert lifted.transition_reward(2, 0, 4) == 4.0
-        assert lifted.transition_reward(3, 0, 4) == 2.0
+        assert lifted.transition_rewards.get((1, 0, 0), 0.0) == -1.0
+        assert lifted.transition_rewards.get((2, 0, 4), 0.0) == 4.0
+        assert lifted.transition_rewards.get((3, 0, 4), 0.0) == 2.0
         assert not lifted.state_rewards
 
     def test_lift_averages_merged_successors(self):
@@ -234,12 +234,12 @@ class TestQuotient:
             [1.0, 1.0, 1.0],
             [[((1, 0.5), (2, 0.5))], [((2, 1.0),)], [((1, 1.0),)]],
             initial=0)
-        (c,) = [c for c in mec_decomposition(m) if 1 in c.states()]
+        (c,) = [c for c in mec_decomposition(m) if 1 in c.members]
         q = quotient(m, [c], with_bottom=True)
         r = RewardAssignment("r", {}, {(0, 0, 1): 2.0})
         lifted = q.lift_reward(r, "lift")
         qs = q.state_map[1]
-        assert lifted.transition_reward(0, 0, qs) == pytest.approx(1.0)
+        assert lifted.transition_rewards.get((0, 0, qs), 0.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("with_bottom", [True, False])
     def test_matches_dict_reference(self, with_bottom):
@@ -269,7 +269,7 @@ class TestQuotient:
 class TestAlmostSureReach:
     def test_fig1(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
-        targets = sorted(set().union(*[c.states() for c in z]))
+        targets = sorted(set().union(*[c.members.tolist() for c in z]))
         region, allowed = reach_sets(fig1, targets)
         assert region == frozenset(range(6))
         assert allowed[2] == (0, 1)
@@ -371,7 +371,7 @@ class TestDecodeQuotientStrategy:
             [1.0, None, 1.0],
             [[((1, 1.0),)], [((0, 1.0),), ((2, 1.0),)], [((2, 1.0),)]],
             initial=0)
-        (c,) = [c for c in mec_decomposition(m) if 0 in c.states()]
+        (c,) = [c for c in mec_decomposition(m) if 0 in c.members]
         return m, c, quotient(m, [c], with_bottom=True)
 
     def test_exit_choice_steers_to_exit(self, exit_model):

@@ -31,6 +31,12 @@ LAYERED_QUERY = {"format": "moma-query", "version": 1, "kind": "pareto",
                  "objectives": [{"kind": "lra", "direction": "max", "reward": "L0"},
                                 {"kind": "total", "direction": "max", "reward": "T0"}],
                  "precision": 1e-3}
+# fig1 with a reach objective to minimize: its product numbering, the names
+# of its goal-flagged states and the flip of a minimized probability
+REACH_QUERY = {"format": "moma-query", "version": 1, "kind": "pareto",
+               "objectives": [{"kind": "lra", "direction": "max", "reward": "R1"},
+                              {"kind": "reach", "direction": "min", "goal": ["s4"]}],
+               "precision": 1e-4}
 # menu MDPs: (seed, stages, actions, directions, precision); the 3- and
 # 4-objective fronts go through the padded hull, the 2-D cases do not
 MENUS = {"menu4": (7002, 5, 3, ("max", "max", "max", "min"), 1e-2),
@@ -42,6 +48,7 @@ CASES = {
     "menu4-pareto.json": ["pareto", "@menu4", "--query", "@menu4-query"],
     "menu3-pareto.json": ["pareto", "@menu3", "--query", "@menu3-query"],
     "fig1-pareto.json": ["pareto", "@fig1", "--query", "@fig1-pareto.json"],
+    "fig1-reach-pareto.json": ["pareto", "@fig1-reach", "--query", "@fig1-reach-query"],
     "fig1-check.json": ["check", "@fig1", "--query", "@fig1-check.json"],
     "fig1-quant.json": ["check", "@fig1", "--query", "@fig1-quant.json"],
     "fig1-single.json": ["single", "@fig1", "--query", "@fig1-pareto.json"],
@@ -56,6 +63,8 @@ def _generated(name: str) -> tuple[dict, dict]:
     if name == "layered":
         m, _ = layered_ma(np.random.default_rng(9000), n=2000)
         return serialize_model(m), LAYERED_QUERY
+    if name == "fig1-reach":
+        return json.loads(Path(corpus_path("fig1.json")).read_text(encoding="utf-8")), REACH_QUERY
     seed, stages, actions, directions, precision = MENUS[name]
     doc, objectives = menu_doc(np.random.default_rng(seed), stages, actions, directions)
     return doc, {"format": "moma-query", "version": 1, "kind": "pareto",
@@ -139,7 +148,8 @@ def test_result_file_is_byte_identical(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["layered-2000-pareto.json", "fig1-pareto.json",
-                                  "menu3-pareto.json", "menu4-pareto.json"])
+                                  "fig1-reach-pareto.json", "menu3-pareto.json",
+                                  "menu4-pareto.json"])
 def test_golden_fronts_are_sound(case):
     """The committed fronts, checked by their meaning rather than their bits:
     every vertex satisfies every halfspace, and every witness strategy

@@ -211,7 +211,7 @@ class TestParseModelErrors:
         doc = self.base()
         doc["rewards"] = [{"name": "r", "states": {"s0": "-inf"}}]
         m = parse_model(doc)
-        assert m.rewards["r"].state_reward(0) == float("-inf")
+        assert m.rewards["r"].state_rewards.get(0, 0.0) == float("-inf")
 
 
 class TestParseQuery:
@@ -229,16 +229,23 @@ class TestParseQuery:
         assert list(pq.query.point) == [3.5, -1.0]
 
     def test_achievability_needs_matching_point(self, fig1):
+        # parse_query reads a list of numbers; answer_query matches it to the objectives
         with pytest.raises(ModelError, match="point"):
-            parse_query(parse_query_doc({"point": [1.0]}, "achievability"), fig1)
+            parse_query(parse_query_doc({"point": 1.0}, "achievability"), fig1)
+        pq = parse_query(parse_query_doc({"point": [1.0]}, "achievability"), fig1)
+        with pytest.raises(ModelError, match="point"):
+            answer_query(fig1, pq.objectives, pq.query)
 
     def test_quantitative_thresholds(self, fig1):
         pq = parse_query(parse_query_doc({"thresholds": [0.0]}, "quantitative"), fig1)
         assert list(pq.query.thresholds) == [0.0]
 
     def test_quantitative_threshold_count(self, fig1):
+        with pytest.raises(ModelError, match="thresholds"):
+            parse_query(parse_query_doc({"thresholds": {}}, "quantitative"), fig1)
+        pq = parse_query(parse_query_doc({"thresholds": []}, "quantitative"), fig1)
         with pytest.raises(ModelError, match="threshold"):
-            parse_query(parse_query_doc({"thresholds": []}, "quantitative"), fig1)
+            answer_query(fig1, pq.objectives, pq.query)
 
     def test_unknown_kind(self, fig1):
         with pytest.raises(ModelError, match="query kind"):
@@ -271,11 +278,10 @@ class TestParseQuery:
 
 
 class TestResultDocument:
-    def run_fig1(self, fig1, fig1_objectives, strategies=False, timings=None):
+    def run_fig1(self, fig1, fig1_objectives, strategies=False):
         res = answer_query(fig1, fig1_objectives, ParetoQuery())
         pq = parse_query(parse_query_doc(), fig1)
-        return result_document(res, query_echo(pq, fig1), strategies=strategies,
-                               timings=timings)
+        return result_document(res, query_echo(pq, fig1), strategies=strategies)
 
     def test_key_order(self, fig1, fig1_objectives):
         doc = self.run_fig1(fig1, fig1_objectives)
@@ -294,10 +300,8 @@ class TestResultDocument:
         assert {s["s3"] for s in strategies} == {"alpha", "beta"}
 
     def test_timings_only_when_requested(self, fig1, fig1_objectives):
-        doc = self.run_fig1(fig1, fig1_objectives)
-        assert "timings" not in doc
-        doc = self.run_fig1(fig1, fig1_objectives, timings={"total": 0.5})
-        assert doc["timings"] == {"total": 0.5}
+        # the command line adds them under --timings (tests/test_cli.py)
+        assert "timings" not in self.run_fig1(fig1, fig1_objectives)
 
     def test_byte_identical_reruns(self, fig1, fig1_objectives):
         a = dumps(self.run_fig1(fig1, fig1_objectives, strategies=True))

@@ -27,7 +27,6 @@ class TestConstruction:
         assert m.markovian_states() == [0]
         assert [s for s in range(m.n_states) if m.rates[s] is None] == [1]
         assert m.choices[1][0] == ((0, 0.5), (1, 0.5))
-        assert m.successors(1) == [0, 1]
         assert m.reachable() == [0, 1]
         assert m.state_names == ("s0", "s1")
         assert m.action_names[0] == ("",)
@@ -261,10 +260,10 @@ class TestRewardAlgebra:
 
     def test_defaults_and_is_zero(self):
         r = RewardAssignment("r", {1: 2.0}, {(0, 0, 1): -1.0})
-        assert r.state_reward(1) == 2.0
-        assert r.state_reward(0) == 0.0
-        assert r.transition_reward(0, 0, 1) == -1.0
-        assert r.transition_reward(1, 0, 0) == 0.0
+        assert r.state_rewards.get(1, 0.0) == 2.0
+        assert r.state_rewards.get(0, 0.0) == 0.0
+        assert r.transition_rewards.get((0, 0, 1), 0.0) == -1.0
+        assert r.transition_rewards.get((1, 0, 0), 0.0) == 0.0
         with pytest.raises(ModelError):
             r.is_zero
         self.placed(r)
@@ -274,7 +273,8 @@ class TestRewardAlgebra:
     def test_negated(self):
         (r,) = self.placed(RewardAssignment("r", {1: 2.0}, {(0, 0, 1): -1.0}))
         n = r.negated("n")
-        assert n.state_reward(1) == -2.0 and n.transition_reward(0, 0, 1) == 1.0
+        assert n.state_rewards.get(1, 0.0) == -2.0
+        assert n.transition_rewards.get((0, 0, 1), 0.0) == 1.0
         assert dict(n.state_rewards) == {1: -2.0}
         assert dict(n.transition_rewards) == {(0, 0, 1): 1.0}
 
@@ -282,9 +282,9 @@ class TestRewardAlgebra:
         r1, r2 = self.placed(RewardAssignment("a", {0: 1.0}, {(0, 0, 1): 2.0}),
                              RewardAssignment("b", {0: 4.0, 1: 1.0}, {}))
         w = weighted_reward_sum("w", [(0.5, r1), (0.25, r2), (0.0, r2)])
-        assert w.state_reward(0) == 0.5 + 1.0
-        assert w.state_reward(1) == 0.25
-        assert w.transition_reward(0, 0, 1) == 1.0
+        assert w.state_rewards.get(0, 0.0) == 0.5 + 1.0
+        assert w.state_rewards.get(1, 0.0) == 0.25
+        assert w.transition_rewards.get((0, 0, 1), 0.0) == 1.0
         (other,) = self.placed(RewardAssignment("c", {0: 1.0}, {}))
         with pytest.raises(ModelError):
             weighted_reward_sum("w", [(1.0, r1), (1.0, other)])
@@ -338,10 +338,10 @@ class TestEmbedMdp:
         assert e.initial == 0
         r = e.rewards["r"]
         # the flattened state keeps its state reward in place
-        assert r.state_reward(0) == 3.0
+        assert r.state_rewards.get(0, 0.0) == 3.0
         # action rewards move onto the hop serving that action
         (hop,) = [t for t, _ in e.choices[1][1]]
-        assert r.transition_reward(hop, 0, 0) == 2.0
+        assert r.transition_rewards.get((hop, 0, 0), 0.0) == 2.0
 
     def test_uniformly_one_per_step(self):
         rng = np.random.default_rng(3)
@@ -362,9 +362,9 @@ class TestInducedChain:
         chain = induced_chain(fig1, {2: 0, 3: 0})
         # the alpha self-loop reward of the initial state keeps its value,
         # now keyed by choice 0
-        assert chain.rewards["R1"].transition_reward(2, 0, 0) == 1.0
+        assert chain.rewards["R1"].transition_rewards.get((2, 0, 0), 0.0) == 1.0
         chain_b = induced_chain(fig1, {2: 1, 3: 0})
-        assert chain_b.rewards["R1"].transition_reward(2, 0, 0) == 0.0
+        assert chain_b.rewards["R1"].transition_rewards.get((2, 0, 0), 0.0) == 0.0
 
     def test_missing_reachable_state_errors(self, fig1):
         with pytest.raises(ModelError):

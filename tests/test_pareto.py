@@ -15,7 +15,7 @@ from moma import pareto, parse_model, serialize_model
 from moma.model import Flat, flat
 from moma.modelio import parse_objective
 
-from gen import (layered_ma, menu_doc, oracle_points, random_valid_instance,
+from gen import (facet_tuples, layered_ma, menu_doc, oracle_points, random_valid_instance,
                  ref_downward_hull, ref_facet_gaps, ref_select_normal)
 
 
@@ -46,85 +46,78 @@ def extreme_points(pts):
 
 class TestDownwardHull:
     def test_two_point_front(self):
-        facets = downward_hull([np.array([4.0, -2.0]), np.array([3.0, 0.0])], 2)
-        finite = [f for f in facets if not f.degenerate]
+        facets = facet_tuples(downward_hull([np.array([4.0, -2.0]), np.array([3.0, 0.0])], 2))
+        finite = [f for f in facets if not f[3]]
         assert len(finite) == 1
-        f = finite[0]
-        assert f.normal == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
-        assert f.offset == pytest.approx(2.0)
-        assert sorted(f.vertices) == [0, 1]
-        caps = {tuple(f.normal): f for f in facets if f.degenerate}
-        assert caps[(1.0, 0.0)].offset == pytest.approx(4.0)
-        assert caps[(0.0, 1.0)].offset == pytest.approx(0.0)
+        normal, offset, vertices, _ = finite[0]
+        assert normal == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
+        assert offset == pytest.approx(2.0)
+        assert sorted(vertices) == [0, 1]
+        caps = {tuple(n): o for n, o, _, degenerate in facets if degenerate}
+        assert caps[(1.0, 0.0)] == pytest.approx(4.0)
+        assert caps[(0.0, 1.0)] == pytest.approx(0.0)
 
     def test_single_point_is_two_caps(self):
-        facets = downward_hull([np.array([1.0, 1.0])], 2)
-        assert all(f.degenerate for f in facets)
-        assert sorted(tuple(f.normal) for f in facets) == [(0.0, 1.0), (1.0, 0.0)]
-        assert all(f.offset == pytest.approx(1.0) for f in facets)
-        assert all(f.vertices == (0,) for f in facets)
+        hull = downward_hull([np.array([1.0, 1.0])], 2)
+        assert hull.degenerate.all()
+        assert sorted(map(tuple, hull.normals.tolist())) == [(0.0, 1.0), (1.0, 0.0)]
+        assert hull.offsets.tolist() == pytest.approx([1.0, 1.0])
+        assert hull.ptr.tolist() == [0, 1, 2] and hull.ids.tolist() == [0, 0]
 
     def test_dominated_point_is_not_a_vertex(self):
         pts = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([0.5, 0.4])]
-        facets = downward_hull(pts, 2)
-        used = {i for f in facets for i in f.vertices}
-        assert used == {1}
+        assert set(downward_hull(pts, 2).ids.tolist()) == {1}
 
     def test_simplex_3d(self):
         pts = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                np.array([0.0, 0.0, 1.0])]
-        facets = downward_hull(pts, 3)
-        main = [f for f in facets
-                if f.normal == pytest.approx([1 / 3, 1 / 3, 1 / 3])]
+        main = [f for f in facet_tuples(downward_hull(pts, 3))
+                if f[0] == pytest.approx([1 / 3, 1 / 3, 1 / 3])]
         assert len(main) == 1
-        assert main[0].offset == pytest.approx(1 / 3)
-        assert sorted(main[0].vertices) == [0, 1, 2]
-        assert not main[0].degenerate
+        _, offset, vertices, degenerate = main[0]
+        assert offset == pytest.approx(1 / 3)
+        assert sorted(vertices) == [0, 1, 2]
+        assert not degenerate
 
     def test_dimension_one(self):
-        facets = downward_hull([np.array([2.0]), np.array([5.0]), np.array([3.0])], 1)
-        assert len(facets) == 1
-        assert facets[0].offset == 5.0 and facets[0].vertices == (1,)
+        hull = downward_hull([np.array([2.0]), np.array([5.0]), np.array([3.0])], 1)
+        assert facet_tuples(hull) == [([1.0], 5.0, (1,), False)]
 
     def test_too_many_dimensions(self):
         with pytest.raises(ModelError):
             downward_hull([np.zeros(5)], 5)
 
     def test_empty(self):
-        assert downward_hull([], 2) == []
+        assert facet_tuples(downward_hull([], 2)) == []
 
     @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
                     min_size=1, max_size=12))
     def test_hull_properties_2d(self, raw):
         pts = [np.array(p, dtype=float) for p in raw]
-        facets = downward_hull(pts, 2)
+        facets = facet_tuples(downward_hull(pts, 2))
         assert facets
-        for f in facets:
-            n = np.asarray(f.normal)
+        for normal, offset, vertices, _ in facets:
+            n = np.asarray(normal)
             assert (n >= -1e-12).all()
             assert n.sum() == pytest.approx(1.0)
-            support = max(float(np.dot(n, pts[i])) for i in f.vertices)
-            assert support == pytest.approx(f.offset, abs=1e-9)
+            support = max(float(np.dot(n, pts[i])) for i in vertices)
+            assert support == pytest.approx(offset, abs=1e-9)
             for p in pts:
-                assert float(np.dot(n, p)) <= f.offset + 1e-9
+                assert float(np.dot(n, p)) <= offset + 1e-9
         # the facets name exactly the extreme points of the downward closure
-        used = {tuple(pts[i]) for f in facets for i in f.vertices}
+        used = {tuple(pts[i]) for _, _, vertices, _ in facets for i in vertices}
         assert used == set(extreme_points(pts))
 
     @staticmethod
     def check_padded_hull(raw, dim):
         pts = [np.array(p, dtype=float) for p in raw]
-        facets = downward_hull(pts, dim)
-        assert facets
-        for f in facets:
-            n = np.asarray(f.normal)
-            assert (n >= -1e-12).all()
-            assert n.sum() == pytest.approx(1.0)
-            for p in pts:
-                assert float(np.dot(n, p)) <= f.offset + 1e-7
+        hull = downward_hull(pts, dim)
+        assert len(hull.offsets)
+        assert (hull.normals >= -1e-12).all()
+        assert hull.normals.sum(axis=1) == pytest.approx(np.ones(len(hull.offsets)))
+        assert (np.array(pts) @ hull.normals.T <= hull.offsets + 1e-7).all()
         # the facets name exactly the extreme points of the downward closure
-        used = {tuple(pts[i]) for f in facets for i in f.vertices}
-        assert used == set(extreme_points(pts))
+        assert {tuple(pts[i]) for i in hull.ids.tolist()} == set(extreme_points(pts))
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=1, max_size=8))
@@ -135,10 +128,6 @@ class TestDownwardHull:
     @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=1, max_size=8))
     def test_hull_properties_4d(self, raw):
         self.check_padded_hull(raw, 4)
-
-
-def facet_tuples(facets):
-    return [(f.normal.tolist(), f.offset, f.vertices, f.degenerate) for f in facets]
 
 
 def point_sets(dim, count=12):
@@ -179,13 +168,12 @@ class TestGeometryMatchesLoops:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_hull(self, dim):
         for pts in [*point_sets(dim), concave_front(dim, {3: 25, 4: 100}[dim])]:
-            assert facet_tuples(downward_hull(list(pts), dim)) == \
-                facet_tuples(ref_downward_hull(list(pts), dim))
+            assert facet_tuples(downward_hull(list(pts), dim)) == ref_downward_hull(list(pts), dim)
 
     @pytest.mark.parametrize("dim,count,min_facets", [(3, 25, 40), (4, 100, 300)])
     def test_concave_front_is_all_vertices(self, dim, count, min_facets):
         hull = downward_hull(concave_front(dim, count), dim)
-        assert len(hull) >= min_facets
+        assert len(hull.offsets) >= min_facets
         assert sorted(set(hull.ids.tolist())) == list(range(count))
 
     @pytest.mark.parametrize("dim", [3, 4])
@@ -200,15 +188,16 @@ class TestGeometryMatchesLoops:
                 w = rng.dirichlet(np.ones(dim))
                 state.add(fake_solution(w, float(np.max(pts @ w)) + rng.uniform(0.0, 2.0), p))
             halfspaces = [(h.normal, h.offset) for h in state.halfspaces]
-            assert facet_tuples(state.facets()) == facet_tuples(ref_downward_hull(list(pts), dim))
+            facets = facet_tuples(state.facets())
+            assert facets == ref_downward_hull(list(pts), dim)
             gaps, scales = state.facet_gaps()
-            ref = ref_facet_gaps(list(pts), state.facets(), halfspaces)
+            ref = ref_facet_gaps(list(pts), facets, halfspaces)
             assert scales.tolist() == [s for _, s, _ in ref]
             assert np.abs(gaps - [g for g, _, _ in ref]).max() <= 1e-12 * scales.max()
             for eta in (0.0, 1e-2):
                 for guidance in (None, pts.max(axis=0) + rng.uniform(-1.0, 1.0, dim)):
                     w = select_weight(state, eta, guidance)
-                    want = ref_select_normal(list(pts), state.facets(), halfspaces, eta, guidance)
+                    want = ref_select_normal(list(pts), facets, halfspaces, eta, guidance)
                     assert (w is None and want is None) or w.tolist() == want.tolist()
 
 
@@ -410,11 +399,10 @@ class TestSelectWeight:
         assert not state.points[0].finite
         assert state.warnings
         assert state.finite_indices() == []
-        assert state.facets() == []
+        assert len(state.facets().offsets) == 0
         state.add(fake_solution([0, 1], 0.0, [3.0, 0.0]))
         assert state.finite_indices() == [1]
-        used = {i for f in state.facets() for i in f.vertices}
-        assert used == {1}
+        assert set(state.facets().ids.tolist()) == {1}
 
 
 class FakePoint:
@@ -627,7 +615,7 @@ class TestArraysOnly:
 
 class TestComponentArraysOnly:
     """A query reads end components as arrays: it derives none of their set
-    views (`markovian_states`, `pairs`, `states()`)."""
+    views (`markovian_states`, `pairs`)."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -643,13 +631,12 @@ class TestComponentArraysOnly:
             prop = cached_property(count(attr, EndComponent.__dict__[attr].func))
             prop.__set_name__(EndComponent, attr)
             monkeypatch.setattr(EndComponent, attr, prop)
-        monkeypatch.setattr(EndComponent, "states", count("states()", EndComponent.states))
         return counts
 
     def test_views_are_counted(self, counts, fig1):
         (c, *_) = mec_decomposition(fig1)
-        assert c.states() and c.markovian_states and c.pairs is not None
-        assert counts == Counter(["states()", "markovian_states", "pairs"])
+        assert c.markovian_states and c.pairs is not None
+        assert counts == Counter(["markovian_states", "pairs"])
 
     def test_layered(self, counts):
         m, objectives = layered_ma(np.random.default_rng(5), n=500)
@@ -671,6 +658,35 @@ class TestComponentArraysOnly:
                 answer_query(m, objectives, ParetoQuery(precision=1e-2))
                 checked += 1
             assert counts == Counter()
+
+
+class TestQueryBudget:
+    """Each query kind checks its budget when it is built."""
+
+    @pytest.mark.parametrize("kind", [ParetoQuery, AchievabilityQuery, QuantitativeQuery])
+    @pytest.mark.parametrize("field, value", [
+        ("precision", float("nan")), ("precision", float("inf")), ("precision", 0.0),
+        ("precision", -1.0), ("precision", "1e-3"), ("max_iterations", 0),
+        ("max_iterations", 2.0), ("max_iterations", True), ("time_limit", 0.0),
+        ("time_limit", float("nan")), ("time_limit", float("inf"))])
+    def test_out_of_range(self, kind, field, value):
+        with pytest.raises(ModelError, match=field):
+            kind(**{field: value})
+
+    def test_in_range(self):
+        q = AchievabilityQuery(point=(1.0, 2.0), precision=1, max_iterations=np.int64(3),
+                               time_limit=0.5)
+        assert (q.precision, q.max_iterations, q.time_limit) == (1, 3, 0.5)
+        assert ParetoQuery(1e-3).max_iterations == 200
+
+    def test_frozen(self):
+        import dataclasses
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ParetoQuery().precision = float("nan")
+
+    def test_budget_alone_is_no_query(self, fig1, fig1_objectives):
+        with pytest.raises(ModelError, match="unknown query type"):
+            answer_query(fig1, fig1_objectives, pareto._Budget())
 
 
 class TestAchievabilityQuery:

@@ -133,7 +133,7 @@ class TestEvaluateStrategy:
         ev = evaluate_strategy(m, sigma, objectives)
         cycle = range(600, 1200)
         lam = np.array([m.rates[s] for s in cycle])
-        rho = np.array([m.rewards["L"].state_reward(s) for s in cycle])
+        rho = np.array([m.rewards["L"].state_rewards.get(s, 0.0) for s in cycle])
         gain = float((rho / lam).sum() / (1.0 / lam).sum())
         total = sum(v for (s, a, _), v in m.rewards["T"].transition_rewards.items()
                     if sigma.get(s, 0) == a)
@@ -677,7 +677,7 @@ class TestMaxTotalReward:
                 nv = np.zeros(n)
                 for s in range(n - 1):
                     nv[s] = max(
-                        sum(p * (m.rewards["r"].transition_reward(s, a, t) + v[t])
+                        sum(p * (m.rewards["r"].transition_rewards.get((s, a, t), 0.0) + v[t])
                             for t, p in dist)
                         for a, dist in enumerate(m.choices[s]))
                 v = nv

@@ -34,7 +34,7 @@ class TestNormalizeQuery:
         o = p.objectives[0]
         assert o.direction == "max" and o.reward != "R2"
         neg = p.model.rewards[o.reward]
-        assert neg.transition_reward(2, 0, 0) == 1.0
+        assert neg.transition_rewards.get((2, 0, 0), 0.0) == 1.0
         assert p.original[0].direction == "min"
 
     def test_max_is_untouched(self, fig1, fig1_objectives):
@@ -141,7 +141,7 @@ class TestValidateAssumptions:
 class TestPrepareWeighted:
     def test_fig1(self, fig1, fig1_objectives):
         prep = make_prep(fig1, fig1_objectives)
-        assert [sorted(c.states()) for c in prep.zero_ecs] == [[1, 3, 5], [4]]
+        assert [c.members.tolist() for c in prep.zero_ecs] == [[1, 3, 5], [4]]
         assert prep.quot.with_bottom
         assert len(prep.subs) == 2
         assert prep.subs[0].origin == (1, 3, 5)
@@ -229,7 +229,7 @@ class TestOptimizeWeighted:
         p = normalize_query(m, objectives)
         assert validate_assumptions(p).ok
         prep = prepare_weighted(p)
-        assert [sorted(c.states()) for c in prep.zero_ecs] == [[3]]
+        assert [c.members.tolist() for c in prep.zero_ecs] == [[3]]
         sol = optimize_weighted(prep, (1.0, 0.0))
         assert np.isfinite(sol.point).all()
         assert sol.strategy[0] == 1
