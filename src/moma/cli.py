@@ -199,11 +199,12 @@ def cmd_pareto(args) -> int:
     m = parse_model(_load_json(args.model))
     pq = _parse(args, m, kind="pareto")
     res = answer_query(m, pq.objectives, pq.query)
+    csv = plot_csv(res) if args.plot else None  # a refused plot writes neither file
     _emit(result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies),
           args, t0)
-    if args.plot:
+    if csv is not None:
         with open(args.plot, "w", encoding="utf-8") as f:
-            f.write(plot_csv(res))
+            f.write(csv)
     elif pq.plot:
         print("plot data requested by the query; pass --plot PATH to write it",
               file=sys.stderr)

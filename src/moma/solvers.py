@@ -21,14 +21,18 @@ certify the upper bound, searched level by level over the condensation of
 the allowed-choice graph, sinks first (topological value iteration).  The
 structure numbers its states once, in that level order: every strategy's
 system is then block lower-triangular as numbered, so its sparse LU keeps
-the natural order, and every level is one span of rows and entries.
+the natural order, and every level is one span of rows and entries.  The
+structure holds the solver of its starting strategy for every solve's first
+round and each level's entry rows and segment starts relative to the level,
+and every product with kernel rows is one bincount over their entries
+(_dot), summed as scipy's CSR product sums.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -107,11 +111,14 @@ def _block(M, rows, cols=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pos, col, M.data[k]
 
 
-def _rows(M, rows) -> csr_matrix:
-    """M[rows] of a canonical CSR matrix M, gathered from its arrays."""
-    pos, col, val = _block(M, rows)
-    return csr_matrix((val, col, _ptr(np.bincount(pos, minlength=len(rows)))),
-                      shape=(len(rows), M.shape[1]))
+def _dot(entries, x: np.ndarray, n: int) -> np.ndarray:
+    """Q @ x for the n-row matrix Q whose values v sit at rows r and columns
+    c, entries = (r, c, v), each row's entries in stored order (as _block
+    gathers them).  Each row is summed from 0.0 entry by entry in that order,
+    as scipy's CSR product does, so the two agree bit for bit; a bincount
+    skips the sparse matrix's per-call overhead."""
+    r, c, v = entries
+    return np.bincount(r, v * x[c], n)
 
 
 def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, natural: bool = False):
@@ -290,10 +297,12 @@ class _Strategy:
 class _Frame:
     """The weight-independent part of mec_lra on one component: the
     uniformization rate, the sojourn times, the Markovian states `ms` with
-    their kernel rows `K_m` and tick weights `coef`, the choices `pc` of the
-    probabilistic states `ps` (state by state) with their kernel rows `K_p`
-    and segment starts `seg`, and the analysis of the first-choice strategy.
-    It keeps no reference to the component's Flat, so it dies with it."""
+    the entries of their kernel rows `K_m` and tick weights `coef`, the
+    choices `pc` of the probabilistic states `ps` (state by state) with the
+    entries of their kernel rows `K_p` and segment starts `seg`, and the
+    analysis of the first-choice strategy.  The entries are (entry row,
+    column, value) triples for _dot.  It keeps no reference to the
+    component's Flat, so it dies with it."""
 
     def __init__(self, fl: Flat):
         if not fl.markovian.any():
@@ -301,9 +310,9 @@ class _Frame:
         self.unif = float(fl.rates.max()) / 0.95
         self.tau, self.ms, self.ps = (_sojourn(fl), np.flatnonzero(fl.markovian),
                                       np.flatnonzero(~fl.markovian))
-        self.K_m, self.coef = _rows(fl.kernel, fl.ptr[self.ms]), fl.rates[self.ms] / self.unif
+        self.K_m, self.coef = _block(fl.kernel, fl.ptr[self.ms]), fl.rates[self.ms] / self.unif
         self.pc = np.flatnonzero(~fl.markovian[fl.choice_state])  # the choices of ps, in order
-        self.K_p, self.seg = _rows(fl.kernel, self.pc), np.searchsorted(self.pc, fl.ptr[self.ps])
+        self.K_p, self.seg = _block(fl.kernel, self.pc), np.searchsorted(self.pc, fl.ptr[self.ps])
         self.first = _Strategy(fl, fl.ptr[:-1].copy(), self.tau)
 
 
@@ -345,7 +354,8 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
             chosen = np.where(to >= 0, to, chosen)
             gain_bias = _gain_bias(fl, chosen, np.arange(len(tau)), tau)
         g, h = gain_bias(crew[chosen])
-        better = _improve(jump_p + fr.K_p @ h, seg, seg + chosen[ps] - fl.ptr[ps], h)
+        better = _improve(jump_p + _dot(fr.K_p, h, len(pc)), seg,
+                          seg + chosen[ps] - fl.ptr[ps], h)
         if better is None:
             break
         chosen = chosen.copy()  # the frame keeps its first strategy
@@ -356,7 +366,7 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
 
     # close the instantaneous layer: h becomes a fixed point of its maximum
     for _ in range(100_000):
-        new = np.maximum.reduceat(jump_p + fr.K_p @ h, seg)
+        new = np.maximum.reduceat(jump_p + _dot(fr.K_p, h, len(pc)), seg)
         delta = float(np.max(np.abs(new - h[ps]), initial=0.0))
         h[ps] = new
         if delta <= 1e-13 * max(1.0, float(np.max(np.abs(h)))):
@@ -364,7 +374,7 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     else:
         raise SolverError(f"instantaneous layer does not converge (near-Zeno structure; "
                           f"gain {g} after {it} strategy iterations)")
-    hm_new = tick_rew + fr.coef * (fr.K_m @ h) + (1.0 - fr.coef) * h[ms]
+    hm_new = tick_rew + fr.coef * _dot(fr.K_m, h, len(ms)) + (1.0 - fr.coef) * h[ms]
     diffs = hm_new - h[ms]
     lb, ub = fr.unif * float(diffs.min()), fr.unif * float(diffs.max())
     if ub - lb > eps * max(1.0, abs(lb)):
@@ -391,8 +401,11 @@ class TotalStructure:
     state in that numbering, those of state i from `segs[i]` to
     `segs[i + 1]`; each row keeps its entries in edge order, and `erow` is
     the row of every stored entry.  `pick` is a proper strategy (one row per
-    state).  An allowed edge never climbs a level, so I - K[pick] is block
-    lower-triangular, and a level's rows and entries are contiguous."""
+    state) and `solve` the _solver of I - K[pick], held for every solve's
+    first round.  An allowed edge never climbs a level, so I - K[pick] is
+    block lower-triangular, and a level's rows and entries are contiguous
+    spans; `lrow` and `lseg` are `erow` and `segs[:-1]` counted from the
+    first row of their level, so a level's Bellman step takes views only."""
 
     q: QuotientModel
     target: int
@@ -404,6 +417,9 @@ class TotalStructure:
     K: csr_matrix
     erow: np.ndarray
     pick: np.ndarray
+    solve: Callable[[np.ndarray], np.ndarray]
+    lrow: np.ndarray
+    lseg: np.ndarray
 
 
 def total_zero_ecs(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int
@@ -445,8 +461,12 @@ def total_structure(m: MarkovAutomaton, z: Sequence[EndComponent],
                     _ptr(np.bincount(pos[keep], minlength=len(rows)))),
                    shape=(len(rows), len(active)))
     pick = np.flatnonzero(rows == np.repeat(toward[active], np.diff(segs)))  # toward the target
-    return TotalStructure(q, target, active, int(index[init_q]), _ptr(np.bincount(level)),
-                          rows, segs, K, pos[keep], pick)
+    levels, erow = _ptr(np.bincount(level)), pos[keep]
+    first = segs[levels[:-1]]  # the first row of every level
+    return TotalStructure(q, target, active, int(index[init_q]), levels, rows, segs, K, erow,
+                          pick, _solver(len(pick), *_block(K, pick), natural=True),
+                          erow - np.repeat(first, np.diff(segs[levels]))[erow],
+                          segs[:-1] - np.repeat(first, np.diff(levels)))
 
 
 def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
@@ -473,7 +493,8 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
     improved strategy that no longer reaches the target means positive
     reward recurs.  The upper certificate is searched from the final L
     (`_inductive_upper`) and accepted by one exact check T U <= U."""
-    fl, rows, K, segs = flat(st.q.model), st.rows, st.K, st.segs[:-1]
+    fl, rows, segs = flat(st.q.model), st.rows, st.segs[:-1]
+    entries = (st.erow, st.K.indices, st.K.data)
     actions = np.zeros(len(fl.markovian), dtype=np.int64)
     it, sweeps, L, U = 0, 0, np.zeros(1), np.zeros(1)  # the initial state may be the target
     if len(st.active):
@@ -482,8 +503,11 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
         crew_v = per_state[fl.choice_state[rows]] + jump[rows]
         pick = st.pick
         for it in range(1, 1001):
-            L = _solver(len(pick), *_block(K, pick), natural=True)(crew_v[pick])
-            better = _improve(crew_v + K @ L, segs, pick, L)
+            # a later round's factor is freed as soon as it has solved, which
+            # keeps the peak memory at the held factor plus one
+            L = (_solver(len(pick), *_block(st.K, pick), natural=True) if it > 1
+                 else st.solve)(crew_v[pick])
+            better = _improve(crew_v + _dot(entries, L, len(rows)), segs, pick, L)
             if better is None:
                 break
             pick = better
@@ -499,7 +523,8 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
                               f"(lower bound {L[st.i0]} at the initial state)")
         actions[st.active] = rows[pick] - fl.ptr[st.active]
         U, sweeps = _inductive_upper(st, crew_v, L, eps)
-        if U is None or not (np.maximum.reduceat(crew_v + K @ U, segs) <= U).all():
+        if U is None or not (np.maximum.reduceat(crew_v + _dot(entries, U, len(rows)), segs)
+                             <= U).all():
             raise SolverError(f"no Bellman-inductive upper bound found: total-reward bracket "
                               f"[{L[st.i0]}, inf] at the initial state after {it} iterations")
     u0, l0 = float(U[st.i0]), float(L[st.i0])
@@ -571,17 +596,15 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
 
 def _level(st: TotalStructure, ell: int, crew_v: np.ndarray):
     """The states of level ell of st (a slice), and U -> the Bellman step on
-    them, on their rows and entries, one span of each.  K @ U sums each row
-    entry by entry in stored order from 0.0, as scipy's CSR product does, so
-    the step equals the global check's bit for bit."""
+    them, on views of their rows and entries, one span of each.  The product
+    is _dot's, as in the global check, so the two agree bit for bit."""
     lo, hi = st.levels[ell], st.levels[ell + 1]
     a, b = st.segs[lo], st.segs[hi]
     e = slice(st.K.indptr[a], st.K.indptr[b])
-    r, c, v = st.erow[e] - a, st.K.indices[e], st.K.data[e]
-    crew, seg = crew_v[a:b], st.segs[lo:hi] - a
+    entries, crew, seg = (st.lrow[e], st.K.indices[e], st.K.data[e]), crew_v[a:b], st.lseg[lo:hi]
 
     def bellman(U):
-        return np.maximum.reduceat(crew + np.bincount(r, v * U[c], b - a), seg)
+        return np.maximum.reduceat(crew + _dot(entries, U, b - a), seg)
     return slice(lo, hi), bellman
 
 

@@ -209,6 +209,15 @@ class TestPareto:
         assert lines[0] == "coord_1,coord_2,kind"
         assert any(line.endswith("vertex") for line in lines[1:])
 
+    def test_refused_plot_writes_neither_file(self, ws, capsys):
+        plot, result = ws.dir / "front.csv", ws.dir / "result.json"
+        query = ws.query(objectives=[{"kind": "lra", "direction": "max", "reward": "R1"}])
+        code, out, err = run(capsys, "pareto", ws.model, "--query", query,
+                             "--plot", str(plot), "--output", str(result))
+        assert code == 2 and out == ""
+        assert "exactly 2 objectives" in err
+        assert not plot.exists() and not result.exists()
+
     def test_timings_embedded_on_request(self, ws, capsys):
         code, out, _ = run(capsys, "pareto", ws.model, "--query", ws.query())
         assert "timings" not in json.loads(out)

@@ -16,8 +16,8 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   normalize_query, optimize_weighted, prepare_weighted, quotient,
                   reach_to_total, sub_ma, weighted_reward_sum, zero_mecs)
 
-from moma.model import flat
-from moma.solvers import _DENSE_LIMIT, _block, _gain_bias, _solver
+from moma.model import _ptr, flat
+from moma.solvers import _DENSE_LIMIT, _block, _dot, _gain_bias, _solver
 
 from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp, layered_ma,
                  near_one_dist, near_zeno_ma, oracle_points, random_ma, random_ssp,
@@ -252,6 +252,30 @@ class TestGather:
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
+class TestDot:
+    """_dot, the solve path's one CSR product, equals scipy's M @ x bit for
+    bit: each row summed from 0.0 in stored order."""
+
+    def test_bit_equal_to_scipy(self):
+        rng = np.random.default_rng(63)
+        empty_rows = 0
+        for i in range(300):
+            n_rows, n_cols = 1 if i % 5 == 0 else int(rng.integers(2, 40)), int(rng.integers(1, 40))
+            counts = rng.integers(0, min(n_cols, 12) + 1, size=n_rows)
+            # each row's columns in random order, so stored order is not sorted order
+            cols = np.concatenate([rng.permutation(n_cols)[:k] for k in counts]).astype(np.int64)
+            vals = rng.choice([-1.0, 1.0], len(cols)) * 10.0 ** rng.uniform(-12, 12, len(cols))
+            x = rng.choice([-1.0, 1.0], n_cols) * 10.0 ** rng.uniform(-12, 12, n_cols)
+            x[rng.random(n_cols) < 0.1] = -0.0
+            M = csr_matrix((vals, cols, _ptr(counts)), shape=(n_rows, n_cols))
+            got = _dot((np.repeat(np.arange(n_rows), counts), M.indices, M.data), x, n_rows)
+            want = M @ x
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            empty_rows += int((counts == 0).sum())
+        assert empty_rows > 0
+
+
 class TestNoSparseIndexing:
     """The solve path gathers every system and row block from CSR arrays:
     it never indexes or slices a scipy sparse matrix."""
@@ -279,6 +303,39 @@ class TestNoSparseIndexing:
         m, objectives, sigma = cycle_with_tail()
         evaluate_strategy(m, sigma, objectives)
         assert calls == []
+
+
+class TestNoSparseProducts:
+    """The solve path multiplies by kernel rows through _dot: a weighted
+    solve makes no scipy sparse matrix-vector product."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        products = []
+        for cls in (csr_matrix, csc_matrix):
+            def counted(self, other, product=cls.__matmul__):
+                products.append(self.shape)
+                return product(self, other)
+            monkeypatch.setattr(cls, "__matmul__", counted)
+        return products
+
+    def test_weighted_solves(self, products):
+        flat(cycle_with_tail(n_tail=20, n_cycle=20)[0]).kernel @ np.ones(40)
+        assert len(products) == 1  # the counter sees products
+        products.clear()
+        rng = np.random.default_rng(62)
+        for _ in range(15):
+            m, objectives = random_valid_instance(rng, n_lra=1, n_total=1)
+            prep = prepare_weighted(normalize_query(m, objectives))
+            for w in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5]):
+                optimize_weighted(prep, np.array(w))
+        # above the dense limit, the total solve takes the sparse LU route
+        m, objectives = layered_ma(np.random.default_rng(5), n=600)
+        prep = prepare_weighted(normalize_query(m, objectives))
+        for w in ([1.0, 0.0], [0.5, 0.5]):
+            optimize_weighted(prep, np.array(w))
+        assert max(len(st.active) for st in prep.structures.values()) > _DENSE_LIMIT
+        assert products == []
 
 
 class TestMecLra:
@@ -873,6 +930,93 @@ class TestMaxTotalReward:
                                               r"wider than 1e-30 after \d+ strategy "
                                               r"iterations"):
             max_total_reward(m, m.rewards["r"], bottom_state=2, eps=1e-30)
+
+
+class TestTotalStructureReuse:
+    """The weight-independent state of a total-reward solve, its round-one
+    solver and its level spans, is built once per structure."""
+
+    @staticmethod
+    def bits(sol):
+        return (float(sol.value).hex(), float(sol.lower).hex(), float(sol.upper).hex(),
+                sorted(sol.strategy.items()), sol.rounds, sol.sweeps)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every total solve of optimize_weighted: its structure and bits."""
+        solves = []
+
+        def recorded(st, r, eps=1e-6, solve=moma.weighted.solve_total):
+            sol = solve(st, r, eps)
+            solves.append((st, self.bits(sol)))
+            return sol
+        monkeypatch.setattr(moma.weighted, "solve_total", recorded)
+        return solves
+
+    def check(self, solves, m, objectives, weights):
+        """Weights A, B, A on one prep answer bit for bit as on fresh preps;
+        returns whether all three ran on one structure, and their most rounds."""
+        prep = prepare_weighted(normalize_query(m, objectives))
+        for w in weights:
+            optimize_weighted(prep, np.array(w))
+        shared = solves[:]
+        solves.clear()
+        for w in weights:
+            optimize_weighted(prepare_weighted(normalize_query(m, objectives)), np.array(w))
+        assert [b for _, b in shared] == [b for _, b in solves]
+        assert shared[0] == shared[2]  # the same structure, the same answer
+        assert len({id(st) for st, _ in solves}) == 3
+        solves.clear()
+        return len({id(st) for st, _ in shared}) == 1, max(b[4] for _, b in shared)
+
+    def test_shared_structure_matches_fresh_ones(self, solves):
+        weights = ([0.25, 0.75], [0.75, 0.25], [0.25, 0.75])
+        rng = np.random.default_rng(64)
+        one_structure = several_rounds = 0
+        for _ in range(60):
+            m, objectives = random_valid_instance(rng, n_lra=1, n_total=1)
+            one, rounds = self.check(solves, m, objectives, weights)
+            one_structure, several_rounds = one_structure + one, several_rounds + (rounds >= 2)
+        assert one_structure > 50 and several_rounds >= 3
+        # above the dense limit: the held solver is a sparse LU factor
+        m, objectives = layered_ma(np.random.default_rng(5), n=600)
+        prep = prepare_weighted(normalize_query(m, objectives))
+        optimize_weighted(prep, np.array(weights[0]))
+        assert len(solves.pop()[0].active) > _DENSE_LIMIT
+        assert self.check(solves, m, objectives, weights)[0]
+
+    def test_round_one_only_solves(self, monkeypatch):
+        calls = []
+
+        def counted(*args, solver=_solver, **kw):
+            calls.append(args[0])
+            return solver(*args, **kw)
+        monkeypatch.setattr(moma.solvers, "_solver", counted)
+        rounds = []
+        for st in structures():
+            assert len(calls) == 1  # the structure's own solver
+            calls.clear()
+            try:
+                sol = moma.solvers.solve_total(st, st.q.base.rewards["r"])
+            except SolverError:
+                calls.clear()
+                continue
+            assert len(calls) == sol.rounds - 1
+            rounds.append(sol.rounds)
+            calls.clear()
+        assert rounds.count(1) >= 5 and max(rounds) >= 3
+
+    def test_structures_die_with_the_prep(self):
+        def solved(m, objectives):
+            prep = prepare_weighted(normalize_query(m, objectives))
+            optimize_weighted(prep, np.array([0.5, 0.5]))
+            return [(weakref.ref(st), weakref.ref(st.solve)) for st in prep.structures.values()]
+
+        refs = solved(*layered_ma(np.random.default_rng(5), n=600))  # a sparse LU factor
+        refs += solved(*random_valid_instance(np.random.default_rng(65)))  # a dense matrix
+        gc.collect()
+        assert len(refs) >= 2
+        assert all(st() is None and solve() is None for st, solve in refs)
 
 
 class TestReachToTotal:
