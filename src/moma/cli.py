@@ -11,9 +11,9 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when the answer is unknown because an iteration
 or time budget ran out (or a solver could not certify a result), 2 on input
-or validation errors.  Results are written as deterministic JSON to stdout
-or --output; wall-clock time goes to stderr and is only embedded in the
-result file under --timings.
+or validation errors and on an output path that cannot be written.  Results
+are written as deterministic JSON to stdout or --output; wall-clock time
+goes to stderr and is only embedded in the result file under --timings.
 """
 
 from __future__ import annotations
@@ -94,9 +94,18 @@ def _load_json(path: str) -> dict:
         raise ModelError(f"{path} is not valid JSON: {e}") from e
 
 
-def _floats(text: str, what: str) -> list[float]:
+def _write(path: str, text: str) -> None:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise ModelError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _floats(text: str, what: str) -> list[float]:
+    """The comma-separated numbers of text; a blank text is the empty list."""
+    try:
+        return [float(x) for x in text.split(",")] if text.strip() else []
     except ValueError as e:
         raise ModelError(f"invalid {what} {text!r}: {e}") from e
 
@@ -122,8 +131,7 @@ def _emit(doc: dict, args, t0: float) -> None:
         doc["timings"] = {"wall_s": dt}
     text = dumps(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     print(f"wall time: {dt:.3f}s", file=sys.stderr)
@@ -203,11 +211,7 @@ def cmd_pareto(args) -> int:
     _emit(result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies),
           args, t0)
     if csv is not None:
-        with open(args.plot, "w", encoding="utf-8") as f:
-            f.write(csv)
-    elif pq.plot:
-        print("plot data requested by the query; pass --plot PATH to write it",
-              file=sys.stderr)
+        _write(args.plot, csv)
     return 1 if res.exhausted else 0
 
 

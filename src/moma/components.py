@@ -9,8 +9,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
-from .model import (Flat, MarkovAutomaton, ModelError, RewardAssignment, _graph, _ptr,
-                    _spans, carry_rewards, copy_choices, flat, reach, strong_components)
+from .model import (Flat, MarkovAutomaton, ModelError, RewardAssignment, _fresh_name,
+                    _graph, _ptr, _spans, carry_rewards, copy_choices, flat, reach,
+                    strong_components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +217,8 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
     taken = set(m.state_names)
     names = [m.state_names[s] for s in kept.tolist()]
     for nm in [f"C{i}" for i in range(len(ecs))] + ["bot"]:
-        while nm in taken:
-            nm += "'"
-        taken.add(nm)
-        names.append(nm)
+        names.append(_fresh_name(taken, nm))
+        taken.add(names[-1])
     action_names = [m.action_names[s] for s in kept.tolist()]
     base_choice = [np.flatnonzero(label[fl.choice_state] < 0)]
     for c in ecs:

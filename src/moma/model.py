@@ -12,7 +12,7 @@ import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Container, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -135,6 +135,13 @@ def weighted_reward_sum(name: str, parts: Sequence[tuple[float, RewardAssignment
         sum((w * r.edge for w, r in live), np.zeros(len(fl.succ))))
 
 
+def _fresh_name(taken: Container[str], base: str) -> str:
+    """base, primed until it is not taken."""
+    while base in taken:
+        base += "'"
+    return base
+
+
 @dataclass(frozen=True)
 class Objective:
     """One optimization objective over a named reward or a goal set.
@@ -164,19 +171,17 @@ class Objective:
 # A memoryless deterministic strategy: probabilistic state -> action index.
 MDStrategy = dict[int, int]
 
-Dist = tuple[tuple[int, float], ...]
-
 
 class MarkovAutomaton:
     """A Markov automaton over dense integer state ids.
 
     The structure is the whole-array view `flat(m)`, built and checked once
-    at construction.  `rates[s]` is the exit rate of a Markovian state and
-    None for a probabilistic state.  `choices[s]` lists the successor
-    distributions of s: exactly one for a Markovian state, one per enabled
-    action otherwise.  Each distribution is a tuple of (successor,
-    probability) pairs.  Both tuples are read-only views of the arrays,
-    derived on first read.
+    at construction.  The constructor takes it as tuples: `rates[s]` is the
+    exit rate of a Markovian state and None for a probabilistic state, and
+    `choices[s]` lists the successor distributions of s (exactly one for a
+    Markovian state, one per enabled action otherwise), each a sequence of
+    (successor, probability) pairs.  `m.rates` is a read-only view of the
+    arrays in the first form, derived on first read.
 
     Models are treated as immutable after construction.  `origin`, when set,
     maps each state of a derived model (embedding, product, restriction) back
@@ -237,10 +242,6 @@ class MarkovAutomaton:
         return self._flat.rate_tuple
 
     @property
-    def choices(self) -> tuple[tuple[Dist, ...], ...]:
-        return self._flat.choice_tuples
-
-    @property
     def n_states(self) -> int:
         return len(self._flat.markovian)
 
@@ -296,7 +297,7 @@ class Flat:
     edge e leads to succ[e] with probability prob[e].  `rates` is 0 on
     probabilistic states.  `choice_state`, `edge_choice` and `edge_src` are
     derived at construction; `kernel` (the choice-by-state probability
-    matrix), `edge_index` and the tuple views on first use.
+    matrix), `edge_index` and `rate_tuple` on first use.
     """
 
     ptr: np.ndarray
@@ -324,13 +325,6 @@ class Flat:
     def rate_tuple(self) -> tuple[float | None, ...]:
         return tuple(r if mk else None
                      for r, mk in zip(self.rates.tolist(), self.markovian.tolist()))
-
-    @cached_property
-    def choice_tuples(self) -> tuple[tuple[Dist, ...], ...]:
-        pairs = list(zip(self.succ.tolist(), self.prob.tolist()))
-        ep, p = self.edge_ptr.tolist(), self.ptr.tolist()
-        dists = [tuple(pairs[lo:hi]) for lo, hi in zip(ep, ep[1:])]
-        return tuple(tuple(dists[lo:hi]) for lo, hi in zip(p, p[1:]))
 
     def edges(self, choices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edges of the given choices, in order: for each edge, the
@@ -482,18 +476,20 @@ class ValidationReport:
 
 
 def validate_model(m: MarkovAutomaton) -> ValidationReport:
-    """Well-formedness of distributions, rates, deadlocks and reward keys, in scan order."""
+    """Well-formedness of distributions, rates, deadlocks, reward keys and
+    reward values, in scan order."""
     rep = ValidationReport()
     fl, names = flat(m), m.state_names
     # each sum runs in edge order from 0.0, as when adding one edge at a time
     total = np.bincount(fl.edge_choice, weights=fl.prob, minlength=len(fl.choice_state))
     keys, rank = fl.edge_index  # a repeated successor repeats a key, in edge order
-    s = np.flatnonzero(np.where(fl.markovian, ~(fl.rates > 0.0), fl.ptr[:-1] == fl.ptr[1:]))
+    s = np.flatnonzero(np.where(fl.markovian, ~(fl.rates > 0.0) | (fl.rates == np.inf),
+                                fl.ptr[:-1] == fl.ptr[1:]))
     # (place in the scan, state, message): c + e at edge e of choice c or, for all of
     # c, at its end edge; a state at its first choice and edge; ties keep check order
     found = list(zip((fl.ptr[s] + fl.edge_ptr[fl.ptr[s]]).tolist(), s.tolist(),
-                     [f"Markovian state has non-positive rate {r}" if mk else
-                      "probabilistic state enables no action (deadlock)"
+                     [f"Markovian state has {'infinite' if r > 0.0 else 'non-positive'} rate {r}"
+                      if mk else "probabilistic state enables no action (deadlock)"
                       for mk, r in zip(fl.markovian[s].tolist(), fl.rates[s].tolist())]))
 
     def note(c, e, message, *values):
@@ -516,7 +512,7 @@ def validate_model(m: MarkovAutomaton) -> ValidationReport:
     # rewards on probabilistic states only signal a mistake in a genuine MA
     is_mdp = not fl.markovian.any()
     for rname, r in m.rewards.items():
-        state, _ = r.vectors(m)
+        state, edge = r.vectors(m)
         # a reward born as vectors has no entry off the model
         off_states, off_edges = r.off or (np.flatnonzero(~fl.markovian & (state != 0.0)), [])
         for s in off_states.tolist():
@@ -530,6 +526,15 @@ def validate_model(m: MarkovAutomaton) -> ValidationReport:
             else:
                 rep.add("WellFormed", rname, f"transition reward on zero-probability edge "
                                               f"({names[s]}, {a}, {t})")
+        # the entries on the model that are not finite, by state and by edge
+        for s in np.flatnonzero(~np.isfinite(state)).tolist():
+            rep.add("WellFormed", rname, f"non-finite state reward {state[s]} at {names[s]}")
+        e = np.flatnonzero(~np.isfinite(edge))
+        src = fl.edge_src[e]
+        for s, a, t, v in zip(src.tolist(), (fl.edge_choice[e] - fl.ptr[src]).tolist(),
+                              fl.succ[e].tolist(), edge[e].tolist()):
+            rep.add("WellFormed", rname, f"non-finite transition reward {v} on edge "
+                                          f"({names[s]}, {a}, {t})")
     return rep
 
 

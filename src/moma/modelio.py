@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import Flat, MarkovAutomaton, ModelError, Objective, RewardAssignment
+from .model import Flat, MarkovAutomaton, ModelError, Objective, RewardAssignment, flat
 from .pareto import (AchievabilityQuery, ParetoQuery, QuantitativeQuery,
                      QueryResult)
 
@@ -245,34 +245,35 @@ def parse_model(doc: dict) -> MarkovAutomaton:
 def serialize_model(m: MarkovAutomaton) -> dict:
     """moma-model document for m; parse_model(serialize_model(m)) rebuilds an
     identical model including all names and reward assignments."""
-    kind = "ma" if m.markovian_states() else "mdp"
+    fl, names = flat(m), m.state_names
+    # each choice's edges sorted by successor (repeats by probability)
+    order = np.lexsort((fl.prob, fl.succ, fl.edge_choice))
+    succ, prob = [names[t] for t in fl.succ[order].tolist()], fl.prob[order].tolist()
+    ep, ptr = fl.edge_ptr.tolist(), fl.ptr.tolist()
+    dists = [dict(zip(succ[lo:hi], prob[lo:hi])) for lo, hi in zip(ep, ep[1:])]
     states = []
-    for s in range(m.n_states):
-        rec: dict = {"name": m.state_names[s]}
-        if m.is_markovian(s):
-            rec["rate"] = m.rates[s]
-            rec["transitions"] = {m.state_names[t]: pr for t, pr in sorted(m.choices[s][0])}
+    for s, rate in enumerate(m.rates):
+        if rate is None:
+            states.append({"name": names[s], "actions": [
+                {"name": a, "transitions": d}
+                for a, d in zip(m.action_names[s], dists[ptr[s]:ptr[s + 1]])]})
         else:
-            rec["actions"] = [
-                {"name": m.action_names[s][a],
-                 "transitions": {m.state_names[t]: pr for t, pr in sorted(d)}}
-                for a, d in enumerate(m.choices[s])]
-        states.append(rec)
+            states.append({"name": names[s], "rate": rate, "transitions": dists[ptr[s]]})
     rewards = []
     for name in sorted(m.rewards):
         r = m.rewards[name]
         block: dict = {"name": name}
         if r.state_rewards:
-            block["states"] = {m.state_names[s]: v for s, v in sorted(r.state_rewards.items())}
+            block["states"] = {names[s]: v for s, v in sorted(r.state_rewards.items())}
         if r.transition_rewards:
             block["transitions"] = [
-                {"from": m.state_names[s],
-                 "action": None if m.is_markovian(s) else m.action_names[s][a],
-                 "to": m.state_names[t], "value": v}
+                {"from": names[s], "action": None if m.is_markovian(s) else m.action_names[s][a],
+                 "to": names[t], "value": v}
                 for (s, a, t), v in sorted(r.transition_rewards.items())]
         rewards.append(block)
-    doc: dict = {"format": MODEL_FORMAT, "version": FORMAT_VERSION, "kind": kind,
-                 "initial": m.state_names[m.initial], "states": states}
+    doc: dict = {"format": MODEL_FORMAT, "version": FORMAT_VERSION,
+                 "kind": "ma" if fl.markovian.any() else "mdp",
+                 "initial": names[m.initial], "states": states}
     if rewards:
         doc["rewards"] = rewards
     return doc
@@ -288,7 +289,6 @@ class ParsedQuery:
     objectives: list[Objective]
     query: object
     strategies: bool
-    plot: bool
 
 
 def parse_objective(doc: dict, m: MarkovAutomaton) -> Objective:
@@ -327,9 +327,10 @@ def parse_query(doc: dict, m: MarkovAutomaton) -> ParsedQuery:
     else:
         query = QuantitativeQuery(_numbers(doc.get("thresholds", []), "thresholds"), **budget)
 
-    return ParsedQuery(kind, objectives, query,
-                       strategies=bool(doc.get("strategies", False)),
-                       plot=bool(doc.get("plot", False)))
+    strategies = doc.get("strategies", False)
+    if not isinstance(strategies, bool):
+        raise ModelError(f"strategies must be true or false, got {strategies!r}")
+    return ParsedQuery(kind, objectives, query, strategies)
 
 
 def query_echo(pq: ParsedQuery, m: MarkovAutomaton) -> dict:

@@ -45,13 +45,12 @@ class HalfSpace:
 @dataclass
 class AchievedPoint:
     """An exactly evaluated strategy: its value vector (internal, maximizing
-    orientation), the strategy itself, and the weights that produced it.
-    `finite` is False when some coordinate diverged to -inf; such points stay
-    recorded but never enter the hull."""
+    orientation) and the strategy itself.  `finite` is False when some
+    coordinate diverged to -inf; such points stay recorded but never enter
+    the hull."""
 
     point: np.ndarray
     strategy: MDStrategy
-    weights: tuple[float, ...]
     finite: bool
 
 
@@ -104,7 +103,7 @@ class ApproximationState:
         point = np.array(sol.point, dtype=float)
         finite = bool(np.all(np.isfinite(point)))
         w = tuple(float(x) for x in sol.weights)
-        self.points.append(AchievedPoint(point, dict(sol.strategy), w, finite))
+        self.points.append(AchievedPoint(point, dict(sol.strategy), finite))
         if not finite:
             self.warnings.append(
                 "a strategy evaluated to -inf in some coordinate; consider dropping "
@@ -456,8 +455,8 @@ def problem_statistics(p: NormalizedProblem, prep: WeightedPrep, iterations: int
         "states": p.model.n_states,
         "markovian_states": len(p.model.markovian_states()),
         "choices": p.model.n_choices,
-        "zero_ecs": len(prep.zero_ecs),
-        "zero_ec_states": sum(len(c.members) for c in prep.zero_ecs),
+        "zero_ecs": len(p.zero_ecs),
+        "zero_ec_states": sum(len(c.members) for c in p.zero_ecs),
         "iterations": iterations,
         "total_structures": len(prep.structures),
     }

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -41,7 +41,7 @@ from scipy.sparse.linalg import splu
 
 from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
                     ModelError, Objective, RewardAssignment, SolverError, _chosen,
-                    _graph, _ptr, _spans, carry_rewards, copy_choices, flat,
+                    _fresh_name, _graph, _ptr, _spans, carry_rewards, copy_choices, flat,
                     reach, scc_levels, strong_components)
 from .components import (EndComponent, QuotientModel, _toward, almost_sure_reach,
                          decode_quotient_strategy, exits, quotient, zero_mecs)
@@ -563,15 +563,15 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
     batched Bellman steps of its rows, computed exactly as in the global
     check, cap it until it is inductive.  The slack rises strictly with the
     level, from delta/2 to delta, so no level is held up by the slack below
-    it.  A stagnant level (rounding jitter) gets one upward nudge before
-    delta is escalated, from that level on."""
+    it.  A stagnant level (rounding jitter) escalates delta, from that level
+    on."""
     delta = max(eps, 1e-9) * max(1.0, float(np.max(np.abs(L)))) * 0.5
     top = max(len(st.levels) - 2, 1)
     U, ell, sweeps = L.copy(), 0, 0
     for _ in range(7):
         while ell < len(st.levels) - 1:
             s, bellman = _level(st, ell, crew_v)
-            u, nudged = L[s] + 0.5 * delta * (1.0 + ell / top), False
+            u = L[s] + 0.5 * delta * (1.0 + ell / top)
             for _ in range(30_000):
                 sweeps += 1
                 U[s] = u
@@ -580,9 +580,7 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
                     break
                 new = np.minimum(u, tu)
                 if np.array_equal(new, u):
-                    if nudged:
-                        break
-                    new, nudged = np.nextafter(u, np.inf), True
+                    break
                 u = new
             if not inductive:
                 break
@@ -677,10 +675,3 @@ def reach_to_total(m: MarkovAutomaton, goal) -> tuple[MarkovAutomaton, RewardAss
     rewards[fresh_name] = fresh
     m2.rewards = rewards
     return m2, fresh
-
-
-def _fresh_name(existing: Mapping[str, RewardAssignment], base: str) -> str:
-    name = base
-    while name in existing:
-        name += "'"
-    return name

@@ -20,12 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .model import (MarkovAutomaton, MDStrategy, ModelError, Objective,
-                    RewardAssignment, ValidationReport, check_total_rewards,
+                    RewardAssignment, ValidationReport, _fresh_name, check_total_rewards,
                     embed_mdp, flat, validate_model, weighted_reward_sum)
 from .components import (EndComponent, QuotientModel, almost_sure_reach,
                          decode_quotient_strategy, mec_decomposition, quotient,
                          sub_ma, zero_mecs)
-from .solvers import (ChainEvaluation, TotalStructure, _fresh_name, evaluate_strategy,
+from .solvers import (ChainEvaluation, TotalStructure, evaluate_strategy,
                       mec_lra, reach_to_total, solve_total, total_structure, total_zero_ecs)
 
 
@@ -73,19 +73,15 @@ def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> Norm
                     raise ModelError(f"goal state {s} out of range")
     original = list(objectives)
 
-    if not m.markovian_states():
-        work = embed_mdp(m)
-        comp = list(work.origin)
-    else:
-        work = m
-        comp = list(range(m.n_states))
+    work = m if m.markovian_states() else embed_mdp(m)
+    comp = np.arange(m.n_states) if work is m else np.array(work.origin)  # original states
 
     objs = list(objectives)
     for i, o in enumerate(objs):
         if o.kind != "reach":
             continue
-        goal_now = {j for j in range(work.n_states) if comp[j] in o.goal}
-        if not goal_now:
+        goal_now = np.flatnonzero(np.isin(comp, list(o.goal)))
+        if not len(goal_now):
             # goal unreachable: the probability is 0 under every strategy
             name, fl = _fresh_name(work.rewards, "reach(unreachable)"), flat(work)
             work = work.with_rewards({**work.rewards, name: RewardAssignment.from_vectors(
@@ -94,7 +90,7 @@ def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> Norm
             continue
         work, fresh = reach_to_total(work, goal_now)
         objs[i] = Objective("total", o.direction, fresh.name)
-        comp = [comp[work.origin[j]] for j in range(work.n_states)]
+        comp = comp[np.array(work.origin)]
 
     flips = np.ones(len(objs))
     rewards = dict(work.rewards)
@@ -146,16 +142,16 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
 @dataclass
 class WeightedPrep:
     """Weight-independent precomputation shared across weighted solves:
-    the end components carrying no total reward, their standalone sub-models,
-    the bottom-extended quotient that collapses them, and the total-reward
-    structures built so far: one per set of zero-reward end components a
-    total solve collapses (keyed by their inside choices), since that set
-    alone determines a structure, and `patterns` sends each support pattern
-    of the lifted reward seen so far to its structure.  `evaluations` keeps
-    the exact evaluation of every decoded strategy, keyed by its actions."""
+    the standalone sub-models of the end components carrying no total
+    reward (`problem.zero_ecs`), the bottom-extended quotient that collapses
+    them, and the total-reward structures built so far: one per set of
+    zero-reward end components a total solve collapses (keyed by their
+    inside choices), since that set alone determines a structure, and
+    `patterns` sends each support pattern of the lifted reward seen so far
+    to its structure.  `evaluations` keeps the exact evaluation of every
+    decoded strategy, keyed by its actions."""
 
     problem: NormalizedProblem
-    zero_ecs: list[EndComponent]
     quot: QuotientModel
     subs: list[MarkovAutomaton]
     structures: dict[tuple[bytes, ...], TotalStructure] = field(default_factory=dict)
@@ -165,8 +161,7 @@ class WeightedPrep:
 
 def prepare_weighted(p: NormalizedProblem) -> WeightedPrep:
     z = p.zero_ecs
-    return WeightedPrep(p, z, quotient(p.model, z, with_bottom=True),
-                        [sub_ma(p.model, c) for c in z])
+    return WeightedPrep(p, quotient(p.model, z, with_bottom=True), [sub_ma(p.model, c) for c in z])
 
 
 @dataclass
@@ -207,7 +202,7 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
 
     gains: list[float] = []
     stays: dict[int, dict[int, int]] = {}
-    for i, (c, sub) in enumerate(zip(prep.zero_ecs, prep.subs)):
+    for i, (c, sub) in enumerate(zip(p.zero_ecs, prep.subs)):
         # sub_ma already restricted every named reward to the component
         rr = weighted_reward_sum("w.lra", [(x, sub.rewards[n]) for x, n in zip(lra_w, names)])
         if rr.is_zero:

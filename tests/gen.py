@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 from scipy.optimize import linprog
@@ -21,6 +22,22 @@ from moma import (MarkovAutomaton, Objective, RewardAssignment, ValidationReport
                   evaluate_strategy, normalize_query, validate_assumptions)
 from moma.components import mec_decomposition
 from moma.model import NEG_INF, PROB_TOL, flat
+
+_CHOICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def choices(m: MarkovAutomaton) -> tuple[tuple[tuple[tuple[int, float], ...], ...], ...]:
+    """The structure of m as tuples, the form `MarkovAutomaton(...)` takes:
+    per state its distributions, each a tuple of (successor, probability)
+    pairs in edge order.  Built once per structure."""
+    fl = flat(m)
+    if fl not in _CHOICES:
+        pairs = list(zip(fl.succ.tolist(), fl.prob.tolist()))
+        ep, p = fl.edge_ptr.tolist(), fl.ptr.tolist()
+        dists = [tuple(pairs[lo:hi]) for lo, hi in zip(ep, ep[1:])]
+        _CHOICES[fl] = tuple(tuple(dists[lo:hi]) for lo, hi in zip(p, p[1:]))
+    return _CHOICES[fl]
+
 
 # ---------------------------------------------------------------------------
 # generators
@@ -86,12 +103,12 @@ def _half_int(rng, lo=-3.0, hi=3.0):
 
 
 def malformed_ma(rng, max_states=6):
-    """A model breaking the well-formedness rules at random: non-positive or
-    NaN rates, deadlocks, empty or duplicated distributions, probabilities
-    outside (0, 1] or off a sum of 1, and reward keys off the model (unknown
-    states and choices, missing edges, state rewards on probabilistic
-    states), in random entry order.  All states are probabilistic in about a
-    quarter of the draws."""
+    """A model breaking the well-formedness rules at random: non-positive,
+    NaN or infinite rates, deadlocks, empty or duplicated distributions,
+    probabilities outside (0, 1] or off a sum of 1, reward keys off the
+    model (unknown states and choices, missing edges, state rewards on
+    probabilistic states) and non-finite reward values, in random entry
+    order.  All states are probabilistic in about a quarter of the draws."""
     n = int(rng.integers(1, max_states + 1))
     mdp = rng.random() < 0.25
 
@@ -112,7 +129,8 @@ def malformed_ma(rng, max_states=6):
     choices = []
     for _ in range(n):
         if not mdp and rng.random() < 0.5:
-            rates.append(float(rng.choice([0.0, -1.0, math.nan])) if rng.random() < 0.2 else 1.0)
+            rates.append(float(rng.choice([0.0, -1.0, math.nan, math.inf]))
+                         if rng.random() < 0.2 else 1.0)
             choices.append([dist()])
         else:
             rates.append(None)
@@ -122,6 +140,10 @@ def malformed_ma(rng, max_states=6):
         srew = {int(s): _half_int(rng) for s in rng.integers(-1, n + 2, int(rng.integers(0, 5)))}
         trew = {(int(rng.integers(-1, n + 1)), int(rng.integers(-1, 3)), int(rng.integers(0, n))):
                 _half_int(rng) for _ in range(int(rng.integers(0, 6)))}
+        for entries in (srew, trew):
+            for key in entries:
+                if rng.random() < 0.15:
+                    entries[key] = float(rng.choice([math.nan, math.inf, -math.inf]))
         rewards[name] = RewardAssignment(name, srew, trew)
     return MarkovAutomaton(rates, choices, initial=0, rewards=rewards)
 
@@ -134,7 +156,7 @@ def random_lra_reward(rng, m, name):
             for s in earning if rng.random() < 0.8}
     trew = {}
     for s in range(m.n_states):
-        for a, dist in enumerate(m.choices[s]):
+        for a, dist in enumerate(choices(m)[s]):
             for t, _ in dist:
                 if rng.random() < 0.15:
                     trew[(s, a, t)] = _half_int(rng)
@@ -147,7 +169,7 @@ def random_total_reward(rng, m, mecs, name):
     srew = {s: _half_int(rng) for s in m.markovian_states() if rng.random() < 0.3}
     trew = {}
     for s in range(m.n_states):
-        for a, dist in enumerate(m.choices[s]):
+        for a, dist in enumerate(choices(m)[s]):
             for t, _ in dist:
                 if rng.random() < 0.3:
                     trew[(s, a, t)] = _half_int(rng)
@@ -156,11 +178,11 @@ def random_total_reward(rng, m, mecs, name):
         for s in c.markovian_states:
             if s in srew:
                 srew[s] = 0.0 if rng.random() < 0.5 else -abs(srew[s])
-            for t, _ in m.choices[s][0]:
+            for t, _ in choices(m)[s][0]:
                 if (s, 0, t) in trew:
                     trew[(s, 0, t)] = 0.0 if rng.random() < 0.5 else -abs(trew[(s, 0, t)])
         for (s, a) in c.pairs:
-            for t, _ in m.choices[s][a]:
+            for t, _ in choices(m)[s][a]:
                 if t in inside and (s, a, t) in trew:
                     trew[(s, a, t)] = 0.0 if rng.random() < 0.5 else -abs(trew[(s, a, t)])
     srew = {s: v for s, v in srew.items() if v != 0.0}
@@ -176,9 +198,9 @@ def random_ssp(rng, max_states=6, max_actions=3):
     the bottom almost surely."""
     m = random_ma(rng, max_states, max_actions)
     n = m.n_states
-    choices = [[dyadic_dist(rng, _pick_succs(rng, n + 1)) if rng.random() < 0.5 else d
-                for d in ds] for ds in m.choices] + [[((n, 1.0),)]]
-    m = MarkovAutomaton(list(m.rates) + [1.0], choices, initial=0)
+    structure = [[dyadic_dist(rng, _pick_succs(rng, n + 1)) if rng.random() < 0.5 else d
+                  for d in ds] for ds in choices(m)] + [[((n, 1.0),)]]
+    m = MarkovAutomaton(list(m.rates) + [1.0], structure, initial=0)
     r = random_total_reward(rng, m, mec_decomposition(m), "r")
     r = RewardAssignment("r", {s: v for s, v in r.state_rewards.items() if s != n},
                          {k: v for k, v in r.transition_rewards.items() if k[0] != n})
@@ -241,7 +263,7 @@ def total_value_lp(m: MarkovAutomaton, r: RewardAssignment, bottom: int) -> floa
     for s in range(m.n_states):
         if s == bottom:
             continue
-        for a, dist in enumerate(m.choices[s]):
+        for a, dist in enumerate(choices(m)[s]):
             i = len(c)
             c.append(r.state_rewards.get(s, 0.0) / m.rates[s] if m.is_markovian(s) else 0.0)
             rows.append(i)
@@ -476,7 +498,7 @@ def all_strategies(m: MarkovAutomaton):
     if not ps:
         yield {}
         return
-    for combo in itertools.product(*(range(len(m.choices[s])) for s in ps)):
+    for combo in itertools.product(*(range(len(choices(m)[s])) for s in ps)):
         yield dict(zip(ps, combo))
 
 
@@ -511,16 +533,19 @@ def weighted_oracle(points, w) -> float:
 
 def ref_validate_model(m: MarkovAutomaton) -> ValidationReport:
     """Scan reference for `model.validate_model`: state by state, choice by
-    choice, edge by edge over the tuple views, then every reward entry."""
+    choice, edge by edge over the tuple views, then per reward its entries
+    off the model and its non-finite entries on states and edges."""
     rep = ValidationReport()
     for s in range(m.n_states):
         name = m.state_names[s]
         if m.is_markovian(s):
             if not m.rates[s] > 0.0:
                 rep.add("WellFormed", name, f"Markovian state has non-positive rate {m.rates[s]}")
-        elif len(m.choices[s]) == 0:
+            elif m.rates[s] == math.inf:
+                rep.add("WellFormed", name, f"Markovian state has infinite rate {m.rates[s]}")
+        elif len(choices(m)[s]) == 0:
             rep.add("WellFormed", name, "probabilistic state enables no action (deadlock)")
-        for a, dist in enumerate(m.choices[s]):
+        for a, dist in enumerate(choices(m)[s]):
             if not dist:
                 rep.add("WellFormed", name, f"choice {a} has an empty distribution")
                 continue
@@ -544,12 +569,23 @@ def ref_validate_model(m: MarkovAutomaton) -> ValidationReport:
                 rep.add("WellFormed", rname,
                         f"state reward on probabilistic state {m.state_names[s]}")
         for (s, a, t), _ in r.transition_rewards.items():
-            if not (0 <= s < m.n_states and 0 <= a < len(m.choices[s])):
+            if not (0 <= s < m.n_states and 0 <= a < len(choices(m)[s])):
                 rep.add("WellFormed", rname, f"transition reward on unknown choice ({s}, {a})")
-            elif all(u != t for u, _ in m.choices[s][a]):
+            elif all(u != t for u, _ in choices(m)[s][a]):
                 rep.add("WellFormed", rname,
                         f"transition reward on zero-probability edge "
                         f"({m.state_names[s]}, {a}, {t})")
+        for s, v in sorted(r.state_rewards.items()):
+            if 0 <= s < m.n_states and not math.isfinite(v):
+                rep.add("WellFormed", rname, f"non-finite state reward {v} at {m.state_names[s]}")
+        for s in range(m.n_states):
+            for a, dist in enumerate(choices(m)[s]):
+                for k, (t, _) in enumerate(dist):
+                    v = r.transition_rewards.get((s, a, t), 0.0)
+                    # an entry sits on the first edge to its successor
+                    if not math.isfinite(v) and all(u != t for u, _ in dist[:k]):
+                        rep.add("WellFormed", rname, f"non-finite transition reward {v} on edge "
+                                                      f"({m.state_names[s]}, {a}, {t})")
     return rep
 
 
@@ -559,12 +595,12 @@ def _ref_internal_reward_entries(m: MarkovAutomaton, r: RewardAssignment, c):
         v = r.state_rewards.get(s, 0.0)
         if v != 0.0:
             yield m.state_names[s], v
-        for t, _ in m.choices[s][0]:
+        for t, _ in choices(m)[s][0]:
             v = r.transition_rewards.get((s, 0, t), 0.0)
             if v != 0.0:
                 yield f"{m.state_names[s]}->{m.state_names[t]}", v
     for s, a in sorted(c.pairs):
-        for t, _ in m.choices[s][a]:
+        for t, _ in choices(m)[s][a]:
             v = r.transition_rewards.get((s, a, t), 0.0)
             if v != 0.0:
                 yield f"{m.state_names[s]}[{m.action_names[s][a]}]->{m.state_names[t]}", v
@@ -650,20 +686,20 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
             acc[state_map[t]] = acc.get(state_map[t], 0.0) + p
         return tuple(sorted(acc.items()))
 
-    choices = [tuple(redirect(d) for d in m.choices[s]) for s in kept]
-    behind = [[(s, a) for a in range(len(m.choices[s]))] for s in kept]  # None: bottom
+    qchoices = [tuple(redirect(d) for d in choices(m)[s]) for s in kept]
+    behind = [[(s, a) for a in range(len(choices(m)[s]))] for s in kept]  # None: bottom
     decoding = {}
     for i, c in enumerate(ecs):
         outs = [(s, a) for s in c.members.tolist() if not m.is_markovian(s)
-                for a in range(len(m.choices[s])) if (s, a) not in c.pairs]
+                for a in range(len(choices(m)[s])) if (s, a) not in c.pairs]
         decoding.update({(k + i, j): ("exit", s, a) for j, (s, a) in enumerate(outs)})
-        dists = [redirect(m.choices[s][a]) for s, a in outs]
+        dists = [redirect(choices(m)[s][a]) for s, a in outs]
         if with_bottom:
             decoding[(k + i, len(outs))] = ("bottom",)
             dists.append(((bottom, 1.0),))
-        choices.append(tuple(dists))
+        qchoices.append(tuple(dists))
         behind.append(outs)
-    choices.append((((bottom, 1.0),),))
+    qchoices.append((((bottom, 1.0),),))
     behind.append([])
 
     def lift(r: RewardAssignment, bottom_values=None):
@@ -674,17 +710,17 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
             for qa, (s, a) in enumerate(pairs):
                 num: dict[int, float] = {}
                 mass: dict[int, float] = {}
-                for t, p in m.choices[s][a]:
+                for t, p in choices(m)[s][a]:
                     qt = state_map[t]
                     num[qt] = num.get(qt, 0.0) + p * r.transition_rewards.get((s, a, t), 0.0)
                     mass[qt] = mass.get(qt, 0.0) + p
                 trans_r.update({(qs, qa, qt): v / mass[qt] for qt, v in num.items() if v != 0.0})
         for i, v in enumerate(bottom_values or []):
             if v != 0.0:
-                trans_r[(k + i, len(choices[k + i]) - 1, bottom)] = v
+                trans_r[(k + i, len(qchoices[k + i]) - 1, bottom)] = v
         return state_r, dict(sorted(trans_r.items()))
 
-    return tuple(choices), decoding, state_map, list(range(k, bottom)), bottom, lift
+    return tuple(qchoices), decoding, state_map, list(range(k, bottom)), bottom, lift
 
 
 # ---------------------------------------------------------------------------
@@ -799,18 +835,18 @@ def _closure(m: MarkovAutomaton, S: frozenset[int], totals):
     kept: dict[int, list[int]] = {}
     for s in S:
         if m.is_markovian(s):
-            if any(t not in S for t, _ in m.choices[s][0]):
+            if any(t not in S for t, _ in choices(m)[s][0]):
                 return None
             if totals is not None:
                 if any(r.state_rewards.get(s, 0.0) != 0.0 for r in totals):
                     return None
                 if any(r.transition_rewards.get((s, 0, t), 0.0) != 0.0
-                       for t, _ in m.choices[s][0] for r in totals):
+                       for t, _ in choices(m)[s][0] for r in totals):
                     return None
             kept[s] = [0]
         else:
             acts = []
-            for a, dist in enumerate(m.choices[s]):
+            for a, dist in enumerate(choices(m)[s]):
                 if any(t not in S for t, _ in dist):
                     continue
                 if totals is not None and any(
@@ -827,7 +863,7 @@ def _closure(m: MarkovAutomaton, S: frozenset[int], totals):
     adj = np.zeros((len(order), len(order)), dtype=bool)
     for s, acts in kept.items():
         for a in acts:
-            for t, _ in m.choices[s][a]:
+            for t, _ in choices(m)[s][a]:
                 adj[pos[s], pos[t]] = True
     ncomp, _ = connected_components(adj, directed=True, connection="strong")
     if ncomp != 1:
@@ -868,7 +904,7 @@ def chain_reach_sure(m: MarkovAutomaton, sigma, targets) -> set[int]:
             adj[s, s] = True
             continue
         a = 0 if m.is_markovian(s) else sigma.get(s, 0)
-        for t, _ in m.choices[s][a]:
+        for t, _ in choices(m)[s][a]:
             adj[s, t] = True
     ncomp, labels = connected_components(adj, directed=True, connection="strong")
     leaves = np.zeros(ncomp, dtype=bool)
@@ -916,7 +952,7 @@ def chain_eval(m: MarkovAutomaton, sigma, objectives):
         visit[s] = a
         if m.is_markovian(s):
             tau[s] = 1.0 / m.rates[s]
-        for t, p in m.choices[s][a]:
+        for t, p in choices(m)[s][a]:
             P[s, t] += p
 
     S = (P + np.eye(n)) / 2.0
@@ -939,7 +975,7 @@ def chain_eval(m: MarkovAutomaton, sigma, objectives):
         for s in range(n):
             a = visit[s]
             rho[s] = r.state_rewards.get(s, 0.0) * tau[s] if m.is_markovian(s) else 0.0
-            for t, p in m.choices[s][a]:
+            for t, p in choices(m)[s][a]:
                 rho[s] += p * r.transition_rewards.get((s, a, t), 0.0)
         if o.kind == "lra":
             gain = np.zeros(n)
@@ -964,7 +1000,7 @@ def chain_eval(m: MarkovAutomaton, sigma, objectives):
                 for s in members:
                     if m.is_markovian(s):
                         entries.append(r.state_rewards.get(s, 0.0))
-                    for t, _ in m.choices[s][visit[s]]:
+                    for t, _ in choices(m)[s][visit[s]]:
                         entries.append(r.transition_rewards.get((s, visit[s], t), 0.0))
                 if any(v < 0.0 for v in entries):
                     neg = True
@@ -997,7 +1033,7 @@ def ec_lra_lp(m: MarkovAutomaton, r: RewardAssignment) -> float:
     rows, cols, vals = [], [], []
     rho = []
     for s in range(m.n_states):
-        for a, dist in enumerate(m.choices[s]):
+        for a, dist in enumerate(choices(m)[s]):
             c = len(rho)
             rho.append(0.0)
             rows.append(s)
@@ -1035,7 +1071,7 @@ def mdp_step_lra(mdp: MarkovAutomaton, sigma, r: RewardAssignment) -> float:
     for s in range(n):
         a = sigma.get(s, 0)
         step[s] = r.state_rewards.get(s, 0.0)
-        for t, pr in mdp.choices[s][a]:
+        for t, pr in choices(mdp)[s][a]:
             P[s, t] += pr
             step[s] += pr * r.transition_rewards.get((s, a, t), 0.0)
     ncomp, labels = connected_components(P > 0, directed=True, connection="strong")

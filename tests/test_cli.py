@@ -53,6 +53,21 @@ class TestValidate:
         assert code == 2
         assert "sum" in out
 
+    @pytest.mark.parametrize("path, value, message", [
+        ("states.0.rate", "inf", "s1: Markovian state has infinite rate inf"),
+        ("rewards.0.states.s2", float("nan"), "R1: non-finite state reward nan at s2"),
+        ("rewards.1.transitions.0.value", "-inf",
+         "R2: non-finite transition reward -inf on edge (s3, 0, 0)"),
+    ])
+    def test_non_finite_values(self, ws, capsys, path, value, message):
+        bad = ws.dir / "bad.json"
+        doc = json.loads((ws.dir / "model.json").read_text())
+        bad.write_text(json.dumps(_broken(doc, path, value)), encoding="utf-8")
+        code, out, _ = run(capsys, "validate", str(bad))
+        assert code == 2 and out == f"[WellFormed] {message}\n"
+        code, out, err = run(capsys, "pareto", str(bad), "--query", ws.query())
+        assert code == 2 and out == "" and message in err
+
     def test_with_query_checks_assumptions(self, ws, capsys):
         code, out, _ = run(capsys, "validate", ws.model, "--query", ws.query())
         assert code == 0
@@ -145,6 +160,19 @@ class TestCheck:
         assert code == 2
         assert out == "" and err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("flag, value", [("--point", "1,,2"), ("--point", "3.5,-1,"),
+                                             ("--point", ","), ("--thresholds", " ,0")])
+    def test_empty_entry_exits_2(self, ws, capsys, flag, value):
+        code, out, err = run(capsys, "check", ws.model, "--query", ws.query(), flag, value)
+        assert code == 2
+        assert out == "" and err.startswith(f"error: invalid {flag}")
+
+    def test_blank_thresholds_are_the_empty_list(self, ws, capsys):
+        q = ws.query(objectives=[{"kind": "lra", "direction": "max", "reward": "R1"}])
+        code, out, _ = run(capsys, "check", ws.model, "--query", q, "--thresholds", "")
+        assert code == 0
+        assert json.loads(out)["query"]["thresholds"] == []
+
     def test_thresholds(self, ws, capsys):
         code, out, _ = run(capsys, "check", ws.model, "--query", ws.query(),
                            "--thresholds", "0")
@@ -217,6 +245,22 @@ class TestPareto:
         assert code == 2 and out == ""
         assert "exactly 2 objectives" in err
         assert not plot.exists() and not result.exists()
+
+    def test_unwritable_output(self, ws, capsys):
+        target = ws.dir / "missing" / "result.json"
+        code, out, err = run(capsys, "pareto", ws.model, "--query", ws.query(),
+                             "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_unwritable_plot(self, ws, capsys):
+        # the result is written before the plot
+        target, result = ws.dir / "missing" / "front.csv", ws.dir / "result.json"
+        code, _, err = run(capsys, "pareto", ws.model, "--query", ws.query(),
+                           "--output", str(result), "--plot", str(target))
+        assert code == 2
+        assert f"error: cannot write {target}: " in err
+        assert json.loads(result.read_text())["kind"] == "pareto"
 
     def test_timings_embedded_on_request(self, ws, capsys):
         code, out, _ = run(capsys, "pareto", ws.model, "--query", ws.query())

@@ -7,7 +7,7 @@ from moma import (MarkovAutomaton, ModelError, RewardAssignment,
 from moma import components
 from moma.model import flat, reach
 
-from gen import (brute_as_reach, brute_mecs, chain_reach_sure, random_lra_reward,
+from gen import (brute_as_reach, brute_mecs, chain_reach_sure, choices, random_lra_reward,
                  random_ma, random_total_reward, ref_quotient)
 
 
@@ -79,7 +79,7 @@ def banning_reward(m, choice_ok):
             state_r[s] = 1.0
         else:
             a = c - int(fl.ptr[s])
-            trans_r[(s, a, m.choices[s][a][0][0])] = -1.0
+            trans_r[(s, a, choices(m)[s][a][0][0])] = -1.0
     return RewardAssignment("ban", state_r, trans_r)
 
 
@@ -139,9 +139,9 @@ class TestMecDecompositionMask:
         for _ in range(40):
             base = random_ma(rng, max_states=6)
             dead = rng.random(base.n_states) < 0.3
-            choices = [[] if dead[s] and not base.is_markovian(s) else base.choices[s]
+            structure = [[] if dead[s] and not base.is_markovian(s) else choices(base)[s]
                        for s in range(base.n_states)]
-            m = MarkovAutomaton(base.rates, choices, initial=0)
+            m = MarkovAutomaton(base.rates, structure, initial=0)
             assert as_pairs(mec_decomposition(m)) == brute_mecs(m)
 
 
@@ -193,11 +193,11 @@ class TestQuotient:
         # both components are exit-free, so their only action is bottom
         assert decoding(q)[(2, 0)] == ("bottom",)
         assert decoding(q)[(3, 0)] == ("bottom",)
-        assert q.model.choices[2] == (((4, 1.0),),)
+        assert choices(q.model)[2] == (((4, 1.0),),)
         # s1's Markovian distribution is redirected onto the classes
-        assert q.model.choices[0] == (((1, 0.5), (2, 0.5)),)
+        assert choices(q.model)[0] == (((1, 0.5), (2, 0.5)),)
         # s3 keeps both actions: alpha to s1, beta half C1 half C0
-        assert q.model.choices[1] == (((0, 1.0),), ((2, 0.5), (3, 0.5)))
+        assert choices(q.model)[1] == (((0, 1.0),), ((2, 0.5), (3, 0.5)))
         assert not q.model.is_markovian(2)
         assert q.model.is_markovian(4)
 
@@ -211,7 +211,7 @@ class TestQuotient:
         qs = q.ec_states[0]
         assert decoding(q)[(qs, 0)] == ("exit", 1, 1)
         assert decoding(q)[(qs, 1)] == ("bottom",)
-        assert q.model.choices[qs][0] == ((q.state_map[2], 1.0),)
+        assert choices(q.model)[qs][0] == ((q.state_map[2], 1.0),)
 
     def test_overlap_rejected(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
@@ -251,9 +251,9 @@ class TestQuotient:
             lra = random_lra_reward(rng, m, "L")
             ecs = [c for c in mecs if rng.random() < 0.6]
             q = quotient(m, ecs, with_bottom=with_bottom)
-            choices, ref_decoding, state_map, ec_states, bottom, lift = \
+            ref_choices, ref_decoding, state_map, ec_states, bottom, lift = \
                 ref_quotient(m, ecs, with_bottom)
-            assert q.model.choices == choices
+            assert choices(q.model) == ref_choices
             assert decoding(q) == ref_decoding
             assert q.state_map == state_map
             assert q.ec_states == ec_states
@@ -285,7 +285,7 @@ class TestAlmostSureReach:
             # allowed choices never leave the region
             for s, acts in allowed.items():
                 for a in acts:
-                    assert all(t in region for t, _ in m.choices[s][a])
+                    assert all(t in region for t, _ in choices(m)[s][a])
 
     def test_region_shrinking_over_rounds(self, monkeypatch):
         # x_k -> {x_(k-1), T}, x_1 -> {d, T}: every round of the fixed point
@@ -327,8 +327,8 @@ class TestAlmostSureReach:
                     if s in dist:
                         continue
                     for a in allowed[s]:
-                        if any(t in dist for t, _ in m.choices[s][a]):
-                            dist[s] = min(dist[t] for t, _ in m.choices[s][a]
+                        if any(t in dist for t, _ in choices(m)[s][a]):
+                            dist[s] = min(dist[t] for t, _ in choices(m)[s][a]
                                           if t in dist) + 1
                             new.append(s)
                             break
@@ -338,7 +338,7 @@ class TestAlmostSureReach:
                 if not m.is_markovian(s):
                     best = min(allowed[s],
                                key=lambda a: min((dist.get(t, 10 ** 9)
-                                                  for t, _ in m.choices[s][a])))
+                                                  for t, _ in choices(m)[s][a])))
                     sigma[s] = best
             sure = chain_reach_sure(m, sigma, targets)
             assert region <= sure
@@ -353,7 +353,7 @@ class TestSubMa:
         assert sub.origin == (1, 3, 5)
         assert sub.state_names == ("s2", "s4", "s6")
         assert sub.rates == (2.0, None, 2.0)
-        assert len(sub.choices[1]) == 2
+        assert len(choices(sub)[1]) == 2
         assert sub.rewards["R1"].state_rewards == {0: 6.0, 2: 1.0}
 
     def test_open_component_rejected(self, fig1):
@@ -407,8 +407,8 @@ class TestDecodeQuotientStrategy:
             # two disjoint copies of a random model: components exit in pairs
             base = random_ma(rng, max_states=8, max_actions=3, p_markov=0.3)
             n = base.n_states
-            m = MarkovAutomaton(base.rates * 2, base.choices + tuple(
-                tuple(tuple((t + n, p) for t, p in d) for d in cs) for cs in base.choices),
+            m = MarkovAutomaton(base.rates * 2, choices(base) + tuple(
+                tuple(tuple((t + n, p) for t, p in d) for d in cs) for cs in choices(base)),
                 initial=0)
             fl = flat(m)
             z = zero_mecs(m, [random_total_reward(rng, m, mec_decomposition(m), "T")])

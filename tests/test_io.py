@@ -8,7 +8,7 @@ from moma import (MarkovAutomaton, ModelError, ParetoQuery, answer_query, dumps,
 from moma.model import flat
 from moma.modelio import query_echo
 
-from gen import layered_ma, menu_doc, random_ma, random_mdp
+from gen import choices, layered_ma, menu_doc, random_ma, random_mdp
 
 
 def parse_query_doc(extra=None, kind="pareto"):
@@ -72,8 +72,8 @@ class TestModelRoundTrip:
             again = parse_model(doc)
             assert serialize_model(again) == doc
             assert again.n_states == m.n_states
-            assert [sorted(c) for row in again.choices for c in row] == \
-                   [sorted(c) for row in m.choices for c in row]
+            assert [sorted(c) for row in choices(again) for c in row] == \
+                   [sorted(c) for row in choices(m) for c in row]
 
     def test_json_text_round_trip(self, fig1):
         text = dumps(serialize_model(fig1))
@@ -104,7 +104,7 @@ class TestParseBuildsArrays:
         for m in self.models():
             got = parse_model(serialize_model(m))
             # the document lists each distribution by successor
-            want = MarkovAutomaton(m.rates, [[tuple(sorted(d)) for d in row] for row in m.choices],
+            want = MarkovAutomaton(m.rates, [[tuple(sorted(d)) for d in row] for row in choices(m)],
                                    m.initial, m.state_names, m.action_names)
             for f in ("ptr", "edge_ptr", "succ", "prob", "markovian", "rates"):
                 a, b = getattr(flat(got), f), getattr(flat(want), f)
@@ -221,8 +221,14 @@ class TestParseQuery:
         assert pq.query.precision == 1e-4
         assert pq.query.max_iterations == 200
         assert pq.query.time_limit is None
-        assert pq.strategies is False and pq.plot is False
+        assert pq.strategies is False
         assert [o.kind for o in pq.objectives] == ["lra", "total"]
+
+    @pytest.mark.parametrize("value", ["no", "yes", 0, 1, None, [], {}])
+    def test_strategies_must_be_boolean(self, fig1, value):
+        # "no" must not turn strategies on, nor 1 stand for true
+        with pytest.raises(ModelError, match="strategies must be true or false"):
+            parse_query(parse_query_doc({"strategies": value}), fig1)
 
     def test_achievability_point(self, fig1):
         pq = parse_query(parse_query_doc({"point": [3.5, -1.0]}, "achievability"), fig1)

@@ -8,8 +8,8 @@ from moma import model
 from moma.components import mec_decomposition, quotient, sub_ma
 from moma.solvers import reach_to_total
 
-from gen import (malformed_ma, random_lra_reward, random_ma, random_mdp, random_total_reward,
-                 ref_check_total_rewards, ref_validate_model)
+from gen import (choices, malformed_ma, random_lra_reward, random_ma, random_mdp,
+                 random_total_reward, ref_check_total_rewards, ref_validate_model)
 
 
 def two_state(rates=(1.0, 2.0)):
@@ -26,7 +26,7 @@ class TestConstruction:
         assert m.is_markovian(0) and not m.is_markovian(1)
         assert m.markovian_states() == [0]
         assert [s for s in range(m.n_states) if m.rates[s] is None] == [1]
-        assert m.choices[1][0] == ((0, 0.5), (1, 0.5))
+        assert choices(m)[1][0] == ((0, 0.5), (1, 0.5))
         assert m.reachable() == [0, 1]
         assert m.state_names == ("s0", "s1")
         assert m.action_names[0] == ("",)
@@ -57,7 +57,7 @@ class TestConstruction:
         r = RewardAssignment("r", {0: 1.0}, {})
         m2 = m.with_rewards({"r": r})
         assert m2.rewards["r"] is r
-        assert m2.choices is m.choices
+        assert model.flat(m2) is model.flat(m)
         assert not m.rewards
 
     def test_reachable_ignores_unreachable(self):
@@ -133,15 +133,15 @@ class TestRewardEdges:
             r = RewardAssignment("r", {}, trans)
             fl = model.flat(m)
             on = [(s, a, t) for s, a, t in trans
-                  if a < len(m.choices[s]) and t in [u for u, _ in m.choices[s][a]]]
-            want = {int(fl.edge_ptr[fl.ptr[s] + a]) + [u for u, _ in m.choices[s][a]].index(t):
+                  if a < len(choices(m)[s]) and t in [u for u, _ in choices(m)[s][a]]]
+            want = {int(fl.edge_ptr[fl.ptr[s] + a]) + [u for u, _ in choices(m)[s][a]].index(t):
                     trans[(s, a, t)] for s, a, t in on if trans[(s, a, t)] != 0.0}
             state, edge = r.vectors(m)
             e = np.flatnonzero(edge)
             assert dict(zip(e.tolist(), edge[e].tolist())) == want
             assert not state.any()
             # the entries off the model are recorded in entry order
-            assert r.off[1] == [(s, a, t, a < len(m.choices[s])) for s, a, t in trans
+            assert r.off[1] == [(s, a, t, a < len(choices(m)[s])) for s, a, t in trans
                                 if (s, a, t) not in on]
 
 
@@ -153,6 +153,21 @@ class TestValidateModel:
         rep = validate_model(two_state(rates=(0.0, 1.0)))
         assert any(v.assumption == "WellFormed" and "rate" in v.message
                    for v in rep.violations)
+
+    def test_non_finite_reward_values(self):
+        inf, nan = float("inf"), float("nan")
+        m = two_state().with_rewards({
+            "a": RewardAssignment("a", {1: nan, 0: 1.0}, {(0, 0, 1): -inf}),
+            "b": RewardAssignment("b", {0: inf}, {(1, 0, 0): nan, (1, 0, 5): inf}),
+        })
+        assert [(v.assumption, v.location, v.message) for v in validate_model(m).violations] == [
+            ("WellFormed", "a", "non-finite state reward nan at s1"),
+            ("WellFormed", "a", "non-finite transition reward -inf on edge (s0, 0, 1)"),
+            # an entry off the model is reported as such, whatever its value
+            ("WellFormed", "b", "transition reward on zero-probability edge (s1, 0, 5)"),
+            ("WellFormed", "b", "non-finite state reward inf at s0"),
+            ("WellFormed", "b", "non-finite transition reward nan on edge (s1, 0, 0)"),
+        ]
 
     def test_probabilistic_deadlock(self):
         m = MarkovAutomaton([1.0, None], [[((1, 1.0),)], []], initial=0)
@@ -199,9 +214,10 @@ class TestValidateModel:
 
 
     def test_matches_scan_reference(self):
-        kinds = ["non-positive rate", "deadlock", "empty distribution", "twice",
+        kinds = ["non-positive rate", "infinite rate", "deadlock", "empty distribution", "twice",
                  "outside (0, 1]", "sums to", "reward on unknown state",
-                 "reward on probabilistic state", "unknown choice", "zero-probability edge"]
+                 "reward on probabilistic state", "unknown choice", "zero-probability edge",
+                 "non-finite state reward", "non-finite transition reward"]
         seen = set()
         rng = np.random.default_rng(41)
         # small draws, then larger ones whose scan order crosses many states
@@ -340,7 +356,7 @@ class TestEmbedMdp:
         # the flattened state keeps its state reward in place
         assert r.state_rewards.get(0, 0.0) == 3.0
         # action rewards move onto the hop serving that action
-        (hop,) = [t for t, _ in e.choices[1][1]]
+        (hop,) = [t for t, _ in choices(e)[1][1]]
         assert r.transition_rewards.get((hop, 0, 0), 0.0) == 2.0
 
     def test_uniformly_one_per_step(self):
@@ -356,7 +372,7 @@ class TestInducedChain:
         chain = induced_chain(fig1, {2: 1, 3: 0})
         assert chain.n_states == fig1.n_states
         assert chain.n_choices == fig1.n_states
-        assert chain.choices[2][0] == fig1.choices[2][1]
+        assert choices(chain)[2][0] == choices(fig1)[2][1]
 
     def test_transition_rewards_remap(self, fig1):
         chain = induced_chain(fig1, {2: 0, 3: 0})
@@ -392,7 +408,7 @@ class TestArrayModel:
         ecs = [c for c in mecs if rng.random() < 0.6]
         yield quotient(m, ecs, with_bottom=bool(rng.random() < 0.5)).model
         yield from (sub_ma(m, c) for c in mecs)
-        sigma = {s: int(rng.integers(len(m.choices[s])))
+        sigma = {s: int(rng.integers(len(choices(m)[s])))
                  for s in range(m.n_states) if not m.is_markovian(s)}
         yield induced_chain(m, sigma)
         goal = rng.choice(m.n_states, size=int(rng.integers(1, 3)), replace=False)
@@ -404,7 +420,7 @@ class TestArrayModel:
         rng = np.random.default_rng(41)
         for _ in range(60):
             for d in self.derived(rng):
-                again = MarkovAutomaton(d.rates, d.choices, d.initial, d.state_names,
+                again = MarkovAutomaton(d.rates, choices(d), d.initial, d.state_names,
                                         d.action_names, d.rewards, d.origin)
                 for name in ("ptr", "edge_ptr", "succ", "prob", "markovian", "rates"):
                     a, b = getattr(model.flat(again), name), getattr(model.flat(d), name)

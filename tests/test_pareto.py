@@ -539,9 +539,9 @@ class TestSandwichInvariants:
 
 
 class TestArraysOnly:
-    """A query reads structure and rewards as arrays: it builds no tuple view
-    of any model and no dict view of a reward the library derived, and it
-    places every reward of the user's model on that model once."""
+    """A query reads structure and rewards as arrays: it builds no rate
+    tuple of any model and no dict view of a reward the library derived, and
+    it places every reward of the user's model on that model once."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -557,7 +557,6 @@ class TestArraysOnly:
             prop.__set_name__(cls, attr)
             monkeypatch.setattr(cls, attr, prop)
 
-        count(Flat, "choice_tuples", "choice tuples")
         count(Flat, "rate_tuple", "rate tuple")
         # input-form rewards hold their dicts from the start
         count(RewardAssignment, "state_rewards", "derived state reward dicts")
@@ -584,7 +583,7 @@ class TestArraysOnly:
         self.check(counts, m, objectives, 1e-3)
 
     def test_model_files(self, counts, monkeypatch, fig1, fig1_objectives):
-        # a parsed model is born as arrays: no tuple constructor, no tuple view
+        # a parsed model is born as arrays: no tuple constructor, no rate tuple
         init = MarkovAutomaton.__init__
 
         def counted(m, *args, **kwargs):

@@ -19,7 +19,7 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
 from moma.model import _ptr, flat
 from moma.solvers import _DENSE_LIMIT, _block, _dot, _gain_bias, _solver
 
-from gen import (all_strategies, chain_eval, cycle_with_tail, ec_lra_lp, layered_ma,
+from gen import (all_strategies, chain_eval, choices, cycle_with_tail, ec_lra_lp, layered_ma,
                  near_one_dist, near_zeno_ma, oracle_points, random_ma, random_ssp,
                  random_valid_instance, ring_ma, scc_chain, total_value_lp)
 from test_acceptance import check_sandwich
@@ -709,7 +709,7 @@ class TestMaxTotalReward:
         for _ in range(20):
             n = int(rng.integers(3, 7))
             rates = []
-            choices = []
+            structure = []
             trew = {}
             for s in range(n - 1):
                 rates.append(None)
@@ -722,10 +722,10 @@ class TestMaxTotalReward:
                     ch.append(tuple((t, float(w)) for t, w in zip(succs, weights)))
                     for t, _ in ch[-1]:
                         trew[(s, a, t)] = float(rng.integers(0, 4))
-                choices.append(ch)
+                structure.append(ch)
             rates.append(1.0)
-            choices.append([((n - 1, 1.0),)])
-            m = MarkovAutomaton(rates, choices, initial=0,
+            structure.append([((n - 1, 1.0),)])
+            m = MarkovAutomaton(rates, structure, initial=0,
                                 rewards={"r": RewardAssignment("r", {}, trew)})
             sol = max_total_reward(m, m.rewards["r"], bottom_state=n - 1, eps=1e-9)
             # hand-rolled Bellman fixpoint, exact on a DAG after n sweeps
@@ -736,7 +736,7 @@ class TestMaxTotalReward:
                     nv[s] = max(
                         sum(p * (m.rewards["r"].transition_rewards.get((s, a, t), 0.0) + v[t])
                             for t, p in dist)
-                        for a, dist in enumerate(m.choices[s]))
+                        for a, dist in enumerate(choices(m)[s]))
                 v = nv
             assert sol.value == pytest.approx(v[0], abs=1e-8)
 

@@ -12,7 +12,7 @@ from moma.model import flat
 from moma.pareto import problem_statistics
 from moma.solvers import total_zero_ecs
 
-from gen import oracle_points, random_valid_instance, weighted_oracle
+from gen import choices, oracle_points, random_valid_instance, weighted_oracle
 
 
 def make_prep(m, objectives):
@@ -141,7 +141,7 @@ class TestValidateAssumptions:
 class TestPrepareWeighted:
     def test_fig1(self, fig1, fig1_objectives):
         prep = make_prep(fig1, fig1_objectives)
-        assert [c.members.tolist() for c in prep.zero_ecs] == [[1, 3, 5], [4]]
+        assert [c.members.tolist() for c in prep.problem.zero_ecs] == [[1, 3, 5], [4]]
         assert prep.quot.with_bottom
         assert len(prep.subs) == 2
         assert prep.subs[0].origin == (1, 3, 5)
@@ -160,7 +160,7 @@ class TestPrepareWeighted:
         assert validate_assumptions(p).ok
         prep = prepare_weighted(p)
         assert len(calls) == 1
-        assert prep.zero_ecs is p.zero_ecs
+        assert [sub.origin for sub in prep.subs] == [tuple(c.members.tolist()) for c in p.zero_ecs]
 
 
 class TestOptimizeWeighted:
@@ -203,7 +203,7 @@ class TestOptimizeWeighted:
     def test_zero_weight_ignores_nan_and_inf(self, fig1, fig1_objectives):
         # a weight 0 leaves its reward out of every sum, whatever it holds
         bad = RewardAssignment("bad", {s: math.nan for s in fig1.markovian_states()},
-                               {(0, 0, t): math.inf for t, _ in fig1.choices[0][0]})
+                               {(0, 0, t): math.inf for t, _ in choices(fig1)[0][0]})
         m = fig1.with_rewards({**fig1.rewards, "bad": bad})
         prep = make_prep(m, fig1_objectives + [Objective("lra", "max", reward="bad")])
         want = optimize_weighted(make_prep(fig1, fig1_objectives), (0.5, 0.5))
@@ -229,7 +229,7 @@ class TestOptimizeWeighted:
         p = normalize_query(m, objectives)
         assert validate_assumptions(p).ok
         prep = prepare_weighted(p)
-        assert [c.members.tolist() for c in prep.zero_ecs] == [[3]]
+        assert [c.members.tolist() for c in prep.problem.zero_ecs] == [[3]]
         sol = optimize_weighted(prep, (1.0, 0.0))
         assert np.isfinite(sol.point).all()
         assert sol.strategy[0] == 1
@@ -415,7 +415,7 @@ class TestEvaluationMemo:
             prep = make_prep(m, objectives)
             qfl = flat(prep.quot.model)
             qs = np.flatnonzero(~qfl.markovian)
-            stay = {i: {} for i in range(len(prep.zero_ecs))}
+            stay = {i: {} for i in range(len(prep.problem.zero_ecs))}
             first = decode_quotient_strategy(prep.quot, dict.fromkeys(qs.tolist(), 0), stay)
             last = decode_quotient_strategy(
                 prep.quot, dict(zip(qs.tolist(), (np.diff(qfl.ptr)[qs] - 1).tolist())), stay)
