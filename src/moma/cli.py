@@ -70,10 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="decide achievability of a point, or "
                                       "bracket a quantitative optimum")
     common(sp)
-    sp.add_argument("--point", default=None,
-                    help="comma-separated point, one value per objective")
-    sp.add_argument("--thresholds", default=None,
-                    help="comma-separated thresholds for objectives 2..l")
+    given = sp.add_mutually_exclusive_group()
+    given.add_argument("--point", default=None,
+                       help="comma-separated point, one value per objective")
+    given.add_argument("--thresholds", default=None,
+                       help="comma-separated thresholds for objectives 2..l")
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("pareto", help="approximate the Pareto front")
@@ -207,11 +208,10 @@ def cmd_pareto(args) -> int:
     m = parse_model(_load_json(args.model))
     pq = _parse(args, m, kind="pareto")
     res = answer_query(m, pq.objectives, pq.query)
-    csv = plot_csv(res) if args.plot else None  # a refused plot writes neither file
+    if args.plot:  # first, so a refused or unwritable plot leaves no result file
+        _write(args.plot, plot_csv(res))
     _emit(result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies),
           args, t0)
-    if csv is not None:
-        _write(args.plot, csv)
     return 1 if res.exhausted else 0
 
 

@@ -7,10 +7,11 @@ evaluation.  Every linear system and kernel row block is gathered straight
 from the CSR arrays (indptr/indices/data) of its matrix.  A chain's gain g
 and bias h come from one system, (I - P) h + tau g = b with one h pinned to 0.
 Long-run averages inside an end component come from gain/bias strategy
-iteration, certified by one uniformized time tick from the final bias: the
-instantaneous probabilistic layer is closed to a fixed point, Markovian
-states advance one damped tick, and the classical span bounds on the gain
-then hold for any starting vector.  The final strategy is the one returned.
+iteration.  Its final strategy's exact gain is the lower end; the upper end
+is the span bound in model time (Puterman 1994, sec. 8.5) from the final
+bias h, closed to a fixed point on the instantaneous layer: the largest
+srew + rate (jump + sum_t p (h_t - h_s)) over Markovian states, in a
+difference form that reads every distribution as normalized.
 Total rewards come from stochastic-shortest-path strategy iteration started
 from a proper strategy (one that reaches the target almost surely), on a
 structure that depends only on the zero-reward end components it collapses.
@@ -54,7 +55,8 @@ class ScalarSolution:
     """Result of one scalar optimization.
 
     `value` lies within `error_bound` (relative, floor 1) of the true optimum;
-    `strategy` attains at least `lower`; [lower, upper] brackets the optimum.
+    [lower, upper] brackets the optimum, and `strategy` attains at least
+    `lower`, which both solvers take from its exact evaluation.
     """
 
     value: float
@@ -295,22 +297,20 @@ class _Strategy:
 
 
 class _Frame:
-    """The weight-independent part of mec_lra on one component: the
-    uniformization rate, the sojourn times, the Markovian states `ms` with
-    the entries of their kernel rows `K_m` and tick weights `coef`, the
-    choices `pc` of the probabilistic states `ps` (state by state) with the
-    entries of their kernel rows `K_p` and segment starts `seg`, and the
-    analysis of the first-choice strategy.  The entries are (entry row,
-    column, value) triples for _dot.  It keeps no reference to the
-    component's Flat, so it dies with it."""
+    """The weight-independent part of mec_lra on one component: the sojourn
+    times, the Markovian states `ms` with their rates `rate` and the entries
+    of their kernel rows `K_m`, the choices `pc` of the probabilistic states
+    `ps` (state by state) with the entries of their kernel rows `K_p` and
+    segment starts `seg`, and the analysis of the first-choice strategy.
+    The entries are (entry row, column, value) triples as _block gathers
+    them.  It keeps no reference to the component's Flat, so it dies with it."""
 
     def __init__(self, fl: Flat):
         if not fl.markovian.any():
             raise ModelError("component has no Markovian state (Zeno): no time passes")
-        self.unif = float(fl.rates.max()) / 0.95
         self.tau, self.ms, self.ps = (_sojourn(fl), np.flatnonzero(fl.markovian),
                                       np.flatnonzero(~fl.markovian))
-        self.K_m, self.coef = _block(fl.kernel, fl.ptr[self.ms]), fl.rates[self.ms] / self.unif
+        self.K_m, self.rate = _block(fl.kernel, fl.ptr[self.ms]), fl.rates[self.ms]
         self.pc = np.flatnonzero(~fl.markovian[fl.choice_state])  # the choices of ps, in order
         self.K_p, self.seg = _block(fl.kernel, self.pc), np.searchsorted(self.pc, fl.ptr[self.ps])
         self.first = _Strategy(fl, fl.ptr[:-1].copy(), self.tau)
@@ -327,11 +327,12 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     to the least state) and route every state outside it towards it; solve
     the gain/bias equations (I - P) h + tau g = r tau + jump of the routed
     strategy exactly, as one system, and switch a probabilistic state only
-    where a choice improves jump + K h by more than rounding.  One uniformized
-    tick from the final h certifies the gain (see the module docstring).  The
-    strategy is the final one of the iteration: its gain g was evaluated
-    exactly, and its chain has the single bottom SCC it was routed to.  The
-    weight-independent part of the solve is built once per component
+    where a choice improves jump + K h by more than rounding.  The strategy
+    is the final one of the iteration, with the single bottom SCC it was
+    routed to; `lower` is its exact gain (capped at `upper`), so it attains
+    `lower`.  `upper` is the span bound of the module docstring, after the
+    instantaneous layer is swept to a fixed point (usually in one sweep).
+    The weight-independent part of the solve is built once per component
     (`_Frame`), the analysis of its first strategy included.
     """
     fl = flat(sub)
@@ -339,7 +340,6 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     tau, ms, ps, pc, seg = fr.tau, fr.ms, fr.ps, fr.pc, fr.seg
     srew, jump = _reward_rates(sub, r)
     crew = (srew * tau)[fl.choice_state] + jump  # reward per visit, by choice
-    tick_rew = srew[ms] / fr.unif + fr.coef * jump[fl.ptr[ms]]
     jump_p, st = jump[pc], fr.first
     for it in range(1, 1001):
         if not st.timed:
@@ -374,9 +374,10 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     else:
         raise SolverError(f"instantaneous layer does not converge (near-Zeno structure; "
                           f"gain {g} after {it} strategy iterations)")
-    hm_new = tick_rew + fr.coef * _dot(fr.K_m, h, len(ms)) + (1.0 - fr.coef) * h[ms]
-    diffs = hm_new - h[ms]
-    lb, ub = fr.unif * float(diffs.min()), fr.unif * float(diffs.max())
+    k, t, p = fr.K_m  # the gain one step from h shows per Markovian state
+    step = jump[fl.ptr[ms]] + np.bincount(k, p * (h[t] - h[ms[k]]), len(ms))
+    ub = float((srew[ms] + fr.rate * step).max())
+    lb = min(g, ub)
     if ub - lb > eps * max(1.0, abs(lb)):
         raise SolverError(f"long-run average bracket [{lb}, {ub}] wider than {eps} "
                           f"after {it} strategy iterations")
@@ -479,7 +480,7 @@ def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
     components.  Raises InfeasibleError when no strategy reaches the bottom
     state almost surely from the initial state, and SolverError when positive
     reward recurs (finiteness violated) or the bracket [lower, upper] cannot
-    be certified to eps.
+    be certified to eps, by the rule of solve_total.
     """
     return solve_total(total_structure(m, total_zero_ecs(m, r, bottom_state), bottom_state),
                        r, eps)
@@ -492,15 +493,18 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
     only where a choice improves crew + K L by more than rounding; an
     improved strategy that no longer reaches the target means positive
     reward recurs.  The upper certificate is searched from the final L
-    (`_inductive_upper`) and accepted by one exact check T U <= U."""
+    (`_inductive_upper`) and accepted by one exact check T U <= U.  The
+    bracket passes when U - L at the initial state is within eps relative to
+    its U (floor 1), or max(U - L) over the region is within eps relative to
+    max |U| (floor 1); by the second clause alone, the initial state's
+    bracket can be wider than eps relative to its own value."""
     fl, rows, segs = flat(st.q.model), st.rows, st.segs[:-1]
     entries = (st.erow, st.K.indices, st.K.data)
     actions = np.zeros(len(fl.markovian), dtype=np.int64)
     it, sweeps, L, U = 0, 0, np.zeros(1), np.zeros(1)  # the initial state may be the target
     if len(st.active):
         srew, jump = _reward_rates(st.q.model, st.q.lift_reward(r, r.name + "@q"))
-        per_state = np.where(fl.markovian, srew / np.where(fl.markovian, fl.rates, 1.0), 0.0)
-        crew_v = per_state[fl.choice_state[rows]] + jump[rows]
+        crew_v = (srew * _sojourn(fl))[fl.choice_state[rows]] + jump[rows]
         pick = st.pick
         for it in range(1, 1001):
             # a later round's factor is freed as soon as it has solved, which

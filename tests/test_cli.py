@@ -182,6 +182,14 @@ class TestCheck:
         assert doc["lower"] <= 3.0 <= doc["upper"]
         assert doc["upper"] - doc["lower"] <= 1e-4
 
+    def test_point_and_thresholds_exclude_each_other(self, ws, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", ws.model, "--query", ws.query(), "--point", "3.5,-1",
+                  "--thresholds", "0"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not allowed with argument" in out.err
+
     def test_query_file_alone_suffices(self, ws, capsys):
         q = ws.query(kind="achievability", point=[3.0, 0.0])
         code, out, _ = run(capsys, "check", ws.model, "--query", q)
@@ -254,13 +262,13 @@ class TestPareto:
         assert err.startswith(f"error: cannot write {target}: ")
 
     def test_unwritable_plot(self, ws, capsys):
-        # the result is written before the plot
+        # the plot is written before the result, so exit 2 leaves no result
         target, result = ws.dir / "missing" / "front.csv", ws.dir / "result.json"
         code, _, err = run(capsys, "pareto", ws.model, "--query", ws.query(),
                            "--output", str(result), "--plot", str(target))
         assert code == 2
         assert f"error: cannot write {target}: " in err
-        assert json.loads(result.read_text())["kind"] == "pareto"
+        assert not result.exists()
 
     def test_timings_embedded_on_request(self, ws, capsys):
         code, out, _ = run(capsys, "pareto", ws.model, "--query", ws.query())

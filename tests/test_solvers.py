@@ -567,8 +567,8 @@ class TestNearOneFamily:
 
     def test_answers_or_gives_up(self):
         gave_up = [msg for msg in self.answers() if isinstance(msg, str)]
-        assert len(gave_up) <= 7
-        assert sum("long-run average" in msg for msg in gave_up) <= 1
+        assert len(gave_up) <= 6
+        assert not any("long-run average" in msg for msg in gave_up)
 
     def check_answer(self, d):
         res = self.answers()[d]
@@ -605,6 +605,22 @@ class TestNearOneFamily:
         sol = mec_lra(m, m.rewards["r"], eps=eps)
         assert sol.upper - sol.lower <= eps
         assert sol.lower <= 0.9999999999833333 <= sol.upper
+
+
+class TestMecLraNearTie:
+    """Two choices of a probabilistic state tie up to 5e-13, less than the
+    switching margin: strategy iteration keeps the first, and closing the
+    instantaneous layer takes two sweeps."""
+
+    def test_lower_is_attained_and_upper_covers_the_optimum(self):
+        best = 1.0 + 5e-13
+        m = MarkovAutomaton([1.0, None], [[((1, 1.0),)], [((0, 1.0),), ((0, 1.0),)]], 0,
+                            rewards={"r": RewardAssignment("r", {}, {(1, 0, 0): 1.0,
+                                                                     (1, 1, 0): best})})
+        sol = mec_lra(m, m.rewards["r"], eps=1e-9)
+        attained = evaluate_strategy(m, sol.strategy, [lra_obj("r")]).values[0]
+        assert sol.strategy == {1: 0} and attained == 1.0
+        assert sol.lower <= attained and sol.upper >= best
 
 
 class TestMecLraNearZeno:
