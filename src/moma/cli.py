@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -208,10 +209,15 @@ def cmd_pareto(args) -> int:
     m = parse_model(_load_json(args.model))
     pq = _parse(args, m, kind="pareto")
     res = answer_query(m, pq.objectives, pq.query)
+    doc = result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies)
     if args.plot:  # first, so a refused or unwritable plot leaves no result file
         _write(args.plot, plot_csv(res))
-    _emit(result_document(res, query_echo(pq, m), strategies=args.strategies or pq.strategies),
-          args, t0)
+    try:
+        _emit(doc, args, t0)
+    except ModelError:  # an unwritable result leaves no plot either
+        if args.plot:
+            os.remove(args.plot)
+        raise
     return 1 if res.exhausted else 0
 
 

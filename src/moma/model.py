@@ -296,8 +296,7 @@ class Flat:
     distribution order: choice c owns edges edge_ptr[c] .. edge_ptr[c+1]-1,
     edge e leads to succ[e] with probability prob[e].  `rates` is 0 on
     probabilistic states.  `choice_state`, `edge_choice` and `edge_src` are
-    derived at construction; `kernel` (the choice-by-state probability
-    matrix), `edge_index` and `rate_tuple` on first use.
+    derived at construction; `edge_index` and `rate_tuple` on first use.
     """
 
     ptr: np.ndarray
@@ -312,14 +311,6 @@ class Flat:
         self.choice_state = np.repeat(np.arange(len(self.markovian)), np.diff(self.ptr))
         self.edge_choice = np.repeat(np.arange(len(self.edge_ptr) - 1), np.diff(self.edge_ptr))
         self.edge_src = self.choice_state[self.edge_choice]
-
-    @cached_property
-    def kernel(self) -> csr_matrix:
-        """Choice-by-state probability matrix in canonical CSR form."""
-        k = csr_matrix((self.prob.copy(), self.succ, self.edge_ptr),
-                       shape=(len(self.choice_state), len(self.markovian)))
-        k.sum_duplicates()  # rows sorted by successor, as when built from coordinates
-        return k
 
     @cached_property
     def rate_tuple(self) -> tuple[float | None, ...]:

@@ -1,11 +1,12 @@
 """Single-objective solvers: exact chain evaluation, per-component long-run
 averages, and certified maximal expected total rewards.
 
-Solvers work on the flat choice view of a model (one sparse kernel row per
+Solvers work on the flat choice view of a model (one kernel row per
 choice), and both scalar solvers are strategy iterations with exact linear
 evaluation.  Every linear system and kernel row block is gathered straight
-from the CSR arrays (indptr/indices/data) of its matrix.  A chain's gain g
-and bias h come from one system, (I - P) h + tau g = b with one h pinned to 0.
+from the model's edge arrays, `flat(m)`, in edge order; a successor that a
+row lists twice adds up.  A chain's gain g and bias h come from one system,
+(I - P) h + tau g = b with one h pinned to 0.
 Long-run averages inside an end component come from gain/bias strategy
 iteration.  Its final strategy's exact gain is the lower end; the upper end
 is the span bound in model time (Puterman 1994, sec. 8.5) from the final
@@ -26,7 +27,7 @@ the natural order, and every level is one span of rows and entries.  The
 structure holds the solver of its starting strategy for every solve's first
 round and each level's entry rows and segment starts relative to the level,
 and every product with kernel rows is one bincount over their entries
-(_dot), summed as scipy's CSR product sums.
+(_dot), each row summed in edge order.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -99,43 +100,45 @@ def resolve_reward(m: MarkovAutomaton, objective: Objective) -> RewardAssignment
     return r
 
 
-def _block(M, rows, cols=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of M[rows][:, cols] (all columns when cols is None) for a
-    canonical CSR matrix M, gathered from its arrays row by row in stored
-    order: their block row, block column and value."""
-    pos, k = _spans(M.indptr[rows], M.indptr[rows + 1])
-    col = M.indices[k]
+def _block(fl: Flat, rows: np.ndarray, cols=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel entries of the choices `rows` of fl (in any order) whose
+    successors lie in `cols` (all states when None), gathered from fl's edge
+    arrays row by row in edge order: their block row, block column (the
+    successor's position in cols) and probability.  A successor listed
+    twice in a row gives two entries, which every consumer adds up."""
+    pos, e = fl.edges(rows)
+    col = fl.succ[e]
     if cols is not None:
-        where = np.full(M.shape[1], -1)
+        where = np.full(len(fl.markovian), -1)
         where[cols] = np.arange(len(cols))
         keep = where[col] >= 0
-        pos, k, col = pos[keep], k[keep], where[col[keep]]
-    return pos, col, M.data[k]
+        pos, e, col = pos[keep], e[keep], where[col[keep]]
+    return pos, col, fl.prob[e]
 
 
 def _dot(entries, x: np.ndarray, n: int) -> np.ndarray:
     """Q @ x for the n-row matrix Q whose values v sit at rows r and columns
-    c, entries = (r, c, v), each row's entries in stored order (as _block
+    c, entries = (r, c, v), each row's entries in edge order (as _block
     gathers them).  Each row is summed from 0.0 entry by entry in that order,
-    as scipy's CSR product does, so the two agree bit for bit; a bincount
-    skips the sparse matrix's per-call overhead."""
+    as scipy's CSR product sums a row in stored order; a bincount skips the
+    sparse matrix's per-call overhead."""
     r, c, v = entries
     return np.bincount(r, v * x[c], n)
 
 
 def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, natural: bool = False):
     """b -> x with (I - Q) x = b for the n x n block Q whose entries v sit at
-    the distinct places (r, c), as gathered by _block.  LAPACK on np.eye(n)
-    minus Q, filled in place, up to _DENSE_LIMIT unknowns; above, one sparse
-    LU factorization with COLAMD's column order, or with the `natural` one
-    when the unknowns are already numbered so that I - Q is block
-    lower-triangular (a total-reward structure's levels, sinks first): the
-    diagonal blocks are then factored one after another, with little fill,
-    and no column ordering has to be computed.  A singular system raises
-    SolverError."""
+    the places (r, c), as gathered by _block; entries at one place add up.
+    LAPACK on np.eye(n) minus Q, filled in place, up to _DENSE_LIMIT
+    unknowns; above, one sparse LU factorization with COLAMD's column order,
+    or with the `natural` one when the unknowns are already numbered so that
+    I - Q is block lower-triangular (a total-reward structure's levels, sinks
+    first): the diagonal blocks are then factored one after another, with
+    little fill, and no column ordering has to be computed.  A singular
+    system raises SolverError."""
     if n <= _DENSE_LIMIT:
         A = np.eye(n)
-        A[r, c] -= v
+        np.subtract.at(A, (r, c), v)
 
         def solve(b):
             try:
@@ -161,13 +164,13 @@ def _sojourn(fl) -> np.ndarray:
 
 
 def _gain_bias(fl, chosen: np.ndarray, states: np.ndarray, tau: np.ndarray):
-    """b -> (g, h) with (I - P) h + tau g = b, P = kernel[chosen[states]][:, states]
+    """b -> (g, h) with (I - P) h + tau g = b, P the kernel rows chosen[states]
     on the closed set `states` (ascending), and h = 0 at its first state p with
     tau > 0, which must exist.  One square system: I - P with column p replaced
     by tau / tau[p], so its diagonal entry stays exactly 1, and unknown g tau[p]
     at p.  The pin removes the constant from the null space of a chain with one
     bottom SCC, wherever p lies."""
-    t, (r, c, v) = tau[states], _block(fl.kernel, chosen[states], states)
+    t, (r, c, v) = tau[states], _block(fl, chosen[states], states)
     col = np.flatnonzero(t > 0)  # the pin, then the rest of the tau column
     p, col, keep = int(col[0]), col[1:], c != col[0]
     solve = _solver(len(t), np.r_[r[keep], col], np.r_[c[keep], np.full(len(col), p)],
@@ -230,10 +233,10 @@ def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
         reach_probs = [1.0 if m.initial in b else 0.0 for b in members]
     else:
         i0, rows = int(np.searchsorted(transient, m.initial)), chosen[transient]
-        solve = _solver(len(transient), *_block(fl.kernel, rows, transient))
+        solve = _solver(len(transient), *_block(fl, rows, transient))
         reach_probs = []
-        for b in members:  # P[rows][:, b].sum(axis=1), by one reduceat as scipy sums
-            pos, _, val = _block(fl.kernel, rows, b)
+        for b in members:  # the row sums of P[rows][:, b], by one reduceat in edge order
+            pos, _, val = _block(fl, rows, b)
             rhs, first = np.zeros(len(rows)), np.flatnonzero(np.diff(pos, prepend=-1))
             rhs[pos[first]] = np.add.reduceat(val, first)
             reach_probs.append(float(solve(rhs)[i0]))
@@ -310,9 +313,9 @@ class _Frame:
             raise ModelError("component has no Markovian state (Zeno): no time passes")
         self.tau, self.ms, self.ps = (_sojourn(fl), np.flatnonzero(fl.markovian),
                                       np.flatnonzero(~fl.markovian))
-        self.K_m, self.rate = _block(fl.kernel, fl.ptr[self.ms]), fl.rates[self.ms]
+        self.K_m, self.rate = _block(fl, fl.ptr[self.ms]), fl.rates[self.ms]
         self.pc = np.flatnonzero(~fl.markovian[fl.choice_state])  # the choices of ps, in order
-        self.K_p, self.seg = _block(fl.kernel, self.pc), np.searchsorted(self.pc, fl.ptr[self.ps])
+        self.K_p, self.seg = _block(fl, self.pc), np.searchsorted(self.pc, fl.ptr[self.ps])
         self.first = _Strategy(fl, fl.ptr[:-1].copy(), self.tau)
 
 
@@ -398,15 +401,18 @@ class TotalStructure:
     reaches, minus the target), numbered level by level over the
     condensation of the allowed-choice graph, sinks first, level i from
     `levels[i]` to `levels[i + 1]`; the initial state is number `i0`.  Every
-    allowed choice of an active state has a row of K (`rows`), state by
-    state in that numbering, those of state i from `segs[i]` to
-    `segs[i + 1]`; each row keeps its entries in edge order, and `erow` is
-    the row of every stored entry.  `pick` is a proper strategy (one row per
-    state) and `solve` the _solver of I - K[pick], held for every solve's
-    first round.  An allowed edge never climbs a level, so I - K[pick] is
-    block lower-triangular, and a level's rows and entries are contiguous
-    spans; `lrow` and `lseg` are `erow` and `segs[:-1]` counted from the
-    first row of their level, so a level's Bellman step takes views only."""
+    allowed choice of an active state is a row (`rows`, choices of the
+    quotient), state by state in that numbering, those of state i from
+    `segs[i]` to `segs[i + 1]`.  `entries` are the rows' kernel entries
+    into active states as _block(flat(q.model), rows, active) gathers them
+    (entry row, column, value; the target's column dropped), those of row
+    j from `eptr[j]` to `eptr[j + 1]`.  `pick` is a proper strategy (one
+    row per state) and `solve` the _solver of I - K[pick], K the rows'
+    block, held for every solve's first round.  An allowed edge never
+    climbs a level, so I - K[pick] is block lower-triangular, and a level's
+    rows and entries are contiguous spans; `lrow` and `lseg` are the entry
+    rows and `segs[:-1]` counted from the first row of their level, so a
+    level's Bellman step takes views only."""
 
     q: QuotientModel
     target: int
@@ -415,8 +421,8 @@ class TotalStructure:
     levels: np.ndarray
     rows: np.ndarray
     segs: np.ndarray
-    K: csr_matrix
-    erow: np.ndarray
+    eptr: np.ndarray
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     pick: np.ndarray
     solve: Callable[[np.ndarray], np.ndarray]
     lrow: np.ndarray
@@ -456,16 +462,13 @@ def total_structure(m: MarkovAutomaton, z: Sequence[EndComponent],
     rows = choices[np.argsort(index[fl.choice_state[choices]], kind="stable")]
     segs = _ptr(np.bincount(index[fl.choice_state[rows]], minlength=len(active)))
     assert (np.diff(segs) > 0).all(), "active state without allowed choice"
-    pos, e = fl.edges(rows)
-    keep = fl.succ[e] != target
-    K = csr_matrix((fl.prob[e[keep]], index[fl.succ[e[keep]]],
-                    _ptr(np.bincount(pos[keep], minlength=len(rows)))),
-                   shape=(len(rows), len(active)))
+    entries = _block(fl, rows, active)  # the target's column dropped
+    erow, levels = entries[0], _ptr(np.bincount(level))
     pick = np.flatnonzero(rows == np.repeat(toward[active], np.diff(segs)))  # toward the target
-    levels, erow = _ptr(np.bincount(level)), pos[keep]
     first = segs[levels[:-1]]  # the first row of every level
-    return TotalStructure(q, target, active, int(index[init_q]), levels, rows, segs, K, erow,
-                          pick, _solver(len(pick), *_block(K, pick), natural=True),
+    return TotalStructure(q, target, active, int(index[init_q]), levels, rows, segs,
+                          _ptr(np.bincount(erow, minlength=len(rows))), entries, pick,
+                          _solver(len(pick), *_block(fl, rows[pick], active), natural=True),
                           erow - np.repeat(first, np.diff(segs[levels]))[erow],
                           segs[:-1] - np.repeat(first, np.diff(levels)))
 
@@ -490,16 +493,15 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
     """max_total_reward of r (a reward of st.q.base whose total_zero_ecs st
     collapses) on a prebuilt structure.  Strategy iteration from the proper
     strategy st.pick: evaluate the strategy exactly (L) and switch a state
-    only where a choice improves crew + K L by more than rounding; an
-    improved strategy that no longer reaches the target means positive
-    reward recurs.  The upper certificate is searched from the final L
+    only where a choice improves crew + K L by more than rounding (K the
+    block of st.entries); an improved strategy that no longer reaches the
+    target means positive reward recurs.  The upper certificate is searched from the final L
     (`_inductive_upper`) and accepted by one exact check T U <= U.  The
     bracket passes when U - L at the initial state is within eps relative to
     its U (floor 1), or max(U - L) over the region is within eps relative to
     max |U| (floor 1); by the second clause alone, the initial state's
     bracket can be wider than eps relative to its own value."""
-    fl, rows, segs = flat(st.q.model), st.rows, st.segs[:-1]
-    entries = (st.erow, st.K.indices, st.K.data)
+    fl, rows, segs, entries = flat(st.q.model), st.rows, st.segs[:-1], st.entries
     actions = np.zeros(len(fl.markovian), dtype=np.int64)
     it, sweeps, L, U = 0, 0, np.zeros(1), np.zeros(1)  # the initial state may be the target
     if len(st.active):
@@ -509,7 +511,7 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
         for it in range(1, 1001):
             # a later round's factor is freed as soon as it has solved, which
             # keeps the peak memory at the held factor plus one
-            L = (_solver(len(pick), *_block(st.K, pick), natural=True) if it > 1
+            L = (_solver(len(pick), *_block(fl, rows[pick], st.active), natural=True) if it > 1
                  else st.solve)(crew_v[pick])
             better = _improve(crew_v + _dot(entries, L, len(rows)), segs, pick, L)
             if better is None:
@@ -568,18 +570,24 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
     check, cap it until it is inductive.  The slack rises strictly with the
     level, from delta/2 to delta, so no level is held up by the slack below
     it.  A stagnant level (rounding jitter) escalates delta, from that level
-    on."""
+    on.  A level's Bellman step reads views of its span of rows and
+    entries, and its product is _dot's, as in the global check, so the two
+    agree bit for bit."""
     delta = max(eps, 1e-9) * max(1.0, float(np.max(np.abs(L)))) * 0.5
     top = max(len(st.levels) - 2, 1)
     U, ell, sweeps = L.copy(), 0, 0
+    _, col, val = st.entries
     for _ in range(7):
         while ell < len(st.levels) - 1:
-            s, bellman = _level(st, ell, crew_v)
+            lo, hi = st.levels[ell], st.levels[ell + 1]
+            a, b = st.segs[lo], st.segs[hi]
+            e, s = slice(st.eptr[a], st.eptr[b]), slice(lo, hi)
+            entries, crew, seg = (st.lrow[e], col[e], val[e]), crew_v[a:b], st.lseg[lo:hi]
             u = L[s] + 0.5 * delta * (1.0 + ell / top)
             for _ in range(30_000):
                 sweeps += 1
                 U[s] = u
-                tu = bellman(U)
+                tu = np.maximum.reduceat(crew + _dot(entries, U, b - a), seg)
                 if inductive := bool((tu <= u).all()):
                     break
                 new = np.minimum(u, tu)
@@ -594,20 +602,6 @@ def _inductive_upper(st: TotalStructure, crew_v: np.ndarray, L: np.ndarray, eps:
             return U, sweeps
         delta *= 8.0
     return None, sweeps
-
-
-def _level(st: TotalStructure, ell: int, crew_v: np.ndarray):
-    """The states of level ell of st (a slice), and U -> the Bellman step on
-    them, on views of their rows and entries, one span of each.  The product
-    is _dot's, as in the global check, so the two agree bit for bit."""
-    lo, hi = st.levels[ell], st.levels[ell + 1]
-    a, b = st.segs[lo], st.segs[hi]
-    e = slice(st.K.indptr[a], st.K.indptr[b])
-    entries, crew, seg = (st.lrow[e], st.K.indices[e], st.K.data[e]), crew_v[a:b], st.lseg[lo:hi]
-
-    def bellman(U):
-        return np.maximum.reduceat(crew + _dot(entries, U, b - a), seg)
-    return slice(lo, hi), bellman
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import weakref
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from moma import (MarkovAutomaton, Objective, RewardAssignment, ValidationReport,
@@ -37,6 +37,23 @@ def choices(m: MarkovAutomaton) -> tuple[tuple[tuple[tuple[int, float], ...], ..
         dists = [tuple(pairs[lo:hi]) for lo, hi in zip(ep, ep[1:])]
         _CHOICES[fl] = tuple(tuple(dists[lo:hi]) for lo, hi in zip(p, p[1:]))
     return _CHOICES[fl]
+
+
+def kernel_matrix(fl) -> csr_matrix:
+    """SciPy reference of a model's kernel: the choice-by-state probability
+    matrix of its flat arrays, each row's entries in edge order and a
+    repeated successor left repeated, as the solvers gather them.  The
+    arrays are copied, so nothing scipy does to the matrix reaches fl."""
+    return csr_matrix((fl.prob.copy(), fl.succ.copy(), fl.edge_ptr.copy()),
+                      shape=(len(fl.choice_state), len(fl.markovian)))
+
+
+def structure_matrix(st) -> csr_matrix:
+    """SciPy reference of a total-reward structure's rows: the row-by-active
+    state matrix of its entries, in stored order."""
+    _, col, val = st.entries
+    return csr_matrix((val.copy(), col.copy(), st.eptr.copy()),
+                      shape=(len(st.rows), len(st.active)))
 
 
 # ---------------------------------------------------------------------------

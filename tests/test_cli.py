@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from moma import dumps, serialize_model
+from moma import answer_query, dumps, parse_model, parse_query, serialize_model
 from moma.cli import main
 
+from conftest import corpus_path
 from gen import menu_doc
 
 
@@ -36,6 +37,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def divergent_totals(ws):
+    """A model whose one state loops with total rewards 1: the totals
+    diverge, against the assumptions; and a two-total query on it."""
+    doc = {"format": "moma-model", "version": 1, "kind": "ma", "initial": "s0",
+           "states": [{"name": "s0", "rate": 1.0, "transitions": {"s0": 1.0}}],
+           "rewards": [{"name": "R1", "states": {"s0": 1.0}},
+                       {"name": "R2", "states": {"s0": 1.0}}]}
+    bad = ws.dir / "divergent.json"
+    bad.write_text(dumps(doc), encoding="utf-8")
+    return str(bad), ws.query(objectives=[
+        {"kind": "total", "direction": "max", "reward": "R1"},
+        {"kind": "total", "direction": "max", "reward": "R2"}])
 
 
 class TestValidate:
@@ -130,6 +145,15 @@ class TestSingle:
             main(["single", ws.model])
         assert exc.value.code == 2
 
+    def test_assumption_violation_exits_2(self, ws, capsys):
+        # the report goes to stderr, and no result is written
+        model, query = divergent_totals(ws)
+        result = ws.dir / "result.json"
+        code, out, err = run(capsys, "single", model, "--query", query, "--output", str(result))
+        assert code == 2 and out == ""
+        assert "[Finiteness]" in err
+        assert not result.exists()
+
 
 class TestCheck:
     def test_point_yes(self, ws, capsys):
@@ -146,6 +170,22 @@ class TestCheck:
                            "--point", "4,0")
         assert code == 0
         assert json.loads(out)["verdict"] == "no"
+
+    def test_point_in_the_slack_is_unknown(self, capsys):
+        # the front is resolved to the precision after 3 refinements while
+        # the point sits in the halfspaces' slack: unknown, with budget left
+        model, query = corpus_path("fig1.json"), corpus_path("fig1-check.json")
+        code, out, _ = run(capsys, "check", model, "--query", query, "--point", "3.5000002,-1")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "unknown"
+        assert doc["statistics"]["iterations"] == 3
+        m = parse_model(json.loads(Path(model).read_text(encoding="utf-8")))
+        pq = parse_query({**json.loads(Path(query).read_text(encoding="utf-8")),
+                          "point": [3.5000002, -1.0]}, m)
+        res = answer_query(m, pq.objectives, pq.query)
+        assert res.verdict == "unknown" and res.iterations == 3
+        assert res.exhausted is False
 
     def test_point_arity(self, ws, capsys):
         code, _, err = run(capsys, "check", ws.model, "--query", ws.query(),
@@ -261,6 +301,14 @@ class TestPareto:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write {target}: ")
 
+    def test_unwritable_output_leaves_no_plot(self, ws, capsys):
+        plot, target = ws.dir / "front.csv", ws.dir / "missing" / "result.json"
+        code, out, err = run(capsys, "pareto", ws.model, "--query", ws.query(),
+                             "--plot", str(plot), "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not plot.exists()
+
     def test_unwritable_plot(self, ws, capsys):
         # the plot is written before the result, so exit 2 leaves no result
         target, result = ws.dir / "missing" / "front.csv", ws.dir / "result.json"
@@ -295,18 +343,16 @@ class TestPareto:
         assert json.loads(out)["query"]["precision"] == 0.01
 
     def test_assumption_violation_exits_2(self, ws, capsys):
-        doc = {"format": "moma-model", "version": 1, "kind": "ma", "initial": "s0",
-               "states": [{"name": "s0", "rate": 1.0, "transitions": {"s0": 1.0}}],
-               "rewards": [{"name": "R1", "states": {"s0": 1.0}},
-                           {"name": "R2", "states": {"s0": 1.0}}]}
-        bad = ws.dir / "zeno.json"
-        bad.write_text(dumps(doc), encoding="utf-8")
-        q = ws.query(objectives=[
-            {"kind": "total", "direction": "max", "reward": "R1"},
-            {"kind": "total", "direction": "max", "reward": "R2"}])
-        code, _, err = run(capsys, "pareto", str(bad), "--query", q)
+        model, query = divergent_totals(ws)
+        code, _, err = run(capsys, "pareto", model, "--query", query)
         assert code == 2
         assert "assumptions" in err
+
+    def test_time_limit_is_echoed(self, ws, capsys):
+        code, out, _ = run(capsys, "pareto", ws.model, "--query", ws.query(),
+                           "--time-limit", "100")
+        assert code == 0
+        assert '"time_limit": 100\n' in out
 
 
 # (query field, command-line value, file value): each out of its range

@@ -19,9 +19,10 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
 from moma.model import _ptr, flat
 from moma.solvers import _DENSE_LIMIT, _block, _dot, _gain_bias, _solver
 
-from gen import (all_strategies, chain_eval, choices, cycle_with_tail, ec_lra_lp, layered_ma,
-                 near_one_dist, near_zeno_ma, oracle_points, random_ma, random_ssp,
-                 random_valid_instance, ring_ma, scc_chain, total_value_lp)
+from gen import (all_strategies, chain_eval, choices, cycle_with_tail, ec_lra_lp,
+                 kernel_matrix, layered_ma, near_one_dist, near_zeno_ma, oracle_points,
+                 random_ma, random_ssp, random_valid_instance, ring_ma, scc_chain,
+                 structure_matrix, total_value_lp)
 from test_acceptance import check_sandwich
 
 
@@ -163,33 +164,36 @@ class TestEvaluateStrategy:
 
 
 class TestGather:
-    """Linear systems and row blocks are gathered from a kernel's CSR arrays;
-    each gather must equal scipy's fancy indexing, entry for entry."""
+    """Linear systems and row blocks are gathered from a model's edge
+    arrays; each gather must equal scipy's fancy indexing of the kernel
+    matrix built from those arrays, entry for entry."""
 
     @staticmethod
     def blocks(rng):
-        """Kernels of seeded random models with random row and column
-        selections (rows in any order, columns ascending) and a row to drop."""
+        """Seeded random models with their kernel matrices, random row and
+        column selections (rows in any order, columns ascending) and a row to
+        drop."""
         for _ in range(80):
-            K = flat(random_ma(rng, max_states=10, max_actions=3)).kernel
+            fl = flat(random_ma(rng, max_states=10, max_actions=3))
+            K = kernel_matrix(fl)
             rows = rng.choice(K.shape[0], size=int(rng.integers(1, K.shape[0] + 1)))
             cols = np.sort(rng.choice(K.shape[1], size=int(rng.integers(1, K.shape[1] + 1)),
                                       replace=False))
-            yield K, rows, cols, int(rng.integers(len(rows)))
+            yield fl, K, rows, cols, int(rng.integers(len(rows)))
 
     def test_entries_match_scipy_indexing(self):
         empty_rows = 0
-        for K, rows, cols, drop in self.blocks(np.random.default_rng(57)):
+        for fl, K, rows, cols, drop in self.blocks(np.random.default_rng(57)):
             block = K[rows][:, cols]
-            for sub, (pos, col, val) in ((block, _block(K, rows, cols)),
-                                         (K[rows], _block(K, rows))):
+            for sub, (pos, col, val) in ((block, _block(fl, rows, cols)),
+                                         (K[rows], _block(fl, rows))):
                 # the same entries in the same stored order
                 assert np.array_equal(pos, np.repeat(np.arange(len(rows)), np.diff(sub.indptr)))
                 assert np.array_equal(col, sub.indices)
                 assert np.array_equal(val, sub.data)
             empty_rows += int((np.diff(block.indptr) == 0).sum())
             # one row dropped, as the bias system drops its pinned row
-            pos, col, val = _block(K, rows, cols)
+            pos, col, val = _block(fl, rows, cols)
             dense = block.toarray()
             dense[drop] = 0.0
             got = np.zeros_like(dense)
@@ -207,7 +211,7 @@ class TestGather:
             m = random_ma(rng, max_states=10)
             ev = evaluate_strategy(m, {s: 0 for s in range(m.n_states)}, [])
             fl = flat(m)
-            K, chosen = fl.kernel, fl.ptr[:-1]
+            K, chosen = kernel_matrix(fl), fl.ptr[:-1]
             tau = np.divide(1.0, fl.rates, out=np.zeros(m.n_states), where=fl.markovian)
             for b in ev.bsccs:
                 b = np.array(sorted(b))
@@ -246,8 +250,8 @@ class TestGather:
             chosen[s] += a
         assert (n_tail > _DENSE_LIMIT) == (n_tail == 600)
         b = np.random.default_rng(59).standard_normal(n_tail)
-        got = _solver(n_tail, *_block(fl.kernel, chosen[tail], tail))(b)
-        Q = fl.kernel[chosen[tail]][:, tail]
+        got = _solver(n_tail, *_block(fl, chosen[tail], tail))(b)
+        Q = kernel_matrix(fl)[chosen[tail]][:, tail]
         want = spsolve((identity(n_tail) - Q).tocsc(), b)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
@@ -277,8 +281,8 @@ class TestDot:
 
 
 class TestNoSparseIndexing:
-    """The solve path gathers every system and row block from CSR arrays:
-    it never indexes or slices a scipy sparse matrix."""
+    """The solve path gathers every system and row block from a model's edge
+    arrays: it never indexes or slices a scipy sparse matrix."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -291,7 +295,7 @@ class TestNoSparseIndexing:
         return calls
 
     def test_weighted_solves_and_evaluation(self, calls):
-        flat(cycle_with_tail(n_tail=20, n_cycle=20)[0]).kernel[np.arange(2)]
+        kernel_matrix(flat(cycle_with_tail(n_tail=20, n_cycle=20)[0]))[np.arange(2)]
         assert len(calls) == 1  # the counter sees indexing
         calls.clear()
         rng = np.random.default_rng(61)
@@ -320,7 +324,7 @@ class TestNoSparseProducts:
         return products
 
     def test_weighted_solves(self, products):
-        flat(cycle_with_tail(n_tail=20, n_cycle=20)[0]).kernel @ np.ones(40)
+        kernel_matrix(flat(cycle_with_tail(n_tail=20, n_cycle=20)[0])) @ np.ones(40)
         assert len(products) == 1  # the counter sees products
         products.clear()
         rng = np.random.default_rng(62)
@@ -336,6 +340,103 @@ class TestNoSparseProducts:
             optimize_weighted(prep, np.array(w))
         assert max(len(st.active) for st in prep.structures.values()) > _DENSE_LIMIT
         assert products == []
+
+
+def repeat_successors(m: MarkovAutomaton) -> MarkovAutomaton:
+    """m with every edge (t, p) listed twice in its distribution, as (t, p/4)
+    among the first copies and (t, 3p/4) among the second: rows that repeat
+    every successor, and whose merged rows are m's when p/4 and 3p/4 add up
+    to p exactly (as for dyadic p).  Its rewards are m's, each transition
+    reward on both copies of its edge."""
+    structure, edge_from, k = [], [], 0
+    for dists in choices(m):
+        structure.append([tuple((t, p / 4) for t, p in d) + tuple((t, 0.75 * p) for t, p in d)
+                          for d in dists])
+        for d in dists:
+            edge_from += 2 * list(range(k, k + len(d)))
+            k += len(d)
+    m2 = MarkovAutomaton(m.rates, structure, initial=m.initial)
+    return m2.with_rewards({
+        name: RewardAssignment.from_vectors(flat(m2), name, r.vectors(m)[0],
+                                            r.vectors(m)[1][edge_from])
+        for name, r in m.rewards.items()})
+
+
+class TestRepeatedSuccessors:
+    """A row that lists a successor twice means the merged row: every solver
+    adds the repeats up, on the dense route and the sparse one."""
+
+    @staticmethod
+    def close(a, b):
+        assert a == b or abs(a - b) <= 1e-12 * max(1.0, abs(b)), (a, b)
+
+    def test_bscc_gain(self):
+        # the successors 2 and 0 repeat with probabilities that are not dyadic
+        rates = [1.0, 2.0, 3.0]
+        merged = [[((1, 0.5), (2, 0.5))], [((2, 0.6), (0, 0.4))], [((0, 1.0),)]]
+        split = [[((1, 0.5), (2, 0.5))], [((2, 0.3), (0, 0.4), (2, 0.3))],
+                 [((0, 0.3), (0, 0.7))]]
+        r = RewardAssignment("r", {0: 1.0, 1: 2.0, 2: 5.0}, {})
+        want = bscc_gain(MarkovAutomaton(rates, merged, initial=0), r)
+        self.close(bscc_gain(MarkovAutomaton(rates, split, initial=0), r), want)
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            m = ring_ma(rng, 12)
+            chain = MarkovAutomaton(m.rates, [d[:1] for d in choices(m)], initial=0,
+                                    rewards=m.rewards)
+            split = repeat_successors(chain)
+            for name, r in chain.rewards.items():
+                self.close(bscc_gain(split, split.rewards[name]), bscc_gain(chain, r))
+
+    def test_evaluate_strategy(self):
+        rng = np.random.default_rng(65)
+        cases = [cycle_with_tail()]  # above the dense limit: sparse LU
+        for _ in range(40):
+            m, objectives = random_valid_instance(rng, n_lra=1, n_total=1)
+            cases.append((m, objectives, {s: int(rng.integers(len(d)))
+                                          for s, d in enumerate(choices(m))}))
+        for m, objectives, sigma in cases:
+            ev = evaluate_strategy(m, sigma, objectives)
+            ev2 = evaluate_strategy(repeat_successors(m), sigma, objectives)
+            assert ev2.bsccs == ev.bsccs
+            for a, b in zip(ev2.reach_probs + ev2.values, ev.reach_probs + ev.values):
+                self.close(a, b)
+
+    def test_mec_lra(self):
+        rng = np.random.default_rng(66)
+        solved = 0
+        for _ in range(40):
+            m, _ = random_valid_instance(rng, n_lra=1, n_total=0)
+            for c in mec_decomposition(m):
+                sub = sub_ma(m, c)
+                if not flat(sub).markovian.any():
+                    continue
+                split = repeat_successors(sub)
+                for name, r in sub.rewards.items():
+                    sol = mec_lra(sub, r, eps=1e-9)
+                    sol2 = mec_lra(split, split.rewards[name], eps=1e-9)
+                    self.close(sol2.lower, sol.lower)
+                    self.close(sol2.upper, sol.upper)
+                    assert sol2.strategy == sol.strategy
+                    solved += 1
+        assert solved >= 20
+
+    def test_max_total_reward(self):
+        rng = np.random.default_rng(67)
+        solved = 0
+        for _ in range(60):
+            m, bottom = random_ssp(rng)
+            try:
+                sol = max_total_reward(m, m.rewards["r"], bottom_state=bottom, eps=1e-9)
+            except InfeasibleError:
+                continue
+            m2 = repeat_successors(m)
+            sol2 = max_total_reward(m2, m2.rewards["r"], bottom_state=bottom, eps=1e-9)
+            self.close(sol2.lower, sol.lower)
+            self.close(sol2.upper, sol.upper)
+            assert sol2.strategy == sol.strategy
+            solved += 1
+        assert solved >= 20
 
 
 class TestMecLra:
@@ -847,12 +948,12 @@ class TestMaxTotalReward:
             number[st.active] = np.arange(n)
             pos, e = fl.edges(st.rows)
             keep = fl.succ[e] != st.target
-            assert np.array_equal(st.erow, pos[keep])
-            assert np.array_equal(np.diff(st.K.indptr), np.bincount(pos[keep],
-                                                                    minlength=len(st.rows)))
-            assert np.array_equal(st.K.indices, number[fl.succ[e[keep]]])
-            assert np.array_equal(st.K.data, fl.prob[e[keep]])
-            src, dst = state[st.erow], st.K.indices
+            erow, dst, val = st.entries
+            assert np.array_equal(erow, pos[keep])
+            assert np.array_equal(np.diff(st.eptr), np.bincount(pos[keep], minlength=len(st.rows)))
+            assert np.array_equal(dst, number[fl.succ[e[keep]]])
+            assert np.array_equal(val, fl.prob[e[keep]])
+            src = state[erow]
             labels = moma.model.strong_components(n, src, dst)
             assert (level[dst] <= level[src]).all()
             cross = labels[src] != labels[dst]
@@ -863,24 +964,47 @@ class TestMaxTotalReward:
         # entries in the columns of its own level or of levels before it
         for st in structures():
             n = len(st.active)
-            src = np.repeat(np.arange(n), np.diff(st.segs))[st.erow]
-            level = moma.model.scc_levels(n, src, st.K.indices)
+            erow, col, _ = st.entries
+            src = np.repeat(np.arange(n), np.diff(st.segs))[erow]
+            level = moma.model.scc_levels(n, src, col)
             assert (np.diff(level) >= 0).all()
             assert np.array_equal(st.levels, np.searchsorted(level, np.arange(level.max() + 2)))
             end = np.searchsorted(level, level, side="right")
-            r, c, _ = _block(st.K, st.pick)
+            r, c, _ = _block(flat(st.q.model), st.rows[st.pick], st.active)
             assert (c < end[r]).all()
 
-    def test_level_bellman_equals_global_check(self):
-        # the level's Bellman step is the global check's on its states, bit for bit
-        rng = np.random.default_rng(39)
+    def test_level_bellman_equals_global_check(self, monkeypatch):
+        # every level's Bellman product in the certificate search is scipy's
+        # product of the structure's matrix on the level's rows, bit for bit,
+        # as is the global check's
+        products, dot = [], moma.solvers._dot
+
+        def recorded(entries, x, n):
+            out = dot(entries, x, n)
+            products.append((entries, x.copy(), out))
+            return out
+
+        monkeypatch.setattr(moma.solvers, "_dot", recorded)
+        level_products = 0
         for st in structures():
-            crew_v = rng.standard_normal(len(st.rows))
-            U = rng.standard_normal(len(st.active)) * 10.0
-            full = np.maximum.reduceat(crew_v + st.K @ U, st.segs[:-1])
-            for ell in range(len(st.levels) - 1):
-                s, bellman = moma.solvers._level(st, ell, crew_v)
-                assert np.array_equal(bellman(U), full[s])
+            products.clear()
+            moma.solvers.solve_total(st, st.q.base.rewards["r"])
+            K, (_, col, val), levels = structure_matrix(st), st.entries, []
+            for lo, hi in zip(st.levels[:-1], st.levels[1:]):
+                a, b = st.segs[lo], st.segs[hi]
+                e = slice(st.eptr[a], st.eptr[b])
+                levels.append((a, b, (st.lrow[e], col[e], val[e])))
+            for entries, x, out in products:
+                full = K @ x
+                if entries is st.entries:  # the improvement step or the global check
+                    assert np.array_equal(out, full)
+                    continue
+                # the level whose rows these entries are
+                a, b = next((a, b) for a, b, own in levels
+                            if all(map(np.array_equal, entries, own)))
+                assert np.array_equal(out, full[a:b])
+                level_products += 1
+        assert level_products > 40
 
     def test_level_ordered_sparse_solve_matches_spsolve(self):
         # above the dense limit the pick system is factored in the
@@ -892,8 +1016,8 @@ class TestMaxTotalReward:
         n = len(st.active)
         assert n > _DENSE_LIMIT
         b = np.random.default_rng(60).standard_normal(n)
-        got = _solver(n, *_block(st.K, st.pick), natural=True)(b)
-        want = spsolve((identity(n) - st.K[st.pick]).tocsc(), b)
+        got = _solver(n, *_block(flat(st.q.model), st.rows[st.pick], st.active), natural=True)(b)
+        want = spsolve((identity(n) - structure_matrix(st)[st.pick]).tocsc(), b)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
     def test_scc_chains_match_value_lp(self, monkeypatch):
@@ -919,7 +1043,8 @@ class TestMaxTotalReward:
             assert len(st.levels) - 1 >= 40
             # the certificate is inductive, and the slack never exceeds
             # delta, the bracket the search starts from
-            assert (np.maximum.reduceat(crew_v + st.K @ U, st.segs[:-1]) <= U).all()
+            K = structure_matrix(st)
+            assert (np.maximum.reduceat(crew_v + K @ U, st.segs[:-1]) <= U).all()
             delta = max(eps, 1e-9) * max(1.0, float(np.max(np.abs(L)))) * 0.5
             assert float(np.max(U - L)) <= delta + np.spacing(float(np.max(np.abs(U))))
             assert sol.sweeps < 3 * (len(st.levels) - 1)
