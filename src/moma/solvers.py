@@ -5,8 +5,11 @@ Solvers work on the flat choice view of a model (one kernel row per
 choice), and both scalar solvers are strategy iterations with exact linear
 evaluation.  Every linear system and kernel row block is gathered straight
 from the model's edge arrays, `flat(m)`, in edge order; a successor that a
-row lists twice adds up.  A chain's gain g and bias h come from one system,
-(I - P) h + tau g = b with one h pinned to 0.
+row lists twice adds up.  Each system is factored once, when its solver is
+built, where a singular one raises SolverError: by LAPACK's dense LU up to
+_DENSE_LIMIT unknowns, the measured break-even, and by SuperLU above.  A
+chain's gain g and bias h come from one system, (I - P) h + tau g = b with
+one h pinned to 0.
 Long-run averages inside an end component come from gain/bias strategy
 iteration.  Its final strategy's exact gain is the lower end; the upper end
 is the span bound in model time (Puterman 1994, sec. 8.5) from the final
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
@@ -48,7 +52,7 @@ from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
 from .components import (EndComponent, QuotientModel, _toward, almost_sure_reach,
                          decode_quotient_strategy, exits, quotient, zero_mecs)
 
-_DENSE_LIMIT = 512
+_DENSE_LIMIT = 192  # dense LU up to here: its break-even with SuperLU on banded kernels
 
 
 @dataclass
@@ -129,28 +133,30 @@ def _dot(entries, x: np.ndarray, n: int) -> np.ndarray:
 def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, natural: bool = False):
     """b -> x with (I - Q) x = b for the n x n block Q whose entries v sit at
     the places (r, c), as gathered by _block; entries at one place add up.
-    LAPACK on np.eye(n) minus Q, filled in place, up to _DENSE_LIMIT
-    unknowns; above, one sparse LU factorization with COLAMD's column order,
-    or with the `natural` one when the unknowns are already numbered so that
-    I - Q is block lower-triangular (a total-reward structure's levels, sinks
-    first): the diagonal blocks are then factored one after another, with
-    little fill, and no column ordering has to be computed.  A singular
-    system raises SolverError."""
-    if n <= _DENSE_LIMIT:
-        A = np.eye(n)
-        np.subtract.at(A, (r, c), v)
-
-        def solve(b):
-            try:
-                return np.linalg.solve(A, b)
-            except np.linalg.LinAlgError as err:
-                raise SolverError(f"singular {n} x {n} system (dense LU): {err}") from None
-        return solve
-    try:
-        return splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c]))),
-                    permc_spec="NATURAL" if natural else "COLAMD").solve
-    except RuntimeError as err:
-        raise SolverError(f"singular {n} x {n} system (sparse LU): {err}") from None
+    The system is factored once, here, on the cheaper route, and a singular
+    one raises SolverError here.  Up to _DENSE_LIMIT unknowns: LAPACK's dense
+    LU (getrf) of np.eye(n) minus Q, filled in place, and one getrs per
+    right-hand side.  Above: one sparse LU factorization with COLAMD's column
+    order, or with the `natural` one when the unknowns are already numbered
+    so that I - Q is block lower-triangular (a total-reward structure's
+    levels, sinks first): the diagonal blocks are then factored one after
+    another, with little fill, and no column ordering has to be computed."""
+    if n > _DENSE_LIMIT:
+        try:
+            return splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c]))),
+                        permc_spec="NATURAL" if natural else "COLAMD").solve
+        except RuntimeError as err:
+            raise SolverError(f"singular {n} x {n} system (sparse LU): {err}") from None
+    if n == 0:  # LAPACK rejects an empty matrix
+        return lambda b: np.zeros(0)
+    A = np.eye(n, order="F")
+    np.subtract.at(A, (r, c), v)
+    lu, piv, info = dgetrf(A, overwrite_a=True)
+    if info > 0:
+        raise SolverError(f"singular {n} x {n} system (dense LU): pivot {info} is zero")
+    if info < 0:  # a bad call, never a singular system
+        raise ValueError(f"dgetrf rejected its argument {-info}")
+    return lambda b: dgetrs(lu, piv, b)[0]
 
 
 # ---------------------------------------------------------------------------

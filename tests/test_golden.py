@@ -54,7 +54,8 @@ CASES = {
     "fig1-single.json": ["single", "@fig1", "--query", "@fig1-pareto.json"],
 }
 # exact evaluation of a chain whose recurrent and transient parts both exceed
-# the dense limit, so the sparse linear solves are pinned as well
+# the dense limit (solvers._DENSE_LIMIT unknowns), so the SuperLU route is
+# pinned as well as the LAPACK getrf/getrs route the smaller cases take
 CHAIN_EVAL = "cycle-with-tail-eval.json"
 
 

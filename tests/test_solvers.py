@@ -239,21 +239,89 @@ class TestGather:
         with pytest.raises(SolverError, match=rf"singular {n} x {n} system \(sparse LU\)"):
             _solver(n, np.array([0]), np.array([0]), np.array([1.0]))
 
-    @pytest.mark.parametrize("n_tail", [600, 100])
+    @pytest.mark.parametrize("n_tail", [600, _DENSE_LIMIT + 1, _DENSE_LIMIT])
     def test_solver_matches_spsolve(self, n_tail):
         # the tail of cycle_with_tail under its strategy: above the dense
-        # limit at 600 states (sparse LU), below it at 100 (LAPACK)
+        # limit (sparse LU), and at it (LAPACK)
         m, _, sigma = cycle_with_tail(n_tail=n_tail, n_cycle=50)
         fl = flat(m)
         chosen, tail = fl.ptr[:-1].copy(), np.arange(n_tail)
         for s, a in sigma.items():
             chosen[s] += a
-        assert (n_tail > _DENSE_LIMIT) == (n_tail == 600)
+        assert (n_tail > _DENSE_LIMIT) == (n_tail != _DENSE_LIMIT)
         b = np.random.default_rng(59).standard_normal(n_tail)
         got = _solver(n_tail, *_block(fl, chosen[tail], tail))(b)
         Q = kernel_matrix(fl)[chosen[tail]][:, tail]
         want = spsolve((identity(n_tail) - Q).tocsc(), b)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestDenseRoute:
+    """Systems of up to _DENSE_LIMIT unknowns: LAPACK's getrf once, when the
+    solver is built, and one getrs per right-hand side."""
+
+    @staticmethod
+    def system(rng, n):
+        """A random substochastic block with repeated (row, column) places:
+        up to 8 entries per row, each row's mass at most 0.95."""
+        k = rng.integers(0, 9, size=n)
+        r, c = np.repeat(np.arange(n), k), rng.integers(0, n, size=int(k.sum()))
+        v = rng.random(len(r))
+        return r, c, v * 0.95 / np.maximum(np.bincount(r, v, n), 1.0)[r]
+
+    def test_factors_once(self, monkeypatch):
+        calls, getrf = [], moma.solvers.dgetrf
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return getrf(a, *args, **kwargs)
+        monkeypatch.setattr(moma.solvers, "dgetrf", counted)
+        rng, n = np.random.default_rng(64), _DENSE_LIMIT
+        r, c, v = self.system(rng, n)
+        A = np.eye(n)
+        np.subtract.at(A, (r, c), v)
+        solve = _solver(n, r, c, v)
+        assert calls == [(n, n)]
+        for _ in range(5):
+            b = rng.standard_normal(n)
+            assert np.max(np.abs(A @ solve(b) - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(b))))
+        assert calls == [(n, n)]
+
+    def test_singular_system_raises_at_build(self):
+        # state 0 loops with probability 1: a zero row of I - Q
+        n = _DENSE_LIMIT
+        r, c, v = self.system(np.random.default_rng(65), n)
+        keep = r != 0
+        with pytest.raises(SolverError, match=rf"singular {n} x {n} system \(dense LU\)"):
+            _solver(n, np.r_[0, r[keep]], np.r_[0, c[keep]], np.r_[1.0, v[keep]])
+
+    def test_agrees_with_numpy_solve(self):
+        # scipy's and numpy's LAPACK may round differently in the last bits
+        rng = np.random.default_rng(66)
+        repeats = 0
+        for _ in range(500):
+            n = int(rng.integers(1, _DENSE_LIMIT + 1))
+            r, c, v = self.system(rng, n)
+            repeats += len(r) - len(np.unique(r * n + c))
+            A = np.eye(n)
+            np.subtract.at(A, (r, c), v)
+            b = rng.standard_normal(n)
+            want = np.linalg.solve(A, b)
+            got = _solver(n, r, c, v)(b)
+            assert np.max(np.abs(got - want)) <= 1e-13 * float(np.max(np.abs(want)))
+        assert repeats > 0
+
+    def test_empty_system(self, capfd):
+        # LAPACK rejects a 0 x 0 matrix; a total-reward structure whose
+        # initial state is the target has no unknowns
+        empty = np.zeros(0, dtype=np.int64)
+        assert _solver(0, empty, empty, np.zeros(0))(np.zeros(0)).shape == (0,)
+        m = MarkovAutomaton([1.0], [[((0, 1.0),)]], initial=0,
+                            rewards={"r": RewardAssignment("r")})
+        st = moma.solvers.total_structure(m, [], 0)
+        assert len(st.active) == 0 and st.solve(np.zeros(0)).shape == (0,)
+        assert max_total_reward(m, m.rewards["r"], bottom_state=0).value == 0.0
+        assert capfd.readouterr().err == ""
 
 
 class TestDot:
