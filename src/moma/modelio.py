@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -41,30 +40,32 @@ FORMAT_VERSION = 1
 # deterministic JSON writing
 
 
-def _fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if math.isnan(x):
-        return '"nan"'
-    return format(float(x), ".17g")
-
-
 def _is_scalar(x) -> bool:
     return x is None or isinstance(x, (bool, int, float, str, np.integer, np.floating))
 
 
+def _scalar(x) -> str:
+    """JSON text of one scalar (see `_is_scalar`): floats with 17
+    significant digits, infinities and NaN as tagged strings."""
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return json.dumps(x)
+    x = float(x)
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if math.isnan(x):
+        return '"nan"'
+    return format(x, ".17g")
+
+
 def _ser(obj, out: list[str], ind: int) -> None:
-    pad = "  " * ind
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+    if _is_scalar(obj):
+        out.append(_scalar(obj))
     elif isinstance(obj, (dict, list, tuple, np.ndarray)):
         # a map lists "key": value items, a sequence its entries; a sequence
         # of scalars stays on one line
@@ -74,14 +75,14 @@ def _ser(obj, out: list[str], ind: int) -> None:
         if not items:
             out.append(opener + closer)
         elif not keyed and all(_is_scalar(x) for x in items):
-            out.append("[" + ", ".join(dumps(x)[:-1] for x in items) + "]")
+            out.append("[" + ", ".join(map(_scalar, items)) + "]")
         else:
             out.append(opener + "\n")
             for i, x in enumerate(items):
                 out.append("  " * (ind + 1) + (json.dumps(str(x[0])) + ": " if keyed else ""))
                 _ser(x[1] if keyed else x, out, ind + 1)
                 out.append(",\n" if i + 1 < len(items) else "\n")
-            out.append(pad + closer)
+            out.append("  " * ind + closer)
     else:
         raise ModelError(f"cannot serialize {type(obj).__name__}")
 
@@ -411,16 +412,23 @@ def plot_csv(res: QueryResult) -> str:
         raise ModelError("plot output requires exactly 2 objectives")
     flips = res.problem.flips
     rows = [(v[0], v[1], "vertex") for v in res.vertices or []]
-    hs = res.state.halfspaces
-    corners = []
-    for h1, h2 in combinations(hs, 2):
-        a, b = np.array([h1.normal, h2.normal]), np.array([h1.offset, h2.offset])
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        x = np.linalg.solve(a, b)
-        if all(float(np.dot(h.normal, x)) <= h.offset + 1e-9 * max(1.0, abs(h.offset))
-               for h in hs):
-            corners.append(tuple(np.round(x * flips, 9)))
-    rows += [(float(c[0]), float(c[1]), "q_boundary") for c in sorted(set(corners))]
+    # the meeting point of every pair of non-parallel halfspace boundaries,
+    # kept when it satisfies every halfspace; pairs in combinations order
+    normals, offsets = res.state.normals, res.state.offsets
+    i, j = np.triu_indices(len(offsets), 1)
+    a = np.stack([normals[i], normals[j]], axis=1)
+    pair = np.abs(np.linalg.det(a)) >= 1e-12
+    b = np.stack([offsets[i], offsets[j]], axis=1)[pair]
+    x = np.linalg.solve(a[pair], b[:, :, None])[:, :, 0]
+    # every corner-halfspace dot product by stacked matmul, which rounds as
+    # np.dot does, in blocks of about a million
+    bound = offsets + 1e-9 * np.maximum(1.0, np.abs(offsets))
+    step = max(1, (1 << 20) // max(1, len(offsets)))
+    inside = np.empty(len(x), dtype=bool)
+    for k in range(0, len(x), step):
+        dots = (x[k:k + step, None, None, :] @ normals[:, :, None])[:, :, 0, 0]
+        inside[k:k + step] = (dots <= bound).all(axis=1)
+    corners = set(map(tuple, np.round(x[inside] * flips, 9).tolist()))
+    rows += [(c[0], c[1], "q_boundary") for c in sorted(corners)]
     return "coord_1,coord_2,kind\n" + "".join(f"{format(x, '.17g')},{format(y, '.17g')},{kind}\n"
                                               for x, y, kind in rows)

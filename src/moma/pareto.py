@@ -60,21 +60,13 @@ class Hull:
     the outward normal (nonnegative, summing to 1), the support offset, and
     whether the facet is degenerate (fewer supporting vertices than
     dimensions: a cap closing the hull at its coordinate-wise maxima).
-    Facet i's vertex ids, ascending by point, are `ids[ptr[i]:ptr[i + 1]]`.
-    A 3- or 4-D hull also keeps what the next downward_hull call grows: the
-    live Qhull it was read from, the pad floor, the guard below which a new
-    point forces a rebuild, and, per Qhull input row, the index of its point
-    (-1 for a pad)."""
+    Facet i's vertex ids, ascending by point, are `ids[ptr[i]:ptr[i + 1]]`."""
 
     normals: np.ndarray
     offsets: np.ndarray
     ptr: np.ndarray
     ids: np.ndarray
     degenerate: np.ndarray
-    _qhull: object = field(default=None, repr=False)
-    _floor: np.ndarray | None = field(default=None, repr=False)
-    _guard: np.ndarray | None = field(default=None, repr=False)
-    _rows: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -83,15 +75,14 @@ class ApproximationState:
     cached as arrays (its vertex ids naming stored points) and the facets'
     centroids (one row each).  The halfspaces are the refinement history:
     one per weighted solve, in order; `normals` and `offsets` hold them as
-    arrays, and `solves` each solve's (rounds, sweeps) counters.  The last
-    hull built over the finite points is kept to be grown by the next."""
+    arrays, and `solves` each solve's (rounds, sweeps) counters.  The hull
+    is built again only after a new distinct finite point."""
 
     dimension: int
     points: list[AchievedPoint] = field(default_factory=list)
     halfspaces: list[HalfSpace] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     _facets: Hull | None = field(default=None, repr=False)
-    _grown: Hull | None = field(default=None, repr=False)
     _hull_input: set[tuple[float, ...]] = field(default_factory=set, repr=False)
 
     def __post_init__(self):
@@ -125,7 +116,7 @@ class ApproximationState:
         if self._facets is None:
             idx = np.array(self.finite_indices(), dtype=int)
             pts = np.array([self.points[i].point for i in idx]).reshape(len(idx), self.dimension)
-            raw = self._grown = downward_hull(pts, self.dimension, self._grown)
+            raw = downward_hull(pts, self.dimension)
             self._facets = replace(raw, ids=idx[raw.ids])
             # means summed in vertex order, as np.mean sums: one row of
             # vertex ids per facet, padded with the id of a zero row
@@ -145,21 +136,18 @@ class ApproximationState:
         return slack[np.arange(len(gi)), gi], np.maximum(1.0, np.abs(self.offsets[gi]))
 
 
-def downward_hull(points: Sequence[np.ndarray], dimension: int,
-                  previous: Hull | None = None) -> Hull:
+def downward_hull(points: Sequence[np.ndarray], dimension: int) -> Hull:
     """Facets of the upper-right boundary of the downward convex hull.
 
-    Dimension 1 and 2 are handled directly (maximum / monotone staircase);
-    3 and 4 go through a convex hull of the points padded with their
-    projections onto a floor below the point set, which makes the hull full-
-    dimensional and turns the downward closure's unbounded faces into floor
-    walls that are filtered by normal sign afterwards.
-
-    `previous` may be the hull this function last returned for a prefix of
-    `points`.  In 3 and 4 dimensions its Qhull is then grown by the new
-    distinct points, padded on its floor, and handed on to the result, so a
-    hull is grown at most once.  A new point within half the floor's depth
-    of the floor, or a Qhull error while growing, rebuilds from scratch.
+    Dimension 1 and 2 are handled directly (maximum / monotone staircase).
+    In 3 and 4 dimensions each facet is a vertex of the upper envelope
+    h(w) = max_p w.p over the weight simplex: its weight is the facet's
+    normal, the points attaining h there are its vertices, and a vertex on
+    a side of the simplex, with fewer points than dimensions, is a cap.
+    The envelope's vertices are read off one Qhull convex hull of the polar
+    points of the region above h, capped; polar facets whose equations
+    agree to 9 digits form one facet.  Facets come in the order of their
+    unit normals rounded to 9 digits.  A Qhull failure is a SolverError.
     """
     if len(points) == 0:
         return Hull(np.zeros((0, dimension)), np.zeros(0), np.zeros(1, dtype=int),
@@ -172,7 +160,7 @@ def downward_hull(points: Sequence[np.ndarray], dimension: int,
     if dimension == 2:
         return _hull_2d(pts)
     if dimension in (3, 4):
-        return _hull_padded(pts, dimension, previous)
+        return _hull_envelope(pts, dimension)
     raise ModelError(f"queries with {dimension} objectives are not supported (max {MAX_DIMENSION})")
 
 
@@ -217,73 +205,66 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[new], order[new], inverse
 
 
-def _pads(a: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Every row of `a` with each nonempty set of its coordinates moved to
-    the floor, row by row."""
-    dim = a.shape[1]
-    masks = (np.arange(1, 1 << dim)[:, None] >> np.arange(dim) & 1).astype(bool)
-    return np.where(masks, floor, a[:, None, :]).reshape(-1, dim)
-
-
-def _grow(h: Hull, pts: np.ndarray, first: np.ndarray) -> np.ndarray | None:
-    """Add the distinct points of `pts` (`first`: the index of each one's
-    first copy) that the Qhull of `h` lacks, each with its pads on the
-    floor of `h`, and return the grown row map; None when the hull must be
-    rebuilt instead."""
-    from scipy.spatial import QhullError
-
-    new = np.setdiff1d(first, h._rows)
-    if h._qhull.npoints != len(h._rows) or (pts[new] < h._guard).any():
-        return None  # grown before, or a new point near the floor
-    try:
-        h._qhull.add_points(np.vstack([pts[new], _pads(pts[new], h._floor)]))
-    except QhullError:
-        return None
-    return np.concatenate([h._rows, new, np.full(h._qhull.npoints - len(h._rows) - len(new), -1)])
-
-
-def _hull_padded(pts: np.ndarray, dim: int, previous: Hull | None) -> Hull:
+def _hull_envelope(pts: np.ndarray, dim: int) -> Hull:
     from scipy.spatial import ConvexHull, QhullError
 
-    # distinct points in sorted order, the index of each one's first copy,
-    # and each point's rank among them
-    arr, first, inverse = _unique_rows(pts)
+    # distinct points in sorted order and the index of each one's first copy
+    arr, first, _ = _unique_rows(pts)
     k = len(arr)
-    rows = None if previous is None or previous._qhull is None else _grow(previous, pts, first)
-    if rows is not None:
-        qh, floor, guard = previous._qhull, previous._floor, previous._guard
-    else:
-        # from scratch: the sorted distinct points, then their sorted pads
-        spread = float(np.max(arr.max(axis=0) - arr.min(axis=0))) if k > 1 else 0.0
-        floor = arr.min(axis=0) - (1.0 + spread)
-        guard = arr.min(axis=0) - 0.5 * (1.0 + spread)
-        pads = _unique_rows(_pads(arr, floor))[0]
-        try:
-            qh = ConvexHull(np.vstack([arr, pads]), incremental=True)
-        except QhullError as err:
-            first_line = str(err).strip().split("\n")[0]
-            raise SolverError(f"Qhull failed on the {dim}-D hull of {k} distinct points: "
-                              f"{first_line}") from None
-        rows = np.concatenate([first, np.full(len(pads), -1)])
+    # moving and scaling the points adds a term affine in u to
+    # h(w) = max_p w.p, w = (u, 1 - sum u), and keeps its vertices, so they
+    # are found for the points mapped into the unit box
+    lo = arr.min(axis=0)
+    q = (arr - lo) / (float((arr.max(axis=0) - lo).max()) or 1.0)
+    # the region above h in x = (u, c), as rows A x + b <= 0: one per point
+    # (w.q <= c), u >= 0, sum u <= 1 and the cap c <= 3 (h is at most 1 on
+    # the unit box), each taken to its polar point A / -(A x0 + b) about the
+    # interior point x0 = (1/d, ..., 1/d, 2)
+    A = np.zeros((k + dim + 1, dim))
+    b = np.zeros(k + dim + 1)
+    A[:k, :-1] = q[:, :-1] - q[:, -1:]
+    A[:k, -1] = -1.0
+    b[:k] = q[:, -1]
+    A[k:k + dim - 1, :-1] = -np.eye(dim - 1)
+    A[k + dim - 1, :-1] = 1.0
+    b[k + dim - 1] = -1.0
+    A[-1, -1] = 1.0
+    b[-1] = -3.0
+    x0 = np.full(dim, 1.0 / dim)
+    x0[-1] = 2.0
+    # row-wise dot products by stacked matmul, which rounds as np.dot does
+    slack = -((A[:, None, :] @ x0) + b[:, None])
+    try:
+        qh = ConvexHull(A / slack)
+    except QhullError as err:
+        first_line = str(err).strip().split("\n")[0]
+        raise SolverError(f"Qhull failed on the {dim}-D hull of {k} distinct points: "
+                          f"{first_line}") from None
 
-    # simplices with equal rounded equations form one facet, represented by
-    # the equation of its first simplex; its vertices are the original
-    # points among the simplices' corners, as sorted (facet, rank) keys
-    rank = np.where(rows >= 0, inverse[rows], -1)
+    # each polar facet is a vertex x = x0 - n / offset of the region and a
+    # facet of the downward hull; polar simplices with equal rounded
+    # equations form one facet, represented by the equation of its first
+    # simplex, over the union of their corners; a vertex on the cap is not
+    # a facet
     _, rep, group = _unique_rows(np.round(qh.equations, 9))
-    corner = rank[qh.simplices.ravel()]
-    key = np.unique((np.repeat(group, dim) * k + corner)[corner >= 0])
-    counts = np.bincount(key // k, minlength=len(rep))
-    normals = qh.equations[rep, :dim]
-    clipped = np.clip(normals, 0.0, None)
-    sums = clipped.sum(axis=1)
-    keep = ~(normals < -1e-9).any(axis=1) & (counts > 0) & (sums > 0.0)
-    n = clipped[keep] / sums[keep, None]
+    corner = np.zeros((len(rep), k + dim + 1), dtype=bool)
+    corner[np.repeat(group, dim), qh.simplices.ravel()] = True
+    keep = ~corner[:, -1]
+    eq, corner = qh.equations[rep[keep]], corner[keep]
+    u = x0[:-1] - eq[:, :-2] / eq[:, -1:]
+    w = np.hstack([u, 1.0 - u.sum(axis=1, keepdims=True)])
+    # a weight is exactly 0 on the side of the simplex the vertex lies on,
+    # and never below 0 (weighted solves reject negative weights)
+    w[corner[:, k:-1]] = 0.0
+    w = np.maximum(w, 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    order = np.lexsort(np.round(w / np.sqrt((w * w).sum(axis=1, keepdims=True)), 9).T[::-1])
+    n, on = w[order], corner[order, :k]
     # one matrix-vector product per facet, stacked: each rounds as arr @ n
     offsets = (n[:, None, :] @ arr.T).max(axis=-1)[:, 0]
-    sizes = counts[keep]
+    sizes = np.count_nonzero(on, axis=1)
     return Hull(n, offsets, np.concatenate([[0], np.cumsum(sizes)]),
-                first[key[np.repeat(keep, counts)] % k], sizes < dim, qh, floor, guard, rows)
+                first[np.nonzero(on)[1]], sizes < dim)
 
 
 def select_weight(state: ApproximationState, eta: float,

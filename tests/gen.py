@@ -752,9 +752,9 @@ def facet_tuples(h) -> list[tuple[list[float], float, tuple[int, ...], bool]]:
             for i in range(len(h.offsets))]
 
 
-def ref_downward_hull(points, dim: int) -> list[tuple[list[float], float, tuple[int, ...], bool]]:
-    """Loop reference for `pareto.downward_hull` in 3 and 4 dimensions, as
-    the facet tuples of `facet_tuples`.
+def padded_downward_hull(points, dim: int) -> list[tuple[list[float], float, tuple[int, ...], bool]]:
+    """An independent construction of the facets `pareto.downward_hull`
+    returns in 3 and 4 dimensions, as the facet tuples of `facet_tuples`.
 
     Duplicates collapse to their first index; the distinct points, sorted,
     are padded with every projection onto the box corner below them and

@@ -38,7 +38,7 @@ REACH_QUERY = {"format": "moma-query", "version": 1, "kind": "pareto",
                               {"kind": "reach", "direction": "min", "goal": ["s4"]}],
                "precision": 1e-4}
 # menu MDPs: (seed, stages, actions, directions, precision); the 3- and
-# 4-objective fronts go through the padded hull, the 2-D cases do not
+# 4-objective fronts go through the envelope hull, the 2-D cases do not
 MENUS = {"menu4": (7002, 5, 3, ("max", "max", "max", "min"), 1e-2),
          "menu3": (7115, 6, 3, ("max", "max", "min"), 1e-3)}
 

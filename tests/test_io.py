@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ class TestDumps:
     def test_rejects_unknown_types(self):
         with pytest.raises(ModelError):
             dumps({"x": object()})
+        with pytest.raises(ModelError):
+            dumps([1.0, np.bool_(True)])
+
+    def test_scalar_list_is_its_rendered_entries(self):
+        scalars = [None, True, False, 0, -7, np.int64(3), 0.1, -0.0, np.float64(2.5),
+                   np.float32(0.1), float("inf"), float("-inf"), float("nan"), "a\"b\n", ""]
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            items = [scalars[i] for i in rng.integers(0, len(scalars), 6)]
+            for seq in (items, tuple(items)):
+                assert dumps(seq) == "[" + ", ".join(dumps(x)[:-1] for x in items) + "]\n"
+        floats = rng.normal(size=8) * 10.0 ** rng.integers(-300, 300, 8)
+        assert dumps(floats) == "[" + ", ".join(dumps(float(x))[:-1] for x in floats) + "]\n"
 
 
 class TestModelRoundTrip:
@@ -323,7 +337,77 @@ class TestResultDocument:
         assert all(set(p) == {"weight", "point", "strategy"} for p in parts)
 
 
+def ref_plot_csv(res) -> str:
+    """Loop reference for `modelio.plot_csv` on a 2-objective pareto result:
+    each pair of halfspaces, in order, meets at a corner unless their
+    normals are parallel (|det| < 1e-12); a corner within 1e-9 (relative,
+    floor 1) of every halfspace is kept, rounded to 9 digits in the user's
+    orientation, and the distinct corners follow the vertices in sorted
+    order."""
+    hs = res.state.halfspaces
+    corners = []
+    for h1, h2 in combinations(hs, 2):
+        a, b = np.array([h1.normal, h2.normal]), np.array([h1.offset, h2.offset])
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, b)
+        if all(float(np.dot(h.normal, x)) <= h.offset + 1e-9 * max(1.0, abs(h.offset))
+               for h in hs):
+            corners.append(tuple(np.round(x * res.problem.flips, 9)))
+    rows = [(v[0], v[1], "vertex") for v in res.vertices or []]
+    rows += [(float(c[0]), float(c[1]), "q_boundary") for c in sorted(set(corners))]
+    return "coord_1,coord_2,kind\n" + "".join(f"{format(x, '.17g')},{format(y, '.17g')},{kind}\n"
+                                              for x, y, kind in rows)
+
+
 class TestPlotCsv:
+    @staticmethod
+    def result(normals, offsets, flips):
+        from types import SimpleNamespace
+
+        from moma import ApproximationState, WeightedSolution
+        from moma.pareto import QueryResult
+        state = ApproximationState(2)
+        for n, off in zip(normals, offsets):
+            state.add(WeightedSolution(np.asarray(n, dtype=float), float(off), np.zeros(2), {},
+                                       0.0, []))
+        return QueryResult(kind="pareto", objectives=[], vertices=[[0.5, -1.0], [1.0, 0.0]],
+                           state=state, problem=SimpleNamespace(flips=np.asarray(flips)))
+
+    def test_matches_loop(self):
+        rng = np.random.default_rng(8500)
+        kept = []
+        for trial in range(28):
+            # tangents to the downward hull of a few points, some lifted: an
+            # outer approximation like a pareto query's
+            h = int(rng.integers(2, 30))
+            w = rng.uniform(0.0, 1.0, h)
+            w[rng.random(h) < 0.2] = rng.choice([0.0, 1.0])
+            normals = np.column_stack([w, 1.0 - w])
+            offsets = (normals @ rng.uniform(-3.0, 3.0, (2, 5))).max(axis=1)
+            offsets += rng.uniform(0.0, 0.5, h) * (trial % 2)
+            # parallel pairs: a repeated normal (det 0) and one 1e-13 apart
+            normals = np.vstack([normals, normals[0], normals[-1] + [1e-13, -1e-13]])
+            offsets = np.append(offsets, offsets[[0, -1]] + 1.0)
+            # a cut through the corner of the first two halfspaces, at the
+            # 1e-9 tolerance to a few ulps either way
+            x = np.linalg.solve(normals[:2], offsets[:2]) if w[0] != w[1] else np.zeros(2)
+            n = rng.dirichlet([1.0, 1.0])
+            dot = float(np.dot(n, x))
+            cut = dot - 1e-9 * max(1.0, abs(dot))
+            normals = np.vstack([normals, n])
+            offsets = np.append(offsets, cut + (trial % 7 - 3) * np.spacing(cut))
+            for flips in ([1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]):
+                res = self.result(normals, offsets, flips)
+                text = plot_csv(res)
+                assert text == ref_plot_csv(res)
+            kept.append(",".join(format(v, ".17g") for v in np.round(x * flips, 9)) in text)
+        assert any(kept) and not all(kept)
+
+    def test_one_halfspace_has_no_corner(self):
+        res = self.result([[0.5, 0.5]], [1.0], [1.0, 1.0])
+        assert plot_csv(res) == "coord_1,coord_2,kind\n0.5,-1,vertex\n1,0,vertex\n"
+
     def test_fig1(self, fig1, fig1_objectives):
         res = answer_query(fig1, fig1_objectives, ParetoQuery())
         text = plot_csv(res)

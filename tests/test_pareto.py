@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from functools import cached_property
 
@@ -15,8 +16,8 @@ from moma import pareto, parse_model, serialize_model
 from moma.model import Flat, flat
 from moma.modelio import parse_objective
 
-from gen import (facet_tuples, layered_ma, menu_doc, oracle_points, random_valid_instance,
-                 ref_downward_hull, ref_facet_gaps, ref_select_normal)
+from gen import (facet_tuples, layered_ma, menu_doc, oracle_points, padded_downward_hull,
+                 random_valid_instance, ref_facet_gaps, ref_select_normal)
 
 
 def fake_solution(w, value, point, strategy=None):
@@ -109,7 +110,7 @@ class TestDownwardHull:
         assert used == set(extreme_points(pts))
 
     @staticmethod
-    def check_padded_hull(raw, dim):
+    def check_hull(raw, dim):
         pts = [np.array(p, dtype=float) for p in raw]
         hull = downward_hull(pts, dim)
         assert len(hull.offsets)
@@ -122,19 +123,20 @@ class TestDownwardHull:
     @settings(deadline=None)
     @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=1, max_size=8))
     def test_hull_properties_3d(self, raw):
-        self.check_padded_hull(raw, 3)
+        self.check_hull(raw, 3)
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=1, max_size=8))
     def test_hull_properties_4d(self, raw):
-        self.check_padded_hull(raw, 4)
+        self.check_hull(raw, 4)
 
 
 def point_sets(dim, count=12):
-    """Seeded point sets for the padded hull: integer grids with duplicate
-    and dominated points, continuous draws with zeros of both signs, and
-    points on a plane, some lifted off it by about 1e-10 so that facet
-    equations differ near the 1e-9 grouping precision."""
+    """Seeded point sets for the 3- and 4-D hull: integer grids with
+    duplicate and dominated points, continuous draws with zeros of both
+    signs, and (every third set, from the third) points on a plane, some
+    lifted off it by about 1e-10 so that facet equations differ near the
+    1e-9 grouping precision."""
     rng = np.random.default_rng(8000 + dim)
     for trial in range(count):
         n = int(rng.integers(dim + 1, 14))
@@ -162,8 +164,72 @@ def concave_front(dim, count):
     return 10.0 * u / np.linalg.norm(u, axis=1)[:, None] - 5.0
 
 
+def ref_downward_hull(points, dim: int) -> list[tuple[list[float], float, tuple[int, ...], bool]]:
+    """Loop reference for `pareto.downward_hull` in 3 and 4 dimensions, as
+    the facet tuples of `facet_tuples`.
+
+    Duplicates collapse to their first index; the distinct points, sorted,
+    are moved by their minimum and scaled by their spread into the unit box.
+    Over x = (u, c), with weights w = (u, 1 - sum u), each point q gives the
+    halfspace w.q <= c; with u >= 0, sum u <= 1 and the cap c <= 3 these
+    rows a.x + b <= 0 go to Qhull as the polar points a / -(a.x0 + b) about
+    x0 = (1/d, ..., 1/d, 2).  Polar simplices are grouped by their equation
+    rounded to 9 digits, groups are visited in sorted key order, and each
+    keeps the equation of its first simplex as representative.  A group
+    that touches the cap is dropped; the rest read their weight off the
+    vertex x0 - normal / offset, zero on each side of the simplex among
+    their corners, and are sorted by their unit normal rounded to 9 digits.
+    """
+    from scipy.spatial import ConvexHull
+
+    first_at: dict[tuple[float, ...], int] = {}
+    for i, p in enumerate(points):
+        first_at.setdefault(tuple(float(x) for x in p), i)
+    uniq = sorted(first_at)
+    arr = np.array(uniq, dtype=float)
+    k = len(uniq)
+    lo = [min(p[j] for p in uniq) for j in range(dim)]
+    scale = max(max(p[j] for p in uniq) - lo[j] for j in range(dim)) or 1.0
+    x0 = [1.0 / dim] * (dim - 1) + [2.0]
+    rows = []
+    for p in uniq:
+        q = [(p[j] - lo[j]) / scale for j in range(dim)]
+        rows.append(([q[j] - q[-1] for j in range(dim - 1)] + [-1.0], q[-1]))
+    for j in range(dim - 1):
+        rows.append(([-1.0 if i == j else 0.0 for i in range(dim - 1)] + [0.0], 0.0))
+    rows.append(([1.0] * (dim - 1) + [0.0], -1.0))
+    rows.append(([0.0] * (dim - 1) + [1.0], -3.0))
+    polar = []
+    for a, b in rows:
+        slack = -(float(np.dot(a, x0)) + b)
+        polar.append([ai / slack for ai in a])
+    hull = ConvexHull(np.array(polar))
+
+    groups: dict[tuple, dict] = {}
+    for si, simplex in enumerate(hull.simplices):
+        eq = hull.equations[si]
+        g = groups.setdefault(tuple(np.round(eq, 9)), {"eq": eq, "corners": set()})
+        g["corners"].update(int(v) for v in simplex)
+    facets = []
+    for key in sorted(groups):
+        eq, corners = groups[key]["eq"], groups[key]["corners"]
+        if k + dim in corners:
+            continue
+        u = [x0[j] - float(eq[j]) / float(eq[-1]) for j in range(dim - 1)]
+        w = u + [1.0 - sum(u)]
+        w = [0.0 if k + j in corners else max(x, 0.0) for j, x in enumerate(w)]
+        total = sum(w)
+        n = [x / total for x in w]
+        orig = sorted(v for v in corners if v < k)
+        off = float(np.max(arr @ np.array(n)))
+        facets.append((n, off, tuple(first_at[uniq[v]] for v in orig), len(orig) < dim))
+    return sorted(facets, key=lambda f: tuple(
+        np.round(np.array(f[0]) / math.sqrt(sum(x * x for x in f[0])), 9)))
+
+
 class TestGeometryMatchesLoops:
-    """The array geometry against the loop code it replaced (tests/gen.py)."""
+    """The array geometry against loop code: `ref_downward_hull` above and
+    the loop code the gap and selection arrays replaced (tests/gen.py)."""
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_hull(self, dim):
@@ -251,9 +317,9 @@ class TestFacetReuse:
         calls = []
         hull = pareto.downward_hull
 
-        def counted(points, dimension, previous=None):
+        def counted(points, dimension):
             calls.append(len(points))
-            return hull(points, dimension, previous)
+            return hull(points, dimension)
         monkeypatch.setattr(pareto, "downward_hull", counted)
         doc, objectives = menu_doc(np.random.default_rng(7115), 6, 3, ("max", "max", "min"))
         m = parse_model(doc)
@@ -286,93 +352,116 @@ class TestFacetReuse:
         state.add(fake_solution([0.2, 0.3, 0.5], 10.0, pts.max(axis=0)))
         assert state.facets() is not facets
 
-
-class TestGrownHull:
-    """A state grows one Qhull across refinements: at every step its facets
-    are those of a one-shot build of the same points, and a point near the
-    floor or a Qhull error while growing rebuilds through the one-shot path."""
-
-    @staticmethod
-    def check_same(grown, fresh):
-        assert grown.ids.tolist() == fresh.ids.tolist()
-        assert grown.ptr.tolist() == fresh.ptr.tolist()
-        assert grown.degenerate.tolist() == fresh.degenerate.tolist()
-        # representative simplices differ, so normals agree to rounding only
-        assert np.abs(grown.normals - fresh.normals).max(initial=0.0) <= 1e-9
-
-    @staticmethod
-    def state_of(pts):
-        state = ApproximationState(pts.shape[1])
-        for p in pts:
-            state.add(fake_solution(np.full(len(p), 1.0 / len(p)), 100.0, p))
-        return state
-
     @pytest.mark.parametrize("dim", [3, 4])
-    def test_one_point_at_a_time_matches_one_shot(self, dim):
+    def test_point_at_a_time_matches_one_shot(self, dim):
+        # a state's facets after each new point are those of one build of
+        # its points, with ids naming stored points
         for pts in [*point_sets(dim), concave_front(dim, {3: 25, 4: 100}[dim])]:
             state = ApproximationState(dim)
-            qhulls = []
             for i, p in enumerate(pts):
                 state.add(fake_solution(np.full(dim, 1.0 / dim), 100.0, p))
-                self.check_same(state.facets(), downward_hull(pts[:i + 1], dim))
-                qhulls.append(state._grown._qhull)
-            if len(pts) > 20:  # the concave front is grown, not rebuilt
-                assert len({id(q) for q in qhulls}) <= 3
+                assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts[:i + 1], dim))
 
-    def test_first_build_is_the_one_shot_build(self):
-        pts = concave_front(4, 30)
-        assert facet_tuples(self.state_of(pts).facets()) == facet_tuples(downward_hull(pts, 4))
 
-    def test_point_near_the_floor_rebuilds(self):
-        pts = concave_front(3, 12)
-        state = self.state_of(pts)
-        grown = state.facets()
-        low = pts.max(axis=0)
-        low[0] = state._grown._floor[0] + 0.1
-        state.add(fake_solution([1 / 3, 1 / 3, 1 / 3], 100.0, low))
-        assert facet_tuples(state.facets()) == facet_tuples(downward_hull([*pts, low], 3))
-        assert state._grown._qhull is not grown._qhull
-        assert state._grown._floor[0] < low[0] - 1.0
+class TestEnvelopeHull:
+    """The 3- and 4-D hull, built as the upper envelope over the weight
+    simplex, on edge cases and against an independent construction: the
+    convex hull of the points padded with their projections onto a floor
+    below them (tests/gen.py:padded_downward_hull)."""
 
-    def test_hull_grown_twice_rebuilds(self):
-        pts = concave_front(3, 12)
-        first = downward_hull(pts[:10], 3)
-        downward_hull(pts[:11], 3, first)
-        again = downward_hull(pts, 3, first)  # its Qhull holds pts[10] already
-        assert again._qhull is not first._qhull
-        assert facet_tuples(again) == facet_tuples(downward_hull(pts, 3))
+    @staticmethod
+    def supports(facets, pts, tol):
+        scale = max(1.0, float(np.abs(pts).max()))
+        for normal, offset, vertices, _ in facets:
+            assert (pts @ np.array(normal) <= offset + tol * scale).all()
+            assert np.abs(pts[list(vertices)] @ np.array(normal) - offset).max() <= tol * scale
 
-    def test_qhull_error_while_growing_rebuilds(self, monkeypatch):
-        from scipy.spatial import ConvexHull, QhullError
+    @staticmethod
+    def check_same(pts, dim):
+        got = facet_tuples(downward_hull(list(pts), dim))
+        want = padded_downward_hull(list(pts), dim)
+        assert [f[2:] for f in got] == [f[2:] for f in want]  # ids, degenerate, order
+        scale = max(1.0, float(np.abs(pts).max()))
+        for (n, off, _, _), (m, o, _, _) in zip(got, want):
+            assert np.abs(np.subtract(n, m)).max() <= 1e-12
+            assert abs(off - o) <= 1e-12 * scale
+        return got
 
-        def wide_merge(self, points, restart=False):
-            raise QhullError("QH6347 qhull precision error (qh_mergefacet): wide merge")
-        monkeypatch.setattr(ConvexHull, "add_points", wide_merge)
-        pts = concave_front(4, 20)
-        state = ApproximationState(4)
-        for i, p in enumerate(pts):
-            state.add(fake_solution([0.25] * 4, 100.0, p))
-            assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts[:i + 1], 4))
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_generic_sets_and_concave_fronts(self, dim):
+        sets = [pts for t, pts in enumerate(point_sets(dim)) if t % 3 != 2]
+        for pts in sets + [concave_front(dim, n) for n in (10, 25, 60)]:
+            self.check_same(pts, dim)
 
-    @pytest.mark.parametrize("grown", [False, True])
-    def test_qhull_failure_is_a_solver_error(self, monkeypatch, grown):
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_near_coplanar_sets(self, dim):
+        counts = []
+        for pts in list(point_sets(dim))[2::3]:
+            got = facet_tuples(downward_hull(list(pts), dim))
+            want = padded_downward_hull(list(pts), dim)
+            assert {tuple(pts[i]) for f in got for i in f[2]} == \
+                {tuple(pts[i]) for f in want for i in f[2]}
+            self.supports(got, pts, 1e-9)
+            counts.append((len(got), len(want)))
+        if dim == 3:  # facets 1e-10 apart, split by the padding, are one here
+            assert counts[2] == (7, 10)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_one_point_and_duplicates(self, dim):
+        p = np.arange(1.0, dim + 1.0)
+        for pts in ([p], [p] * 5):
+            hull = downward_hull(pts, dim)
+            # one cap per coordinate, its normal exactly a unit vector
+            assert hull.normals.tolist() == np.eye(dim)[::-1].tolist()
+            assert hull.offsets.tolist() == p[::-1].tolist()
+            assert hull.ids.tolist() == [0] * dim and hull.degenerate.all()
+            self.check_same(np.array(pts), dim)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_collinear_points(self, dim):
+        direction = np.array([1.0, -1.0, 0.5, 2.0][:dim])
+        pts = np.array([0.5] * dim) + np.outer(np.arange(5.0), direction)
+        facets = self.check_same(pts[[3, 0, 4, 1, 2]], dim)
+        # only the two ends of the segment are extreme
+        assert {i for f in facets for i in f[2]} == {1, 2}
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_integer_grid_facets_of_many_points(self, dim):
+        grid = np.array(list(np.ndindex(*[3] * dim)), dtype=float)
+        pts = grid[grid.sum(axis=1) <= dim]
+        facets = self.check_same(pts, dim)
+        main = [f for f in facets if f[0] == pytest.approx([1.0 / dim] * dim, abs=1e-15)]
+        assert len(main) == 1 and len(main[0][2]) > dim and not main[0][3]
+        assert main[0][1] == pytest.approx(1.0, abs=1e-15)
+        assert {tuple(pts[i]) for i in main[0][2]} == set(extreme_points(pts))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("shift", [1e6, -1e6, -3.0])
+    def test_far_and_negative_coordinates(self, dim, shift):
+        front = concave_front(dim, 25)
+        moved = self.check_same(front + shift, dim)
+        here = facet_tuples(downward_hull(list(front), dim))
+        assert [f[2:] for f in moved] == [f[2:] for f in here]
+        self.supports(moved, front + shift, 1e-12)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_caps_lie_exactly_on_the_sides(self, dim):
+        for pts in [*point_sets(dim), concave_front(dim, 25)]:
+            hull = downward_hull(list(pts), dim)
+            assert (hull.normals >= 0.0).all()
+            assert np.abs(hull.normals.sum(axis=1) - 1.0).max() <= 1e-15
+            # a cap is a vertex of h on a side of the weight simplex
+            assert (hull.normals[hull.degenerate] == 0.0).any(axis=1).all()
+            assert not ((hull.normals > 0.0) & (hull.normals < 1e-12)).any()
+
+    def test_qhull_failure_is_a_solver_error(self, monkeypatch):
         import scipy.spatial
-
-        pts = concave_front(3, 6)
-        state = self.state_of(pts[:5])
-        state.facets()
 
         def flat(*args, **kwargs):
             raise scipy.spatial.QhullError("QH6154 Qhull precision error: initial simplex is flat")
         monkeypatch.setattr(scipy.spatial, "ConvexHull", flat)
-        if grown:  # a failed growth rebuilds, and the rebuild fails
-            monkeypatch.setattr(type(state._grown._qhull), "add_points", flat)
-            state.add(fake_solution([1 / 3] * 3, 100.0, pts[5]))
-            with pytest.raises(SolverError, match=r"3-D hull of 6 distinct points: QH6154"):
-                state.facets()
-        else:
-            with pytest.raises(SolverError, match=r"3-D hull of 6 distinct points: QH6154"):
-                downward_hull(pts, 3)
+        with pytest.raises(SolverError, match=r"3-D hull of 6 distinct points: QH6154"):
+            downward_hull(concave_front(3, 6), 3)
 
 
 class TestSelectWeight:
