@@ -352,15 +352,26 @@ class TestFacetReuse:
         state.add(fake_solution([0.2, 0.3, 0.5], 10.0, pts.max(axis=0)))
         assert state.facets() is not facets
 
+
+class TestGrownHull:
+    """A state's hull grows with its points: whether its facets are asked
+    for after each new point or once after all of them, they are those of
+    one build of the same points, with ids naming stored points."""
+
     @pytest.mark.parametrize("dim", [3, 4])
-    def test_point_at_a_time_matches_one_shot(self, dim):
-        # a state's facets after each new point are those of one build of
-        # its points, with ids naming stored points
+    def test_one_point_at_a_time_matches_one_shot(self, dim):
         for pts in [*point_sets(dim), concave_front(dim, {3: 25, 4: 100}[dim])]:
             state = ApproximationState(dim)
             for i, p in enumerate(pts):
                 state.add(fake_solution(np.full(dim, 1.0 / dim), 100.0, p))
                 assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts[:i + 1], dim))
+
+    def test_first_build_is_the_one_shot_build(self):
+        pts = concave_front(4, 30)
+        state = ApproximationState(4)
+        for p in pts:
+            state.add(fake_solution([0.25] * 4, 100.0, p))
+        assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts, 4))
 
 
 class TestEnvelopeHull:
