@@ -7,8 +7,10 @@ strategies) and an outer approximation Q (halfspaces w.x <= v_w from
 certified weighted optima), refining where the two differ most: after the
 unit weight vectors, the facet of the downward hull of P with the largest
 gap to the boundary of Q supplies the next weight vector.  All three query
-kinds read their answers off (P, Q); membership and slice optimizations are
-small linear programs over the stored points and halfspaces.
+kinds read their answers off (P, Q).  Q's slice maximum is a closed form
+over its halfspaces; P's membership and slice maximum are small linear
+programs over the stored points, solved only when the facets of P's hull
+cannot decide them.
 """
 
 from __future__ import annotations
@@ -481,7 +483,10 @@ def _run_achievability(state, prep, p, point, eta_eff, budget_left) -> QueryResu
             witness = {"separating": {"normal": _flip_vec(state.normals[hit], p.flips),
                                       "offset": float(state.offsets[hit])}}
             break
-        mix = _inner_feasible(state, q)
+        # a point beyond a facet of P is in no mixture, so only a point that
+        # meets every facet is worth the mixture LP
+        normals, offsets = _loose_facets(state)
+        mix = _inner_feasible(state, q) if (normals @ q <= offsets).all() else None
         if mix is not None:
             verdict = "yes"
             witness = _mixture_witness(state, mix, p)
@@ -502,26 +507,30 @@ def _run_quantitative(state, prep, p, thresholds, eta, budget_left) -> QueryResu
         raise ModelError("quantitative queries need one threshold per objective after the "
                          "first, each finite")
     t_int = np.array([p.flips[j + 1] * thresholds[j] for j in range(len(thresholds))])
-    exhausted = False
     while True:
-        lower, mix = _inner_slice_max(state, t_int)
-        upper, x_outer = _outer_slice_max(state, t_int, p.dimension)
-        if _bracket(lower, upper) <= eta:
-            break
+        upper, guidance = _outer_slice_max(state, t_int)
+        # P's facets bound its slice from above, so while that bound leaves
+        # the bracket wider than eta the mixture LP cannot close it
+        open_ = upper - _inner_slice_bound(state, t_int) > eta
+        if not open_:
+            lower, mix = _inner_slice_max(state, t_int)
+            if _bracket(lower, upper) <= eta:
+                break
         if not budget_left():
-            exhausted = True
             break
-        guidance = None if x_outer is None else np.asarray(x_outer, dtype=float)
         w = select_weight(state, 0.0, guidance=guidance)
         if w is None:
-            exhausted = _bracket(lower, upper) > eta
             break
         refine(state, prep, w)
+    if open_:
+        lower, mix = _inner_slice_max(state, t_int)
     witness = _mixture_witness(state, mix, p) if mix else None
     lo_u, up_u = (lower, upper) if p.flips[0] > 0 else (-upper, -lower)
+    # an LP optimum may sit an ulp above the closed form's; the bracket's
+    # width is never reported below 0
     return QueryResult(kind="quantitative", objectives=[], lower=lo_u, upper=up_u,
-                       witness=witness, precision_achieved=_bracket(lower, upper),
-                       exhausted=exhausted)
+                       witness=witness, precision_achieved=max(0.0, _bracket(lower, upper)),
+                       exhausted=_bracket(lower, upper) > eta)
 
 
 def _bracket(lower: float, upper: float) -> float:
@@ -544,7 +553,7 @@ def _mixture_witness(state: ApproximationState, mix, p: NormalizedProblem) -> di
 
 
 # ---------------------------------------------------------------------------
-# linear programs over (P, Q)
+# slices and mixtures over (P, Q)
 
 
 def _extreme_ids(state: ApproximationState, ids: list[int]) -> list[int]:
@@ -590,24 +599,47 @@ def _inner_slice_max(state: ApproximationState, t_int: np.ndarray):
     return float(-res.fun), _mixture_from(res.x, idx)
 
 
-def _outer_slice_max(state: ApproximationState, t_int: np.ndarray, dim: int):
+def _slice_max(normals: np.ndarray, offsets: np.ndarray, t: np.ndarray) -> float:
+    """max x_0 over {x : normals x <= offsets, x_j >= t_j for j >= 1}:
+    +inf when no row bounds x_0, -inf when the set is empty.  Every normal
+    is nonnegative, so lowering an x_j to t_j keeps a point inside and the
+    thresholds bind: a row with n_0 > 0 caps x_0 at (o - n[1:].t) / n_0, and
+    a row with n_0 = 0 empties the set when n[1:].t > o."""
+    room = offsets - normals[:, 1:] @ t
+    lead = normals[:, 0] > 0
+    if (room[~lead] < 0).any():
+        return NEG_INF
+    return float(np.min(room[lead] / normals[lead, 0], initial=math.inf))
+
+
+def _outer_slice_max(state: ApproximationState, t_int: np.ndarray):
     """Best first coordinate over the outer approximation Q meeting the
-    thresholds; +inf when Q is still unbounded in that direction."""
-    if not state.halfspaces:
-        return math.inf, None
-    # maximize x_0 subject to one row x_j >= t_j per threshold (0.0 - eye
-    # keeps the zeros unsigned)
-    cut = 0.0 - np.eye(dim)
-    res = linprog(c=cut[0], A_ub=np.vstack([state.normals, cut[1:len(t_int) + 1]]),
-                  b_ub=np.concatenate([state.offsets, -t_int]),
-                  bounds=[(None, None)] * dim, method="highs")
-    if res.status == 2:
-        return NEG_INF, None
-    if res.status == 3:
-        return math.inf, None
-    if res.status != 0:
-        raise SolverError(f"outer slice optimization failed (status {res.status})")
-    return float(-res.fun), res.x
+    thresholds (+inf while Q is unbounded in that direction), and the point
+    (best, thresholds) of Q attaining it, which guides weight selection, or
+    None when the best is infinite."""
+    best = _slice_max(state.normals, state.offsets, t_int)
+    return best, np.concatenate([[best], t_int]) if math.isfinite(best) else None
+
+
+# Every point of P's downward closure meets every facet of its hull, since a
+# facet's offset is its normal's largest value over the stored points.  The
+# facets are loosened by this much, relative to max(1, |offset|), before they
+# rule a mixture LP out: enough for the rounding of the products with them
+# and for HiGHS's primal feasibility tolerance (1e-7), within which the LP
+# may still find a mixture.
+_FACET_SLACK = 1e-7
+
+
+def _loose_facets(state: ApproximationState) -> tuple[np.ndarray, np.ndarray]:
+    h = state.facets()
+    return h.normals, h.offsets + _FACET_SLACK * np.maximum(1.0, np.abs(h.offsets))
+
+
+def _inner_slice_bound(state: ApproximationState, t_int: np.ndarray) -> float:
+    """An upper bound of `_inner_slice_max`: the slice's maximum over P's
+    loosened facets, and -inf when no finite point is stored."""
+    normals, offsets = _loose_facets(state)
+    return _slice_max(normals, offsets, t_int) if len(offsets) else NEG_INF
 
 
 def _mixture_from(lam: np.ndarray, idx: list[int]):

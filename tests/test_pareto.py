@@ -45,6 +45,27 @@ def extreme_points(pts):
     return out
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The calls a test makes to the LP solver the queries use, one entry each."""
+    calls = []
+    linprog = pareto.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(pareto, "linprog", counted)
+    return calls
+
+
+def menu_instance(seed, stages, actions, directions):
+    """`gen.menu_doc` parsed: the model and its objectives."""
+    doc, objectives = menu_doc(np.random.default_rng(seed), stages, actions, directions)
+    m = parse_model(doc)
+    return m, [parse_objective(o, m) for o in objectives]
+
+
 class TestDownwardHull:
     def test_two_point_front(self):
         facets = facet_tuples(downward_hull([np.array([4.0, -2.0]), np.array([3.0, 0.0])], 2))
@@ -321,10 +342,8 @@ class TestFacetReuse:
             calls.append(len(points))
             return hull(points, dimension)
         monkeypatch.setattr(pareto, "downward_hull", counted)
-        doc, objectives = menu_doc(np.random.default_rng(7115), 6, 3, ("max", "max", "min"))
-        m = parse_model(doc)
-        res = answer_query(m, [parse_objective(o, m) for o in objectives],
-                           ParetoQuery(precision=1e-3))
+        m, objectives = menu_instance(7115, 6, 3, ("max", "max", "min"))
+        res = answer_query(m, objectives, ParetoQuery(precision=1e-3))
         keys = [tuple(ap.point.tolist()) for ap in res.state.points]
         assert len(set(keys)) < len(keys)  # some refinement repeats a point
         # one build after the unit weights, then one per new distinct point
@@ -521,23 +540,13 @@ class TestExtremeFilter:
 
     @pytest.mark.parametrize("seed,stages,directions,precision", [
         (7115, 6, ("max", "max", "min"), 1e-3), (7002, 5, ("max", "max", "max", "min"), 1e-2)])
-    def test_pareto_query_solves_no_lp(self, monkeypatch, seed, stages, directions, precision):
+    def test_pareto_query_solves_no_lp(self, lp_calls, seed, stages, directions, precision):
         # the menu3 and menu4 golden queries
         # read their vertices off the hull, so they solve no LP
-        calls = []
-        linprog = pareto.linprog
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(pareto, "linprog", counted)
-        doc, objectives = menu_doc(np.random.default_rng(seed), stages, 3, directions)
-        m = parse_model(doc)
-        res = answer_query(m, [parse_objective(o, m) for o in objectives],
-                           ParetoQuery(precision=precision))
+        m, objectives = menu_instance(seed, stages, 3, directions)
+        res = answer_query(m, objectives, ParetoQuery(precision=precision))
         assert len(res.vertices) > len(directions)
-        assert calls == []
+        assert lp_calls == []
 
 
 class TestParetoQuery:
@@ -862,3 +871,252 @@ class TestQuantitativeQuery:
         # whose total reward is -2; minimization reports it as such
         assert res.lower <= -2.0 + 1e-4 and res.upper >= -2.0 - 1e-4
         assert res.upper - res.lower <= 1e-4
+
+
+def ref_slice_max(normals, offsets, t) -> float:
+    """max x_0 over {x : normals x <= offsets, x_j >= t_j} by one HiGHS
+    linear program: +inf when unbounded, -inf when empty."""
+    from scipy.optimize import linprog
+    dim = normals.shape[1]
+    if not len(offsets):
+        return math.inf
+    cut = 0.0 - np.eye(dim)
+    res = linprog(c=cut[0], A_ub=np.vstack([normals, cut[1:]]),
+                  b_ub=np.concatenate([offsets, -t]), bounds=[(None, None)] * dim,
+                  method="highs")
+    assert res.status in (0, 2, 3)
+    if res.status == 0:
+        return float(-res.fun)
+    return -math.inf if res.status == 2 else math.inf
+
+
+def halfspace_sets(dim, count):
+    """Seeded halfspace systems (nonnegative normals summing to 1) with the
+    thresholds of a slice, in turn bounded, unbounded (no row with n_0 > 0)
+    and empty (a row with n_0 = 0 and n[1:].t > o), each by a clear margin.
+    Normals mix unit vectors, sparse and dense rows; in one dimension there
+    are no thresholds."""
+    rng = np.random.default_rng(9100 + dim)
+    for trial in range(count):
+        kind = trial % 3 if dim > 1 else 0
+        k = int(rng.integers(2 if kind == 2 else 1, 9))
+        normals = rng.dirichlet(np.ones(dim), size=k)
+        normals[rng.random((k, dim)) < 0.3] = 0.0
+        if kind == 1:
+            normals[:, 0] = 0.0
+        else:
+            normals[0] = np.eye(dim)[0]  # some row bounds x_0
+        if kind == 2:
+            normals[-1, 0] = 0.0
+        normals[normals.sum(axis=1) == 0.0] = np.eye(dim)[-1]
+        normals /= normals.sum(axis=1, keepdims=True)
+        t = np.round(rng.uniform(-3.0, 3.0, dim - 1), 3)
+        scale = 10.0 ** rng.integers(-1, 4)
+        offsets = normals[:, 1:] @ t + scale * rng.uniform(0.1, 5.0, k)
+        if kind == 2:
+            offsets[-1] = normals[-1, 1:] @ t - scale * rng.uniform(0.1, 2.0)
+        order = rng.permutation(k)
+        yield normals[order], offsets[order], t, ("bounded", "unbounded", "empty")[kind]
+
+
+def slice_state(normals, offsets) -> ApproximationState:
+    state = ApproximationState(normals.shape[1])
+    for n, o in zip(normals, offsets):
+        state.add(fake_solution(n, o, np.zeros(len(n))))
+    return state
+
+
+class TestSliceClosedForm:
+    """Q's slice maximum is read off its halfspaces in closed form; it
+    equals the linear program's optimum, with the same infinite outcomes."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_highs(self, dim):
+        kinds = Counter()
+        for normals, offsets, t, kind in halfspace_sets(dim, 90):
+            best, guidance = pareto._outer_slice_max(slice_state(normals, offsets), t)
+            want = ref_slice_max(normals, offsets, t)
+            kinds[kind, want if math.isinf(want) else "finite"] += 1
+            if math.isinf(want):
+                assert best == want and guidance is None
+            else:
+                assert best == pytest.approx(want, rel=1e-12, abs=1e-12)
+                # the thresholds bind at the guidance point, which lies in Q
+                assert guidance.tolist() == [best, *t]
+                assert (normals @ guidance <= offsets + 1e-12 * np.maximum(1.0, abs(offsets))).all()
+        expected = {("bounded", "finite"): 30, ("unbounded", math.inf): 30,
+                    ("empty", -math.inf): 30} if dim > 1 else {("bounded", "finite"): 90}
+        assert kinds == expected
+
+    def test_no_halfspace_is_unbounded(self):
+        assert pareto._outer_slice_max(ApproximationState(3), np.zeros(2)) == (math.inf, None)
+
+    def test_inner_bound_without_finite_point(self):
+        state = ApproximationState(2)
+        state.add(fake_solution([1, 0], 4.0, [4.0, float("-inf")]))
+        t = np.array([0.0])
+        assert pareto._outer_slice_max(state, t)[0] == 4.0
+        assert pareto._inner_slice_bound(state, t) == -math.inf
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_inner_bound_holds_the_mixture_optimum(self, dim):
+        # P's facets bound the mixture LP from above, and on generic points
+        # they describe P's closure: the bound is tight up to rounding
+        rng = np.random.default_rng(9200 + dim)
+        sets = [*point_sets(dim), *(rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 30)), dim))
+                                   for _ in range(12))]
+        for trial, pts in enumerate(sets):
+            state = ApproximationState(dim)
+            for p in pts:
+                state.add(fake_solution(np.eye(dim)[0], 10.0, p))
+            for _ in range(5):
+                t = np.quantile(pts[:, 1:], rng.uniform(0.0, 1.0), axis=0)
+                lower, _ = pareto._inner_slice_max(state, t)
+                bound = pareto._inner_slice_bound(state, t)
+                h = state.facets()
+                exact = pareto._slice_max(h.normals, h.offsets, t)
+                assert lower <= bound
+                if trial >= 12 and math.isfinite(lower):
+                    assert exact == pytest.approx(lower, rel=1e-12, abs=1e-12)
+
+
+def slice_optimum(pts, t_int) -> float:
+    """max x_0 over mixtures of the finite points meeting every threshold,
+    -inf when none does (one HiGHS linear program)."""
+    from scipy.optimize import linprog
+    P = np.array([q for _, q in pts if np.isfinite(q).all()])
+    res = linprog(-P[:, 0], A_ub=-P[:, 1:].T, b_ub=-t_int, A_eq=np.ones((1, len(P))),
+                  b_eq=[1.0], bounds=(0.0, None), method="highs")
+    return float(-res.fun) if res.status == 0 else -math.inf
+
+
+def check_mixture(res, t_int=None):
+    """Each part of the witness mixture re-evaluates to its point, the
+    parts combine to the witness point, and that point meets the thresholds
+    (internal orientation)."""
+    p = res.problem
+    combined = np.zeros(p.dimension)
+    for part in res.witness["mixture"]:
+        again = np.array(evaluate_strategy(p.model, part["strategy"], p.objectives).values)
+        assert [float(x) for x in again * p.flips] == part["point"]
+        combined += part["weight"] * again
+    assert sum(part["weight"] for part in res.witness["mixture"]) == pytest.approx(1.0)
+    assert (combined * p.flips).tolist() == pytest.approx(res.witness["point"], rel=1e-12)
+    if t_int is not None:
+        assert (combined[1:] >= t_int - 1e-7 * np.maximum(1.0, abs(t_int))).all()
+    return combined
+
+
+# fig1 and seeded menus with 3 and 4 objectives, some minimized
+@pytest.fixture(params=["fig1", (7115, 5, 3, ("max", "max", "min")),
+                        (7116, 5, 3, ("min", "max", "max")),
+                        (7002, 4, 3, ("max", "max", "max", "min"))],
+                ids=["fig1", "menu3", "menu3-min", "menu4"])
+def instance(request, fig1, fig1_objectives):
+    """A model, its objectives, and every MD strategy's value (internal orientation)."""
+    if request.param == "fig1":
+        m, objectives = fig1, fig1_objectives
+    else:
+        m, objectives = menu_instance(*request.param)
+    p, pts = oracle_points(m, objectives)
+    return m, objectives, p, pts
+
+
+class TestGatedQueries:
+    """The quantitative and achievability loops solve P's mixture LP only
+    when the facets of P's hull cannot decide: the answers stay those of the
+    LP every round, with one LP per quantitative query and per "yes"."""
+
+    def test_quantitative_bracket(self, instance, lp_calls, monkeypatch):
+        m, objectives, p, pts = instance
+        user = np.array([q * p.flips for _, q in pts])
+        rng = np.random.default_rng(9300 + p.dimension)
+        # midpoints of each later objective's range, then random draws in it
+        # and one beyond it, where the slice is empty
+        lo, hi = user[:, 1:].min(axis=0), user[:, 1:].max(axis=0)
+        draws = [(lo + hi) / 2, *(lo + rng.uniform(0.0, 1.0, (3, len(lo))) * (hi - lo)), hi + 1.0]
+        queries = [QuantitativeQuery(thresholds=tuple(np.round(t, 3).tolist()), precision=1e-4,
+                                     max_iterations=60) for t in draws]
+        gated = []
+        for query in queries:
+            t_int = np.array(query.thresholds) * p.flips[1:]
+            lp_calls.clear()
+            res = answer_query(m, objectives, query)
+            assert len(lp_calls) == 1
+            assert res.precision_achieved == max(0.0, pareto._bracket(res.lower, res.upper))
+            assert res.exhausted == (res.precision_achieved > 1e-4)
+            # a 4-objective slice may stall open, refining one facet whose
+            # gap is rounding noise; fig1's and the 3-objective ones close
+            assert p.dimension == 4 or not res.exhausted
+            best = slice_optimum(pts, t_int)
+            lower, upper = (res.lower, res.upper) if p.flips[0] > 0 else (-res.upper, -res.lower)
+            if best == -math.inf:
+                assert lower == -math.inf and res.witness is None
+            else:
+                tol = 1e-7 * max(1.0, abs(best))
+                assert lower - tol <= best <= upper + tol
+                assert check_mixture(res, t_int)[0] == pytest.approx(lower, rel=1e-12, abs=1e-12)
+            gated.append((res.lower, res.upper, res.exhausted, res.iterations, res.witness))
+        # with no facet bound to rule it out, the mixture LP runs every round
+        monkeypatch.setattr(pareto, "_inner_slice_bound", lambda state, t_int: math.inf)
+        lp_calls.clear()
+        ungated = [(res.lower, res.upper, res.exhausted, res.iterations, res.witness)
+                   for res in (answer_query(m, objectives, query) for query in queries)]
+        assert gated == ungated
+        assert len(lp_calls) > len(queries)
+
+    def test_achievability_verdicts(self, instance, lp_calls, monkeypatch):
+        m, objectives, p, pts = instance
+        P = np.array([q for _, q in pts if np.isfinite(q).all()])
+        rng = np.random.default_rng(9400 + p.dimension)
+        scale = np.maximum(1.0, abs(P).max(axis=0))
+        points = []
+        for _ in range(3):
+            # a mixture of two strategies, lowered: achievable; the best
+            # strategy for some weights, raised: beyond the front
+            a, b = P[rng.choice(len(P), 2)]
+            lam = rng.uniform()
+            points.append(lam * a + (1 - lam) * b - 0.02 * scale)
+            points.append(P[np.argmax(P @ rng.dirichlet(np.ones(p.dimension)))] + 0.02 * scale)
+        gated = []
+        for q in points:
+            lp_calls.clear()
+            res = answer_query(m, objectives, AchievabilityQuery(point=tuple(q * p.flips)))
+            assert len(lp_calls) == (res.verdict == "yes")
+            if res.verdict == "yes":
+                assert (check_mixture(res) >= q - 1e-7 * scale).all()
+            gated.append((res.verdict, res.iterations, res.witness))
+        # with no facet to rule it out, the mixture LP runs every round
+        monkeypatch.setattr(pareto, "_loose_facets",
+                            lambda state: (np.zeros((0, state.dimension)), np.zeros(0)))
+        ungated = [(res.verdict, res.iterations, res.witness) for res in (
+            answer_query(m, objectives, AchievabilityQuery(point=tuple(q * p.flips)))
+            for q in points)]
+        assert gated == ungated
+        assert [v for v, _, _ in gated] == ["yes", "no"] * 3
+
+    def test_precision_is_never_negative(self, fig1, fig1_objectives, monkeypatch):
+        # an LP optimum an ulp above the closed form's upper end, as HiGHS
+        # returned on the benchmark's front-rich query: the bracket is
+        # reported as computed and its width as 0
+        inner = pareto._inner_slice_max
+
+        def above(state, t_int):
+            upper, _ = pareto._outer_slice_max(state, t_int)
+            lower, mix = inner(state, t_int)
+            return (math.nextafter(upper, math.inf) if math.isfinite(upper) else lower), mix
+        monkeypatch.setattr(pareto, "_inner_slice_max", above)
+        res = answer_query(fig1, fig1_objectives, QuantitativeQuery(thresholds=(0.0,)))
+        assert res.lower == math.nextafter(res.upper, math.inf)
+        assert res.precision_achieved == 0.0
+        assert not res.exhausted
+
+    def test_front_rich_query(self, lp_calls):
+        # the benchmark's 3-objective front-rich query: thresholds at the
+        # midpoints of the later objectives' ranges
+        m, objectives = menu_instance(7115, 6, 4, ("max", "max", "min"))
+        res = answer_query(m, objectives, QuantitativeQuery(thresholds=(4.205, 8.558),
+                                                            precision=1e-3))
+        assert not res.exhausted
+        assert lp_calls == [1]
+        assert res.precision_achieved == max(0.0, res.upper - res.lower) <= 1e-3
