@@ -141,15 +141,15 @@ class ApproximationState:
 def downward_hull(points: Sequence[np.ndarray], dimension: int) -> Hull:
     """Facets of the upper-right boundary of the downward convex hull.
 
-    Dimension 1 and 2 are handled directly (maximum / monotone staircase).
-    In 3 and 4 dimensions each facet is a vertex of the upper envelope
-    h(w) = max_p w.p over the weight simplex: its weight is the facet's
-    normal, the points attaining h there are its vertices, and a vertex on
-    a side of the simplex, with fewer points than dimensions, is a cap.
-    The envelope's vertices are read off one Qhull convex hull of the polar
-    points of the region above h, capped; polar facets whose equations
-    agree to 9 digits form one facet.  Facets come in the order of their
-    unit normals rounded to 9 digits.  A Qhull failure is a SolverError.
+    Dimension 1 is the maximum.  In 2 to 4 dimensions each facet is a
+    vertex of the upper envelope h(w) = max_p w.p over the weight simplex:
+    its weight is the facet's normal, the points attaining h there are its
+    vertices, and a vertex on a side of the simplex, with fewer points than
+    dimensions, is a cap.  The envelope's vertices are read off one Qhull
+    convex hull of the polar points of the region above h, capped; polar
+    facets whose equations agree to 9 digits form one facet.  Facets come
+    in the order of their unit normals rounded to 9 digits.  A Qhull
+    failure is a SolverError.
     """
     if len(points) == 0:
         return Hull(np.zeros((0, dimension)), np.zeros(0), np.zeros(1, dtype=int),
@@ -159,60 +159,14 @@ def downward_hull(points: Sequence[np.ndarray], dimension: int) -> Hull:
         best = max(range(len(pts)), key=lambda i: (pts[i][0], -i))
         return Hull(np.ones((1, 1)), pts[best], np.array([0, 1]), np.array([best]),
                     np.zeros(1, dtype=bool))
-    if dimension == 2:
-        return _hull_2d(pts)
-    if dimension in (3, 4):
-        return _hull_envelope(pts, dimension)
-    raise ModelError(f"queries with {dimension} objectives are not supported (max {MAX_DIMENSION})")
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_2d(pts: np.ndarray) -> Hull:
-    arr, first, _ = _unique_rows(pts)
-    uniq = arr.tolist()
-    chain: list[int] = []  # the upper chain, as ranks among the distinct points
-    for i, t in enumerate(uniq):
-        while len(chain) >= 2 and _cross(uniq[chain[-2]], uniq[chain[-1]], t) >= 0:
-            chain.pop()
-        chain.append(i)
-    ymax = max(uniq[i][1] for i in chain)
-    chain = chain[max(j for j, i in enumerate(chain) if uniq[i][1] == ymax):]
-    front = [uniq[i] for i in chain]
-    # a cap on each end point, degenerate, and one facet per front edge
-    normals, offsets = [np.array([0.0, 1.0])], [front[0][1]]
-    for a, b in zip(front, front[1:]):
-        n = np.array([a[1] - b[1], b[0] - a[0]])
-        normals.append(n / n.sum())
-        offsets.append(max(float(np.dot(normals[-1], a)), float(np.dot(normals[-1], b))))
-    normals.append(np.array([1.0, 0.0]))
-    offsets.append(front[-1][0])
-    k = len(front)
-    return Hull(np.array(normals), np.array(offsets), np.r_[0, np.arange(1, 2 * k, 2), 2 * k],
-                np.repeat(first[chain], 2), np.arange(k + 1) % k == 0)
-
-
-def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`np.unique(a, axis=0, return_index=True, return_inverse=True)` by one
-    stable lexsort; rows equal as floats (0.0 and -0.0 alike) are one row,
-    kept as its first copy."""
-    order = np.lexsort(a.T[::-1])
-    s = a[order]
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = (s[1:] != s[:-1]).any(axis=1)
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return s[new], order[new], inverse
-
-
-def _hull_envelope(pts: np.ndarray, dim: int) -> Hull:
+    if not 2 <= dimension <= MAX_DIMENSION:
+        raise ModelError(f"queries with {dimension} objectives are not supported "
+                         f"(max {MAX_DIMENSION})")
     from scipy.spatial import ConvexHull, QhullError
 
     # distinct points in sorted order and the index of each one's first copy
     arr, first, _ = _unique_rows(pts)
-    k = len(arr)
+    k, dim = len(arr), dimension
     # moving and scaling the points adds a term affine in u to
     # h(w) = max_p w.p, w = (u, 1 - sum u), and keeps its vertices, so they
     # are found for the points mapped into the unit box
@@ -267,6 +221,19 @@ def _hull_envelope(pts: np.ndarray, dim: int) -> Hull:
     sizes = np.count_nonzero(on, axis=1)
     return Hull(n, offsets, np.concatenate([[0], np.cumsum(sizes)]),
                 first[np.nonzero(on)[1]], sizes < dim)
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`np.unique(a, axis=0, return_index=True, return_inverse=True)` by one
+    stable lexsort; rows equal as floats (0.0 and -0.0 alike) are one row,
+    kept as its first copy."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], order[new], inverse
 
 
 def select_weight(state: ApproximationState, eta: float,
@@ -518,7 +485,9 @@ def _run_quantitative(state, prep, p, thresholds, eta, budget_left) -> QueryResu
                 break
         if not budget_left():
             break
-        w = select_weight(state, 0.0, guidance=guidance)
+        # halfspace offsets carry up to EPS_SOLVER of slack, so re-solving a
+        # facet cannot close a gap below that: such a facet counts as closed
+        w = select_weight(state, EPS_SOLVER, guidance=guidance)
         if w is None:
             break
         refine(state, prep, w)

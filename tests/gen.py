@@ -754,7 +754,7 @@ def facet_tuples(h) -> list[tuple[list[float], float, tuple[int, ...], bool]]:
 
 def padded_downward_hull(points, dim: int) -> list[tuple[list[float], float, tuple[int, ...], bool]]:
     """An independent construction of the facets `pareto.downward_hull`
-    returns in 3 and 4 dimensions, as the facet tuples of `facet_tuples`.
+    returns in 2 to 4 dimensions, as the facet tuples of `facet_tuples`.
 
     Duplicates collapse to their first index; the distinct points, sorted,
     are padded with every projection onto the box corner below them and

@@ -436,22 +436,24 @@ class TestMalformedDocuments:
 
 
 class TestQhullFailure:
-    """A Qhull failure on a 3-objective front is a solver failure: exit 1
-    with "solver gave up", not a traceback."""
+    """A Qhull failure on a 2- or 3-objective front is a solver failure:
+    exit 1 with "solver gave up", not a traceback."""
 
     @pytest.fixture
-    def menu3(self, tmp_path, monkeypatch):
+    def flat(self, monkeypatch):
         import scipy.spatial
 
+        def flat(*args, **kwargs):
+            raise scipy.spatial.QhullError("QH6154 Qhull precision error: initial simplex is flat")
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", flat)
+
+    @pytest.fixture
+    def menu3(self, tmp_path, flat):
         doc, objectives = menu_doc(np.random.default_rng(7115), 6, 3, ("max", "max", "min"))
         model, query = tmp_path / "menu3.json", tmp_path / "menu3-query.json"
         model.write_text(dumps(doc), encoding="utf-8")
         query.write_text(dumps({"format": "moma-query", "version": 1, "kind": "pareto",
                                 "objectives": objectives, "precision": 1e-3}), encoding="utf-8")
-
-        def flat(*args, **kwargs):
-            raise scipy.spatial.QhullError("QH6154 Qhull precision error: initial simplex is flat")
-        monkeypatch.setattr(scipy.spatial, "ConvexHull", flat)
         return str(model), str(query)
 
     @pytest.mark.parametrize("extra", [[], ["--point", "5.2,5.9,5.06"],
@@ -462,3 +464,10 @@ class TestQhullFailure:
         assert code == 1
         assert out == ""
         assert "solver gave up: Qhull failed on the 3-D hull of" in err
+
+    def test_two_objectives_exit_1(self, flat, capsys):
+        code, out, err = run(capsys, "pareto", corpus_path("fig1.json"),
+                             "--query", corpus_path("fig1-pareto.json"))
+        assert code == 1
+        assert out == ""
+        assert "solver gave up: Qhull failed on the 2-D hull of" in err

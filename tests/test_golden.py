@@ -37,8 +37,8 @@ REACH_QUERY = {"format": "moma-query", "version": 1, "kind": "pareto",
                "objectives": [{"kind": "lra", "direction": "max", "reward": "R1"},
                               {"kind": "reach", "direction": "min", "goal": ["s4"]}],
                "precision": 1e-4}
-# menu MDPs: (seed, stages, actions, directions, precision); the 3- and
-# 4-objective fronts go through the envelope hull, the 2-D cases do not
+# menu MDPs with 3- and 4-objective fronts: (seed, stages, actions,
+# directions, precision)
 MENUS = {"menu4": (7002, 5, 3, ("max", "max", "max", "min"), 1e-2),
          "menu3": (7115, 6, 3, ("max", "max", "min"), 1e-3)}
 
