@@ -29,7 +29,7 @@ import numpy as np
 from .model import InfeasibleError, ModelError, SolverError, validate_model
 from .modelio import (FORMAT_VERSION, RESULT_FORMAT, ParsedQuery, _strategy_doc, dumps,
                       parse_model, parse_query, plot_csv, query_echo, result_document)
-from .pareto import EPS_SOLVER, answer_query, problem_statistics
+from .pareto import EPS_SOLVER, _strategy_ids, answer_query, problem_statistics
 from .weighted import normalize_query, optimize_weighted, prepare_weighted, validate_assumptions
 
 
@@ -175,7 +175,7 @@ def cmd_single(args) -> int:
                "value": float(p.flips[j]) * sol.point[j],
                "error_bound": sol.error_bound}
         if args.strategies or pq.strategies:
-            ent["strategy"] = _strategy_doc(sol.strategy, p.model)
+            ent["strategy"] = _strategy_doc(_strategy_ids(sol.strategy, p.model), p.model)
         values.append(ent)
     doc = {"format": RESULT_FORMAT, "version": FORMAT_VERSION, "kind": "single",
            "query": echo, "values": values,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
@@ -175,17 +175,6 @@ class QuotientModel:
                 bottom_values
         return RewardAssignment.from_vectors(qfl, name, qstate, qedge)
 
-    @cached_property
-    def decode_start(self) -> tuple[np.ndarray, np.ndarray]:
-        """The base choice decoding starts from at every state (the first one
-        inside its component, if any) and the probabilistic base states."""
-        fl = flat(self.base)
-        choice = fl.ptr[:-1].copy()
-        inside = np.concatenate([c.choices for c in self.components] + [np.zeros(0, np.int64)])
-        s, first = np.unique(fl.choice_state[inside], return_index=True)
-        choice[s] = inside[first]
-        return choice, np.flatnonzero(~fl.markovian)
-
 
 def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
              with_bottom: bool = True) -> QuotientModel:
@@ -296,37 +285,32 @@ def _toward(fl, e: np.ndarray, goal: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_quotient_strategy(q: QuotientModel, sigma_q: Mapping[int, int],
-                             stay: Mapping[int, Mapping[int, int] | None]) -> dict[int, int]:
-    """Translate a strategy on the quotient into one on the base model.
+def decode_quotient_strategy(q: QuotientModel, actions_q: np.ndarray,
+                             stay: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Translate a strategy on the quotient into one on the base model, both
+    action vectors over their model's states (see `MDStrategy`).
 
-    Non-collapsed probabilistic states copy their choice.  A collapsed
-    component whose quotient state picks an exit plays it and steers toward
-    its state from everywhere else inside; one that picks bottom follows its
-    stay strategy (`stay[i]`, required in that case) forever.  Probabilistic
-    states of a component that nothing else decides take their first choice
-    inside it, so play stays there.  The result covers every probabilistic
-    base state, in ascending order, whatever sigma_q is: `optimize_weighted`
-    keys its exact evaluations on the list of its actions alone.
+    Non-collapsed states copy their choice.  A collapsed component whose
+    quotient state picks an exit plays it and steers toward its state from
+    everywhere else inside; one that picks bottom plays its stay choices
+    (`stay[i]`: the base flat choices component i keeps, one per state of
+    `q.components[i].members`; required in that case) forever.
     """
-    fl, qfl = flat(q.base), flat(q.model)
-    start, ps = q.decode_start
-    choice = start.copy()  # unless decided below
-    qs = np.fromiter(sigma_q.keys(), np.int64, len(sigma_q))
-    picked = q.base_choice[qfl.ptr[qs] + np.fromiter(sigma_q.values(), np.int64, len(sigma_q))]
-    ec = qs - len(q.kept)
-    for i in ec[(ec >= 0) & (ec < len(q.components)) & (picked < 0)].tolist():
-        st = stay.get(i)
-        if st is None:
+    fl, qfl, k = flat(q.base), flat(q.model), len(q.kept)
+    picked = q.base_choice[qfl.ptr[:-1] + actions_q]
+    choice = fl.ptr[:-1].copy()
+    choice[q.kept] = picked[:k]
+    ec = picked[k:k + len(q.components)]
+    for i in np.flatnonzero(ec < 0).tolist():
+        if i >= len(stay) or stay[i] is None:
             raise ModelError("bottom chosen for a component without a stay strategy")
-        for u, b in st.items():
-            choice[u] = fl.ptr[u] + b
+        choice[q.components[i].members] = stay[i]
     # one search over the inside edges of the components that pick an exit
     # routes each of their states to its own component's exit
-    out = (ec >= 0) & (picked >= 0)
-    if out.any():
-        routed = np.sort(np.concatenate([q.components[i].choices for i in ec[out].tolist()]))
-        to = _toward(fl, fl.edges(routed)[1], fl.choice_state[picked[out]])
+    out = np.flatnonzero(ec >= 0)
+    if len(out):
+        routed = np.sort(np.concatenate([q.components[i].choices for i in out.tolist()]))
+        to = _toward(fl, fl.edges(routed)[1], fl.choice_state[ec[out]])
         choice[to >= 0] = to[to >= 0]
-    choice[fl.choice_state[picked[picked >= 0]]] = picked[picked >= 0]
-    return dict(zip(ps.tolist(), (choice[ps] - fl.ptr[ps]).tolist()))
+        choice[fl.choice_state[ec[out]]] = ec[out]
+    return choice - fl.ptr[:-1]

@@ -168,8 +168,11 @@ class Objective:
             raise ModelError(f"{self.kind} objective needs a reward name")
 
 
-# A memoryless deterministic strategy: probabilistic state -> action index.
-MDStrategy = dict[int, int]
+# A memoryless deterministic strategy: the action index of every state of
+# the model it was solved on, 0 at Markovian states, as one int64 vector.
+# `evaluate_strategy` and `induced_chain` also take the mapping form
+# {probabilistic state: action index}.
+MDStrategy = np.ndarray
 
 
 class MarkovAutomaton:
@@ -610,23 +613,29 @@ def embed_mdp(m: MarkovAutomaton) -> MarkovAutomaton:
     return e
 
 
-def _chosen(m: MarkovAutomaton, sigma: MDStrategy) -> tuple[np.ndarray, np.ndarray, csr_matrix]:
+def _chosen(m: MarkovAutomaton, sigma: MDStrategy | Mapping[int, int]
+            ) -> tuple[np.ndarray, np.ndarray, csr_matrix]:
     """The flat choice sigma takes at every state (the only one at a
-    Markovian state, action 0 at a probabilistic state sigma omits), the
+    Markovian state, action 0 at a probabilistic state a mapping omits), the
     states reachable under sigma (a mask) and the `_graph` of its edges.
 
-    Errors if sigma picks an action a state does not have, or misses a
-    reachable probabilistic state; entries for other states are ignored.
+    Errors if sigma picks an action a state does not have, if a vector's
+    shape is not (n_states,), or if a mapping misses a reachable
+    probabilistic state; entries at Markovian states, and a mapping's
+    entries for other states, are ignored.
     """
     fl = flat(m)
     n = m.n_states
-    s = np.fromiter(sigma.keys(), np.int64, len(sigma))
-    a = np.fromiter(sigma.values(), np.int64, len(sigma))
-    inside = (s >= 0) & (s < n)
-    act = np.zeros(n, dtype=np.int64)
-    act[s[inside]] = a[inside]
-    given = fl.markovian.copy()
-    given[s[inside]] = True
+    if isinstance(sigma, Mapping):
+        s, a = (np.fromiter(x, np.int64, len(sigma)) for x in (sigma.keys(), sigma.values()))
+        inside = (s >= 0) & (s < n)
+        act, given = np.zeros(n, dtype=np.int64), fl.markovian.copy()
+        act[s[inside]], given[s[inside]] = a[inside], True
+    else:
+        act, given = np.array(sigma, dtype=np.int64), np.ones(n, dtype=bool)
+        if act.shape != (n,):
+            raise ModelError(f"strategy vector has shape {act.shape}, "
+                             f"not one action per state ({n},)")
     act[fl.markovian] = 0
     bad = np.flatnonzero((act < 0) | (act >= np.diff(fl.ptr)))
     if len(bad):
@@ -644,11 +653,13 @@ def _chosen(m: MarkovAutomaton, sigma: MDStrategy) -> tuple[np.ndarray, np.ndarr
     return chosen, live, g
 
 
-def induced_chain(m: MarkovAutomaton, sigma: MDStrategy) -> MarkovAutomaton:
-    """Restrict every probabilistic state to the action chosen by sigma.
+def induced_chain(m: MarkovAutomaton, sigma: MDStrategy | Mapping[int, int]
+                  ) -> MarkovAutomaton:
+    """Restrict every probabilistic state to the action chosen by sigma, an
+    action vector or a mapping (see `MDStrategy`).
 
-    Errors as `_chosen`; unreachable states sigma omits fall back to action
-    0.  Transition reward keys are remapped to choice index 0.
+    Errors as `_chosen`; unreachable states a mapping omits fall back to
+    action 0.  Transition reward keys are remapped to choice index 0.
     """
     chosen = _chosen(m, sigma)[0]
     fl = flat(m)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import NEG_INF, MarkovAutomaton, MDStrategy, ModelError, Objective, SolverError
+from .model import NEG_INF, MarkovAutomaton, MDStrategy, ModelError, Objective, SolverError, flat
 from .weighted import (NormalizedProblem, WeightedPrep, WeightedSolution,
                        normalize_query, optimize_weighted, prepare_weighted,
                        validate_assumptions)
@@ -47,9 +47,9 @@ class HalfSpace:
 @dataclass
 class AchievedPoint:
     """An exactly evaluated strategy: its value vector (internal, maximizing
-    orientation) and the strategy itself.  `finite` is False when some
-    coordinate diverged to -inf; such points stay recorded but never enter
-    the hull."""
+    orientation) and the strategy itself, an action vector.  `finite` is
+    False when some coordinate diverged to -inf; such points stay recorded
+    but never enter the hull."""
 
     point: np.ndarray
     strategy: MDStrategy
@@ -96,7 +96,7 @@ class ApproximationState:
         point = np.array(sol.point, dtype=float)
         finite = bool(np.all(np.isfinite(point)))
         w = tuple(float(x) for x in sol.weights)
-        self.points.append(AchievedPoint(point, dict(sol.strategy), finite))
+        self.points.append(AchievedPoint(point, sol.strategy, finite))
         if not finite:
             self.warnings.append(
                 "a strategy evaluated to -inf in some coordinate; consider dropping "
@@ -353,9 +353,10 @@ def answer_query(m: MarkovAutomaton, objectives: Sequence[Objective], query) -> 
     silent).  Raises ModelError when the model violates the assumptions."""
     if not isinstance(query, (ParetoQuery, AchievabilityQuery, QuantitativeQuery)):
         raise ModelError(f"unknown query type {type(query).__name__}")
-    p = normalize_query(m, objectives)
-    if p.dimension > MAX_DIMENSION:
+    # normalization maps each objective to one, so check before it builds products
+    if len(objectives) > MAX_DIMENSION:
         raise ModelError(f"at most {MAX_DIMENSION} objectives are supported")
+    p = normalize_query(m, objectives)
     rep = validate_assumptions(p)
     if not rep.ok:
         raise ModelError("model violates assumptions:\n" + str(rep))
@@ -431,7 +432,7 @@ def _run_pareto(state, prep, p, eta_eff, budget_left) -> QueryResult:
     facets = [{"normal": _flip_vec(h.normals[f], p.flips), "offset": float(h.offsets[f]),
                "vertices": [pos[i] for i in h.ids[h.ptr[f]:h.ptr[f + 1]].tolist()]}
               for f in np.flatnonzero(~h.degenerate)]
-    witness = {"vertices": [_strategy_ids(state.points[i].strategy) for i in vertex_ids]}
+    witness = {"vertices": [_strategy_ids(state.points[i].strategy, p.model) for i in vertex_ids]}
     return QueryResult(kind="pareto", objectives=[], vertices=vertices, facets=facets,
                        witness=witness, precision_achieved=worst + EPS_SOLVER,
                        exhausted=exhausted)
@@ -506,8 +507,10 @@ def _bracket(lower: float, upper: float) -> float:
     return 0.0 if lower == upper else upper - lower  # equal infinities give 0
 
 
-def _strategy_ids(sigma: MDStrategy) -> dict[int, int]:
-    return {int(s): int(a) for s, a in sorted(sigma.items())}
+def _strategy_ids(sigma: MDStrategy, m: MarkovAutomaton) -> dict[int, int]:
+    """The witness form of an action vector on m: {probabilistic state: action}."""
+    ps = np.flatnonzero(~flat(m).markovian)
+    return dict(zip(ps.tolist(), sigma[ps].tolist()))
 
 
 def _mixture_witness(state: ApproximationState, mix, p: NormalizedProblem) -> dict:
@@ -516,7 +519,7 @@ def _mixture_witness(state: ApproximationState, mix, p: NormalizedProblem) -> di
     for lam, i in mix:
         ap = state.points[i]
         combined += lam * ap.point
-        parts.append({"weight": lam, "strategy": _strategy_ids(ap.strategy),
+        parts.append({"weight": lam, "strategy": _strategy_ids(ap.strategy, p.model),
                       "point": _flip_vec(ap.point, p.flips)})
     return {"mixture": parts, "point": _flip_vec(combined, p.flips)}
 

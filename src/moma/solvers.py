@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -60,8 +60,9 @@ class ScalarSolution:
     """Result of one scalar optimization.
 
     `value` lies within `error_bound` (relative, floor 1) of the true optimum;
-    [lower, upper] brackets the optimum, and `strategy` attains at least
-    `lower`, which both solvers take from its exact evaluation.
+    [lower, upper] brackets the optimum, and `strategy`, an action vector
+    over the states of the model solved on, attains at least `lower`, which
+    both solvers take from its exact evaluation.
     """
 
     value: float
@@ -216,10 +217,11 @@ def _bottom_sccs(g, src: np.ndarray, dst: np.ndarray, live: np.ndarray) -> list[
     return [by_label[i] for i in np.argsort(first)]
 
 
-def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy,
+def evaluate_strategy(m: MarkovAutomaton, sigma: MDStrategy | Mapping[int, int],
                       objectives: Sequence[Objective]) -> ChainEvaluation:
-    """Exact value of sigma for every objective via linear systems on the
-    chain sigma induces: BSCC decomposition, absorption probabilities, one
+    """Exact value of sigma, an action vector or a mapping (see
+    `MDStrategy`), for every objective via linear systems on the chain sigma
+    induces: BSCC decomposition, absorption probabilities, one
     gain/bias system per BSCC for long-run averages, transient sums for totals.
 
     A reachable BSCC carrying a negative reward makes the total -inf (marker);
@@ -390,9 +392,9 @@ def mec_lra(sub: MarkovAutomaton, r: RewardAssignment, eps: float = 1e-6) -> Sca
     if ub - lb > eps * max(1.0, abs(lb)):
         raise SolverError(f"long-run average bracket [{lb}, {ub}] wider than {eps} "
                           f"after {it} strategy iterations")
-    sigma = dict(zip(ps.tolist(), (chosen[ps] - fl.ptr[ps]).tolist()))
     value = 0.5 * (lb + ub)
-    return ScalarSolution(value, sigma, 0.5 * (ub - lb) / max(1.0, abs(value)), lb, ub, it)
+    return ScalarSolution(value, chosen - fl.ptr[:-1], 0.5 * (ub - lb) / max(1.0, abs(value)),
+                          lb, ub, it)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +546,8 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
             float(np.max(U - L)) > eps * max(1.0, float(np.max(np.abs(U)))):
         raise SolverError(f"total-reward bracket [{l0}, {u0}] at the initial state wider "
                           f"than {eps} after {it} strategy iterations")
-    ps = np.flatnonzero(~fl.markovian)
-    sigma = decode_quotient_strategy(st.q, dict(zip(ps.tolist(), actions[ps].tolist())), {})
-    return ScalarSolution(u0, sigma, (u0 - l0) / max(1.0, abs(u0)) + 1e-12, l0, u0, it, sweeps)
+    return ScalarSolution(u0, decode_quotient_strategy(st.q, actions, ()),
+                          (u0 - l0) / max(1.0, abs(u0)) + 1e-12, l0, u0, it, sweeps)
 
 
 def _improve(q: np.ndarray, seg: np.ndarray, cur: np.ndarray, x: np.ndarray

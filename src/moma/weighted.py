@@ -129,8 +129,10 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
     for c in mec_decomposition(p.model, choice_ok=~fl.markovian[fl.choice_state]):
         rep.add("NonZeno", "{" + ",".join(names[s] for s in c.members.tolist()) + "}",
                 "end component without a Markovian state (time does not progress)")
+    if not _total_assignments(p):
+        return rep
     rep.extend(check_total_rewards(p.model, p.objectives, mec_decomposition(p.model)))
-    if _total_assignments(p) and rep.ok:
+    if rep.ok:
         region, _ = almost_sure_reach(p.model, [s for c in p.zero_ecs for s in c.members.tolist()])
         if not region[p.model.initial]:
             rep.add("Finiteness", p.model.state_names[p.model.initial],
@@ -149,7 +151,7 @@ class WeightedPrep:
     inside choices), since that set alone determines a structure, and
     `patterns` sends each support pattern of the lifted reward seen so far
     to its structure.  `evaluations` keeps the exact evaluation of every
-    decoded strategy, keyed by its actions."""
+    decoded strategy, keyed by its action vector's bytes."""
 
     problem: NormalizedProblem
     quot: QuotientModel
@@ -168,7 +170,8 @@ def prepare_weighted(p: NormalizedProblem) -> WeightedPrep:
 class WeightedSolution:
     """One weighted solve: `value` is a certified upper bound on the optimal
     weighted sum, `point` the exact objective vector (internal orientation)
-    achieved by `strategy`, so weights . point lower-bounds the optimum and
+    achieved by `strategy` (an action vector over the states of the
+    normalized model), so weights . point lower-bounds the optimum and
     `error_bound` is the absolute bracket width between the two."""
 
     weights: np.ndarray
@@ -201,17 +204,15 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
     r_tot = weighted_reward_sum("w.tot", [(x, p.model.rewards[n]) for x, n in zip(tot_w, names)])
 
     gains: list[float] = []
-    stays: dict[int, dict[int, int]] = {}
-    for i, (c, sub) in enumerate(zip(p.zero_ecs, prep.subs)):
+    stays: list[np.ndarray] = []
+    for c, sub in zip(p.zero_ecs, prep.subs):
         # sub_ma already restricted every named reward to the component
         rr = weighted_reward_sum("w.lra", [(x, sub.rewards[n]) for x, n in zip(lra_w, names)])
-        if rr.is_zero:
-            gains.append(0.0)
-            stays[i] = {}  # decoding keeps play inside by default
-            continue
-        sol = mec_lra(sub, rr, eps=eps / 2.0)
-        gains.append(sol.upper)
-        stays[i] = _decode_sub_strategy(sub, c, sol.strategy)
+        sol = None if rr.is_zero else mec_lra(sub, rr, eps=eps / 2.0)
+        gains.append(0.0 if sol is None else sol.upper)
+        # sub choice k is base choice c.choices[k]; a reward-free component
+        # keeps play inside by its first choices
+        stays.append(c.choices[flat(sub).ptr[:-1] + (0 if sol is None else sol.strategy)])
 
     r_star = prep.quot.lift_reward(r_tot, "w.star", bottom_values=gains)
     key = np.packbits(np.concatenate(r_star.vectors(prep.quot.model)) != 0.0).tobytes()
@@ -223,21 +224,12 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
         prep.patterns[key] = prep.structures[zk]
     total = solve_total(prep.patterns[key], r_star, eps=eps / 2.0)
     sigma = decode_quotient_strategy(prep.quot, total.strategy, stays)
-    acts = np.fromiter(sigma.values(), np.int64, len(sigma)).tobytes()
-    if acts not in prep.evaluations:
-        prep.evaluations[acts] = evaluate_strategy(p.model, sigma, p.objectives)
-    point = np.array(prep.evaluations[acts].values)
+    sk = sigma.tobytes()
+    if sk not in prep.evaluations:
+        prep.evaluations[sk] = evaluate_strategy(p.model, sigma, p.objectives)
+    point = np.array(prep.evaluations[sk].values)
     # weights . point with 0 * (-inf) taken as 0, summed in objective order
     achieved = float(sum(w[w != 0.0] * point[w != 0.0]))
     return WeightedSolution(w, total.value, point, sigma,
                             max(0.0, total.value - achieved), gains, total.rounds, total.sweeps)
 
-
-def _decode_sub_strategy(sub: MarkovAutomaton, c: EndComponent,
-                         sigma_sub: MDStrategy) -> dict[int, int]:
-    """Translate a strategy on a component sub-model back to base states and
-    original action indices: sub choice k is base choice c.choices[k]."""
-    k = np.fromiter(sigma_sub.keys(), np.int64, len(sigma_sub))
-    base = c.choices[flat(sub).ptr[k] + np.fromiter(sigma_sub.values(), np.int64, len(k))]
-    s = c.fl.choice_state[base]
-    return dict(zip(s.tolist(), (base - c.fl.ptr[s]).tolist()))

@@ -374,27 +374,44 @@ class TestDecodeQuotientStrategy:
         (c,) = [c for c in mec_decomposition(m) if 0 in c.members]
         return m, c, quotient(m, [c], with_bottom=True)
 
+    @staticmethod
+    def picks(q, actions):
+        """The action vector over q's states: `actions` at the given
+        states, 0 elsewhere."""
+        acts = np.zeros(q.model.n_states, dtype=np.int64)
+        acts[list(actions)] = list(actions.values())
+        return acts
+
     def test_exit_choice_steers_to_exit(self, exit_model):
         m, c, q = exit_model
         qs = q.ec_states[0]
-        sigma = decode_quotient_strategy(q, {qs: 0}, {})
+        sigma = decode_quotient_strategy(q, self.picks(q, {qs: 0}), ())
         assert sigma[1] == 1
 
     def test_bottom_choice_follows_stay(self, exit_model):
         m, c, q = exit_model
         qs = q.ec_states[0]
-        sigma = decode_quotient_strategy(q, {qs: 1}, {0: {1: 0}})
+        # the stay plays action 0 at state 1 (and the only one at state 0)
+        stay = flat(m).ptr[c.members] + [0, 0]
+        sigma = decode_quotient_strategy(q, self.picks(q, {qs: 1}), [stay])
         assert sigma[1] == 0
 
     def test_bottom_without_stay_errors(self, exit_model):
         m, c, q = exit_model
         qs = q.ec_states[0]
         with pytest.raises(ModelError):
-            decode_quotient_strategy(q, {qs: 1}, {0: None})
+            decode_quotient_strategy(q, self.picks(q, {qs: 1}), [None])
+        with pytest.raises(ModelError):
+            decode_quotient_strategy(q, self.picks(q, {qs: 1}), ())
 
     def test_unreachable_component_stays_inside(self, exit_model):
+        # an action vector decides every quotient state, so a component the
+        # quotient strategy never reaches picks too; when it picks bottom
+        # with the stay optimize_weighted gives a reward-free component (the
+        # first choice inside, per state), play stays inside
         m, c, q = exit_model
-        sigma = decode_quotient_strategy(q, {}, {})
+        stay = c.choices[flat(sub_ma(m, c)).ptr[:-1]]
+        sigma = decode_quotient_strategy(q, self.picks(q, {q.ec_states[0]: 1}), [stay])
         assert sigma[1] == 0
 
     def test_exits_are_reached_from_inside(self):
@@ -415,10 +432,12 @@ class TestDecodeQuotientStrategy:
             q = quotient(m, z, with_bottom=True)
             qfl = flat(q.model)
             outs = [q.base_choice[qfl.ptr[qs]:qfl.ptr[qs + 1] - 1] for qs in q.ec_states]
+            # a component without an exit has only bottom: it stays inside
+            stay = [c.choices[flat(sub_ma(m, c)).ptr[:-1]] for c in z]
             for j in range(max(map(len, outs), default=0)):
                 pick = {i: min(j, len(o) - 1) for i, o in enumerate(outs) if len(o)}
                 sigma = decode_quotient_strategy(
-                    q, {q.ec_states[i]: a for i, a in pick.items()}, {})
+                    q, self.picks(q, {q.ec_states[i]: a for i, a in pick.items()}), stay)
                 for i, a in pick.items():
                     c, exit_choice = z[i], int(outs[i][a])
                     goal = int(fl.choice_state[exit_choice])
@@ -438,8 +457,9 @@ class TestDecodeQuotientStrategy:
     def test_copies_plain_choices(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
         q = quotient(fig1, z, with_bottom=True)
-        sigma = decode_quotient_strategy(q, {1: 1, 2: 0, 3: 0},
-                                         {0: {3: 0}, 1: {}})
+        # both components pick bottom and stay by action 0 at every state
+        stay = [flat(fig1).ptr[c.members] for c in z]
+        sigma = decode_quotient_strategy(q, self.picks(q, {1: 1, 2: 0, 3: 0}), stay)
         assert sigma[2] == 1
         # collapsed components chose bottom: play stays inside
         assert sigma[3] in (0, 1)

@@ -221,6 +221,39 @@ class TestParseModelErrors:
         with pytest.raises(ModelError, match="action"):
             parse_model(doc)
 
+    MDP_STATE = {"name": "s1", "actions": [{"name": "a", "transitions": {"s0": 1.0}}]}
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda d: d["states"][0].update(rate=[1.0]), r"state 's0' rate: expected a number$"),
+        (lambda d: d["states"][0].update(rate=True), r"state 's0' rate: expected a number$"),
+        (lambda d: d["states"][0].update(rate="fast"), r"expected a number, got 'fast'"),
+        (lambda d: d.update(states=[]), "nonempty list of states"),
+        (lambda d: d["states"][0].pop("name"), "every state needs a nonempty name"),
+        (lambda d: d["states"][0].update(name=""), "every state needs a nonempty name"),
+        (lambda d: d["states"][0].update(transitions={}), "transitions must be a nonempty map"),
+        (lambda d: d["states"].append({"name": "s1", "actions": []}),
+         "state 's1': actions must be a nonempty list"),
+        (lambda d: d.update(rewards=[{"states": {"s0": 1.0}}]),
+         "every reward block needs a nonempty name"),
+        (lambda d: d.update(rewards=[{"name": "r"}, {"name": "r"}]), "duplicate reward name 'r'"),
+        (lambda d: (d["states"].append(TestParseModelErrors.MDP_STATE),
+                    d.update(rewards=[{"name": "r", "transitions": [
+                        {"from": "s1", "action": "b", "to": "s0", "value": 1.0}]}])),
+         "unknown action 'b'"),
+    ], ids=["rate-list", "rate-bool", "rate-string", "no-states", "unnamed-state",
+            "empty-name", "empty-transitions", "empty-actions", "unnamed-reward",
+            "duplicate-reward", "unknown-reward-action"])
+    def test_rejected(self, change, match):
+        doc = self.base()
+        change(doc)
+        with pytest.raises(ModelError, match=match):
+            parse_model(doc)
+
+    @pytest.mark.parametrize("doc", [[], "moma-model", None])
+    def test_header_needs_an_object(self, doc):
+        with pytest.raises(ModelError, match="expected a JSON object with format 'moma-model'"):
+            parse_model(doc)
+
     def test_tagged_infinity_accepted_as_number(self):
         doc = self.base()
         doc["rewards"] = [{"name": "r", "states": {"s0": "-inf"}}]
@@ -283,6 +316,17 @@ class TestParseQuery:
         pq = parse_query(doc, fig1)
         assert pq.objectives[0].goal == frozenset({fig1.state_names.index("s4")})
 
+    @pytest.mark.parametrize("objectives", [[], None, {}])
+    def test_needs_objectives(self, fig1, objectives):
+        with pytest.raises(ModelError, match="nonempty list of objectives"):
+            parse_query(parse_query_doc({"objectives": objectives}), fig1)
+
+    @pytest.mark.parametrize("goal", [[], None, "s4"])
+    def test_reach_needs_goal_list(self, fig1, goal):
+        doc = parse_query_doc({"objectives": [{"kind": "reach", "goal": goal}]})
+        with pytest.raises(ModelError, match="nonempty goal list"):
+            parse_query(doc, fig1)
+
     def test_bad_max_iterations(self, fig1):
         with pytest.raises(ModelError, match="max_iterations"):
             parse_query(parse_query_doc({"max_iterations": 0}), fig1)
@@ -318,6 +362,16 @@ class TestResultDocument:
         # only probabilistic states appear, keyed by state and action names
         assert all(set(s) == {"s3", "s4"} for s in strategies)
         assert {s["s3"] for s in strategies} == {"alpha", "beta"}
+
+    def test_warnings_key_order(self, fig1, fig1_objectives):
+        # warnings follow the answer fields and precede the statistics
+        res = answer_query(fig1, fig1_objectives, ParetoQuery())
+        res.warnings = ["first", "second"]
+        doc = result_document(res, query_echo(parse_query(parse_query_doc(), fig1), fig1))
+        assert list(doc) == ["format", "version", "kind", "query", "vertices",
+                             "facets", "halfspaces", "precision_achieved",
+                             "exhausted", "warnings", "statistics"]
+        assert doc["warnings"] == ["first", "second"]
 
     def test_timings_only_when_requested(self, fig1, fig1_objectives):
         # the command line adds them under --timings (tests/test_cli.py)

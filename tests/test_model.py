@@ -310,6 +310,10 @@ class TestRewardAlgebra:
         w = weighted_reward_sum("w", [(0.0, r)])
         assert w.is_zero
 
+    def test_empty_sum_errors(self):
+        with pytest.raises(ModelError, match="at least one part"):
+            weighted_reward_sum("w", [])
+
 
 class TestObjective:
     def test_valid(self):
@@ -394,6 +398,24 @@ class TestInducedChain:
     def test_unavailable_action_errors(self, fig1):
         with pytest.raises(ModelError):
             induced_chain(fig1, {2: 5, 3: 0})
+        with pytest.raises(ModelError, match="unavailable action 5"):
+            induced_chain(fig1, np.array([0, 0, 5, 0, 0, 0]))
+
+    def test_action_vector_matches_mapping(self, fig1):
+        # one action per state; a Markovian state's entry is read as its only choice
+        for sigma in ({2: 1, 3: 0}, {2: 0, 3: 1}):
+            vector = np.zeros(fig1.n_states, dtype=np.int64)
+            vector[list(sigma)] = list(sigma.values())
+            want = model.flat(induced_chain(fig1, sigma))
+            for v in (vector, vector.tolist(), np.where(model.flat(fig1).markovian, 7, vector)):
+                got = model.flat(induced_chain(fig1, v))
+                assert all(np.array_equal(getattr(got, f), getattr(want, f))
+                           for f in ("ptr", "edge_ptr", "succ", "prob"))
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), (1, 6), ()])
+    def test_wrong_shape_vector_errors(self, fig1, shape):
+        with pytest.raises(ModelError, match=r"one action per state \(6,\)"):
+            induced_chain(fig1, np.zeros(shape, dtype=np.int64))
 
 
 class TestArrayModel:

@@ -12,6 +12,7 @@ from moma import (AchievabilityQuery, ApproximationState, EndComponent,
                   QuantitativeQuery, RewardAssignment, SolverError, WeightedSolution, answer_query,
                   downward_hull, evaluate_strategy, mec_decomposition, normalize_query,
                   select_weight, validate_assumptions)
+import moma.weighted
 from moma import pareto, parse_model, serialize_model
 from moma.model import Flat, flat
 from moma.modelio import parse_objective
@@ -661,6 +662,16 @@ class TestParetoQuery:
         objs = [Objective("lra", "max", reward="R1")] * 5
         with pytest.raises(ModelError):
             answer_query(fig1, objs, ParetoQuery())
+
+    def test_too_many_objectives_build_no_product(self, fig1, monkeypatch):
+        # each objective normalizes to one, so the count is checked first
+        calls, product = [], moma.weighted.reach_to_total
+        monkeypatch.setattr(moma.weighted, "reach_to_total",
+                            lambda *a: calls.append(a) or product(*a))
+        objs = [Objective("reach", "max", goal=frozenset({s})) for s in range(5)]
+        with pytest.raises(ModelError, match="at most 4 objectives"):
+            answer_query(fig1, objs, ParetoQuery())
+        assert calls == []
 
     def test_assumption_violation_raises(self):
         m = MarkovAutomaton(

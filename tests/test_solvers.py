@@ -78,6 +78,26 @@ class TestEvaluateStrategy:
             evaluate_strategy(m, {0: 0}, [lra_obj("r")])
         assert evaluate_strategy(m, {0: 1}, [lra_obj("r")]).values == [1.0]
 
+    def test_action_vector_matches_mapping(self, fig1, fig1_objectives):
+        for sigma in ({2: 0, 3: 0}, {2: 1, 3: 0}, {2: 1, 3: 1}):
+            vector = np.zeros(fig1.n_states, dtype=np.int64)
+            vector[list(sigma)] = list(sigma.values())
+            want = evaluate_strategy(fig1, sigma, fig1_objectives)
+            got = evaluate_strategy(fig1, vector, fig1_objectives)
+            assert (got.values, got.bsccs, got.reach_probs, got.gains) == \
+                (want.values, want.bsccs, want.reach_probs, want.gains)
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), ()])
+    def test_wrong_shape_vector_errors(self, fig1, fig1_objectives, shape):
+        with pytest.raises(ModelError, match=r"shape .* not one action per state \(6,\)"):
+            evaluate_strategy(fig1, np.zeros(shape, dtype=np.int64), fig1_objectives)
+
+    def test_objective_needs_a_reward_of_the_model(self, fig1):
+        with pytest.raises(ModelError, match="transformed to totals"):
+            evaluate_strategy(fig1, {2: 0, 3: 0}, [Objective("reach", "max", goal=frozenset({4}))])
+        with pytest.raises(ModelError, match="no reward assignment named 'ghost'"):
+            evaluate_strategy(fig1, {2: 0, 3: 0}, [lra_obj("ghost")])
+
     def test_fig1_alpha_alpha(self, fig1, fig1_objectives):
         ev = evaluate_strategy(fig1, {2: 0, 3: 0}, fig1_objectives)
         assert ev.values[0] == pytest.approx(4.0, abs=1e-12)
@@ -485,7 +505,7 @@ class TestRepeatedSuccessors:
                     sol2 = mec_lra(split, split.rewards[name], eps=1e-9)
                     self.close(sol2.lower, sol.lower)
                     self.close(sol2.upper, sol.upper)
-                    assert sol2.strategy == sol.strategy
+                    assert sol2.strategy.tolist() == sol.strategy.tolist()
                     solved += 1
         assert solved >= 20
 
@@ -502,7 +522,7 @@ class TestRepeatedSuccessors:
             sol2 = max_total_reward(m2, m2.rewards["r"], bottom_state=bottom, eps=1e-9)
             self.close(sol2.lower, sol.lower)
             self.close(sol2.upper, sol.upper)
-            assert sol2.strategy == sol.strategy
+            assert sol2.strategy.tolist() == sol.strategy.tolist()
             solved += 1
         assert solved >= 20
 
@@ -524,8 +544,8 @@ class TestMecLra:
         sol = mec_lra(big, big.rewards["R1"], eps=1e-8)
         assert sol.value == pytest.approx(4.0, abs=1e-6)
         assert sol.lower <= 4.0 <= sol.upper + 1e-12
-        # its strategy plays alpha at the fork
-        assert sol.strategy == {1: 0}
+        # its strategy plays alpha at the fork, state 1 (0 and 2 are Markovian)
+        assert sol.strategy.tolist() == [0, 0, 0]
         small = sub_ma(fig1, z[1])
         sol2 = mec_lra(small, small.rewards["R1"], eps=1e-8)
         assert sol2.value == pytest.approx(2.0, abs=1e-6)
@@ -645,9 +665,9 @@ class TestMecLraMultichain:
         assert best == 5.0
         assert sol.lower - 1e-12 <= best <= sol.upper + 1e-12
         assert sol.upper - sol.lower <= eps * best
-        assert sol.strategy == {1: 1, 3: 0}
+        assert sol.strategy.tolist() == [0, 1, 0, 0]  # 1 and 3 are probabilistic
         again = mec_lra(self.component(), m.rewards["r"], eps=eps)
-        assert again.strategy == sol.strategy
+        assert again.strategy.tolist() == sol.strategy.tolist()
         assert (again.lower, again.upper) == (sol.lower, sol.upper)
 
 
@@ -657,7 +677,7 @@ class TestMecLraFrame:
     @staticmethod
     def bits(sol):
         return (float(sol.value).hex(), float(sol.lower).hex(), float(sol.upper).hex(),
-                sorted(sol.strategy.items()), sol.rounds)
+                sol.strategy.tolist(), sol.rounds)
 
     def test_shared_frame_matches_fresh_components(self):
         # rewards A, B, A on one sub answer bit for bit as fresh copies do
@@ -684,7 +704,7 @@ class TestMecLraFrame:
         r2 = RewardAssignment("r2", {0: 3.0}, {})
         got = [self.bits(mec_lra(m, x)) for x in (m.rewards["r"], r2, m.rewards["r"])]
         assert got[0] == got[2] == self.bits(mec_lra(fresh, fresh.rewards["r"]))
-        assert got[1][3] == [(1, 0), (3, 1)]
+        assert got[1][3] == [0, 0, 0, 1]  # state 1 plays 0 and state 3 plays 1
         first = moma.solvers._FRAMES[flat(m)].first
         assert len(first.members) == len(first.bscc) == 2 and first.solve is None
 
@@ -788,7 +808,7 @@ class TestMecLraNearTie:
                                                                      (1, 1, 0): best})})
         sol = mec_lra(m, m.rewards["r"], eps=1e-9)
         attained = evaluate_strategy(m, sol.strategy, [lra_obj("r")]).values[0]
-        assert sol.strategy == {1: 0} and attained == 1.0
+        assert sol.strategy.tolist() == [0, 0] and attained == 1.0
         assert sol.lower <= attained and sol.upper >= best
 
 
@@ -975,7 +995,7 @@ class TestMaxTotalReward:
         best = self.best_proper(m, 3)
         assert best == 8.0
         assert sol.lower - 1e-12 <= best <= sol.upper + 1e-12
-        assert sol.strategy == {0: 1, 1: 1}
+        assert sol.strategy.tolist() == [1, 1, 0, 0]  # 2 and 3 are Markovian
 
     def test_random_instances_match_enumeration(self):
         rng = np.random.default_rng(35)
@@ -1148,7 +1168,7 @@ class TestTotalStructureReuse:
     @staticmethod
     def bits(sol):
         return (float(sol.value).hex(), float(sol.lower).hex(), float(sol.upper).hex(),
-                sorted(sol.strategy.items()), sol.rounds, sol.sweeps)
+                sol.strategy.tolist(), sol.rounds, sol.sweeps)
 
     @pytest.fixture
     def solves(self, monkeypatch):

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import moma.components
 import moma.weighted
 from moma import (MarkovAutomaton, ModelError, Objective, ParetoQuery, RewardAssignment,
                   SolverError, answer_query, decode_quotient_strategy, evaluate_strategy,
                   normalize_query, optimize_weighted, prepare_weighted, validate_assumptions,
                   weighted_reward_sum)
-from moma.model import flat
+from moma.components import mec_decomposition
+from moma.model import check_total_rewards, flat
 from moma.pareto import problem_statistics
 from moma.solvers import total_zero_ecs
 
-from gen import choices, oracle_points, random_valid_instance, weighted_oracle
+from gen import (choices, oracle_points, random_lra_reward, random_ma, random_total_reward,
+                 random_valid_instance, weighted_oracle)
 
 
 def make_prep(m, objectives):
@@ -137,6 +140,36 @@ class TestValidateAssumptions:
         assert validate_assumptions(normalize_query(
             m, [Objective("lra", "max", reward="r")])).ok
 
+    @pytest.mark.parametrize("kinds, calls", [(("lra",), 2), (("lra", "total"), 3)],
+                             ids=["lra", "lra+total"])
+    def test_end_components_searched_only_when_read(self, fig1, monkeypatch, kinds, calls):
+        # the Zeno check and the zero-ECs always search; the sign and
+        # finiteness checks of total rewards search only when a total is asked
+        counted = []
+        for module in (moma.weighted, moma.components):
+            search = module.mec_decomposition
+            monkeypatch.setattr(module, "mec_decomposition",
+                                lambda *a, search=search, **k: counted.append(1) or search(*a, **k))
+        objectives = [Objective(k, "max", reward=r) for k, r in zip(kinds, ("R1", "R2"))]
+        p = normalize_query(fig1, objectives)
+        assert validate_assumptions(p).ok
+        prepare_weighted(p)
+        assert len(counted) == calls
+
+    def test_total_reward_check_reads_only_totals(self):
+        # so skipping it without a total objective leaves every report as it was
+        rng = np.random.default_rng(84)
+        reported = 0
+        for _ in range(60):
+            m = random_ma(rng, max_states=6)
+            m = m.with_rewards({"L": random_lra_reward(rng, m, "L"),
+                                "T": random_total_reward(rng, m, mec_decomposition(m), "T")})
+            p = normalize_query(m, [Objective("lra", "max", reward="L")])
+            assert not check_total_rewards(p.model, p.objectives,
+                                           mec_decomposition(p.model)).violations
+            reported += not validate_assumptions(p).ok
+        assert reported > 0  # some draws are Zeno, and those reports stay too
+
 
 class TestPrepareWeighted:
     def test_fig1(self, fig1, fig1_objectives):
@@ -208,7 +241,7 @@ class TestOptimizeWeighted:
         prep = make_prep(m, fig1_objectives + [Objective("lra", "max", reward="bad")])
         want = optimize_weighted(make_prep(fig1, fig1_objectives), (0.5, 0.5))
         got = optimize_weighted(prep, (0.5, 0.5, 0.0))
-        assert got.value == want.value and got.strategy == want.strategy
+        assert got.value == want.value and got.strategy.tolist() == want.strategy.tolist()
         assert got.point[:2].tolist() == want.point.tolist()
 
     def test_zero_weight_totals_still_shape_components(self):
@@ -277,7 +310,7 @@ class TestStructureCache:
     @staticmethod
     def bits(sol):
         return (float(sol.value).hex(), float(sol.error_bound).hex(), sol.point.tobytes(),
-                sorted(sol.strategy.items()), sol.rounds, sol.sweeps)
+                sol.strategy.tolist(), sol.rounds, sol.sweeps)
 
     def test_shared_prep_matches_fresh_preps(self):
         # one prep across weights builds one total-reward structure per set
@@ -367,7 +400,7 @@ class TestEvaluationMemo:
         calls = []
 
         def counted(m, sigma, objectives):
-            calls.append(tuple(sorted(sigma.items())))
+            calls.append(tuple(sigma.tolist()))
             return evaluate_strategy(m, sigma, objectives)
 
         monkeypatch.setattr(moma.weighted, "evaluate_strategy", counted)
@@ -375,7 +408,7 @@ class TestEvaluationMemo:
         for p, ws in self.instances():
             calls.clear()
             prep = prepare_weighted(p)
-            seen = {tuple(sorted(optimize_weighted(prep, w).strategy.items())) for w in ws}
+            seen = {tuple(optimize_weighted(prep, w).strategy.tolist()) for w in ws}
             assert sorted(calls) == sorted(seen)
             assert len(prep.evaluations) == len(seen)
             distinct += len(seen)
@@ -406,20 +439,24 @@ class TestEvaluationMemo:
         assert sol.point.tolist() == evaluate_strategy(fig1, sol.strategy, fig1_objectives).values
 
     def test_decodes_list_every_probabilistic_state_in_order(self):
-        # the memo key is the action list alone, so every decode on one prep
-        # must list the same states in the same order
+        # the memo key is the action vector's bytes alone, so every decode on
+        # one prep must give one action per state, 0 at Markovian states
         rng = np.random.default_rng(419)
         differ = 0
         for _ in range(10):
             m, objectives = random_valid_instance(rng, n_lra=1, n_total=1)
             prep = make_prep(m, objectives)
             qfl = flat(prep.quot.model)
-            qs = np.flatnonzero(~qfl.markovian)
-            stay = {i: {} for i in range(len(prep.problem.zero_ecs))}
-            first = decode_quotient_strategy(prep.quot, dict.fromkeys(qs.tolist(), 0), stay)
-            last = decode_quotient_strategy(
-                prep.quot, dict(zip(qs.tolist(), (np.diff(qfl.ptr)[qs] - 1).tolist())), stay)
-            ps = np.flatnonzero(~flat(prep.problem.model).markovian).tolist()
-            assert list(first) == list(last) == ps
-            differ += first != last
+            # every component stays inside by its first choices, as a
+            # reward-free one does in optimize_weighted
+            stay = [c.choices[flat(sub).ptr[:-1]]
+                    for c, sub in zip(prep.problem.zero_ecs, prep.subs)]
+            first = decode_quotient_strategy(prep.quot, np.zeros(len(qfl.markovian), np.int64),
+                                             stay)
+            last = decode_quotient_strategy(prep.quot, np.diff(qfl.ptr) - 1, stay)
+            markovian = flat(prep.problem.model).markovian
+            assert first.dtype == last.dtype == np.int64
+            assert first.shape == last.shape == markovian.shape
+            assert not first[markovian].any() and not last[markovian].any()
+            differ += not np.array_equal(first, last)
         assert differ > 0
