@@ -294,10 +294,24 @@ def decode_quotient_strategy(q: QuotientModel, actions_q: np.ndarray,
     quotient state picks an exit plays it and steers toward its state from
     everywhere else inside; one that picks bottom plays its stay choices
     (`stay[i]`: the base flat choices component i keeps, one per state of
-    `q.components[i].members`; required in that case) forever.
+    `q.components[i].members`; required in that case) forever.  A vector
+    of another shape than (n_states of q.model,), or an action a quotient
+    state does not have, is a ModelError.
     """
     fl, qfl, k = flat(q.base), flat(q.model), len(q.kept)
-    picked = q.base_choice[qfl.ptr[:-1] + actions_q]
+    actions_q = np.asarray(actions_q, dtype=np.int64)
+    if actions_q.shape != (q.model.n_states,):
+        raise ModelError(f"quotient strategy vector has shape {actions_q.shape}, "
+                         f"not one action per state ({q.model.n_states},)")
+    # each picked flat choice must lie in its state's range (bounds read off
+    # the offsets: np.diff would cost more than the check, on every solve)
+    at = qfl.ptr[:-1] + actions_q
+    bad = (actions_q < 0) | (at >= qfl.ptr[1:])
+    if np.count_nonzero(bad):
+        s = int(np.argmax(bad))
+        raise ModelError(f"quotient strategy picks unavailable action {actions_q[s]} "
+                         f"at quotient state {s}")
+    picked = q.base_choice[at]
     choice = fl.ptr[:-1].copy()
     choice[q.kept] = picked[:k]
     ec = picked[k:k + len(q.components)]

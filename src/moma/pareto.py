@@ -77,8 +77,13 @@ class ApproximationState:
     cached as arrays (its vertex ids naming stored points) and the facets'
     centroids (one row each).  The halfspaces are the refinement history:
     one per weighted solve, in order; `normals` and `offsets` hold them as
-    arrays, and `solves` each solve's (rounds, sweeps) counters.  The hull
-    is built again only after a new distinct finite point."""
+    arrays, and `solves` each solve's (rounds, sweeps) counters.
+
+    In 2 to 4 dimensions each new distinct finite point grows the polar
+    hull when it fits the box of its transform, and builds it again from
+    every distinct finite point when not, so the facets depend on the
+    points alone.  An add that fails drops the hull, and the next read or
+    new point builds it again."""
 
     dimension: int
     points: list[AchievedPoint] = field(default_factory=list)
@@ -86,6 +91,7 @@ class ApproximationState:
     warnings: list[str] = field(default_factory=list)
     _facets: Hull | None = field(default=None, repr=False)
     _hull_input: set[tuple[float, ...]] = field(default_factory=set, repr=False)
+    _polar: _PolarHull | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.normals = np.zeros((0, self.dimension))
@@ -110,22 +116,41 @@ class ApproximationState:
         if finite and (key := tuple(point.tolist())) not in self._hull_input:
             self._hull_input.add(key)
             self._facets = None
+            if self._polar is not None and self._polar.fits(point):
+                try:
+                    self._polar.add(point, len(self.points) - 1)
+                except SolverError:
+                    self._polar = None  # facets() or the next new point builds again
+                    raise
+            elif 2 <= self.dimension <= MAX_DIMENSION:
+                self._polar = None  # frees the old Qhull before the new one is built
+                self._polar = _PolarHull(*self._finite())
 
     def finite_indices(self) -> list[int]:
         return [i for i, ap in enumerate(self.points) if ap.finite]
 
+    def _finite(self) -> tuple[np.ndarray, np.ndarray]:
+        """The finite points, one row each, and their indices."""
+        idx = np.array(self.finite_indices(), dtype=int)
+        return np.array([self.points[i].point for i in idx]).reshape(len(idx), self.dimension), idx
+
     def facets(self) -> Hull:
         if self._facets is None:
-            idx = np.array(self.finite_indices(), dtype=int)
-            pts = np.array([self.points[i].point for i in idx]).reshape(len(idx), self.dimension)
-            raw = downward_hull(pts, self.dimension)
-            self._facets = replace(raw, ids=idx[raw.ids])
+            if self._polar is not None:
+                self._facets = self._polar.hull()
+            else:  # one objective, no finite point, or a failed add
+                pts, idx = self._finite()
+                raw = downward_hull(pts, self.dimension)
+                self._facets = replace(raw, ids=idx[raw.ids])
+            h = self._facets
             # means summed in vertex order, as np.mean sums: one row of
             # vertex ids per facet, padded with the id of a zero row
-            sizes = np.diff(raw.ptr)
-            ids = np.full((len(sizes), sizes.max(initial=0)), len(pts))
-            ids[np.arange(ids.shape[1]) < sizes[:, None]] = raw.ids
-            self._centroids = np.vstack([pts, np.zeros(self.dimension)])[ids].sum(axis=1) / sizes[:, None]
+            sizes = np.diff(h.ptr)
+            ids = np.full((len(sizes), sizes.max(initial=0)), len(self.points))
+            ids[np.arange(ids.shape[1]) < sizes[:, None]] = h.ids
+            rows = np.array([ap.point for ap in self.points]).reshape(-1, self.dimension)
+            self._centroids = np.vstack([rows, np.zeros(self.dimension)])[ids].sum(axis=1) \
+                / sizes[:, None]
         return self._facets
 
     def facet_gaps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +171,10 @@ def downward_hull(points: Sequence[np.ndarray], dimension: int) -> Hull:
     its weight is the facet's normal, the points attaining h there are its
     vertices, and a vertex on a side of the simplex, with fewer points than
     dimensions, is a cap.  The envelope's vertices are read off one Qhull
-    convex hull of the polar points of the region above h, capped; polar
-    facets whose equations agree to 9 digits form one facet.  Facets come
-    in the order of their unit normals rounded to 9 digits.  A Qhull
-    failure is a SolverError.
+    convex hull of the polar points of the region above h, capped (see
+    `_PolarHull`); polar facets whose equations agree to 9 digits form one
+    facet.  Facets come in the order of their unit normals rounded to 9
+    digits.  A Qhull failure is a SolverError.
     """
     if len(points) == 0:
         return Hull(np.zeros((0, dimension)), np.zeros(0), np.zeros(1, dtype=int),
@@ -162,65 +187,105 @@ def downward_hull(points: Sequence[np.ndarray], dimension: int) -> Hull:
     if not 2 <= dimension <= MAX_DIMENSION:
         raise ModelError(f"queries with {dimension} objectives are not supported "
                          f"(max {MAX_DIMENSION})")
-    from scipy.spatial import ConvexHull, QhullError
+    return _PolarHull(pts, np.arange(len(pts))).hull()
 
-    # distinct points in sorted order and the index of each one's first copy
-    arr, first, _ = _unique_rows(pts)
-    k, dim = len(arr), dimension
-    # moving and scaling the points adds a term affine in u to
-    # h(w) = max_p w.p, w = (u, 1 - sum u), and keeps its vertices, so they
-    # are found for the points mapped into the unit box
-    lo = arr.min(axis=0)
-    q = (arr - lo) / (float((arr.max(axis=0) - lo).max()) or 1.0)
-    # the region above h in x = (u, c), as rows A x + b <= 0: one per point
-    # (w.q <= c), u >= 0, sum u <= 1 and the cap c <= 3 (h is at most 1 on
-    # the unit box), each taken to its polar point A / -(A x0 + b) about the
-    # interior point x0 = (1/d, ..., 1/d, 2)
-    A = np.zeros((k + dim + 1, dim))
-    b = np.zeros(k + dim + 1)
-    A[:k, :-1] = q[:, :-1] - q[:, -1:]
-    A[:k, -1] = -1.0
-    b[:k] = q[:, -1]
-    A[k:k + dim - 1, :-1] = -np.eye(dim - 1)
-    A[k + dim - 1, :-1] = 1.0
-    b[k + dim - 1] = -1.0
-    A[-1, -1] = 1.0
-    b[-1] = -3.0
-    x0 = np.full(dim, 1.0 / dim)
-    x0[-1] = 2.0
-    # row-wise dot products by stacked matmul, which rounds as np.dot does
-    slack = -((A[:, None, :] @ x0) + b[:, None])
-    try:
-        qh = ConvexHull(A / slack)
-    except QhullError as err:
-        first_line = str(err).strip().split("\n")[0]
-        raise SolverError(f"Qhull failed on the {dim}-D hull of {k} distinct points: "
-                          f"{first_line}") from None
 
-    # each polar facet is a vertex x = x0 - n / offset of the region and a
-    # facet of the downward hull; polar simplices with equal rounded
-    # equations form one facet, represented by the equation of its first
-    # simplex, over the union of their corners; a vertex on the cap is not
-    # a facet
-    _, rep, group = _unique_rows(np.round(qh.equations, 9))
-    corner = np.zeros((len(rep), k + dim + 1), dtype=bool)
-    corner[np.repeat(group, dim), qh.simplices.ravel()] = True
-    keep = ~corner[:, -1]
-    eq, corner = qh.equations[rep[keep]], corner[keep]
-    u = x0[:-1] - eq[:, :-2] / eq[:, -1:]
-    w = np.hstack([u, 1.0 - u.sum(axis=1, keepdims=True)])
-    # a weight is exactly 0 on the side of the simplex the vertex lies on,
-    # and never below 0 (weighted solves reject negative weights)
-    w[corner[:, k:-1]] = 0.0
-    w = np.maximum(w, 0.0)
-    w /= w.sum(axis=1, keepdims=True)
-    order = np.lexsort(np.round(w / np.sqrt((w * w).sum(axis=1, keepdims=True)), 9).T[::-1])
-    n, on = w[order], corner[order, :k]
-    # one matrix-vector product per facet, stacked: each rounds as arr @ n
-    offsets = (n[:, None, :] @ arr.T).max(axis=-1)[:, 0]
-    sizes = np.count_nonzero(on, axis=1)
-    return Hull(n, offsets, np.concatenate([[0], np.cumsum(sizes)]),
-                first[np.nonzero(on)[1]], sizes < dim)
+class _PolarHull:
+    """The downward hull of distinct points as one incremental Qhull of
+    polar points, built once and grown by one point at a time.
+
+    A build moves and scales the points into the unit box, which adds a
+    term affine in u to h(w) = max_p w.p, w = (u, 1 - sum u), and keeps its
+    vertices.  The region above h in x = (u, c) is taken as rows A x + b <=
+    0: one per point, in sorted order (w.q <= c), then u >= 0, sum u <= 1
+    and the cap c <= 3 (h is at most 1 on the unit box).  Each row goes to
+    its polar point A / -(A x0 + b) about the interior point x0 = (1/d, ...,
+    1/d, 2).  An add appends the row of one more point.  A point that
+    `fits` lies in the box [lo, lo + spread] of the points the transform was
+    picked for, so a build of all the points would pick the same one.
+    `ids` names the points in the facets `hull()` reads off."""
+
+    def __init__(self, points: np.ndarray, ids: np.ndarray):
+        from scipy.spatial import ConvexHull
+
+        # distinct points in sorted order and the id of each one's first copy
+        arr, first, _ = _unique_rows(points)
+        k, dim = arr.shape
+        self.points, self.ids, self.built = arr, ids[first], k
+        self.lo = arr.min(axis=0)
+        self.spread = float((arr.max(axis=0) - self.lo).max())
+        self.scale = self.spread or 1.0
+        self.x0 = np.full(dim, 1.0 / dim)
+        self.x0[-1] = 2.0
+        A = np.zeros((k + dim + 1, dim))
+        b = np.zeros(k + dim + 1)
+        A[:k], b[:k] = self._rows(arr)
+        A[k:k + dim - 1, :-1] = -np.eye(dim - 1)
+        A[k + dim - 1, :-1] = 1.0
+        b[k + dim - 1] = -1.0
+        A[-1, -1] = 1.0
+        b[-1] = -3.0
+        self.qh = self._qhull(lambda polar: ConvexHull(polar, incremental=True), A, b, k)
+
+    def _rows(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = (pts - self.lo) / self.scale
+        return np.hstack([q[:, :-1] - q[:, -1:], np.full((len(q), 1), -1.0)]), q[:, -1]
+
+    def _qhull(self, op, A: np.ndarray, b: np.ndarray, k: int):
+        """op on the polar points of the rows A x + b <= 0, for k distinct points."""
+        from scipy.spatial import QhullError
+        try:
+            # row-wise dot products by stacked matmul, which rounds as np.dot does
+            return op(A / -((A[:, None, :] @ self.x0) + b[:, None]))
+        except QhullError as err:
+            first_line = str(err).strip().split("\n")[0]
+            raise SolverError(f"Qhull failed on the {len(self.x0)}-D hull of "
+                              f"{k} distinct points: {first_line}") from None
+
+    def fits(self, p: np.ndarray) -> bool:
+        return bool((p >= self.lo).all() and (p - self.lo <= self.spread).all())
+
+    def add(self, p: np.ndarray, i: int) -> None:
+        """Append the new distinct point p, named i; `points` and `ids`
+        grow only once Qhull holds it."""
+        self._qhull(self.qh.add_points, *self._rows(p[None]), len(self.points) + 1)
+        self.points, self.ids = np.vstack([self.points, p]), np.append(self.ids, i)
+
+    def hull(self) -> Hull:
+        qh, k, dim = self.qh, len(self.points), self.points.shape[1]
+        # the polar points' columns: the points in sorted order, the sides
+        # u >= 0 and sum u <= 1, then the cap; a build adds them in this order
+        # and each add appends one point
+        order = np.lexsort(self.points.T[::-1])
+        rank = np.empty(k, dtype=np.intp)
+        rank[order] = np.arange(k)
+        col = np.concatenate([rank[:self.built], np.arange(k, k + dim + 1), rank[self.built:]])
+        arr, ids = self.points[order], self.ids[order]
+
+        # each polar facet is a vertex x = x0 - n / offset of the region and a
+        # facet of the downward hull; polar simplices with equal rounded
+        # equations form one facet, represented by the equation of its first
+        # simplex, over the union of their corners; a vertex on the cap is not
+        # a facet
+        _, rep, group = _unique_rows(np.round(qh.equations, 9))
+        corner = np.zeros((len(rep), k + dim + 1), dtype=bool)
+        corner[np.repeat(group, dim), col[qh.simplices.ravel()]] = True
+        keep = ~corner[:, -1]
+        eq, corner = qh.equations[rep[keep]], corner[keep]
+        u = self.x0[:-1] - eq[:, :-2] / eq[:, -1:]
+        w = np.hstack([u, 1.0 - u.sum(axis=1, keepdims=True)])
+        # a weight is exactly 0 on the side of the simplex the vertex lies on,
+        # and never below 0 (weighted solves reject negative weights)
+        w[corner[:, k:-1]] = 0.0
+        w = np.maximum(w, 0.0)
+        w /= w.sum(axis=1, keepdims=True)
+        order = np.lexsort(np.round(w / np.sqrt((w * w).sum(axis=1, keepdims=True)), 9).T[::-1])
+        n, on = w[order], corner[order, :k]
+        # one matrix-vector product per facet, stacked: each rounds as arr @ n
+        offsets = (n[:, None, :] @ arr.T).max(axis=-1)[:, 0]
+        sizes = np.count_nonzero(on, axis=1)
+        return Hull(n, offsets, np.concatenate([[0], np.cumsum(sizes)]),
+                    ids[np.nonzero(on)[1]], sizes < dim)
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

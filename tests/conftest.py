@@ -20,3 +20,14 @@ def fig1():
 def fig1_objectives():
     return [Objective("lra", "max", reward="R1"),
             Objective("total", "max", reward="R2")]
+
+
+@pytest.fixture
+def no_add(monkeypatch):
+    """Qhull builds hulls but fails to add a point to one."""
+    import scipy.spatial
+
+    class NoAdd(scipy.spatial.ConvexHull):
+        def add_points(self, *args, **kwargs):
+            raise scipy.spatial.QhullError("QH6271 qhull topology error: wide merge")
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", NoAdd)

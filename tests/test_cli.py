@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from moma import answer_query, dumps, parse_model, parse_query, serialize_model
+from moma import SolverError, answer_query, dumps, parse_model, parse_query, serialize_model
 from moma.cli import main
 
 from conftest import corpus_path
@@ -464,6 +464,22 @@ class TestQhullFailure:
         assert code == 1
         assert out == ""
         assert "solver gave up: Qhull failed on the 3-D hull of" in err
+
+    def test_failed_add_exits_1(self, no_add, tmp_path, capsys):
+        doc, objectives = menu_doc(np.random.default_rng(7115), 6, 3, ("max", "max", "min"))
+        m = parse_model(doc)
+        query = {"format": "moma-query", "version": 1, "kind": "pareto",
+                 "objectives": objectives, "precision": 1e-3}
+        pq = parse_query(query, m)
+        with pytest.raises(SolverError, match=r"3-D hull of \d+ distinct points: QH6271"):
+            answer_query(m, pq.objectives, pq.query)
+        model, path = tmp_path / "menu3.json", tmp_path / "menu3-query.json"
+        model.write_text(dumps(doc), encoding="utf-8")
+        path.write_text(dumps(query), encoding="utf-8")
+        code, out, err = run(capsys, "pareto", str(model), "--query", str(path))
+        assert code == 1
+        assert out == ""
+        assert "solver gave up: Qhull failed on the 3-D hull of" in err and "QH6271" in err
 
     def test_two_objectives_exit_1(self, flat, capsys):
         code, out, err = run(capsys, "pareto", corpus_path("fig1.json"),

@@ -404,6 +404,18 @@ class TestDecodeQuotientStrategy:
         with pytest.raises(ModelError):
             decode_quotient_strategy(q, self.picks(q, {qs: 1}), ())
 
+    @pytest.mark.parametrize("actions, message", [
+        ([1, 0, 0], "unavailable action 1 at quotient state 0"),
+        ([0, 5, 0], "unavailable action 5 at quotient state 1"),
+        ([-1, 0, 0], "unavailable action -1 at quotient state 0"),
+        ([0, 0], r"shape \(2,\), not one action per state \(3,\)"),
+        ([0, 0, 0, 0], r"shape \(4,\)")])
+    def test_actions_are_bound_checked(self, exit_model, actions, message):
+        m, c, q = exit_model
+        stay = flat(m).ptr[c.members]
+        with pytest.raises(ModelError, match=message):
+            decode_quotient_strategy(q, np.array(actions, dtype=np.int64), [stay])
+
     def test_unreachable_component_stays_inside(self, exit_model):
         # an action vector decides every quotient state, so a component the
         # quotient strategy never reaches picks too; when it picks bottom

@@ -299,6 +299,35 @@ def check_staircase(pts):
         assert abs(off - o) <= 1e-12 * scale
 
 
+def check_one_shot(facets, pts, dim, near_coplanar=False):
+    """A grown hull's facet tuples against one build of the same points, as
+    the loop reference `ref_downward_hull` makes it: the same vertex ids,
+    degenerate flags and facet order.  Normals within 1e-12 and offsets
+    within 1e-12 relative to max(1, |coordinates|), as
+    `TestEnvelopeHull.check_same` allows.  On a near-coplanar set of
+    `point_sets`, whose facets 1e-10 apart the two may fit differently,
+    normals within 1e-9 of the reference's, and every facet's vertices on
+    it within 1e-9 relative to that scale."""
+    pts = np.asarray(pts)
+    want = ref_downward_hull(list(pts), dim)
+    assert [f[2:] for f in facets] == [f[2:] for f in want]
+    scale = max(1.0, float(np.abs(pts).max()))
+    for (n, off, v, _), (m, o, _, _) in zip(facets, want):
+        if near_coplanar:
+            assert np.abs(np.subtract(n, m)).max() <= 1e-9
+            assert np.abs(pts[list(v)] @ np.array(n) - off).max() <= 1e-9 * scale
+        else:
+            assert np.abs(np.subtract(n, m)).max() <= 1e-12
+            assert abs(off - o) <= 1e-12 * scale
+
+
+# (dimension, set, points) of the prefixes of near-coplanar `point_sets` on
+# which one build already leaves a vertex 1.03e-9 (relative) off its facet:
+# polar simplices grouped by their 9-digit equations share the first one's
+# normal (CHANGES.md FOUND; ROADMAP item 7's per-facet normal refit)
+MISFIT_PREFIXES = [(3, 5, 8), (3, 5, 9)]
+
+
 class TestGeometryMatchesLoops:
     """The array geometry against loop code: `ref_downward_hull` and
     `ref_staircase_hull` above and the loop code the gap and selection
@@ -325,7 +354,7 @@ class TestGeometryMatchesLoops:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_gaps_and_selection(self, dim):
         rng = np.random.default_rng(8100 + dim)
-        for pts in point_sets(dim):
+        for t, pts in enumerate(point_sets(dim)):
             # one halfspace per point, with distinct offsets above 1, so the
             # scale of a gap names the halfspace attaining it
             pts = pts - pts.min() + 2.0
@@ -335,7 +364,10 @@ class TestGeometryMatchesLoops:
                 state.add(fake_solution(w, float(np.max(pts @ w)) + rng.uniform(0.0, 2.0), p))
             halfspaces = [(h.normal, h.offset) for h in state.halfspaces]
             facets = facet_tuples(state.facets())
-            assert facets == ref_downward_hull(list(pts), dim)
+            if dim == 2:  # grown in 2-D, these hulls are one build's, bit for bit
+                assert facets == ref_downward_hull(list(pts), dim)
+            else:
+                check_one_shot(facets, pts, dim, near_coplanar=t % 3 == 2)
             gaps, scales = state.facet_gaps()
             ref = ref_facet_gaps(list(pts), facets, halfspaces)
             assert scales.tolist() == [s for _, s, _ in ref]
@@ -392,21 +424,40 @@ class TestUniqueRows:
         self.check(eq)
 
 
-class TestFacetReuse:
-    def test_hull_built_once_per_new_distinct_point(self, monkeypatch):
-        calls = []
-        hull = pareto.downward_hull
+@pytest.fixture
+def hull_work(monkeypatch):
+    """The builds and adds of `pareto._PolarHull`, one (operation, distinct
+    points after it) entry each, and the one-shot `downward_hull` calls."""
+    calls = []
+    for name in ("__init__", "add"):
+        def counted(self, *args, _op=getattr(pareto._PolarHull, name), _name=name):
+            _op(self, *args)
+            calls.append((_name, len(self.points)))
+        monkeypatch.setattr(pareto._PolarHull, name, counted)
+    hull = pareto.downward_hull
 
-        def counted(points, dimension):
-            calls.append(len(points))
-            return hull(points, dimension)
-        monkeypatch.setattr(pareto, "downward_hull", counted)
+    def one_shot(points, dimension):
+        calls.append(("downward_hull", len(points)))
+        return hull(points, dimension)
+    monkeypatch.setattr(pareto, "downward_hull", one_shot)
+    return calls
+
+
+class TestFacetReuse:
+    def test_hull_built_once_per_new_distinct_point(self, hull_work):
         m, objectives = menu_instance(7115, 6, 3, ("max", "max", "min"))
         res = answer_query(m, objectives, ParetoQuery(precision=1e-3))
         keys = [tuple(ap.point.tolist()) for ap in res.state.points]
         assert len(set(keys)) < len(keys)  # some refinement repeats a point
-        # one build after the unit weights, then one per new distinct point
-        assert len(calls) == 1 + len(set(keys)) - len(set(keys[:3]))
+        # one build or one add per new distinct point, each growing the hull
+        # by that point, and none for a repeated one
+        assert [n for _, n in hull_work] == list(range(1, len(set(keys)) + 1))
+        assert hull_work[0][0] == "__init__" and {op for op, _ in hull_work} == {"__init__", "add"}
+        hull_work.clear()
+        for point in (res.state.points[-1].point, [1.0, float("-inf"), 2.0]):
+            res.state.add(fake_solution([0.2, 0.3, 0.5], 10.0, point))
+        res.state.facets()
+        assert hull_work == []
 
     def test_repeated_or_divergent_point_keeps_facets(self):
         rng = np.random.default_rng(8200)
@@ -432,24 +483,119 @@ class TestFacetReuse:
 
 
 class TestGrownHull:
-    """A state's hull grows with its points: whether its facets are asked
-    for after each new point or once after all of them, they are those of
-    one build of the same points, with ids naming stored points."""
+    """A state's hull grows with its points, built again only when a point
+    leaves the box its transform was picked for.  Its facets are a function
+    of the points added: the same bits whether they are read after each new
+    point or once after all of them.  Against one build of the same points
+    they match as `check_one_shot` asks, with ids naming stored points."""
+
+    @staticmethod
+    def grown(pts, dim):
+        state = ApproximationState(dim)
+        for p in pts:
+            state.add(fake_solution(np.full(dim, 1.0 / dim), 100.0, p))
+        return state
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_one_point_at_a_time_matches_one_shot(self, dim):
-        for pts in [*point_sets(dim), concave_front(dim, {2: 60, 3: 25, 4: 100}[dim])]:
+        sets = [*point_sets(dim), concave_front(dim, {2: 60, 3: 25, 4: 100}[dim])]
+        for t, pts in enumerate(sets):
             state = ApproximationState(dim)
             for i, p in enumerate(pts):
                 state.add(fake_solution(np.full(dim, 1.0 / dim), 100.0, p))
-                assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts[:i + 1], dim))
+                if (dim, t, i + 1) in MISFIT_PREFIXES:  # see test_known_misfit
+                    assert facet_tuples(state.facets()) == \
+                        facet_tuples(downward_hull(pts[:i + 1], dim))
+                else:
+                    check_one_shot(facet_tuples(state.facets()), pts[:i + 1], dim,
+                                   near_coplanar=t % 3 == 2)
+            late = self.grown(pts, dim)
+            assert facet_tuples(late.facets()) == facet_tuples(state.facets())
+            assert late._centroids.tobytes() == state._centroids.tobytes()
 
-    def test_first_build_is_the_one_shot_build(self):
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="one build leaves a vertex 1.03e-9 off its facet")
+    @pytest.mark.parametrize("dim, t, count", MISFIT_PREFIXES)
+    def test_known_misfit(self, dim, t, count):
+        # the grown hull is the one build here (see
+        # test_one_point_at_a_time_matches_one_shot), so it misfits as much
+        pts = list(point_sets(dim))[t][:count]
+        scale = max(1.0, float(np.abs(pts).max()))
+        for n, off, v, _ in facet_tuples(self.grown(pts, dim).facets()):
+            assert np.abs(pts[list(v)] @ np.array(n) - off).max() <= 1e-9 * scale
+
+    def test_failed_add_keeps_the_state_whole(self, no_add):
+        # the point Qhull could not add is held by no hull: the facets read
+        # after the failure, and after the next new point, are one build's
+        pts = [np.array(p) for p in ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 2.0],
+                                     [2.5, 1.5, 2.5])]
+        state = ApproximationState(3)
+        for p in pts[:2]:  # each builds: one point spans no box
+            state.add(fake_solution([1 / 3] * 3, 10.0, p))
+        with pytest.raises(SolverError, match=r"3-D hull of 3 distinct points: QH6271"):
+            state.add(fake_solution([1 / 3] * 3, 10.0, pts[2]))
+        assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts[:3], 3))
+        state.add(fake_solution([1 / 3] * 3, 10.0, pts[3]))  # inside the box, yet builds
+        assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts, 3))
+
+    def test_first_build_is_the_one_shot_build(self, hull_work):
+        # every build, the first at the first point and one more each time a
+        # point leaves the box, is the one-shot build of the points so far
         pts = concave_front(4, 30)
         state = ApproximationState(4)
-        for p in pts:
+        for i, p in enumerate(pts):
+            hull_work.clear()
             state.add(fake_solution([0.25] * 4, 100.0, p))
-        assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts, 4))
+            if hull_work[0][0] == "__init__":
+                assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts[:i + 1], 4))
+        check_one_shot(facet_tuples(state.facets()), pts, 4)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_point_out_of_the_box_builds(self, dim, side, hull_work):
+        front = concave_front(dim, 25)
+        state = self.grown(front, dim)
+        lo, spread = state._polar.lo, state._polar.spread
+        inside = lo + 0.5 * spread * np.eye(dim)[0]
+        out = lo + (spread + 1.0 if side == "above" else -1.0) * np.eye(dim)[-1]
+        hull_work.clear()
+        for p in (inside, out):
+            state.add(fake_solution(np.full(dim, 1.0 / dim), 100.0, p))
+        assert [op for op, _ in hull_work] == ["add", "__init__"]
+        pts = np.vstack([front, inside, out])
+        assert facet_tuples(state.facets()) == facet_tuples(downward_hull(pts, dim))
+        # a point inside the new box is added to it again
+        hull_work.clear()
+        state.add(fake_solution(np.full(dim, 1.0 / dim), 100.0, pts.mean(axis=0)))
+        assert [op for op, _ in hull_work] == ["add"]
+        check_one_shot(facet_tuples(state.facets()), np.vstack([pts, pts.mean(axis=0)]), dim)
+
+    def test_one_point_spans_no_box(self, hull_work):
+        # one point is scaled by 1, which a build of two points would not
+        # pick, so the second point builds
+        state = self.grown(np.array([[1.0, 2.0, 3.0], [1.5, 2.5, 3.0]]), 3)
+        assert [op for op, _ in hull_work] == ["__init__", "__init__"]
+        assert facet_tuples(state.facets()) == facet_tuples(
+            downward_hull([np.array([1.0, 2.0, 3.0]), np.array([1.5, 2.5, 3.0])], 3))
+
+    @pytest.mark.parametrize("shape, precision", [
+        ((7002, 8, 4, ("max", "max", "max", "min")), 1e-2),
+        ((7115, 6, 3, ("max", "max", "min")), 1e-3)], ids=["front-rich-4d", "menu3"])
+    def test_menu_refinements_match_one_shot(self, shape, precision, monkeypatch):
+        refine, checked = pareto.refine, []
+
+        def checked_refine(state, prep, w, *args):
+            sol = refine(state, prep, w, *args)
+            pts, idx = state._finite()
+            # every point is finite, so the one build's ids name stored points too
+            assert idx.tolist() == list(range(len(state.points)))
+            check_one_shot(facet_tuples(state.facets()), pts, state.dimension)
+            checked.append(w)
+            return sol
+        monkeypatch.setattr(pareto, "refine", checked_refine)
+        m, objectives = menu_instance(*shape)
+        res = answer_query(m, objectives, ParetoQuery(precision=precision))
+        assert len(checked) == res.iterations >= 30
 
 
 class TestEnvelopeHull:
