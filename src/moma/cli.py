@@ -40,10 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and total reward objectives on Markov automata and MDPs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, query_required=True):
+    def common(sp):
         sp.add_argument("model", help="model file (moma-model JSON)")
-        sp.add_argument("--query", required=query_required,
-                        help="query file (moma-query JSON)")
+        sp.add_argument("--query", required=True, help="query file (moma-query JSON)")
         sp.add_argument("--precision", type=float, default=None,
                         help="override the query precision")
         sp.add_argument("--max-iterations", type=int, default=None,

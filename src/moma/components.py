@@ -127,12 +127,11 @@ def sub_ma(m: MarkovAutomaton, c: EndComponent) -> MarkovAutomaton:
 class QuotientModel:
     """A model with end components collapsed into single probabilistic states.
 
-    Collapsed states enable the exits of their component plus, when built
-    with `with_bottom`, a bottom action leading to the absorbing bottom
-    state.  `base_choice[k]` is the base choice behind quotient choice k,
-    -1 for a bottom action; `kept[i]` is the base state behind the
-    non-collapsed quotient state i (these come first); `state_map` sends
-    base states to quotient states.
+    Collapsed states enable the exits of their component plus a last,
+    bottom action leading to the absorbing bottom state.  `base_choice[k]`
+    is the base choice behind quotient choice k, -1 for a bottom action;
+    `kept[i]` is the base state behind the non-collapsed quotient state i
+    (these come first); `state_map` sends base states to quotient states.
 
     The lift arrays describe how the redirected choices merge the edges of
     `base`: `lift_edges` lists the base edges behind every redirected
@@ -146,7 +145,6 @@ class QuotientModel:
     ec_states: list[int]
     base_choice: np.ndarray
     state_map: list[int]
-    with_bottom: bool
     base: MarkovAutomaton
     kept: np.ndarray
     lift_edges: np.ndarray
@@ -169,23 +167,21 @@ class QuotientModel:
                          weights=bfl.prob[self.lift_edges] * edge[self.lift_edges])
         qedge = pv / qfl.prob
         if bottom_values is not None:
-            assert self.with_bottom, "bottom values need bottom actions"
             # the bottom action is the last choice of each collapsed state
             qedge[qfl.edge_ptr[qfl.ptr[np.array(self.ec_states, dtype=np.int64) + 1] - 1]] = \
                 bottom_values
         return RewardAssignment.from_vectors(qfl, name, qstate, qedge)
 
 
-def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
-             with_bottom: bool = True) -> QuotientModel:
+def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent]) -> QuotientModel:
     """Collapse the given disjoint end components into fresh probabilistic states.
 
-    Collapsed states enable the component's exits (sorted) plus a bottom
-    action when `with_bottom` is set; bottom leads to a fresh absorbing
-    Markovian state of rate 1.  Successor distributions are redirected and
-    merged: a choice's probabilities into one quotient state add up in
-    distribution order, and its edges are sorted by successor.  The bottom
-    state exists even with no components.
+    Collapsed states enable the component's exits (sorted) plus a last,
+    bottom action, which leads to a fresh absorbing Markovian state of rate
+    1.  Successor distributions are redirected and merged: a choice's
+    probabilities into one quotient state add up in distribution order, and
+    its edges are sorted by successor.  The bottom state exists even with no
+    components.
     """
     fl = flat(m)
     n = m.n_states
@@ -215,8 +211,8 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
         s = fl.choice_state[outs]
         action_names.append(tuple(f"{m.state_names[u]}.{m.action_names[u][a]}" for u, a in
                                   zip(s.tolist(), (outs - fl.ptr[s]).tolist()))
-                            + ("bot",) * with_bottom)
-        base_choice += [outs, [-1] * with_bottom]
+                            + ("bot",))
+        base_choice += [outs, [-1]]
     action_names.append(("",))
     base_choice = np.concatenate(base_choice + [[-1]]).astype(np.int64)
     counts = np.concatenate([np.diff(fl.ptr)[kept], list(map(len, action_names[k:]))])
@@ -239,7 +235,7 @@ def quotient(m: MarkovAutomaton, ecs: Sequence[EndComponent],
              markov, np.concatenate([fl.rates[kept], np.zeros(len(ecs)), [1.0]])),
         int(state_map[m.initial]), names, action_names)
     return QuotientModel(qm, list(ecs), bottom, ec_states, base_choice, state_map.tolist(),
-                         with_bottom, m, kept, e, qedge[group])
+                         m, kept, e, qedge[group])
 
 
 def almost_sure_reach(m: MarkovAutomaton, targets: Iterable[int]

@@ -331,11 +331,11 @@ def select_weight(state: ApproximationState, eta: float,
     return normals[order[0]]
 
 
-def refine(state: ApproximationState, prep: WeightedPrep, w: np.ndarray,
-           eps: float = EPS_SOLVER) -> WeightedSolution:
-    """One sandwich iteration: solve the weighted problem, store the exact
-    point with its witness strategy, intersect Q with the new halfspace."""
-    sol = optimize_weighted(prep, w, eps)
+def refine(state: ApproximationState, prep: WeightedPrep, w: np.ndarray) -> WeightedSolution:
+    """One sandwich iteration: solve the weighted problem to EPS_SOLVER, store
+    the exact point with its witness strategy, intersect Q with the new
+    halfspace."""
+    sol = optimize_weighted(prep, w, EPS_SOLVER)
     state.add(sol)
     return sol
 

@@ -448,9 +448,10 @@ def total_zero_ecs(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int
 def total_structure(m: MarkovAutomaton, z: Sequence[EndComponent],
                     bottom_state: int) -> TotalStructure:
     """The structure of a total-reward solve on m that collapses the end
-    components z (see total_zero_ecs).  Raises InfeasibleError when no
-    strategy reaches the bottom state almost surely from the initial state."""
-    q = quotient(m, z, with_bottom=False)
+    components z (see total_zero_ecs); its quotient's bottom actions never
+    reach the target, so they become no rows.  Raises InfeasibleError when
+    no strategy reaches the bottom state almost surely from the initial state."""
+    q = quotient(m, z)
     target, init_q = q.state_map[bottom_state], q.state_map[m.initial]
     region, allowed = almost_sure_reach(q.model, [target])
     if not region[init_q]:
@@ -486,12 +487,13 @@ def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
     """Maximal expected total reward over the strategies that reach the
     absorbing `bottom_state` almost surely.
 
-    Zero-reward end components are collapsed first, without bottom actions,
-    so every strategy of the transformed model eventually leaves reward-free
-    components.  Raises InfeasibleError when no strategy reaches the bottom
-    state almost surely from the initial state, and SolverError when positive
-    reward recurs (finiteness violated) or the bracket [lower, upper] cannot
-    be certified to eps, by the rule of solve_total.
+    Zero-reward end components are collapsed first; their bottom actions
+    cannot reach `bottom_state`, so every strategy of the transformed model
+    eventually leaves reward-free components.  Raises InfeasibleError when
+    no strategy reaches the bottom state almost surely from the initial
+    state, and SolverError when positive reward recurs (finiteness violated)
+    or the bracket [lower, upper] cannot be certified to eps, by the rule of
+    solve_total.
     """
     return solve_total(total_structure(m, total_zero_ecs(m, r, bottom_state), bottom_state),
                        r, eps)

@@ -145,13 +145,13 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
 class WeightedPrep:
     """Weight-independent precomputation shared across weighted solves:
     the standalone sub-models of the end components carrying no total
-    reward (`problem.zero_ecs`), the bottom-extended quotient that collapses
-    them, and the total-reward structures built so far: one per set of
-    zero-reward end components a total solve collapses (keyed by their
-    inside choices), since that set alone determines a structure, and
-    `patterns` sends each support pattern of the lifted reward seen so far
-    to its structure.  `evaluations` keeps the exact evaluation of every
-    decoded strategy, keyed by its action vector's bytes."""
+    reward (`problem.zero_ecs`), the quotient that collapses them, and the
+    total-reward structures built so far: one per set of zero-reward end
+    components a total solve collapses (keyed by their inside choices),
+    since that set alone determines a structure, and `patterns` sends each
+    support pattern of the lifted reward seen so far to its structure.
+    `evaluations` keeps the exact evaluation of every decoded strategy,
+    keyed by its action vector's bytes."""
 
     problem: NormalizedProblem
     quot: QuotientModel
@@ -163,7 +163,7 @@ class WeightedPrep:
 
 def prepare_weighted(p: NormalizedProblem) -> WeightedPrep:
     z = p.zero_ecs
-    return WeightedPrep(p, quotient(p.model, z, with_bottom=True), [sub_ma(p.model, c) for c in z])
+    return WeightedPrep(p, quotient(p.model, z), [sub_ma(p.model, c) for c in z])
 
 
 @dataclass

@@ -19,7 +19,8 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from moma import (MarkovAutomaton, Objective, RewardAssignment, ValidationReport,
-                  evaluate_strategy, normalize_query, validate_assumptions)
+                  evaluate_strategy, normalize_query, parse_model, serialize_model,
+                  validate_assumptions)
 from moma.components import mec_decomposition
 from moma.model import NEG_INF, PROB_TOL, flat
 
@@ -385,6 +386,15 @@ def layered_ma(rng, n=10_000):
     return m, objectives
 
 
+def permuted_states(rng, m: MarkovAutomaton) -> MarkovAutomaton:
+    """m with its states renumbered: the states list of its moma-model
+    document shuffled and parsed back.  Names, the initial state and the
+    rewards travel by state name, so both models answer the same queries."""
+    doc = serialize_model(m)
+    doc["states"] = [doc["states"][i] for i in rng.permutation(len(doc["states"])).tolist()]
+    return parse_model(doc)
+
+
 def cycle_with_tail(n_tail=600, n_cycle=600):
     """A transient tail of n_tail states feeding one recurrent cycle of
     n_cycle Markovian states, with a fixed strategy; at the default sizes
@@ -679,7 +689,7 @@ def ref_check_total_rewards(m: MarkovAutomaton, objectives, mecs) -> ValidationR
 # reference quotient
 
 
-def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
+def ref_quotient(m: MarkovAutomaton, ecs):
     """Dict-based reference for `components.quotient`.
 
     Kept states in order, then one state per component, then bottom.  A
@@ -710,11 +720,8 @@ def ref_quotient(m: MarkovAutomaton, ecs, with_bottom: bool):
         outs = [(s, a) for s in c.members.tolist() if not m.is_markovian(s)
                 for a in range(len(choices(m)[s])) if (s, a) not in c.pairs]
         decoding.update({(k + i, j): ("exit", s, a) for j, (s, a) in enumerate(outs)})
-        dists = [redirect(choices(m)[s][a]) for s, a in outs]
-        if with_bottom:
-            decoding[(k + i, len(outs))] = ("bottom",)
-            dists.append(((bottom, 1.0),))
-        qchoices.append(tuple(dists))
+        decoding[(k + i, len(outs))] = ("bottom",)
+        qchoices.append(tuple(redirect(choices(m)[s][a]) for s, a in outs) + (((bottom, 1.0),),))
         behind.append(outs)
     qchoices.append((((bottom, 1.0),),))
     behind.append([])

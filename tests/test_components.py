@@ -183,7 +183,7 @@ class TestZeroMecs:
 class TestQuotient:
     def test_fig1_structure(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
-        q = quotient(fig1, z, with_bottom=True)
+        q = quotient(fig1, z)
         # non-collapsed: s1, s3; collapsed: C0, C1; plus the bottom state
         assert q.model.n_states == 5
         assert q.bottom_state == 4
@@ -207,7 +207,7 @@ class TestQuotient:
             [[((1, 1.0),)], [((0, 1.0),), ((2, 1.0),)], [((2, 1.0),)]],
             initial=0)
         (c,) = [c for c in mec_decomposition(m) if 0 in c.members]
-        q = quotient(m, [c], with_bottom=True)
+        q = quotient(m, [c])
         qs = q.ec_states[0]
         assert decoding(q)[(qs, 0)] == ("exit", 1, 1)
         assert decoding(q)[(qs, 1)] == ("bottom",)
@@ -220,7 +220,7 @@ class TestQuotient:
 
     def test_lift_reward(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
-        q = quotient(fig1, z, with_bottom=True)
+        q = quotient(fig1, z)
         lifted = q.lift_reward(fig1.rewards["R2"], "lift", bottom_values=[4.0, 2.0])
         assert lifted.transition_rewards.get((1, 0, 0), 0.0) == -1.0
         assert lifted.transition_rewards.get((2, 0, 4), 0.0) == 4.0
@@ -235,30 +235,28 @@ class TestQuotient:
             [[((1, 0.5), (2, 0.5))], [((2, 1.0),)], [((1, 1.0),)]],
             initial=0)
         (c,) = [c for c in mec_decomposition(m) if 1 in c.members]
-        q = quotient(m, [c], with_bottom=True)
+        q = quotient(m, [c])
         r = RewardAssignment("r", {}, {(0, 0, 1): 2.0})
         lifted = q.lift_reward(r, "lift")
         qs = q.state_map[1]
         assert lifted.transition_rewards.get((0, 0, qs), 0.0) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("with_bottom", [True, False])
-    def test_matches_dict_reference(self, with_bottom):
-        rng = np.random.default_rng(23 + with_bottom)
+    def test_matches_dict_reference(self):
+        rng = np.random.default_rng(24)
         for _ in range(150):
             m = random_ma(rng, max_states=9, max_actions=3)
             mecs = mec_decomposition(m)
             r = random_total_reward(rng, m, mecs, "T")
             lra = random_lra_reward(rng, m, "L")
             ecs = [c for c in mecs if rng.random() < 0.6]
-            q = quotient(m, ecs, with_bottom=with_bottom)
-            ref_choices, ref_decoding, state_map, ec_states, bottom, lift = \
-                ref_quotient(m, ecs, with_bottom)
+            q = quotient(m, ecs)
+            ref_choices, ref_decoding, state_map, ec_states, bottom, lift = ref_quotient(m, ecs)
             assert choices(q.model) == ref_choices
             assert decoding(q) == ref_decoding
             assert q.state_map == state_map
             assert q.ec_states == ec_states
             assert q.bottom_state == bottom
-            values = [float(rng.integers(-3, 4)) for _ in ecs] if with_bottom else None
+            values = [float(rng.integers(-3, 4)) for _ in ecs]
             for x in (r, lra):
                 state_r, trans_r = lift(x, values)
                 lifted = q.lift_reward(x, "lift", bottom_values=values)
@@ -372,7 +370,7 @@ class TestDecodeQuotientStrategy:
             [[((1, 1.0),)], [((0, 1.0),), ((2, 1.0),)], [((2, 1.0),)]],
             initial=0)
         (c,) = [c for c in mec_decomposition(m) if 0 in c.members]
-        return m, c, quotient(m, [c], with_bottom=True)
+        return m, c, quotient(m, [c])
 
     @staticmethod
     def picks(q, actions):
@@ -441,7 +439,7 @@ class TestDecodeQuotientStrategy:
                 initial=0)
             fl = flat(m)
             z = zero_mecs(m, [random_total_reward(rng, m, mec_decomposition(m), "T")])
-            q = quotient(m, z, with_bottom=True)
+            q = quotient(m, z)
             qfl = flat(q.model)
             outs = [q.base_choice[qfl.ptr[qs]:qfl.ptr[qs + 1] - 1] for qs in q.ec_states]
             # a component without an exit has only bottom: it stays inside
@@ -468,7 +466,7 @@ class TestDecodeQuotientStrategy:
 
     def test_copies_plain_choices(self, fig1):
         z = zero_mecs(fig1, [fig1.rewards["R2"]])
-        q = quotient(fig1, z, with_bottom=True)
+        q = quotient(fig1, z)
         # both components pick bottom and stay by action 0 at every state
         stay = [flat(fig1).ptr[c.members] for c in z]
         sigma = decode_quotient_strategy(q, self.picks(q, {1: 1, 2: 0, 3: 0}), stay)

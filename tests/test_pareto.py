@@ -18,7 +18,7 @@ from moma.model import Flat, flat
 from moma.modelio import parse_objective
 
 from gen import (facet_tuples, layered_ma, menu_doc, oracle_points, padded_downward_hull,
-                 random_valid_instance, ref_facet_gaps, ref_select_normal)
+                 permuted_states, random_valid_instance, ref_facet_gaps, ref_select_normal)
 
 
 def fake_solution(w, value, point, strategy=None):
@@ -584,8 +584,8 @@ class TestGrownHull:
     def test_menu_refinements_match_one_shot(self, shape, precision, monkeypatch):
         refine, checked = pareto.refine, []
 
-        def checked_refine(state, prep, w, *args):
-            sol = refine(state, prep, w, *args)
+        def checked_refine(state, prep, w):
+            sol = refine(state, prep, w)
             pts, idx = state._finite()
             # every point is finite, so the one build's ids name stored points too
             assert idx.tolist() == list(range(len(state.points)))
@@ -864,6 +864,31 @@ class TestSandwichInvariants:
             _, pts = oracle_points(m, objectives)
             self.check_state(res, pts)
             assert not res.exhausted
+
+
+class TestCrossRunCertificates:
+    """A model and an equivalent transform of it have one achievable set, so
+    every point of each run lies in every halfspace of the other run."""
+
+    @staticmethod
+    def check_cross(m, m2, objectives):
+        a, b = (answer_query(x, objectives, ParetoQuery(1e-3)) for x in (m, m2))
+        for x, y in ((a, b), (b, a)):
+            pts = [x.state.points[i].point for i in x.state.finite_indices()]
+            for h in y.state.halfspaces:
+                for pt in pts:
+                    assert float(np.dot(h.normal, pt)) <= h.offset + 1e-9 * max(1.0, abs(h.offset))
+
+    def test_permuted_states_dyadic(self):
+        rng = np.random.default_rng(2)
+        for _ in range(60):
+            m, objectives = random_valid_instance(rng, directions=True)
+            self.check_cross(m, permuted_states(rng, m), objectives)
+
+    def test_permuted_states_layered(self):
+        rng = np.random.default_rng(9000)
+        m, objectives = layered_ma(rng, 2000)
+        self.check_cross(m, permuted_states(rng, m), objectives)
 
 
 class TestArraysOnly:

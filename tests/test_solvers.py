@@ -883,7 +883,7 @@ class TestMaxTotalReward:
     def test_fig1_r2(self, fig1):
         # staying in a reward-free component is the bottom action of the
         # quotient that collapses it
-        q = quotient(fig1, zero_mecs(fig1, [fig1.rewards["R2"]]), with_bottom=True)
+        q = quotient(fig1, zero_mecs(fig1, [fig1.rewards["R2"]]))
         sol = max_total_reward(q.model, q.lift_reward(fig1.rewards["R2"], "R2@q"),
                                bottom_state=q.bottom_state, eps=1e-6)
         assert sol.value == pytest.approx(0.0, abs=1e-6)

@@ -175,7 +175,10 @@ class TestPrepareWeighted:
     def test_fig1(self, fig1, fig1_objectives):
         prep = make_prep(fig1, fig1_objectives)
         assert [c.members.tolist() for c in prep.problem.zero_ecs] == [[1, 3, 5], [4]]
-        assert prep.quot.with_bottom
+        # both components are exit-free: each collapsed state offers bottom only
+        q = prep.quot
+        assert [choices(q.model)[qs] for qs in q.ec_states] == [(((q.bottom_state, 1.0),),)] * 2
+        assert q.base_choice[flat(q.model).ptr[np.array(q.ec_states)]].tolist() == [-1, -1]
         assert len(prep.subs) == 2
         assert prep.subs[0].origin == (1, 3, 5)
 
@@ -369,6 +372,27 @@ class TestStructureCache:
         for w in ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
             optimize_weighted(prep, w)
         assert problem_statistics(p, prep, 2)["total_structures"] == 2
+
+    def test_structure_quotients_drop_their_bottom_actions(self):
+        # a structure's quotient offers bottom too, but its own bottom state
+        # is not the target: almost-sure reachability drops those actions,
+        # so no row is one and that state is never active.  Unit weights
+        # leave reward-free components in the lifted reward to collapse
+        rng = np.random.default_rng(3)
+        own = 0
+        for _ in range(30):
+            m, objectives = random_valid_instance(rng, n_lra=1, n_total=2)
+            prep = prepare_weighted(normalize_query(m, objectives))
+            for w in np.eye(3):
+                optimize_weighted(prep, w)
+            for st in prep.structures.values():
+                assert (st.q.base_choice[st.rows] >= 0).all()
+                assert st.q.bottom_state not in st.active
+                for q in (prep.quot, st.q):
+                    last = flat(q.model).ptr[np.array(q.ec_states, dtype=np.int64) + 1] - 1
+                    assert (q.base_choice[last] == -1).all()
+                own += len(st.q.components) > 0
+        assert own > 0  # some structures collapse components of their own
 
 
 
