@@ -47,7 +47,13 @@ def mec_decomposition(m: MarkovAutomaton,
     refines strongly connected components of the graph of alive choices,
     dropping choices whose support leaves their component, until a fixed
     point.  A state whose choices all died has no outgoing edge, so edges
-    into it cross a component border as well.
+    into it cross a component border as well.  A mask allowing no choice
+    returns [] without building a graph.
+
+    An end component of a restricted search lies inside one maximal end
+    component and uses only its choices, so masking out every choice
+    outside the full decomposition changes no result: a query searches
+    the whole model once (`weighted.NormalizedProblem.mecs`).
     """
     fl = flat(m)
     n = m.n_states
@@ -56,6 +62,8 @@ def mec_decomposition(m: MarkovAutomaton,
     if alive.shape != fl.choice_state.shape:
         raise ModelError(f"choice_ok has shape {alive.shape}, "
                          f"not one entry per choice ({len(fl.choice_state)},)")
+    if not alive.any():
+        return []
     while True:
         live = alive[fl.edge_choice]
         labels = strong_components(n, fl.edge_src[live], fl.succ[live])
@@ -75,19 +83,31 @@ def mec_decomposition(m: MarkovAutomaton,
             for g in sorted(groups, key=lambda g: g[0])]
 
 
-def zero_mecs(m: MarkovAutomaton, totals: Sequence[RewardAssignment]) -> list[EndComponent]:
+def paid_choices(m: MarkovAutomaton, totals: Sequence[RewardAssignment]) -> np.ndarray:
+    """Boolean mask over the flat choices of m: those carrying a nonzero
+    reward under any of the given total assignments (exact comparison; a
+    Markovian state's reward belongs to its one choice)."""
+    fl = flat(m)
+    paid = np.zeros(len(fl.choice_state), dtype=bool)
+    for r in totals:
+        state, edge = r.vectors(m)
+        paid[fl.ptr[:-1][fl.markovian & (state != 0.0)]] = True
+        paid[fl.edge_choice[edge != 0.0]] = True
+    return paid
+
+
+def zero_mecs(m: MarkovAutomaton, totals: Sequence[RewardAssignment],
+              choice_ok: np.ndarray | None = None) -> list[EndComponent]:
     """Maximal end components of the sub-model where every choice carrying a
-    nonzero reward under any of the given total assignments is erased.
+    nonzero reward under any of the given total assignments is erased,
+    among the choices `choice_ok` allows (see mec_decomposition).
 
     Comparison is exact (0.0); with no assignments this is plain MEC
     decomposition.
     """
-    fl = flat(m)
-    ok = np.ones(len(fl.choice_state), dtype=bool)
-    for r in totals:
-        state, edge = r.vectors(m)
-        ok[fl.ptr[:-1][fl.markovian & (state != 0.0)]] = False
-        ok[fl.edge_choice[edge != 0.0]] = False
+    ok = ~paid_choices(m, totals)
+    if choice_ok is not None:
+        ok &= choice_ok
     return mec_decomposition(m, choice_ok=ok)
 
 

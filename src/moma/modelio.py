@@ -20,9 +20,9 @@ requested, keeping outputs reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def _scalar(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, str):
-        return json.dumps(x)
+        return encode_basestring_ascii(x)  # what json.dumps(x) returns
     x = float(x)
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
@@ -79,7 +79,8 @@ def _ser(obj, out: list[str], ind: int) -> None:
         else:
             out.append(opener + "\n")
             for i, x in enumerate(items):
-                out.append("  " * (ind + 1) + (json.dumps(str(x[0])) + ": " if keyed else ""))
+                key = encode_basestring_ascii(str(x[0])) + ": " if keyed else ""
+                out.append("  " * (ind + 1) + key)
                 _ser(x[1] if keyed else x, out, ind + 1)
                 out.append(",\n" if i + 1 < len(items) else "\n")
             out.append("  " * ind + closer)

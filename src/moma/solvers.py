@@ -437,12 +437,16 @@ class TotalStructure:
     lseg: np.ndarray
 
 
-def total_zero_ecs(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int
-                   ) -> list[EndComponent]:
+def total_zero_ecs(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
+                   choice_ok: np.ndarray | None = None) -> list[EndComponent]:
     """The zero-reward end components of r that a total-reward solve on m
     collapses: those with an exit, apart from the bottom state's (an
-    exit-less one cannot reach the target, so it changes no value)."""
-    return [c for c in zero_mecs(m, [r]) if bottom_state not in c.members and len(exits(m, c))]
+    exit-less one cannot reach the target, so it changes no value).  The
+    search allows only the choices `choice_ok` allows (every choice by
+    default), which must include the inside choices of every such
+    component."""
+    return [c for c in zero_mecs(m, [r], choice_ok)
+            if bottom_state not in c.members and len(exits(m, c))]
 
 
 def total_structure(m: MarkovAutomaton, z: Sequence[EndComponent],

@@ -23,8 +23,8 @@ from .model import (MarkovAutomaton, MDStrategy, ModelError, Objective,
                     RewardAssignment, ValidationReport, _fresh_name, check_total_rewards,
                     embed_mdp, flat, validate_model, weighted_reward_sum)
 from .components import (EndComponent, QuotientModel, almost_sure_reach,
-                         decode_quotient_strategy, mec_decomposition, quotient,
-                         sub_ma, zero_mecs)
+                         decode_quotient_strategy, mec_decomposition, paid_choices,
+                         quotient, sub_ma, zero_mecs)
 from .solvers import (ChainEvaluation, TotalStructure, evaluate_strategy,
                       mec_lra, reach_to_total, solve_total, total_structure, total_zero_ecs)
 
@@ -48,10 +48,32 @@ class NormalizedProblem:
         return len(self.objectives)
 
     @cached_property
+    def mecs(self) -> list[EndComponent]:
+        """The maximal end components of the model: the one search of a query
+        over the whole model.  Every other search allows only their choices
+        (`mec_choices`), since each end component it finds lies inside one
+        of them."""
+        return mec_decomposition(self.model)
+
+    @cached_property
+    def mec_choices(self) -> np.ndarray:
+        """Boolean mask over the flat choices of the model: those inside a
+        maximal end component."""
+        inside = np.zeros(len(flat(self.model).choice_state), dtype=bool)
+        for c in self.mecs:
+            inside[c.choices] = True
+        return inside
+
+    @cached_property
     def zero_ecs(self) -> list[EndComponent]:
         """The end components of the model free of every total reward of the
-        objectives, computed once for validation and preparation."""
-        return zero_mecs(self.model, _total_assignments(self))
+        objectives, computed once for validation and preparation: the
+        maximal ones themselves when none of their choices carries such a
+        reward, else a search among their choices."""
+        totals = _total_assignments(self)
+        if not paid_choices(self.model, totals)[self.mec_choices].any():
+            return self.mecs
+        return zero_mecs(self.model, totals, choice_ok=self.mec_choices)
 
 
 def normalize_query(m: MarkovAutomaton, objectives: Sequence[Objective]) -> NormalizedProblem:
@@ -126,12 +148,13 @@ def validate_assumptions(p: NormalizedProblem) -> ValidationReport:
     # every end component of the probabilistic choices alone cycles without
     # time progressing: a probabilistic sub-cycle inside a mixed component
     # is as Zeno as a component without any Markovian state
-    for c in mec_decomposition(p.model, choice_ok=~fl.markovian[fl.choice_state]):
+    probabilistic = p.mec_choices & ~fl.markovian[fl.choice_state]
+    for c in mec_decomposition(p.model, choice_ok=probabilistic):
         rep.add("NonZeno", "{" + ",".join(names[s] for s in c.members.tolist()) + "}",
                 "end component without a Markovian state (time does not progress)")
     if not _total_assignments(p):
         return rep
-    rep.extend(check_total_rewards(p.model, p.objectives, mec_decomposition(p.model)))
+    rep.extend(check_total_rewards(p.model, p.objectives, p.mecs))
     if rep.ok:
         region, _ = almost_sure_reach(p.model, [s for c in p.zero_ecs for s in c.members.tolist()])
         if not region[p.model.initial]:
@@ -151,11 +174,20 @@ class WeightedPrep:
     since that set alone determines a structure, and `patterns` sends each
     support pattern of the lifted reward seen so far to its structure.
     `evaluations` keeps the exact evaluation of every decoded strategy,
-    keyed by its action vector's bytes."""
+    keyed by its action vector's bytes.
+
+    `candidates` masks the quotient's choices behind an inside choice of a
+    maximal end component of the model (`problem.mec_choices`), the only
+    ones the per-pattern searches allow.  That is exact: an end component
+    of the quotient other than the absorbing bottom state lifts, through
+    the inside choices of the components it collapses, to an end component
+    of the model, and the bottom state's own component is one that
+    `total_zero_ecs` drops."""
 
     problem: NormalizedProblem
     quot: QuotientModel
     subs: list[MarkovAutomaton]
+    candidates: np.ndarray
     structures: dict[tuple[bytes, ...], TotalStructure] = field(default_factory=dict)
     patterns: dict[bytes, TotalStructure] = field(default_factory=dict)
     evaluations: dict[bytes, ChainEvaluation] = field(default_factory=dict)
@@ -163,7 +195,10 @@ class WeightedPrep:
 
 def prepare_weighted(p: NormalizedProblem) -> WeightedPrep:
     z = p.zero_ecs
-    return WeightedPrep(p, quotient(p.model, z), [sub_ma(p.model, c) for c in z])
+    q = quotient(p.model, z)
+    # a bottom action (base choice -1) reads the appended False
+    candidates = np.append(p.mec_choices, False)[q.base_choice]
+    return WeightedPrep(p, q, [sub_ma(p.model, c) for c in z], candidates)
 
 
 @dataclass
@@ -217,7 +252,7 @@ def optimize_weighted(prep: WeightedPrep, weights, eps: float = 1e-6) -> Weighte
     r_star = prep.quot.lift_reward(r_tot, "w.star", bottom_values=gains)
     key = np.packbits(np.concatenate(r_star.vectors(prep.quot.model)) != 0.0).tobytes()
     if key not in prep.patterns:
-        z = total_zero_ecs(prep.quot.model, r_star, prep.quot.bottom_state)
+        z = total_zero_ecs(prep.quot.model, r_star, prep.quot.bottom_state, prep.candidates)
         zk = tuple(c.choices.tobytes() for c in z)
         if zk not in prep.structures:
             prep.structures[zk] = total_structure(prep.quot.model, z, prep.quot.bottom_state)

@@ -395,6 +395,51 @@ def permuted_states(rng, m: MarkovAutomaton) -> MarkovAutomaton:
     return parse_model(doc)
 
 
+def unreachable_added(rng, m: MarkovAutomaton, max_states=6) -> MarkovAutomaton:
+    """m with a closed random part put in front of its states, which no
+    state of m reaches: the part's states come first in the states list of
+    the moma-model document.  The part has m's kind (an MDP part for an MDP,
+    so the embedding stays step-based) and its own end components, none of
+    them Zeno.  Each of m's reward assignments gets entries on the part
+    drawn as in random_total_reward, negated where m's end components carry
+    a positive entry, so the part keeps m's signs inside end components.
+    Every strategy plays as in m from m's initial state, so both models
+    answer the same queries."""
+    mdp = not m.markovian_states()
+    while True:
+        part = random_mdp(rng, max_states) if mdp else random_ma(rng, max_states)
+        fl = flat(part)
+        if mdp or not mec_decomposition(part, choice_ok=~fl.markovian[fl.choice_state]):
+            break
+    mecs, part_mecs = mec_decomposition(m), mec_decomposition(part)
+    names, taken = [], set(m.state_names)
+    for i in range(part.n_states):
+        names.append(f"u{i}")
+        while names[-1] in taken:
+            names[-1] = "_" + names[-1]
+    rewards = {}
+    for name, r in m.rewards.items():
+        x = random_total_reward(rng, part, part_mecs, name)
+        if any(v > 0.0 for c in mecs for _, v in _ref_internal_reward_entries(m, r, c)):
+            x = RewardAssignment(name, {s: -v for s, v in x.state_rewards.items()},
+                                 {k: -v for k, v in x.transition_rewards.items()})
+        rewards[name] = x
+    extra = serialize_model(MarkovAutomaton(part.rates, choices(part), 0, state_names=names,
+                                            rewards=rewards))
+    doc = serialize_model(m)
+    doc["states"] = extra["states"] + doc["states"]
+    blocks = {b["name"]: b for b in doc.get("rewards", [])}
+    for b in extra.get("rewards", []):
+        mine = blocks.setdefault(b["name"], {"name": b["name"]})
+        if "states" in b:
+            mine["states"] = {**b["states"], **mine.get("states", {})}
+        if "transitions" in b:
+            mine["transitions"] = b["transitions"] + mine.get("transitions", [])
+    if blocks:
+        doc["rewards"] = list(blocks.values())
+    return parse_model(doc)
+
+
 def cycle_with_tail(n_tail=600, n_cycle=600):
     """A transient tail of n_tail states feeding one recurrent cycle of
     n_cycle Markovian states, with a fixed strategy; at the default sizes

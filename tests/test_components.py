@@ -111,6 +111,13 @@ class TestMecDecompositionMask:
         assert got == {(frozenset(), frozenset({(0, 1)}))}
         assert ok.tolist() == [True, True, False]
 
+    def test_empty_mask_builds_no_graph(self, fig1, monkeypatch):
+        monkeypatch.setattr(components, "strong_components",
+                            lambda *a: pytest.fail("a graph was built"))
+        none = np.zeros(fig1.n_choices, dtype=bool)
+        assert mec_decomposition(fig1, choice_ok=none) == []
+        assert zero_mecs(fig1, [], choice_ok=none) == []
+
     @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
     def test_mask_of_wrong_shape_rejected(self, shape):
         # 3 choices over 2 states: a mask over states must not pass

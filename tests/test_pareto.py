@@ -18,7 +18,8 @@ from moma.model import Flat, flat
 from moma.modelio import parse_objective
 
 from gen import (facet_tuples, layered_ma, menu_doc, oracle_points, padded_downward_hull,
-                 permuted_states, random_valid_instance, ref_facet_gaps, ref_select_normal)
+                 permuted_states, random_valid_instance, ref_facet_gaps, ref_select_normal,
+                 unreachable_added)
 
 
 def fake_solution(w, value, point, strategy=None):
@@ -889,6 +890,21 @@ class TestCrossRunCertificates:
         rng = np.random.default_rng(9000)
         m, objectives = layered_ma(rng, 2000)
         self.check_cross(m, permuted_states(rng, m), objectives)
+
+    def test_unreachable_states_dyadic(self):
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            m, objectives = random_valid_instance(rng, directions=True)
+            self.check_cross(m, unreachable_added(rng, m), objectives)
+
+    def test_unreachable_states_layered(self):
+        rng = np.random.default_rng(9000)
+        m, objectives = layered_ma(rng, 2000)
+        m2 = unreachable_added(rng, m)
+        # the added part's end components come first in the decomposition
+        p = normalize_query(m2, objectives)
+        assert not np.isin(p.mecs[0].members, p.model.reachable()).any()
+        self.check_cross(m, m2, objectives)
 
 
 class TestArraysOnly:

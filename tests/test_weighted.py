@@ -1,25 +1,41 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import moma.components
+import moma.pareto
 import moma.weighted
 from moma import (MarkovAutomaton, ModelError, Objective, ParetoQuery, RewardAssignment,
                   SolverError, answer_query, decode_quotient_strategy, evaluate_strategy,
-                  normalize_query, optimize_weighted, prepare_weighted, validate_assumptions,
-                  weighted_reward_sum)
-from moma.components import mec_decomposition
+                  normalize_query, optimize_weighted, parse_model, prepare_weighted,
+                  validate_assumptions, weighted_reward_sum)
+from moma.components import mec_decomposition, zero_mecs
 from moma.model import check_total_rewards, flat
+from moma.modelio import parse_objective
 from moma.pareto import problem_statistics
 from moma.solvers import total_zero_ecs
 
-from gen import (choices, oracle_points, random_lra_reward, random_ma, random_total_reward,
+from gen import (brute_mecs, choices, dyadic_dist, layered_ma, menu_doc, near_one_dist,
+                 oracle_points, random_lra_reward, random_ma, random_total_reward,
                  random_valid_instance, weighted_oracle)
 
 
 def make_prep(m, objectives):
     return prepare_weighted(normalize_query(m, objectives))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(model, choice_ok) of every end-component search, in call order."""
+    calls = []
+    for module in (moma.weighted, moma.components):
+        def counted(m, choice_ok=None, search=module.mec_decomposition):
+            calls.append((m, choice_ok))
+            return search(m, choice_ok)
+        monkeypatch.setattr(module, "mec_decomposition", counted)
+    return calls
 
 
 class TestNormalizeQuery:
@@ -140,21 +156,16 @@ class TestValidateAssumptions:
         assert validate_assumptions(normalize_query(
             m, [Objective("lra", "max", reward="r")])).ok
 
-    @pytest.mark.parametrize("kinds, calls", [(("lra",), 2), (("lra", "total"), 3)],
-                             ids=["lra", "lra+total"])
-    def test_end_components_searched_only_when_read(self, fig1, monkeypatch, kinds, calls):
-        # the Zeno check and the zero-ECs always search; the sign and
-        # finiteness checks of total rewards search only when a total is asked
-        counted = []
-        for module in (moma.weighted, moma.components):
-            search = module.mec_decomposition
-            monkeypatch.setattr(module, "mec_decomposition",
-                                lambda *a, search=search, **k: counted.append(1) or search(*a, **k))
+    @pytest.mark.parametrize("kinds", [("lra",), ("lra", "total")], ids=["lra", "lra+total"])
+    def test_one_whole_model_search(self, fig1, searches, kinds):
+        # the Zeno check, the sign and finiteness checks and the zero-ECs
+        # all start from the one decomposition of the whole model
         objectives = [Objective(k, "max", reward=r) for k, r in zip(kinds, ("R1", "R2"))]
         p = normalize_query(fig1, objectives)
         assert validate_assumptions(p).ok
         prepare_weighted(p)
-        assert len(counted) == calls
+        assert [m for m, ok in searches if ok is None] == [p.model]
+        assert all(ok is None or not (ok & ~p.mec_choices).any() for _, ok in searches)
 
     def test_total_reward_check_reads_only_totals(self):
         # so skipping it without a total objective leaves every report as it was
@@ -182,21 +193,120 @@ class TestPrepareWeighted:
         assert len(prep.subs) == 2
         assert prep.subs[0].origin == (1, 3, 5)
 
-    def test_zero_ecs_found_once_per_problem(self, fig1, fig1_objectives, monkeypatch):
-        # validation and preparation read the same zero-ECs of the problem
-        calls = []
-        zero_mecs = moma.weighted.zero_mecs
-
-        def counted(*args):
-            calls.append(1)
-            return zero_mecs(*args)
-
-        monkeypatch.setattr(moma.weighted, "zero_mecs", counted)
+    def test_zero_ecs_found_once_per_problem(self, fig1, fig1_objectives, searches):
+        # validation finds them, and preparation reads the same list
+        # without searching again
         p = normalize_query(fig1, fig1_objectives)
         assert validate_assumptions(p).ok
+        before = len(searches)
         prep = prepare_weighted(p)
-        assert len(calls) == 1
+        assert len(searches) == before
+        assert [ok is None for _, ok in searches].count(True) == 1
         assert [sub.origin for sub in prep.subs] == [tuple(c.members.tolist()) for c in p.zero_ecs]
+
+    def test_no_whole_model_search_in_weighted_solves(self, searches, monkeypatch):
+        # a layered query searches its model once; a weighted solve searches
+        # its quotient only among the candidate choices of its preparation
+        solves = []
+        optimize = moma.pareto.optimize_weighted
+
+        def solve(prep, *args):
+            before = len(searches)
+            out = optimize(prep, *args)
+            solves.append((prep, searches[before:]))
+            return out
+        monkeypatch.setattr(moma.pareto, "optimize_weighted", solve)
+        m, objectives = layered_ma(np.random.default_rng(9000), 2000)
+        res = answer_query(m, objectives, ParetoQuery(1e-3))
+        assert [m for m, ok in searches if ok is None] == [res.problem.model]
+        assert len(solves) > 2
+        for prep, inside in solves:
+            assert all(m is prep.quot.model and ok is not None and not (ok & ~prep.candidates).any()
+                       for m, ok in inside)
+
+
+def as_arrays(comps):
+    return [(c.members.tolist(), c.choices.tolist()) for c in comps]
+
+
+def as_pairs(comps):
+    return {(c.markovian_states, c.pairs) for c in comps}
+
+
+class TestRestrictedSearches:
+    """Every search that starts from the maximal end components finds what
+    the same search over the whole model finds, members and choices: the
+    Zeno search, the zero-ECs and the quotient's total_zero_ecs under
+    random weight patterns.  Models small enough for subset enumeration
+    are checked against gen.brute_mecs as well."""
+
+    BRUTE_STATES = 10
+
+    @staticmethod
+    def check(p, rng, seen, patterns=4):
+        """Compare every search of p, counting in `seen` the nonempty and the
+        enumerated ones."""
+        m = p.model
+        fl = flat(m)
+        small = m.n_states <= TestRestrictedSearches.BRUTE_STATES
+        prob = ~fl.markovian[fl.choice_state]
+        zeno = mec_decomposition(m, choice_ok=p.mec_choices & prob)
+        assert as_arrays(zeno) == as_arrays(mec_decomposition(m, choice_ok=prob))
+        totals = [m.rewards[o.reward] for o in p.objectives if o.kind == "total"]
+        assert as_arrays(p.zero_ecs) == as_arrays(zero_mecs(m, totals))
+        seen.update(zeno=bool(zeno), zero=p.zero_ecs is not p.mecs and bool(p.zero_ecs),
+                    brute=small)
+        if small:
+            assert as_pairs(p.mecs) == brute_mecs(m)
+            assert as_pairs(p.zero_ecs) == brute_mecs(m, totals)
+        prep = prepare_weighted(p)
+        q = prep.quot
+        for o in p.objectives:
+            m.rewards[o.reward].vectors(m)  # weighted_reward_sum reads placed rewards
+        for _ in range(patterns):
+            w = rng.integers(0, 3, size=p.dimension).astype(float)
+            r = weighted_reward_sum("w", [(x, m.rewards[o.reward])
+                                          for x, o in zip(w, p.objectives)])
+            r = q.lift_reward(r, "w@q", bottom_values=rng.integers(0, 2, len(q.components)))
+            got = total_zero_ecs(q.model, r, q.bottom_state, prep.candidates)
+            assert as_arrays(got) == as_arrays(total_zero_ecs(q.model, r, q.bottom_state))
+            seen.update(quotient=bool(got))
+            if small and q.model.n_states <= TestRestrictedSearches.BRUTE_STATES:
+                # the restricted search misses only the bottom state's own
+                # component, which total_zero_ecs drops anyway
+                want = {c for c in brute_mecs(q.model, [r]) if q.bottom_state not in c[0]}
+                assert as_pairs(zero_mecs(q.model, [r], prep.candidates)) == want
+
+    def test_random_models(self):
+        # draws may be Zeno or sign-inconsistent: every search still agrees
+        rng, seen = np.random.default_rng(31), Counter()
+        for _ in range(60):
+            m = random_ma(rng, max_states=7)
+            m = m.with_rewards({"L": random_lra_reward(rng, m, "L"),
+                                "T": random_total_reward(rng, m, mec_decomposition(m), "T")})
+            self.check(normalize_query(m, [Objective("lra", "max", reward="L"),
+                                           Objective("total", "max", reward="T")]), rng, seen)
+        assert min(seen.values()) > 0
+
+    @pytest.mark.parametrize("dist", [dyadic_dist, near_one_dist], ids=["dyadic", "near-one"])
+    def test_valid_instances(self, dist):
+        rng, seen = np.random.default_rng(32), Counter()
+        for _ in range(40):
+            m, objectives = random_valid_instance(rng, n_total=2, directions=True, dist=dist)
+            self.check(normalize_query(m, objectives), rng, seen)
+        assert seen["zero"] > 0 and seen["quotient"] > 0 and seen["brute"] > 0
+
+    def test_menus(self):
+        rng = np.random.default_rng(33)
+        for seed in range(6):
+            doc, objs = menu_doc(np.random.default_rng(seed), 4, 3, ("max", "min", "max"))
+            m = parse_model(doc)
+            self.check(normalize_query(m, [parse_objective(o, m) for o in objs]), rng, Counter())
+
+    def test_layered(self):
+        m, objectives = layered_ma(np.random.default_rng(9000), 2000)
+        self.check(normalize_query(m, objectives), np.random.default_rng(34), Counter(),
+                   patterns=6)
 
 
 class TestOptimizeWeighted:
