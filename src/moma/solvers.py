@@ -28,21 +28,23 @@ structure numbers its states once, in that level order: every strategy's
 system is then block lower-triangular as numbered, so its sparse LU keeps
 the natural order, and every level is one span of rows and entries.  The
 structure holds the solver of its starting strategy for every solve's first
-round and each level's entry rows and segment starts relative to the level,
-and every product with kernel rows is one bincount over their entries
-(_dot), each row summed in edge order.
+round, each level's entry rows and segment starts relative to the level, and
+a template of I - K in canonical CSC order, which a later round masks by its
+strategy's rows into its system (_system) and its properness check
+(_proper).  Every product with kernel rows is one bincount over their
+entries (_dot), each row summed in edge order.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse import csc_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .model import (NEG_INF, Flat, InfeasibleError, MarkovAutomaton, MDStrategy,
@@ -131,27 +133,47 @@ def _dot(entries, x: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(r, v * x[c], n)
 
 
-def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray, natural: bool = False):
+def _solver(n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray):
     """b -> x with (I - Q) x = b for the n x n block Q whose entries v sit at
-    the places (r, c), as gathered by _block; entries at one place add up.
-    The system is factored once, here, on the cheaper route, and a singular
-    one raises SolverError here.  Up to _DENSE_LIMIT unknowns: LAPACK's dense
-    LU (getrf) of np.eye(n) minus Q, filled in place, and one getrs per
-    right-hand side.  Above: one sparse LU factorization with COLAMD's column
-    order, or with the `natural` one when the unknowns are already numbered
-    so that I - Q is block lower-triangular (a total-reward structure's
-    levels, sinks first): the diagonal blocks are then factored one after
-    another, with little fill, and no column ordering has to be computed."""
+    the places (r, c), as gathered by _block; entries at one place add up."""
+    if n > _DENSE_LIMIT:
+        return _factor(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c]))))
+    A = np.eye(n, order="F")
+    np.subtract.at(A, (r, c), v)
+    return _factor(A)
+
+
+def _matrix(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """The square matrix of canonical CSC arrays (rows ascending and unique
+    in each column; entries past indptr[-1] are no part of it) as _factor
+    takes it: above _DENSE_LIMIT unknowns a csc_matrix marked canonical, so
+    that splu neither checks nor sorts it, else a Fortran-order array."""
+    n, k = len(indptr) - 1, indptr[-1]
+    if n > _DENSE_LIMIT:
+        A = csc_matrix((data[:k], indices[:k], indptr), shape=(n, n))
+        A.has_canonical_format = True
+        return A
+    A = np.zeros((n, n), order="F")
+    A[indices[:k], np.repeat(np.arange(n), np.diff(indptr))] = data[:k]
+    return A
+
+
+def _factor(A, natural: bool = False):
+    """b -> x with A x = b, A factored once, here, on the cheaper route; a
+    singular A raises SolverError here.  Up to _DENSE_LIMIT unknowns, A is a
+    Fortran-order array for LAPACK's dense LU (getrf, in place), then one
+    getrs per right-hand side; above, a canonical csc_matrix for SuperLU,
+    with COLAMD's column order or, when A is block lower-triangular as
+    numbered (a total-reward structure's levels, sinks first), the `natural`
+    one, which factors the diagonal blocks in turn with little fill."""
+    n = A.shape[0]
     if n > _DENSE_LIMIT:
         try:
-            return splu(csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c]))),
-                        permc_spec="NATURAL" if natural else "COLAMD").solve
+            return splu(A, permc_spec="NATURAL" if natural else "COLAMD").solve
         except RuntimeError as err:
             raise SolverError(f"singular {n} x {n} system (sparse LU): {err}") from None
     if n == 0:  # LAPACK rejects an empty matrix
         return lambda b: np.zeros(0)
-    A = np.eye(n, order="F")
-    np.subtract.at(A, (r, c), v)
     lu, piv, info = dgetrf(A, overwrite_a=True)
     if info > 0:
         raise SolverError(f"singular {n} x {n} system (dense LU): pivot {info} is zero")
@@ -415,12 +437,15 @@ class TotalStructure:
     into active states as _block(flat(q.model), rows, active) gathers them
     (entry row, column, value; the target's column dropped), those of row
     j from `eptr[j]` to `eptr[j + 1]`.  `pick` is a proper strategy (one
-    row per state) and `solve` the _solver of I - K[pick], K the rows'
+    row per state) and `solve` the _factor of I - K[pick], K the rows'
     block, held for every solve's first round.  An allowed edge never
     climbs a level, so I - K[pick] is block lower-triangular, and a level's
     rows and entries are contiguous spans; `lrow` and `lseg` are the entry
     rows and `segs[:-1]` counted from the first row of their level, so a
-    level's Bellman step takes views only."""
+    level's Bellman step takes views only.  The template of I - K is every
+    row's entries, -p, and a diagonal entry per row, 1.0 - p_self, sorted by
+    (column, row), the target's column last: rows `trow`, values `tdata`,
+    column j from `tptr[j]`."""
 
     q: QuotientModel
     target: int
@@ -431,10 +456,39 @@ class TotalStructure:
     segs: np.ndarray
     eptr: np.ndarray
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-    pick: np.ndarray
-    solve: Callable[[np.ndarray], np.ndarray]
     lrow: np.ndarray
     lseg: np.ndarray
+    trow: np.ndarray
+    tdata: np.ndarray
+    tptr: np.ndarray
+    pick: np.ndarray
+    solve: Callable[[np.ndarray], np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        self.solve = _factor(_matrix(*_system(self, self.pick)), natural=True)
+
+
+def _system(st: TotalStructure, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """data and int32 indices and indptr (as SuperLU and csgraph take them)
+    of I - K[pick] in canonical CSC form, then the target's column: the
+    template's entries of the picked rows, each row replaced by its state."""
+    state = np.full(len(st.rows), -1, dtype=np.int32)  # of the picked rows
+    state[pick] = np.arange(len(pick), dtype=np.int32)
+    state = state.take(st.trow)  # take: [] would first convert the int32 indices
+    kept = state >= 0
+    count = np.zeros(len(kept) + 1, dtype=np.int32)
+    np.cumsum(kept, out=count[1:])
+    kept = np.flatnonzero(kept)
+    return st.tdata.take(kept), state.take(kept), count.take(st.tptr)
+
+
+def _proper(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> bool:
+    """Whether every state reaches the target under the strategy of this
+    _system, whose columns list the states that step into each state and,
+    last, into the target: one breadth-first search of them from the target."""
+    n, end = len(indptr) - 1, np.int32(len(indices))
+    g = csr_matrix((data, indices, np.append(indptr, end)), shape=(n + 1, n + 1))
+    return len(breadth_first_order(g, n, directed=True, return_predecessors=False)) == n + 1
 
 
 def total_zero_ecs(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
@@ -472,18 +526,33 @@ def total_structure(m: MarkovAutomaton, z: Sequence[EndComponent],
     # number the active states by level, a stable sort of the ascending ones
     active = active[np.argsort(level, kind="stable")]
     index[active] = np.arange(len(active))
-    rows = choices[np.argsort(index[fl.choice_state[choices]], kind="stable")]
-    segs = _ptr(np.bincount(index[fl.choice_state[rows]], minlength=len(active)))
+    state = index[fl.choice_state[choices]]
+    by_state = np.argsort(state, kind="stable")
+    rows, state = choices[by_state], state[by_state]  # the state of every row
+    segs = _ptr(np.bincount(state, minlength=len(active)))
     assert (np.diff(segs) > 0).all(), "active state without allowed choice"
-    entries = _block(fl, rows, active)  # the target's column dropped
-    erow, levels = entries[0], _ptr(np.bincount(level))
-    pick = np.flatnonzero(rows == np.repeat(toward[active], np.diff(segs)))  # toward the target
+    pos, e = fl.edges(rows)  # every successor is active or the target
+    index[target] = len(active)  # the template's last column
+    col, val = index[fl.succ[e]], fl.prob[e]
+    into = col < len(active)
+    erow = pos[into]
+    entries = erow, col[into], val[into]
+    # the template: the entries, -p, and a diagonal entry per row, 1.0 - p_self
+    # (the quotient merges a row's edges, so one p_self at most)
+    off, diag, levels = col != state[pos], np.ones(len(rows)), _ptr(np.bincount(level))
+    diag[pos[~off]] -= val[~off]
+    trow = np.concatenate([pos[off], np.arange(len(rows))])
+    order = np.argsort(np.concatenate([col[off], state]) * len(rows) + trow)
+    pick = np.flatnonzero(rows == toward[active[state]])  # toward the target
     first = segs[levels[:-1]]  # the first row of every level
     return TotalStructure(q, target, active, int(index[init_q]), levels, rows, segs,
-                          _ptr(np.bincount(erow, minlength=len(rows))), entries, pick,
-                          _solver(len(pick), *_block(fl, rows[pick], active), natural=True),
+                          _ptr(np.bincount(erow, minlength=len(rows))), entries,
                           erow - np.repeat(first, np.diff(segs[levels]))[erow],
-                          segs[:-1] - np.repeat(first, np.diff(levels)))
+                          segs[:-1] - np.repeat(first, np.diff(levels)),
+                          trow.astype(np.int32)[order], np.concatenate([-val[off], diag])[order],
+                          _ptr(np.bincount(col[off], minlength=len(active) + 1)[:-1]
+                               + np.diff(segs)).astype(np.int32),
+                          pick)
 
 
 def max_total_reward(m: MarkovAutomaton, r: RewardAssignment, bottom_state: int,
@@ -525,15 +594,13 @@ def solve_total(st: TotalStructure, r: RewardAssignment, eps: float = 1e-6) -> S
         for it in range(1, 1001):
             # a later round's factor is freed as soon as it has solved, which
             # keeps the peak memory at the held factor plus one
-            L = (_solver(len(pick), *_block(fl, rows[pick], st.active), natural=True) if it > 1
-                 else st.solve)(crew_v[pick])
+            L = (_factor(_matrix(*system), natural=True) if it > 1 else st.solve)(crew_v[pick])
             better = _improve(crew_v + _dot(entries, L, len(rows)), segs, pick, L)
             if better is None:
                 break
             pick = better
-            _, pe = fl.edges(rows[pick])
-            if not reach(fl.succ[pe], fl.edge_src[pe], np.arange(len(actions)) == st.target
-                         )[st.active].all():
+            system = _system(st, pick)
+            if not _proper(*system):
                 raise SolverError(
                     f"positive reward {r.name + '@q'!r} recurs: the strategy improved in round "
                     f"{it} no longer reaches the target (finiteness violated); total reward "

@@ -17,7 +17,8 @@ from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   reach_to_total, sub_ma, weighted_reward_sum, zero_mecs)
 
 from moma.model import _ptr, flat
-from moma.solvers import _DENSE_LIMIT, _block, _dot, _gain_bias, _solver
+from moma.solvers import (_DENSE_LIMIT, _block, _dot, _factor, _gain_bias, _matrix,
+                          _proper, _solver, _system)
 
 from gen import (all_strategies, chain_eval, choices, cycle_with_tail, ec_lra_lp,
                  kernel_matrix, layered_ma, near_one_dist, near_zeno_ma, oracle_points,
@@ -983,13 +984,13 @@ class TestMaxTotalReward:
             rewards={"r": RewardAssignment("r", {}, {(0, 1, 1): -1.0, (1, 1, 2): -1.0,
                                                      (2, 0, 3): 10.0})})
         evaluations = []
-        solver = moma.solvers._solver
+        factor = moma.solvers._factor
 
-        def counted(n, r, c, v, natural=False):
-            evaluations.append(n)
-            return solver(n, r, c, v, natural)
+        def counted(A, natural=False):
+            evaluations.append(A.shape[0])
+            return factor(A, natural)
 
-        monkeypatch.setattr(moma.solvers, "_solver", counted)
+        monkeypatch.setattr(moma.solvers, "_factor", counted)
         sol = max_total_reward(m, m.rewards["r"], bottom_state=3, eps=1e-9)
         assert len(evaluations) == 3  # two rounds switch, the third settles
         best = self.best_proper(m, 3)
@@ -1104,7 +1105,7 @@ class TestMaxTotalReward:
         n = len(st.active)
         assert n > _DENSE_LIMIT
         b = np.random.default_rng(60).standard_normal(n)
-        got = _solver(n, *_block(flat(st.q.model), st.rows[st.pick], st.active), natural=True)(b)
+        got = _factor(_matrix(*_system(st, st.pick)), natural=True)(b)
         want = spsolve((identity(n) - structure_matrix(st)[st.pick]).tocsc(), b)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
@@ -1217,10 +1218,10 @@ class TestTotalStructureReuse:
     def test_round_one_only_solves(self, monkeypatch):
         calls = []
 
-        def counted(*args, solver=_solver, **kw):
-            calls.append(args[0])
-            return solver(*args, **kw)
-        monkeypatch.setattr(moma.solvers, "_solver", counted)
+        def counted(*args, factor=moma.solvers._factor, **kw):
+            calls.append(args[0].shape[0])
+            return factor(*args, **kw)
+        monkeypatch.setattr(moma.solvers, "_factor", counted)
         rounds = []
         for st in structures():
             assert len(calls) == 1  # the structure's own solver
@@ -1246,6 +1247,149 @@ class TestTotalStructureReuse:
         gc.collect()
         assert len(refs) >= 2
         assert all(st() is None and solve() is None for st, solve in refs)
+
+
+class TestRoundTemplate:
+    """Every round after the first builds its system and its properness
+    check from the structure's template: the canonical CSC arrays of
+    I - K[pick] by a mask, the same bits as scipy's conversion of the
+    gathered block, and one breadth-first search over them."""
+
+    @staticmethod
+    def structures():
+        """Structures of random_valid_instance draws, of layered_ma(600) and
+        of a 30-block scc_chain."""
+        rng = np.random.default_rng(71)
+        draws = [random_valid_instance(rng, n_lra=1, n_total=1) for _ in range(40)]
+        for m, objectives in draws + [layered_ma(rng, 600)]:
+            prep = prepare_weighted(normalize_query(m, objectives))
+            optimize_weighted(prep, np.array([0.5, 0.5]))
+            yield from prep.structures.values()
+        m, bottom = scc_chain(np.random.default_rng(9101), blocks=30)
+        yield moma.solvers.total_structure(
+            m, moma.solvers.total_zero_ecs(m, m.rewards["r"], bottom), bottom)
+
+    @staticmethod
+    def old_proper(st, pick):
+        """The check the template replaces: a reverse search of the picked
+        rows' edges from the target, over the quotient's states."""
+        fl = flat(st.q.model)
+        _, e = fl.edges(st.rows[pick])
+        return moma.model.reach(fl.succ[e], fl.edge_src[e],
+                                np.arange(len(fl.markovian)) == st.target)[st.active].all()
+
+    def test_system_and_properness_match_the_gathered_block(self):
+        rng, verdicts, sizes, dense = np.random.default_rng(72), [], set(), 0
+        for st in self.structures():
+            n, fl = len(st.active), flat(st.q.model)
+            sizes.add(n > _DENSE_LIMIT)
+            picks = [st.pick] + [rng.integers(st.segs[:-1], st.segs[1:]) for _ in range(6)]
+            for pick in picks:
+                data, indices, indptr = _system(st, pick)
+                assert indices.dtype == indptr.dtype == np.int32
+                r, c, v = _block(fl, st.rows[pick], st.active)
+                A = csc_matrix((np.r_[np.ones(n), -v], (np.r_[:n, r], np.r_[:n, c])),
+                               shape=(n, n))
+                A.sum_duplicates()
+                k = indptr[-1]
+                assert np.array_equal(data[:k].view(np.uint64), A.data.view(np.uint64))
+                assert np.array_equal(indices[:k], A.indices)
+                assert np.array_equal(indptr, A.indptr)
+                # then the target's column: the states whose pick enters it
+                pos, e = fl.edges(st.rows[pick])
+                assert np.array_equal(indices[k:], np.unique(pos[fl.succ[e] == st.target]))
+                proper = _proper(data, indices, indptr)
+                assert proper == self.old_proper(st, pick)
+                verdicts.append(proper)
+                if n <= _DENSE_LIMIT:  # the dense fill, as _solver's
+                    got, want = _matrix(data, indices, indptr), np.eye(n, order="F")
+                    np.subtract.at(want, (r, c), v)
+                    assert got.flags.f_contiguous
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                    dense += 1
+        assert sizes == {False, True} and dense >= 100
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 20
+
+    def test_later_rounds_gather_and_search_nothing(self, monkeypatch):
+        # between the first round's improvement step and the last one of a
+        # total solve, no graph is built, no reach search runs and no block
+        # is gathered
+        calls, seen, rounds = [], [], []
+
+        def counting(f):
+            def counted(*args, **kwargs):
+                calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return counted
+        for f in (moma.model._graph, moma.model.reach, moma.solvers._block):
+            for mod in (moma.model, moma.components, moma.solvers):
+                for name, value in list(vars(mod).items()):
+                    if value is f:
+                        monkeypatch.setattr(mod, name, counting(f))
+
+        def solving(st, r, eps=1e-6, solve=moma.weighted.solve_total):
+            seen.append([])
+            sol = solve(st, r, eps)
+            assert len(seen[-1]) == sol.rounds and seen[-1][0] == seen[-1][-1]
+            rounds.append(sol.rounds)
+            return sol
+
+        def improving(*args, improve=moma.solvers._improve):
+            if seen:  # inside a total solve
+                seen[-1].append(len(calls))
+            return improve(*args)
+        monkeypatch.setattr(moma.weighted, "solve_total", solving)
+        monkeypatch.setattr(moma.solvers, "_improve", improving)
+        m, objectives = layered_ma(np.random.default_rng(5), n=600)
+        prep = prepare_weighted(normalize_query(m, objectives))
+        for w in np.linspace(0.0, 1.0, 6):
+            optimize_weighted(prep, np.array([w, 1.0 - w]))
+            seen.clear()
+        assert len(rounds) == 6 and max(rounds) >= 3
+        assert len(prep.structures) == 1 and calls
+
+    def test_improper_improvement_raises_on_the_sparse_route(self):
+        # a Markovian path through 250 states ends in a probabilistic state
+        # whose +1 self-loop beats its exit to the bottom state 250
+        n = 250
+        m = MarkovAutomaton(
+            [1.0] * (n - 1) + [None, 1.0],
+            [[((s + 1, 1.0),)] for s in range(n - 1)]
+            + [[((n, 1.0),), ((n - 1, 1.0),)], [((n, 1.0),)]],
+            initial=0, rewards={"r": RewardAssignment("r", {}, {(n - 1, 1, n - 1): 1.0})})
+        st = moma.solvers.total_structure(m, [], n)
+        assert len(st.active) > _DENSE_LIMIT
+        with pytest.raises(SolverError, match=r"positive reward 'r@q' recurs: the strategy "
+                                              r"improved in round 1 no longer reaches the "
+                                              r"target \(finiteness violated\)"):
+            moma.solvers.solve_total(st, m.rewards["r"])
+
+    def test_switches_inside_a_level_stay_proper(self, monkeypatch):
+        # a deep scc_chain above the dense limit: some round switches a
+        # state to a row into its own level, and the solve still matches
+        # the value LP
+        checks, system = [], moma.solvers._system
+
+        def recorded(st, pick):
+            checks.append((st, pick.copy()))
+            return system(st, pick)
+        monkeypatch.setattr(moma.solvers, "_system", recorded)
+        inside = 0
+        for seed in range(4):
+            m, bottom = scc_chain(np.random.default_rng(9200 + seed), blocks=80)
+            checks.clear()
+            sol = max_total_reward(m, m.rewards["r"], bottom_state=bottom, eps=1e-6)
+            best = total_value_lp(m, m.rewards["r"], bottom)
+            tol = 1e-9 * max(1.0, abs(best))
+            assert sol.lower - tol <= best <= sol.upper + tol
+            (st, first), *later = checks  # the structure's own system, then each round's
+            assert len(st.active) > _DENSE_LIMIT and np.array_equal(first, st.pick)
+            level = np.repeat(np.arange(len(st.levels) - 1), np.diff(st.levels))
+            erow, col, _ = st.entries
+            for (_, before), (_, pick) in zip(checks, later):
+                for s in np.flatnonzero(pick != before):
+                    inside += bool((level[col[erow == pick[s]]] == level[s]).any())
+        assert inside > 0
 
 
 class TestReachToTotal:
