@@ -215,7 +215,7 @@ class WeightedSolution:
     strategy: MDStrategy
     error_bound: float
     component_gains: list[float]
-    rounds: int = 0  # of the total solve: strategy-iteration rounds
+    rounds: int = 0  # of the total solve: strategy-iteration rounds (exact evaluations)
     sweeps: int = 0  # and Bellman steps of its certificate
 
 

@@ -13,7 +13,7 @@ import moma.solvers
 from moma import (InfeasibleError, MarkovAutomaton, ModelError, Objective,
                   ParetoQuery, RewardAssignment, SolverError, answer_query, bscc_gain,
                   evaluate_strategy, max_total_reward, mec_decomposition, mec_lra,
-                  normalize_query, optimize_weighted, prepare_weighted, quotient,
+                  normalize_query, optimize_weighted, parse_model, prepare_weighted, quotient,
                   reach_to_total, sub_ma, weighted_reward_sum, zero_mecs)
 
 from moma.model import _ptr, flat
@@ -21,7 +21,7 @@ from moma.solvers import (_DENSE_LIMIT, _block, _dot, _factor, _gain_bias, _matr
                           _proper, _solver, _system)
 
 from gen import (all_strategies, chain_eval, choices, cycle_with_tail, ec_lra_lp,
-                 kernel_matrix, layered_ma, near_one_dist, near_zeno_ma, oracle_points,
+                 kernel_matrix, layered_ma, menu_doc, near_one_dist, near_zeno_ma, oracle_points,
                  random_ma, random_ssp, random_valid_instance, ring_ma, scc_chain,
                  structure_matrix, total_value_lp)
 from test_acceptance import check_sandwich
@@ -1311,9 +1311,10 @@ class TestRoundTemplate:
         assert verdicts.count(True) >= 100 and verdicts.count(False) >= 20
 
     def test_later_rounds_gather_and_search_nothing(self, monkeypatch):
-        # between the first round's improvement step and the last one of a
-        # total solve, no graph is built, no reach search runs and no block
-        # is gathered
+        # between the first exact evaluation of a total solve and its last
+        # one, no graph is built, no reach search runs and no block is
+        # gathered (an evaluation is a solve of a _factor: the structure's
+        # held one, built here after the patch, or a round's fresh one)
         calls, seen, rounds = [], [], []
 
         def counting(f):
@@ -1327,24 +1328,29 @@ class TestRoundTemplate:
                     if value is f:
                         monkeypatch.setattr(mod, name, counting(f))
 
+        def marking(solve):
+            def evaluated(b):
+                if seen:  # inside a total solve
+                    seen[-1].append(len(calls))
+                return solve(b)
+            return evaluated
+
         def solving(st, r, eps=1e-6, solve=moma.weighted.solve_total):
             seen.append([])
             sol = solve(st, r, eps)
-            assert len(seen[-1]) == sol.rounds and seen[-1][0] == seen[-1][-1]
+            marks = seen.pop()
+            assert len(marks) == sol.rounds and marks[0] == marks[-1]
             rounds.append(sol.rounds)
             return sol
 
-        def improving(*args, improve=moma.solvers._improve):
-            if seen:  # inside a total solve
-                seen[-1].append(len(calls))
-            return improve(*args)
+        def factoring(*args, factor=moma.solvers._factor, **kwargs):
+            return marking(factor(*args, **kwargs))
         monkeypatch.setattr(moma.weighted, "solve_total", solving)
-        monkeypatch.setattr(moma.solvers, "_improve", improving)
+        monkeypatch.setattr(moma.solvers, "_factor", factoring)
         m, objectives = layered_ma(np.random.default_rng(5), n=600)
         prep = prepare_weighted(normalize_query(m, objectives))
         for w in np.linspace(0.0, 1.0, 6):
             optimize_weighted(prep, np.array([w, 1.0 - w]))
-            seen.clear()
         assert len(rounds) == 6 and max(rounds) >= 3
         assert len(prep.structures) == 1 and calls
 
@@ -1390,6 +1396,123 @@ class TestRoundTemplate:
                 for s in np.flatnonzero(pick != before):
                     inside += bool((level[col[erow == pick[s]]] == level[s]).any())
         assert inside > 0
+
+
+def plain_solve_total(st, r, eps=1e-6):
+    """solve_total without the lookahead, for comparison: plain strategy
+    iteration, where each round evaluates its strategy exactly and takes
+    the greedy improvement at that exact value, then the same certificate.
+    (L, U, actions over the quotient's states, rounds, sweeps)."""
+    S, fl, rows, segs = moma.solvers, flat(st.q.model), st.rows, st.segs[:-1]
+    srew, jump = S._reward_rates(st.q.model, st.q.lift_reward(r, r.name + "@q"))
+    crew_v = (srew * S._sojourn(fl))[fl.choice_state[rows]] + jump[rows]
+    pick, solve = st.pick, st.solve
+    for rounds in range(1, 1001):
+        L = solve(crew_v[pick])
+        better = S._improve(crew_v + _dot(st.entries, L, len(rows)), segs, pick, L)
+        if better is None:
+            break
+        pick, system = better, _system(st, better)
+        assert _proper(*system)
+        solve = _factor(_matrix(*system), natural=True)
+    U, sweeps = S._inductive_upper(st, crew_v, L, eps)
+    actions = np.zeros(len(fl.markovian), dtype=np.int64)
+    actions[st.active] = rows[pick] - fl.ptr[st.active]
+    return L, U, actions, rounds, sweeps
+
+
+class TestLookahead:
+    """On the sparse route, solve_total looks ahead by Bellman sweeps from
+    each exact value and evaluates fewer strategies; the strategy it stops
+    at and its certificate are those of plain strategy iteration."""
+
+    @staticmethod
+    def models():
+        """(model, objectives) of layered_ma at 300, 600 and 2,000 states,
+        random_valid_instance draws and menu models."""
+        for n, seeds in ((300, range(4)), (600, range(4)), (2000, range(2))):
+            for seed in seeds:
+                yield layered_ma(np.random.default_rng(seed), n)
+        rng = np.random.default_rng(73)
+        for _ in range(30):
+            yield random_valid_instance(rng, n_lra=1, n_total=1)
+        for seed in (7002, 7115):
+            doc, objectives = menu_doc(np.random.default_rng(seed), 6, 3, ("max", "max"))
+            yield parse_model(doc), [Objective(o["kind"], o["direction"], reward=o["reward"])
+                                     for o in objectives]
+
+    @staticmethod
+    def check(st, r, eps, sol):
+        """sol, solve_total's answer, against plain_solve_total's: the same
+        bits but for rounds, of which it takes no more.  (sparse, rounds,
+        plain rounds)."""
+        if not len(st.active):
+            return None
+        L, U, actions, rounds, sweeps = plain_solve_total(st, r, eps)
+        i0 = st.i0
+        assert float(sol.value).hex() == float(U[i0]).hex() == float(sol.upper).hex()
+        assert float(sol.lower).hex() == float(L[i0]).hex()
+        assert np.array_equal(sol.strategy, moma.solvers.decode_quotient_strategy(
+            st.q, actions, ()))
+        assert sol.sweeps == sweeps and sol.rounds <= rounds
+        sparse = len(st.active) > _DENSE_LIMIT
+        assert sparse or sol.rounds == rounds
+        return sparse, sol.rounds, rounds
+
+    def test_same_answer_in_no_more_rounds(self, monkeypatch):
+        seen = []
+
+        def checked(st, r, eps=1e-6, solve=moma.weighted.solve_total):
+            sol = solve(st, r, eps)
+            seen.append(self.check(st, r, eps, sol))
+            return sol
+        monkeypatch.setattr(moma.weighted, "solve_total", checked)
+        for m, objectives in self.models():
+            prep = prepare_weighted(normalize_query(m, objectives))
+            for w in np.linspace(0.0, 1.0, 7):
+                optimize_weighted(prep, np.array([w, 1.0 - w]))
+        for seed in range(4):
+            m, bottom = scc_chain(np.random.default_rng(9300 + seed), blocks=80)
+            st = moma.solvers.total_structure(
+                m, moma.solvers.total_zero_ecs(m, m.rewards["r"], bottom), bottom)
+            seen.append(self.check(st, m.rewards["r"], 1e-6,
+                                   moma.solvers.solve_total(st, m.rewards["r"], 1e-6)))
+        sparse = [(k, plain) for on, k, plain in filter(None, seen) if on]
+        dense = [k for on, k, _ in filter(None, seen) if not on]
+        assert len(sparse) >= 60 and len(dense) >= 100
+        # the lookahead saves rounds on the sparse route
+        assert sum(k for k, _ in sparse) < sum(plain for _, plain in sparse)
+
+    def test_rejected_proposal_takes_the_plain_step(self, monkeypatch):
+        # the first lookahead proposal (an _improve starting from the one
+        # before it, which switches something) is declared improper: the
+        # solve takes the plain improvement there and still gives the plain
+        # answer
+        steps, rejected, sols = [], [], []
+        improve, proper = moma.solvers._improve, moma.solvers._proper
+
+        def improving(q, seg, cur, x):
+            steps.append((cur, improve(q, seg, cur, x)))
+            return steps[-1][1]
+
+        def rejecting(*system):
+            (start, ahead), plain = steps[-1], steps[-2][1] if len(steps) > 1 else None
+            if not rejected and ahead is not None and start is plain:
+                rejected.append(len(steps))
+                return False
+            return proper(*system)
+
+        def kept(st, r, eps=1e-6, solve=moma.weighted.solve_total):
+            sols.append((st, r, eps, solve(st, r, eps)))
+            return sols[-1][-1]
+        monkeypatch.setattr(moma.solvers, "_improve", improving)
+        monkeypatch.setattr(moma.solvers, "_proper", rejecting)
+        monkeypatch.setattr(moma.weighted, "solve_total", kept)
+        m, objectives = layered_ma(np.random.default_rng(5), n=600)
+        optimize_weighted(prepare_weighted(normalize_query(m, objectives)), np.array([0.5, 0.5]))
+        monkeypatch.setattr(moma.solvers, "_proper", proper)
+        (st, r, eps, sol), = sols
+        assert rejected and self.check(st, r, eps, sol)[0]
 
 
 class TestReachToTotal:
